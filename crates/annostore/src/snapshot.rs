@@ -20,8 +20,8 @@
 use crate::annotation::{Annotation, AnnotationId};
 use crate::graph::EdgeKind;
 use crate::store::{AnnotationStore, AttachmentTarget};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use relstore::schema::{ColumnId, TableId};
+use nebula_codec::{CodecError, Reader, Writer};
+use relstore::schema::ColumnId;
 use relstore::TupleId;
 use std::fmt;
 
@@ -32,189 +32,163 @@ const MAGIC: &[u8; 8] = b"NEBANN1\0";
 pub enum SnapshotError {
     /// The buffer does not start with the expected magic.
     BadMagic,
-    /// The buffer ended before the structure was complete.
-    Truncated(&'static str),
+    /// A field was truncated, mis-flagged, or not valid UTF-8.
+    Codec(CodecError),
     /// A tag or reference was out of range.
     Corrupt(String),
-    /// A string was not valid UTF-8.
-    BadString,
 }
 
 impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::BadMagic => write!(f, "not an annostore snapshot (bad magic)"),
-            SnapshotError::Truncated(what) => write!(f, "snapshot truncated while reading {what}"),
+            SnapshotError::Codec(e) => write!(f, "bad snapshot field: {e}"),
             SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
-            SnapshotError::BadString => write!(f, "invalid UTF-8 string in snapshot"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_opt_string(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            buf.put_u8(1);
-            put_string(buf, s);
-        }
-        None => buf.put_u8(0),
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> SnapshotError {
+        SnapshotError::Codec(e)
     }
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, SnapshotError> {
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated("string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(SnapshotError::Truncated("string body"));
-    }
-    String::from_utf8(buf.copy_to_bytes(len).to_vec()).map_err(|_| SnapshotError::BadString)
+/// One edge as it travels: annotation, tuple, kind tag, weight.
+type EdgeRecord = (AnnotationId, TupleId, u8, f64);
+/// One cell refinement as it travels.
+type CellRecord = (AnnotationId, TupleId, ColumnId);
+
+fn put_body(w: &mut Writer, a: &Annotation) {
+    w.string(&a.text);
+    w.opt_string(a.author.as_deref());
+    w.opt_string(a.kind.as_deref());
 }
 
-fn get_opt_string(buf: &mut Bytes) -> Result<Option<String>, SnapshotError> {
-    if buf.remaining() < 1 {
-        return Err(SnapshotError::Truncated("option flag"));
-    }
-    if buf.get_u8() == 0 {
-        Ok(None)
-    } else {
-        Ok(Some(get_string(buf)?))
-    }
+fn get_body(r: &mut Reader<'_>) -> Result<Annotation, SnapshotError> {
+    let mut a = Annotation::new(r.string("annotation text")?);
+    a.author = r.opt_string("annotation author")?;
+    a.kind = r.opt_string("annotation kind")?;
+    Ok(a)
 }
 
-fn put_tuple_id(buf: &mut BytesMut, tid: TupleId) {
-    buf.put_u32_le(tid.table.0);
-    buf.put_u64_le(tid.row);
-}
-
-fn get_tuple_id(buf: &mut Bytes) -> Result<TupleId, SnapshotError> {
-    if buf.remaining() < 12 {
-        return Err(SnapshotError::Truncated("tuple id"));
-    }
-    Ok(TupleId::new(TableId(buf.get_u32_le()), buf.get_u64_le()))
-}
-
-/// Serialize a store to bytes.
-pub fn save(store: &AnnotationStore) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u64_le(store.annotation_count() as u64);
-    for (_, a) in store.iter_annotations() {
-        put_string(&mut buf, &a.text);
-        put_opt_string(&mut buf, &a.author);
-        put_opt_string(&mut buf, &a.kind);
-    }
-    // Canonical (sorted) edge order: restore rebuilds the per-tuple and
-    // per-annotation attachment lists in `(annotation, tuple)` order, not
-    // original insertion order.
-    let mut edges: Vec<_> = store.iter_edges().collect();
+/// Write the edge and cell sections for the annotations `owned` selects,
+/// both in canonical (sorted) order: restore rebuilds the per-tuple and
+/// per-annotation attachment lists in `(annotation, tuple)` order, not
+/// original insertion order, and two stores with the same logical content
+/// produce identical bytes (the durability layer compares states by
+/// snapshot digest).
+fn put_edges_and_cells(
+    w: &mut Writer,
+    store: &AnnotationStore,
+    owned: impl Fn(AnnotationId) -> bool,
+) {
+    let mut edges: Vec<_> = store.iter_edges().filter(|e| owned(e.annotation)).collect();
     edges.sort_by_key(|e| (e.annotation, e.tuple));
-    buf.put_u64_le(edges.len() as u64);
+    w.u64(edges.len() as u64);
     for e in edges {
-        buf.put_u64_le(e.annotation.0);
-        put_tuple_id(&mut buf, e.tuple);
-        buf.put_u8(match e.kind {
+        w.u64(e.annotation.0);
+        w.tuple_id(e.tuple.table.0, e.tuple.row);
+        w.u8(match e.kind {
             EdgeKind::True => 0,
             EdgeKind::Predicted => 1,
         });
-        buf.put_f64_le(e.weight);
+        w.f64(e.weight);
     }
-    // Cells are sorted too, so the encoding is canonical: two stores with
-    // the same logical content produce identical bytes (the durability
-    // layer compares states by snapshot digest).
-    let mut cells: Vec<(AnnotationId, TupleId, ColumnId)> = store.iter_cell_columns().collect();
+    let mut cells: Vec<CellRecord> =
+        store.iter_cell_columns().filter(|(aid, _, _)| owned(*aid)).collect();
     cells.sort();
-    buf.put_u64_le(cells.len() as u64);
+    w.u64(cells.len() as u64);
     for (aid, tid, cid) in cells {
-        buf.put_u64_le(aid.0);
-        put_tuple_id(&mut buf, tid);
-        buf.put_u32_le(cid.0);
+        w.u64(aid.0);
+        w.tuple_id(tid.table.0, tid.row);
+        w.u32(cid.0);
     }
-    buf.freeze()
+}
+
+/// Read a `u64` item count, refusing one the remaining input cannot hold
+/// at `min_cost` bytes per item — a hostile count fails here instead of
+/// sizing an allocation or spinning a loop.
+fn get_count(
+    r: &mut Reader<'_>,
+    what: &'static str,
+    min_cost: usize,
+) -> Result<usize, SnapshotError> {
+    let count = r.u64(what)?;
+    if count > (r.remaining() / min_cost) as u64 {
+        return Err(SnapshotError::Corrupt(format!("implausible {what} {count}")));
+    }
+    Ok(count as usize)
+}
+
+fn get_edges_and_cells(
+    r: &mut Reader<'_>,
+) -> Result<(Vec<EdgeRecord>, Vec<CellRecord>), SnapshotError> {
+    let edge_count = get_count(r, "edge count", 29)?;
+    let mut edges = Vec::with_capacity(edge_count);
+    for _ in 0..edge_count {
+        let aid = AnnotationId(r.u64("edge annotation")?);
+        let tid = r.tuple_id("edge tuple")?.into();
+        edges.push((aid, tid, r.u8("edge kind")?, r.f64("edge weight")?));
+    }
+    let cell_count = get_count(r, "cell count", 24)?;
+    let mut cells = Vec::with_capacity(cell_count);
+    for _ in 0..cell_count {
+        let aid = AnnotationId(r.u64("cell annotation")?);
+        let tid = r.tuple_id("cell tuple")?.into();
+        cells.push((aid, tid, ColumnId(r.u32("cell column")?)));
+    }
+    Ok((edges, cells))
+}
+
+/// Attach decoded edges and cell refinements to a store that already
+/// holds their annotations.
+fn restore_edges_and_cells(
+    store: &mut AnnotationStore,
+    edges: Vec<EdgeRecord>,
+    cells: Vec<CellRecord>,
+) -> Result<(), SnapshotError> {
+    let corrupt = |e: crate::store::StoreError| SnapshotError::Corrupt(e.to_string());
+    for (aid, tid, kind, weight) in edges {
+        match kind {
+            0 => store.attach(aid, AttachmentTarget::tuple(tid)).map_err(corrupt)?,
+            1 => store.attach_predicted(aid, tid, weight).map_err(corrupt)?,
+            t => return Err(SnapshotError::Corrupt(format!("edge kind tag {t}"))),
+        }
+    }
+    for (aid, tid, cid) in cells {
+        store.restore_cell_column(aid, tid, cid).map_err(corrupt)?;
+    }
+    Ok(())
+}
+
+/// Serialize a store to bytes.
+pub fn save(store: &AnnotationStore) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.bytes(MAGIC);
+    w.u64(store.annotation_count() as u64);
+    for (_, a) in store.iter_annotations() {
+        put_body(&mut w, a);
+    }
+    put_edges_and_cells(&mut w, store, |_| true);
+    w.0
 }
 
 /// Restore a store from bytes produced by [`save`].
 pub fn load(bytes: &[u8]) -> Result<AnnotationStore, SnapshotError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.bytes("magic", MAGIC.len()) != Ok(&MAGIC[..]) {
         return Err(SnapshotError::BadMagic);
     }
     let mut store = AnnotationStore::new();
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated("annotation count"));
+    // Each annotation costs at least a text length and two option flags.
+    for _ in 0..get_count(&mut r, "annotation count", 6)? {
+        store.add_annotation(get_body(&mut r)?);
     }
-    let count = buf.get_u64_le();
-    // Each annotation costs at least a text length and two option flags;
-    // fail a hostile count up front instead of looping on it.
-    if count > (buf.remaining() / 6) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible annotation count {count}")));
-    }
-    for _ in 0..count {
-        let text = get_string(&mut buf)?;
-        let author = get_opt_string(&mut buf)?;
-        let kind = get_opt_string(&mut buf)?;
-        let mut a = Annotation::new(text);
-        a.author = author;
-        a.kind = kind;
-        store.add_annotation(a);
-    }
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated("edge count"));
-    }
-    let edges = buf.get_u64_le();
-    if edges > (buf.remaining() / 29) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible edge count {edges}")));
-    }
-    for _ in 0..edges {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("edge annotation"));
-        }
-        let aid = AnnotationId(buf.get_u64_le());
-        let tid = get_tuple_id(&mut buf)?;
-        if buf.remaining() < 9 {
-            return Err(SnapshotError::Truncated("edge kind/weight"));
-        }
-        let kind = buf.get_u8();
-        let weight = buf.get_f64_le();
-        match kind {
-            0 => store
-                .attach(aid, AttachmentTarget::tuple(tid))
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-            1 => store
-                .attach_predicted(aid, tid, weight)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-            t => return Err(SnapshotError::Corrupt(format!("edge kind tag {t}"))),
-        }
-    }
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated("cell count"));
-    }
-    let cells = buf.get_u64_le();
-    if cells > (buf.remaining() / 24) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible cell count {cells}")));
-    }
-    for _ in 0..cells {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("cell annotation"));
-        }
-        let aid = AnnotationId(buf.get_u64_le());
-        let tid = get_tuple_id(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(SnapshotError::Truncated("cell column"));
-        }
-        let cid = ColumnId(buf.get_u32_le());
-        store
-            .restore_cell_column(aid, tid, cid)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    }
+    let (edges, cells) = get_edges_and_cells(&mut r)?;
+    restore_edges_and_cells(&mut store, edges, cells)?;
     Ok(store)
 }
 
@@ -243,44 +217,22 @@ pub fn partition(
     store: &AnnotationStore,
     shards: usize,
     assign: &dyn Fn(AnnotationId) -> usize,
-) -> Vec<Bytes> {
+) -> Vec<Vec<u8>> {
     let shards = shards.max(1);
     let mut slices = Vec::with_capacity(shards);
     for shard in 0..shards {
         let owned = |aid: AnnotationId| assign(aid) % shards == shard;
-        let mut buf = BytesMut::new();
-        buf.put_slice(SLICE_MAGIC);
-        buf.put_u64_le(store.annotation_count() as u64);
+        let mut w = Writer::default();
+        w.bytes(SLICE_MAGIC);
+        w.u64(store.annotation_count() as u64);
         let annotations: Vec<_> = store.iter_annotations().filter(|(id, _)| owned(*id)).collect();
-        buf.put_u64_le(annotations.len() as u64);
+        w.u64(annotations.len() as u64);
         for (id, a) in annotations {
-            buf.put_u64_le(id.0);
-            put_string(&mut buf, &a.text);
-            put_opt_string(&mut buf, &a.author);
-            put_opt_string(&mut buf, &a.kind);
+            w.u64(id.0);
+            put_body(&mut w, a);
         }
-        let mut edges: Vec<_> = store.iter_edges().filter(|e| owned(e.annotation)).collect();
-        edges.sort_by_key(|e| (e.annotation, e.tuple));
-        buf.put_u64_le(edges.len() as u64);
-        for e in edges {
-            buf.put_u64_le(e.annotation.0);
-            put_tuple_id(&mut buf, e.tuple);
-            buf.put_u8(match e.kind {
-                EdgeKind::True => 0,
-                EdgeKind::Predicted => 1,
-            });
-            buf.put_f64_le(e.weight);
-        }
-        let mut cells: Vec<(AnnotationId, TupleId, ColumnId)> =
-            store.iter_cell_columns().filter(|(aid, _, _)| owned(*aid)).collect();
-        cells.sort();
-        buf.put_u64_le(cells.len() as u64);
-        for (aid, tid, cid) in cells {
-            buf.put_u64_le(aid.0);
-            put_tuple_id(&mut buf, tid);
-            buf.put_u32_le(cid.0);
-        }
-        slices.push(buf.freeze());
+        put_edges_and_cells(&mut w, store, owned);
+        slices.push(w.0);
     }
     slices
 }
@@ -288,79 +240,26 @@ pub fn partition(
 struct DecodedSlice {
     total: u64,
     annotations: Vec<(AnnotationId, Annotation)>,
-    edges: Vec<(AnnotationId, TupleId, u8, f64)>,
-    cells: Vec<(AnnotationId, TupleId, ColumnId)>,
+    edges: Vec<EdgeRecord>,
+    cells: Vec<CellRecord>,
 }
 
 fn decode_slice(bytes: &[u8]) -> Result<DecodedSlice, SnapshotError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < SLICE_MAGIC.len()
-        || &buf.copy_to_bytes(SLICE_MAGIC.len())[..] != SLICE_MAGIC
-    {
+    let mut r = Reader::new(bytes);
+    if r.bytes("magic", SLICE_MAGIC.len()) != Ok(&SLICE_MAGIC[..]) {
         return Err(SnapshotError::BadMagic);
     }
-    if buf.remaining() < 16 {
-        return Err(SnapshotError::Truncated("slice header"));
+    let total = r.u64("slice annotation total")?;
+    let count = get_count(&mut r, "slice annotation count", 8)?;
+    if count as u64 > total {
+        return Err(SnapshotError::Corrupt(format!("slice owns {count} of {total} annotations")));
     }
-    let total = buf.get_u64_le();
-    let count = buf.get_u64_le();
-    if count > total || count > (buf.remaining() / 8) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible slice count {count}")));
-    }
-    let mut annotations = Vec::with_capacity(count as usize);
+    let mut annotations = Vec::with_capacity(count);
     for _ in 0..count {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("slice annotation id"));
-        }
-        let id = AnnotationId(buf.get_u64_le());
-        let text = get_string(&mut buf)?;
-        let author = get_opt_string(&mut buf)?;
-        let kind = get_opt_string(&mut buf)?;
-        let mut a = Annotation::new(text);
-        a.author = author;
-        a.kind = kind;
-        annotations.push((id, a));
+        let id = AnnotationId(r.u64("slice annotation id")?);
+        annotations.push((id, get_body(&mut r)?));
     }
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated("slice edge count"));
-    }
-    let edge_count = buf.get_u64_le();
-    if edge_count > (buf.remaining() / 29) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible slice edge count {edge_count}")));
-    }
-    let mut edges = Vec::with_capacity(edge_count as usize);
-    for _ in 0..edge_count {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("slice edge annotation"));
-        }
-        let aid = AnnotationId(buf.get_u64_le());
-        let tid = get_tuple_id(&mut buf)?;
-        if buf.remaining() < 9 {
-            return Err(SnapshotError::Truncated("slice edge kind/weight"));
-        }
-        let kind = buf.get_u8();
-        let weight = buf.get_f64_le();
-        edges.push((aid, tid, kind, weight));
-    }
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated("slice cell count"));
-    }
-    let cell_count = buf.get_u64_le();
-    if cell_count > (buf.remaining() / 24) as u64 {
-        return Err(SnapshotError::Corrupt(format!("implausible slice cell count {cell_count}")));
-    }
-    let mut cells = Vec::with_capacity(cell_count as usize);
-    for _ in 0..cell_count {
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("slice cell annotation"));
-        }
-        let aid = AnnotationId(buf.get_u64_le());
-        let tid = get_tuple_id(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(SnapshotError::Truncated("slice cell column"));
-        }
-        cells.push((aid, tid, ColumnId(buf.get_u32_le())));
-    }
+    let (edges, cells) = get_edges_and_cells(&mut r)?;
     Ok(DecodedSlice { total, annotations, edges, cells })
 }
 
@@ -369,7 +268,7 @@ fn decode_slice(bytes: &[u8]) -> Result<DecodedSlice, SnapshotError> {
 /// Fails if the slices disagree on the total annotation count, collide on
 /// an id, or do not cover the dense id range `0..total` — i.e. if a shard
 /// slice is missing, duplicated, or from a diverged replica.
-pub fn merge(slices: &[Bytes]) -> Result<AnnotationStore, SnapshotError> {
+pub fn merge(slices: &[Vec<u8>]) -> Result<AnnotationStore, SnapshotError> {
     let mut total: Option<u64> = None;
     let mut bodies: Vec<Option<Annotation>> = Vec::new();
     let mut edges = Vec::new();
@@ -412,23 +311,8 @@ pub fn merge(slices: &[Bytes]) -> Result<AnnotationStore, SnapshotError> {
         store.add_annotation(body);
     }
     edges.sort_by_key(|e| (e.0, e.1));
-    for (aid, tid, kind, weight) in edges {
-        match kind {
-            0 => store
-                .attach(aid, AttachmentTarget::tuple(tid))
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-            1 => store
-                .attach_predicted(aid, tid, weight)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-            t => return Err(SnapshotError::Corrupt(format!("slice edge kind tag {t}"))),
-        }
-    }
     cells.sort();
-    for (aid, tid, cid) in cells {
-        store
-            .restore_cell_column(aid, tid, cid)
-            .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
-    }
+    restore_edges_and_cells(&mut store, edges, cells)?;
     Ok(store)
 }
 

@@ -19,10 +19,8 @@
 use crate::manifest::{self, BackupManifest, ManifestEntry, MANIFEST_FILE};
 use crate::{counters, BackupError};
 use annostore::AnnotationStore;
-use nebula_durable::archive::{
-    list_bases, list_segments, parse_base_watermark, parse_segment_lsn,
-};
-use nebula_durable::crc32c::crc32c;
+use nebula_codec::crc32c;
+use nebula_durable::archive::{list_bases, list_segments, parse_base_watermark, parse_segment_lsn};
 use nebula_durable::segment::{decode_checkpoint_frame, decode_segment, Segment};
 use nebula_durable::{checkpoint, replay_op};
 use nebula_govern::{inject_io, FaultSite, IoFault};
@@ -345,8 +343,7 @@ pub fn restore(dir: &Path, as_of: Option<u64>) -> Result<Restored, BackupError> 
     // state and must not seed the restore.
     let (base_watermark, base_path) = bases
         .iter()
-        .filter(|(w, e, _)| *w <= target && *w <= epoch_cutoff(&starts, *e))
-        .next_back()
+        .rfind(|(w, e, _)| *w <= target && *w <= epoch_cutoff(&starts, *e))
         .map(|(w, _, p)| (*w, p.clone()))
         .ok_or_else(|| {
             BackupError::NotRestorable(format!("no base checkpoint at or below lsn {target}"))
@@ -567,10 +564,7 @@ mod tests {
                 author: None,
                 kind: None,
             };
-            out.extend_from_slice(&nebula_durable::wal::encode_record(
-                first_lsn + i as u64,
-                &op,
-            ));
+            out.extend_from_slice(&nebula_durable::wal::encode_record(first_lsn + i as u64, &op));
         }
         out
     }
@@ -612,11 +606,8 @@ mod tests {
         // Epoch 1: base-0, then one segment sealing lsn 1..=6 where the
         // last two records diverge from the committed history, and a
         // checkpoint of that divergent state as base-6.
-        let empty = nebula_durable::checkpoint::encode(
-            0,
-            &Database::new(),
-            &AnnotationStore::new(),
-        );
+        let empty =
+            nebula_durable::checkpoint::encode(0, &Database::new(), &AnnotationStore::new());
         archive_base(&archive, 1, 0, &empty).unwrap();
         let mut e1_texts = committed[..4].to_vec();
         e1_texts.extend(fenced.iter().cloned());

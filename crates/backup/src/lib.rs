@@ -104,6 +104,14 @@ impl From<std::io::Error> for BackupError {
     }
 }
 
+/// The manifest is the only format this crate parses itself, and a
+/// manifest that does not parse fails verification.
+impl From<nebula_codec::CodecError> for BackupError {
+    fn from(e: nebula_codec::CodecError) -> BackupError {
+        BackupError::Verify(e.to_string())
+    }
+}
+
 impl From<nebula_durable::DurableError> for BackupError {
     fn from(e: nebula_durable::DurableError) -> BackupError {
         match e {

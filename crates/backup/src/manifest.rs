@@ -19,7 +19,7 @@
 //! bundles byte-for-byte reproducible.
 
 use crate::BackupError;
-use nebula_durable::crc32c::crc32c;
+use nebula_codec::{crc32c, envelope, Reader, Writer};
 
 /// Magic prefix of a bundle manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"NEBMAN01";
@@ -69,69 +69,48 @@ impl BackupManifest {
 
 /// Encode and sign a manifest.
 pub fn encode(m: &BackupManifest) -> Vec<u8> {
-    let mut body = Vec::new();
-    body.extend_from_slice(&m.head_lsn.to_le_bytes());
-    body.extend_from_slice(&m.oldest_lsn.to_le_bytes());
-    body.extend_from_slice(&m.epoch.to_le_bytes());
-    body.extend_from_slice(&m.created_seq.to_le_bytes());
-    body.extend_from_slice(&(m.entries.len() as u32).to_le_bytes());
+    let mut w = Writer::default();
+    w.u64(m.head_lsn);
+    w.u64(m.oldest_lsn);
+    w.u64(m.epoch);
+    w.u64(m.created_seq);
+    w.u32(m.entries.len() as u32);
     for e in &m.entries {
-        body.extend_from_slice(&(e.name.len() as u16).to_le_bytes());
-        body.extend_from_slice(e.name.as_bytes());
-        body.extend_from_slice(&e.len.to_le_bytes());
-        body.extend_from_slice(&e.crc.to_le_bytes());
+        w.u16(e.name.len() as u16);
+        w.bytes(e.name.as_bytes());
+        w.u64(e.len);
+        w.u32(e.crc);
     }
-    body.extend_from_slice(&sign(&body).to_le_bytes());
-    let mut out = Vec::with_capacity(12 + body.len());
-    out.extend_from_slice(MANIFEST_MAGIC);
-    out.extend_from_slice(&crc32c(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let signature = sign(&w.0);
+    w.u32(signature);
+    envelope::seal(MANIFEST_MAGIC, &w.0)
 }
 
 /// Decode a manifest, checking the envelope CRC and the signature.
 pub fn decode(bytes: &[u8]) -> Result<BackupManifest, BackupError> {
-    if bytes.len() < 12 || &bytes[0..8] != MANIFEST_MAGIC {
-        return Err(BackupError::Verify("not a bundle manifest".into()));
-    }
-    let stored = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let body = &bytes[12..];
-    if crc32c(body) != stored {
-        return Err(BackupError::Verify("manifest checksum mismatch".into()));
-    }
-    if body.len() < 40 {
-        return Err(BackupError::Verify("manifest body truncated".into()));
-    }
-    let head_lsn = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-    let oldest_lsn = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-    let epoch = u64::from_le_bytes(body[16..24].try_into().expect("8 bytes"));
-    let created_seq = u64::from_le_bytes(body[24..32].try_into().expect("8 bytes"));
-    let count = u32::from_le_bytes(body[32..36].try_into().expect("4 bytes")) as usize;
-    let mut entries = Vec::with_capacity(count);
-    let mut at = 36usize;
+    let body = envelope::open(MANIFEST_MAGIC, bytes)
+        .map_err(|e| BackupError::Verify(format!("bundle manifest: {e}")))?;
+    let mut r = Reader::new(body);
+    let head_lsn = r.u64("manifest head lsn")?;
+    let oldest_lsn = r.u64("manifest oldest lsn")?;
+    let epoch = r.u64("manifest epoch")?;
+    let created_seq = r.u64("manifest capture ordinal")?;
+    let count = r.u32("manifest entry count")? as usize;
+    // Each entry costs at least its name length, file length and digest.
+    let mut entries = Vec::with_capacity(count.min(r.remaining() / 14));
     for _ in 0..count {
-        if body.len() < at + 2 {
-            return Err(BackupError::Verify("manifest entry truncated".into()));
-        }
-        let name_len = u16::from_le_bytes(body[at..at + 2].try_into().expect("2 bytes")) as usize;
-        at += 2;
-        if body.len() < at + name_len + 12 {
-            return Err(BackupError::Verify("manifest entry truncated".into()));
-        }
-        let name = String::from_utf8(body[at..at + name_len].to_vec())
-            .map_err(|_| BackupError::Verify("manifest entry name is not utf-8".into()))?;
-        at += name_len;
-        let len = u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
-        at += 8;
-        let crc = u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
-        at += 4;
+        let name_len = usize::from(r.u16("manifest entry name length")?);
+        let name = std::str::from_utf8(r.bytes("manifest entry name", name_len)?)
+            .map_err(|_| BackupError::Verify("manifest entry name is not utf-8".into()))?
+            .to_owned();
+        let len = r.u64("manifest entry length")?;
+        let crc = r.u32("manifest entry digest")?;
         entries.push(ManifestEntry { name, len, crc });
     }
-    if body.len() != at + 4 {
-        return Err(BackupError::Verify("manifest has trailing bytes".into()));
-    }
-    let sig = u32::from_le_bytes(body[at..at + 4].try_into().expect("4 bytes"));
-    if sign(&body[..at]) != sig {
+    let signed = &body[..body.len() - r.remaining()];
+    let signature = r.u32("manifest signature")?;
+    r.finish()?;
+    if sign(signed) != signature {
         return Err(BackupError::Verify("manifest signature mismatch".into()));
     }
     Ok(BackupManifest { head_lsn, oldest_lsn, epoch, created_seq, entries })

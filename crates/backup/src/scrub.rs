@@ -17,9 +17,9 @@
 //! positives.
 
 use crate::{counters, BackupError};
+use nebula_codec::crc32c;
 use nebula_durable::archive::{list_bases, list_segments};
 use nebula_durable::checkpoint;
-use nebula_durable::crc32c::crc32c;
 use nebula_durable::segment::{decode_checkpoint_frame, decode_segment};
 use nebula_govern::{inject_io, FaultSite, IoFault};
 use std::io::{Read, Seek, SeekFrom, Write};

@@ -29,54 +29,7 @@ use annostore::{Annotation, AnnotationId, AnnotationStore, AttachmentTarget};
 use nebula_govern::{Degradation, ExecutionBudget, RetryPolicy};
 use nebula_obs::{names, PipelineEvent};
 use relstore::{Database, TupleId};
-use textsearch::{
-    ExecutionMode, KeywordQuery, KeywordSearch, SearchBackend, SearchError, SearchHit,
-    SearchOptions, SearchStats,
-};
-
-/// A pluggable Stage 2 group searcher a distribution layer can install in
-/// front of the engine's local full-database search (e.g. the shard
-/// scatter-gather router in `nebula-shard`).
-///
-/// Mirrors [`SearchBackend::run_group`] but is `Send` (the ingest pool
-/// drives engines from worker threads) and `Debug` (the engine derives
-/// it). Only the *full* search routes through the override; focal-spread
-/// searches stay local — the K-hop miniDB is built from the engine's own
-/// replica, which a shard deployment keeps fully converged.
-pub trait GroupSearch: std::fmt::Debug + Send {
-    /// Execute the query group against `db` and return per-query hit
-    /// lists plus work counters, exactly as [`SearchBackend::run_group`].
-    fn run_group(
-        &self,
-        queries: &[KeywordQuery],
-        db: &Database,
-        mode: ExecutionMode,
-    ) -> Result<(Vec<Vec<SearchHit>>, SearchStats), SearchError>;
-
-    /// Short label for EXPLAIN output.
-    fn label(&self) -> &'static str {
-        "override"
-    }
-}
-
-/// Adapts a [`GroupSearch`] override to the [`SearchBackend`] seam that
-/// `identify_related_tuples` executes against.
-struct OverrideBackend<'a>(&'a dyn GroupSearch);
-
-impl SearchBackend for OverrideBackend<'_> {
-    fn run_group(
-        &self,
-        queries: &[KeywordQuery],
-        db: &Database,
-        mode: ExecutionMode,
-    ) -> Result<(Vec<Vec<SearchHit>>, SearchStats), SearchError> {
-        self.0.run_group(queries, db, mode)
-    }
-
-    fn name(&self) -> &'static str {
-        self.0.label()
-    }
-}
+use textsearch::{KeywordSearch, SearchBackend, SearchError, SearchOptions, SearchStats};
 
 /// Where Stage 2 searches.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -171,7 +124,7 @@ pub struct Nebula {
     profile: HopProfile,
     queue: VerificationQueue,
     sink: Option<Box<dyn MutationSink>>,
-    searcher: Option<Box<dyn GroupSearch>>,
+    searcher: Option<Box<dyn SearchBackend>>,
 }
 
 impl Nebula {
@@ -249,16 +202,15 @@ impl Nebula {
         self.sink.take()
     }
 
-    /// Install (or clear, with `None`) a Stage 2 group-search override.
-    /// When set, *full* searches execute through it instead of the local
-    /// [`KeywordSearch`]; focal-spread searches stay local.
-    pub fn set_group_search(&mut self, searcher: Option<Box<dyn GroupSearch>>) {
+    /// Install (or clear, with `None`) a Stage 2 search backend a
+    /// distribution layer puts in front of the engine's local search (the
+    /// shard scatter-gather router in `nebula-shard`). When set, *full*
+    /// searches execute through it instead of the local
+    /// [`KeywordSearch`]; focal-spread searches stay local — the K-hop
+    /// miniDB is built from the engine's own replica, which a shard
+    /// deployment keeps fully converged.
+    pub fn set_group_search(&mut self, searcher: Option<Box<dyn SearchBackend>>) {
         self.searcher = searcher;
-    }
-
-    /// The installed group-search override, if any.
-    pub fn group_search(&self) -> Option<&dyn GroupSearch> {
-        self.searcher.as_deref()
     }
 
     /// Offer one mutation to the sink (no-op when none is installed).
@@ -566,21 +518,17 @@ impl Nebula {
         queries: &[GeneratedQuery],
         focal: &[TupleId],
     ) -> Result<(Vec<Candidate>, SearchStats), SearchError> {
-        if let Some(searcher) = self.searcher.as_deref() {
-            let backend = OverrideBackend(searcher);
-            return identify_related_tuples(
-                db,
-                &backend,
-                queries,
-                focal,
-                Some(&self.acg),
-                &self.config.execution,
-            );
-        }
-        let engine = self.search_engine(db);
+        let local;
+        let backend: &dyn SearchBackend = match self.searcher.as_deref() {
+            Some(searcher) => searcher,
+            None => {
+                local = self.search_engine(db);
+                &local
+            }
+        };
         identify_related_tuples(
             db,
-            &engine,
+            backend,
             queries,
             focal,
             Some(&self.acg),

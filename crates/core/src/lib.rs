@@ -56,7 +56,7 @@ pub use batch::{
 };
 pub use bounds::{distort, BoundsEvaluation, BoundsSetting, TrainingExample};
 pub use durability::{CommitRule, Mutation, MutationSink, ReplicationStatus, SinkError};
-pub use engine::{GroupSearch, Nebula, NebulaConfig, ProcessOutcome, SearchMode};
+pub use engine::{Nebula, NebulaConfig, ProcessOutcome, SearchMode};
 pub use error::NebulaError;
 pub use execution::{
     identify_related_tuples, translate_candidates, AcgRewardMode, Candidate, ExecutionConfig,

@@ -17,10 +17,9 @@
 //! embedded snapshot (or the watermark) is caught before the snapshots
 //! are even parsed.
 
-use crate::crc32c::crc32c;
 use crate::DurableError;
 use annostore::AnnotationStore;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use nebula_codec::{envelope, Reader, Writer};
 use relstore::Database;
 use std::path::{Path, PathBuf};
 
@@ -31,61 +30,29 @@ pub const MAGIC: &[u8; 8] = b"NEBCKPT1";
 pub fn encode(watermark: u64, db: &Database, store: &AnnotationStore) -> Vec<u8> {
     let rel = relstore::snapshot::save(db);
     let ann = annostore::snapshot::save(store);
-    let mut body = BytesMut::with_capacity(16 + rel.len() + ann.len());
-    body.put_u64_le(watermark);
-    body.put_u32_le(rel.len() as u32);
-    body.put_slice(&rel);
-    body.put_u32_le(ann.len() as u32);
-    body.put_slice(&ann);
-    let mut image = BytesMut::with_capacity(12 + body.len());
-    image.put_slice(MAGIC);
-    image.put_u32_le(crc32c(&body));
-    image.put_slice(&body);
-    image.freeze().to_vec()
+    let mut body = Writer(Vec::with_capacity(16 + rel.len() + ann.len()));
+    body.u64(watermark);
+    body.u32(rel.len() as u32);
+    body.bytes(&rel);
+    body.u32(ann.len() as u32);
+    body.bytes(&ann);
+    envelope::seal(MAGIC, &body.0)
 }
 
 /// Decode and fully validate a checkpoint image.
 pub fn decode(bytes: &[u8]) -> Result<(u64, Database, AnnotationStore), DurableError> {
-    if bytes.len() < 12 {
-        return Err(DurableError::Corrupt(format!(
-            "checkpoint too small ({} bytes) for its header",
-            bytes.len()
-        )));
-    }
-    if &bytes[..8] != MAGIC {
-        return Err(DurableError::Corrupt("bad checkpoint magic".to_string()));
-    }
-    let stored_crc = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
-    let body = &bytes[12..];
-    if crc32c(body) != stored_crc {
-        return Err(DurableError::Corrupt("checkpoint checksum mismatch".to_string()));
-    }
-    let mut buf = Bytes::copy_from_slice(body);
-    if buf.remaining() < 12 {
-        return Err(DurableError::Corrupt("checkpoint body truncated".to_string()));
-    }
-    let watermark = buf.get_u64_le();
-    let rel_len = buf.get_u32_le() as usize;
-    if rel_len > buf.remaining() {
-        return Err(DurableError::Corrupt(format!(
-            "relational snapshot length {rel_len} exceeds checkpoint body"
-        )));
-    }
-    let rel_bytes = buf.copy_to_bytes(rel_len);
-    if buf.remaining() < 4 {
-        return Err(DurableError::Corrupt("checkpoint body missing annotation length".to_string()));
-    }
-    let ann_len = buf.get_u32_le() as usize;
-    if ann_len != buf.remaining() {
-        return Err(DurableError::Corrupt(format!(
-            "annotation snapshot length {ann_len} does not match remaining {} bytes",
-            buf.remaining()
-        )));
-    }
-    let ann_bytes = buf.copy_to_bytes(ann_len);
-    let db = relstore::snapshot::load(&rel_bytes)
+    let body = envelope::open(MAGIC, bytes)
+        .map_err(|e| DurableError::Corrupt(format!("checkpoint: {e}")))?;
+    let mut body = Reader::new(body);
+    let watermark = body.u64("checkpoint watermark")?;
+    let rel_len = body.u32("relational snapshot length")? as usize;
+    let rel_bytes = body.bytes("relational snapshot", rel_len)?;
+    let ann_len = body.u32("annotation snapshot length")? as usize;
+    let ann_bytes = body.bytes("annotation snapshot", ann_len)?;
+    body.finish()?;
+    let db = relstore::snapshot::load(rel_bytes)
         .map_err(|e| DurableError::Corrupt(format!("relational snapshot: {e}")))?;
-    let store = annostore::snapshot::load(&ann_bytes)
+    let store = annostore::snapshot::load(ann_bytes)
         .map_err(|e| DurableError::Corrupt(format!("annotation snapshot: {e}")))?;
     Ok((watermark, db, store))
 }

@@ -19,6 +19,7 @@ use crate::recover::{recover_from_bytes, replay_op};
 use crate::wal::{read_wal, WAL_FILE};
 use crate::DurableError;
 use annostore::AnnotationStore;
+use nebula_codec::crc32c;
 use relstore::Database;
 use std::path::Path;
 
@@ -37,10 +38,7 @@ pub struct CrashPointReport {
 /// CRC32C digests of the two snapshot encodings — a compact equality
 /// witness for a full engine state.
 pub fn state_digest(db: &Database, store: &AnnotationStore) -> (u32, u32) {
-    (
-        crate::crc32c::crc32c(&relstore::snapshot::save(db)),
-        crate::crc32c::crc32c(&annostore::snapshot::save(store)),
-    )
+    (crc32c(&relstore::snapshot::save(db)), crc32c(&annostore::snapshot::save(store)))
 }
 
 /// Kill-and-recover at every record boundary of the log in `dir`.

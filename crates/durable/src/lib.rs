@@ -33,7 +33,6 @@ use std::fmt;
 
 pub mod archive;
 pub mod checkpoint;
-pub mod crc32c;
 pub mod harness;
 pub mod manager;
 pub mod recover;
@@ -154,6 +153,12 @@ impl fmt::Display for DurableError {
 }
 
 impl std::error::Error for DurableError {}
+
+impl From<nebula_codec::CodecError> for DurableError {
+    fn from(e: nebula_codec::CodecError) -> DurableError {
+        DurableError::Corrupt(e.to_string())
+    }
+}
 
 impl From<std::io::Error> for DurableError {
     fn from(e: std::io::Error) -> DurableError {

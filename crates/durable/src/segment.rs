@@ -16,9 +16,9 @@
 //! higher epoch rejects the frame — which is how a deposed primary's
 //! writes die on the wire instead of forking history.
 
-use crate::crc32c::crc32c;
 use crate::wal::{read_wal, WalRecord};
 use crate::DurableError;
+use nebula_codec::{envelope, Reader, Writer};
 
 /// Magic prefix of a shipped WAL segment.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"NEBSEG01";
@@ -50,30 +50,23 @@ pub struct CheckpointFrame {
 /// segment. `records` is the concatenation of [`crate::wal::encode_record`]
 /// outputs, `count` of them, the first at `base_lsn`.
 pub fn encode_segment(epoch: u64, base_lsn: u64, count: u32, records: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(20 + records.len());
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(&base_lsn.to_le_bytes());
-    body.extend_from_slice(&count.to_le_bytes());
-    body.extend_from_slice(records);
-    let mut out = Vec::with_capacity(12 + body.len());
-    out.extend_from_slice(SEGMENT_MAGIC);
-    out.extend_from_slice(&crc32c(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let mut body = Writer(Vec::with_capacity(20 + records.len()));
+    body.u64(epoch);
+    body.u64(base_lsn);
+    body.u32(count);
+    body.bytes(records);
+    envelope::seal(SEGMENT_MAGIC, &body.0)
 }
 
 /// Decode and fully validate a shipped segment: magic, whole-frame
 /// checksum, per-record checksums (via [`read_wal`]), record count, and
 /// LSN contiguity from `base_lsn`.
 pub fn decode_segment(bytes: &[u8]) -> Result<Segment, DurableError> {
-    let body = check_envelope(bytes, SEGMENT_MAGIC, "segment")?;
-    if body.len() < 20 {
-        return Err(DurableError::Corrupt("segment body shorter than its header".into()));
-    }
-    let epoch = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-    let base_lsn = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-    let count = u32::from_le_bytes(body[16..20].try_into().expect("4 bytes"));
-    let (records, tail) = read_wal(&body[20..]);
+    let mut body = Reader::new(open(SEGMENT_MAGIC, bytes, "segment")?);
+    let epoch = body.u64("segment epoch")?;
+    let base_lsn = body.u64("segment base lsn")?;
+    let count = body.u32("segment record count")?;
+    let (records, tail) = read_wal(body.rest());
     if !tail.is_clean() {
         return Err(DurableError::Corrupt(format!(
             "segment drops {} record(s): {}",
@@ -100,41 +93,22 @@ pub fn decode_segment(bytes: &[u8]) -> Result<Segment, DurableError> {
 
 /// Frame a checkpoint image as one epoch-stamped transfer.
 pub fn encode_checkpoint_frame(epoch: u64, image: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + image.len());
-    body.extend_from_slice(&epoch.to_le_bytes());
-    body.extend_from_slice(image);
-    let mut out = Vec::with_capacity(12 + body.len());
-    out.extend_from_slice(CKPT_FRAME_MAGIC);
-    out.extend_from_slice(&crc32c(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let mut body = Writer(Vec::with_capacity(8 + image.len()));
+    body.u64(epoch);
+    body.bytes(image);
+    envelope::seal(CKPT_FRAME_MAGIC, &body.0)
 }
 
 /// Decode and validate a checkpoint transfer envelope. The inner image is
 /// returned as-is; [`crate::checkpoint::decode`] validates it separately.
 pub fn decode_checkpoint_frame(bytes: &[u8]) -> Result<CheckpointFrame, DurableError> {
-    let body = check_envelope(bytes, CKPT_FRAME_MAGIC, "checkpoint transfer")?;
-    if body.len() < 8 {
-        return Err(DurableError::Corrupt("checkpoint transfer missing its epoch".into()));
-    }
-    let epoch = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-    Ok(CheckpointFrame { epoch, image: body[8..].to_vec() })
+    let mut body = Reader::new(open(CKPT_FRAME_MAGIC, bytes, "checkpoint transfer")?);
+    let epoch = body.u64("checkpoint transfer epoch")?;
+    Ok(CheckpointFrame { epoch, image: body.rest().to_vec() })
 }
 
-fn check_envelope<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 8],
-    what: &str,
-) -> Result<&'a [u8], DurableError> {
-    if bytes.len() < 12 || &bytes[0..8] != magic {
-        return Err(DurableError::Corrupt(format!("not a {what} frame")));
-    }
-    let stored = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let body = &bytes[12..];
-    if crc32c(body) != stored {
-        return Err(DurableError::Corrupt(format!("{what} frame failed its checksum")));
-    }
-    Ok(body)
+fn open<'a>(magic: &[u8; 8], bytes: &'a [u8], what: &str) -> Result<&'a [u8], DurableError> {
+    envelope::open(magic, bytes).map_err(|e| DurableError::Corrupt(format!("{what} frame: {e}")))
 }
 
 #[cfg(test)]

@@ -27,11 +27,11 @@
 //! field itself was corrupted the walk (and therefore the count) is
 //! best-effort beyond that frame.
 
-use crate::crc32c::crc32c;
+use crate::DurableError;
 use annostore::AnnotationId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use nebula_codec::{crc32c, Reader, Writer};
 use nebula_core::Mutation;
-use relstore::schema::{ColumnId, TableId};
+use relstore::schema::ColumnId;
 use relstore::TupleId;
 
 /// The WAL file name inside a durability directory.
@@ -150,149 +150,85 @@ impl WalOp {
     }
 }
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_opt_string(buf: &mut BytesMut, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            buf.put_u8(1);
-            put_string(buf, s);
-        }
-        None => buf.put_u8(0),
-    }
-}
-
-fn put_tuple(buf: &mut BytesMut, t: TupleId) {
-    buf.put_u32_le(t.table.0);
-    buf.put_u64_le(t.row);
+fn put_tuple(w: &mut Writer, t: TupleId) {
+    w.tuple_id(t.table.0, t.row);
 }
 
 /// Encode one record (header + payload) ready to append.
 pub fn encode_record(lsn: u64, op: &WalOp) -> Vec<u8> {
-    let mut payload = BytesMut::new();
-    payload.put_u64_le(lsn);
-    payload.put_u8(op.tag());
+    let mut w = Writer::default();
+    w.u64(lsn);
+    w.u8(op.tag());
     match op {
         WalOp::AddAnnotation { expected, text, author, kind } => {
-            payload.put_u64_le(expected.0);
-            put_string(&mut payload, text);
-            put_opt_string(&mut payload, author);
-            put_opt_string(&mut payload, kind);
+            w.u64(expected.0);
+            w.string(text);
+            w.opt_string(author.as_deref());
+            w.opt_string(kind.as_deref());
         }
         WalOp::AttachTuple { annotation, tuple }
         | WalOp::AcceptEdge { annotation, tuple }
         | WalOp::RejectEdge { annotation, tuple } => {
-            payload.put_u64_le(annotation.0);
-            put_tuple(&mut payload, *tuple);
+            w.u64(annotation.0);
+            put_tuple(&mut w, *tuple);
         }
         WalOp::AttachCell { annotation, tuple, column } => {
-            payload.put_u64_le(annotation.0);
-            put_tuple(&mut payload, *tuple);
-            payload.put_u32_le(column.0);
+            w.u64(annotation.0);
+            put_tuple(&mut w, *tuple);
+            w.u32(column.0);
         }
         WalOp::AttachPredicted { annotation, tuple, confidence } => {
-            payload.put_u64_le(annotation.0);
-            put_tuple(&mut payload, *tuple);
-            payload.put_f64_le(*confidence);
+            w.u64(annotation.0);
+            put_tuple(&mut w, *tuple);
+            w.f64(*confidence);
         }
-        WalOp::TupleDeleted { tuple } => put_tuple(&mut payload, *tuple),
+        WalOp::TupleDeleted { tuple } => put_tuple(&mut w, *tuple),
     }
-    let mut frame = BytesMut::with_capacity(HEADER_BYTES + payload.len());
-    frame.put_u32_le(payload.len() as u32);
-    frame.put_u32_le(crc32c(&payload));
-    frame.put_slice(&payload);
-    frame.freeze().to_vec()
-}
-
-fn need(buf: &Bytes, n: usize, what: &'static str) -> Result<(), String> {
-    if buf.remaining() < n {
-        Err(format!("payload truncated reading {what}"))
-    } else {
-        Ok(())
-    }
-}
-
-fn get_string(buf: &mut Bytes) -> Result<String, String> {
-    need(buf, 4, "string length")?;
-    let len = buf.get_u32_le() as usize;
-    if len > buf.remaining() {
-        return Err(format!("string length {len} exceeds payload"));
-    }
-    String::from_utf8(buf.copy_to_bytes(len).to_vec()).map_err(|_| "invalid UTF-8".to_string())
-}
-
-fn get_opt_string(buf: &mut Bytes) -> Result<Option<String>, String> {
-    need(buf, 1, "presence flag")?;
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => get_string(buf).map(Some),
-        other => Err(format!("bad presence flag {other}")),
-    }
-}
-
-fn get_tuple(buf: &mut Bytes) -> Result<TupleId, String> {
-    need(buf, 12, "tuple id")?;
-    let table = TableId(buf.get_u32_le());
-    let row = buf.get_u64_le();
-    Ok(TupleId::new(table, row))
-}
-
-fn get_annotation_id(buf: &mut Bytes) -> Result<AnnotationId, String> {
-    need(buf, 8, "annotation id")?;
-    Ok(AnnotationId(buf.get_u64_le()))
+    let payload = w.0;
+    let mut frame = Vec::with_capacity(HEADER_BYTES + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32c(&payload).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
 }
 
 /// Decode one payload (after its checksum was verified).
-fn decode_payload(payload: &[u8]) -> Result<(u64, WalOp), String> {
-    let mut buf = Bytes::copy_from_slice(payload);
-    need(&buf, MIN_PAYLOAD, "record head")?;
-    let lsn = buf.get_u64_le();
-    let tag = buf.get_u8();
+fn decode_payload(payload: &[u8]) -> Result<(u64, WalOp), DurableError> {
+    let mut r = Reader::new(payload);
+    let lsn = r.u64("lsn")?;
+    let tag = r.u8("op tag")?;
+    let annotation = |r: &mut Reader<'_>| r.u64("annotation id").map(AnnotationId);
+    let tuple = |r: &mut Reader<'_>| r.tuple_id("tuple id").map(TupleId::from);
     let op = match tag {
-        TAG_ADD_ANNOTATION => {
-            let expected = get_annotation_id(&mut buf)?;
-            let text = get_string(&mut buf)?;
-            let author = get_opt_string(&mut buf)?;
-            let kind = get_opt_string(&mut buf)?;
-            WalOp::AddAnnotation { expected, text, author, kind }
-        }
-        TAG_ATTACH_TUPLE => WalOp::AttachTuple {
-            annotation: get_annotation_id(&mut buf)?,
-            tuple: get_tuple(&mut buf)?,
+        TAG_ADD_ANNOTATION => WalOp::AddAnnotation {
+            expected: annotation(&mut r)?,
+            text: r.string("text")?,
+            author: r.opt_string("author")?,
+            kind: r.opt_string("kind")?,
         },
+        TAG_ATTACH_TUPLE => {
+            WalOp::AttachTuple { annotation: annotation(&mut r)?, tuple: tuple(&mut r)? }
+        }
         TAG_ATTACH_CELL => WalOp::AttachCell {
-            annotation: get_annotation_id(&mut buf)?,
-            tuple: get_tuple(&mut buf)?,
-            column: {
-                need(&buf, 4, "column id")?;
-                ColumnId(buf.get_u32_le())
-            },
+            annotation: annotation(&mut r)?,
+            tuple: tuple(&mut r)?,
+            column: ColumnId(r.u32("column id")?),
         },
         TAG_ATTACH_PREDICTED => WalOp::AttachPredicted {
-            annotation: get_annotation_id(&mut buf)?,
-            tuple: get_tuple(&mut buf)?,
-            confidence: {
-                need(&buf, 8, "confidence")?;
-                buf.get_f64_le()
-            },
+            annotation: annotation(&mut r)?,
+            tuple: tuple(&mut r)?,
+            confidence: r.f64("confidence")?,
         },
-        TAG_ACCEPT_EDGE => WalOp::AcceptEdge {
-            annotation: get_annotation_id(&mut buf)?,
-            tuple: get_tuple(&mut buf)?,
-        },
-        TAG_REJECT_EDGE => WalOp::RejectEdge {
-            annotation: get_annotation_id(&mut buf)?,
-            tuple: get_tuple(&mut buf)?,
-        },
-        TAG_TUPLE_DELETED => WalOp::TupleDeleted { tuple: get_tuple(&mut buf)? },
-        other => return Err(format!("unknown op tag {other}")),
+        TAG_ACCEPT_EDGE => {
+            WalOp::AcceptEdge { annotation: annotation(&mut r)?, tuple: tuple(&mut r)? }
+        }
+        TAG_REJECT_EDGE => {
+            WalOp::RejectEdge { annotation: annotation(&mut r)?, tuple: tuple(&mut r)? }
+        }
+        TAG_TUPLE_DELETED => WalOp::TupleDeleted { tuple: tuple(&mut r)? },
+        other => return Err(DurableError::Corrupt(format!("unknown op tag {other}"))),
     };
-    if !buf.is_empty() {
-        return Err(format!("{} trailing payload bytes", buf.remaining()));
-    }
+    r.finish()?;
     Ok((lsn, op))
 }
 
@@ -417,6 +353,7 @@ pub fn read_wal(bytes: &[u8]) -> (Vec<WalRecord>, TailReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relstore::schema::TableId;
 
     fn t(row: u64) -> TupleId {
         TupleId::new(TableId(0), row)

@@ -13,6 +13,7 @@
 //! given shard count, which is what makes scatter-gather merges and
 //! per-shard digest slices deterministic.
 
+use nebula_codec::fnv1a;
 use relstore::TupleId;
 use std::fmt;
 
@@ -26,16 +27,8 @@ pub const SLOTS: usize = 64;
 /// Hash a tuple id into its slot. FNV-1a over the (table, row) pair —
 /// stable across runs, platforms, and shard counts.
 pub fn slot_of(key: TupleId) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.table.0.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    for b in key.row.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % SLOTS as u64) as usize
+    let h = fnv1a(fnv1a::OFFSET, &key.table.0.to_le_bytes());
+    (fnv1a(h, &key.row.to_le_bytes()) % SLOTS as u64) as usize
 }
 
 /// The slot→shard assignment for a fixed shard count.
@@ -152,6 +145,18 @@ mod tests {
 
     fn t(table: u32, row: u64) -> TupleId {
         TupleId::new(TableId(table), row)
+    }
+
+    /// Slot ownership decides which shard holds a tuple's annotations; a
+    /// hash that moved would strand every slice already written.
+    #[test]
+    fn slot_of_is_pinned() {
+        let slots: Vec<usize> =
+            [t(0, 0), t(0, 1), t(1, 0), t(3, 41), t(7, 1_000_000), t(u32::MAX, u64::MAX)]
+                .into_iter()
+                .map(slot_of)
+                .collect();
+        assert_eq!(slots, [21, 52, 36, 15, 11, 41]);
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! JSON post-mortem retained in a small bounded list.
 
 use crate::snapshot::{json_string, push_entries};
+use nebula_codec::fnv1a;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -150,20 +151,10 @@ pub struct Trace {
     pub spans: Vec<TraceSpan>,
 }
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 /// The deterministic span ID: FNV-1a over (annotation id, epoch, first
 /// LSN, open sequence). Never 0 — 0 is the root's parent sentinel.
 pub fn span_id(annotation: u64, epoch: u64, lsn: u64, seq: u32) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325;
-    hash = fnv1a(hash, &annotation.to_le_bytes());
+    let mut hash = fnv1a(fnv1a::OFFSET, &annotation.to_le_bytes());
     hash = fnv1a(hash, &epoch.to_le_bytes());
     hash = fnv1a(hash, &lsn.to_le_bytes());
     hash = fnv1a(hash, &seq.to_le_bytes());
@@ -833,6 +824,8 @@ mod tests {
         assert_ne!(span_id(1, 2, 3, 4), span_id(1, 3, 3, 4));
         assert_ne!(span_id(1, 2, 3, 4), span_id(1, 2, 4, 4));
         assert_ne!(span_id(1, 2, 3, 4), 0, "0 is the root-parent sentinel");
+        // Pinned: the golden trace sample stores these ids.
+        assert_eq!(span_id(1, 2, 3, 4), 0x1044_00b2_a968_4b91);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 use crate::page::{self, PageBuf, PAGE_SIZE};
 use crate::{counters, PageStoreError};
+use nebula_codec::crc32c;
 use nebula_govern::{FaultPlan, FaultSite, PageFault};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -198,7 +199,7 @@ impl PageFile {
         }
         let mut out = Vec::with_capacity(12 + body.len());
         out.extend_from_slice(SHADOW_MAGIC);
-        out.extend_from_slice(&crate::crc::crc32c(&body).to_le_bytes());
+        out.extend_from_slice(&crc32c(&body).to_le_bytes());
         out.extend_from_slice(&body);
         out
     }
@@ -426,7 +427,7 @@ fn parse_shadow(bytes: &[u8]) -> Option<Vec<(u32, PageBuf)>> {
     }
     let stored = u32::from_le_bytes(bytes[8..12].try_into().ok()?);
     let body = &bytes[12..];
-    if crate::crc::crc32c(body) != stored {
+    if crc32c(body) != stored {
         return None;
     }
     let count = u32::from_le_bytes(body[..4].try_into().ok()?) as usize;

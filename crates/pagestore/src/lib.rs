@@ -34,7 +34,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 #![deny(missing_docs)]
 
-mod crc;
 pub mod file;
 pub mod heap;
 pub mod page;

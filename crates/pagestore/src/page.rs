@@ -18,8 +18,8 @@
 //! hostile-byte safe: every field is bounds-checked and no length read
 //! from the page is trusted before validation.
 
-use crate::crc::crc32c;
 use crate::PageStoreError;
+use nebula_codec::crc32c;
 
 /// Page size in bytes. Fixed for the format's first version.
 pub const PAGE_SIZE: usize = 4096;
@@ -106,7 +106,7 @@ pub fn correct_single_bit(page: &mut [u8; PAGE_SIZE]) -> Option<usize> {
     // Walk the single-bit error signature backwards from the last payload
     // byte; the position whose signature matches `diff` is the culprit.
     let payload_len = PAGE_SIZE - 4;
-    let mut effects: [u32; 8] = std::array::from_fn(crate::crc::bit_seed);
+    let mut effects: [u32; 8] = std::array::from_fn(crc32c::bit_seed);
     for i in (0..payload_len).rev() {
         for (b, effect) in effects.iter().enumerate() {
             if *effect == diff {
@@ -117,7 +117,7 @@ pub fn correct_single_bit(page: &mut [u8; PAGE_SIZE]) -> Option<usize> {
             }
         }
         for effect in &mut effects {
-            *effect = crate::crc::advance_zero(*effect);
+            *effect = crc32c::advance_zero(*effect);
         }
     }
     None

@@ -24,7 +24,7 @@ use crate::catalog::ForeignKey;
 use crate::database::Database;
 use crate::schema::{ColumnId, TableId, TableSchema};
 use crate::value::{DataType, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use nebula_codec::{fnv1a, CodecError, Reader, Writer};
 use std::fmt;
 
 const MAGIC: &[u8; 8] = b"NEBREL1\0";
@@ -34,12 +34,10 @@ const MAGIC: &[u8; 8] = b"NEBREL1\0";
 pub enum SnapshotError {
     /// The buffer does not start with the expected magic.
     BadMagic,
-    /// The buffer ended before the structure was complete.
-    Truncated(&'static str),
+    /// A field was truncated, mis-flagged, or not valid UTF-8.
+    Codec(CodecError),
     /// An enum tag was out of range.
     BadTag(&'static str, u8),
-    /// A string was not valid UTF-8.
-    BadString,
     /// The decoded structure violates an invariant.
     Corrupt(String),
 }
@@ -48,9 +46,8 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::BadMagic => write!(f, "not a relstore snapshot (bad magic)"),
-            SnapshotError::Truncated(what) => write!(f, "snapshot truncated while reading {what}"),
+            SnapshotError::Codec(e) => write!(f, "bad snapshot field: {e}"),
             SnapshotError::BadTag(what, tag) => write!(f, "invalid {what} tag {tag}"),
-            SnapshotError::BadString => write!(f, "invalid UTF-8 string in snapshot"),
             SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
         }
     }
@@ -58,60 +55,36 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> SnapshotError {
+        SnapshotError::Codec(e)
+    }
 }
 
-fn get_string(buf: &mut Bytes) -> Result<String, SnapshotError> {
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated("string length"));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(SnapshotError::Truncated("string body"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::BadString)
-}
-
-pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
+pub(crate) fn put_value(w: &mut Writer, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => w.u8(0),
         Value::Int(i) => {
-            buf.put_u8(1);
-            buf.put_i64_le(*i);
+            w.u8(1);
+            w.u64(*i as u64);
         }
         Value::Float(x) => {
-            buf.put_u8(2);
-            buf.put_u64_le(x.to_bits());
+            w.u8(2);
+            w.f64(*x);
         }
         Value::Text(s) => {
-            buf.put_u8(3);
-            put_string(buf, s);
+            w.u8(3);
+            w.string(s);
         }
     }
 }
 
-pub(crate) fn get_value(buf: &mut Bytes) -> Result<Value, SnapshotError> {
-    if buf.remaining() < 1 {
-        return Err(SnapshotError::Truncated("value tag"));
-    }
-    match buf.get_u8() {
+pub(crate) fn get_value(r: &mut Reader<'_>) -> Result<Value, SnapshotError> {
+    match r.u8("value tag")? {
         0 => Ok(Value::Null),
-        1 => {
-            if buf.remaining() < 8 {
-                return Err(SnapshotError::Truncated("int value"));
-            }
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(SnapshotError::Truncated("float value"));
-            }
-            Ok(Value::Float(f64::from_bits(buf.get_u64_le())))
-        }
-        3 => Ok(Value::Text(get_string(buf)?)),
+        1 => Ok(Value::Int(r.u64("int value")? as i64)),
+        2 => Ok(Value::Float(r.f64("float value")?)),
+        3 => Ok(Value::Text(r.string("text value")?)),
         tag => Err(SnapshotError::BadTag("value", tag)),
     }
 }
@@ -142,56 +115,50 @@ fn tag_type(tag: u8) -> Result<DataType, SnapshotError> {
 /// cheaply that its full-database replicas have not diverged without
 /// shipping the snapshots themselves.
 pub fn fingerprint(db: &Database) -> u64 {
-    let bytes = save(db);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes.as_ref() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(fnv1a::OFFSET, &save(db))
 }
 
 /// Serialize a database to bytes.
-pub fn save(db: &Database) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
+pub fn save(db: &Database) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.bytes(MAGIC);
     let tables: Vec<(TableId, &str)> = db.catalog().iter().collect();
-    buf.put_u32_le(tables.len() as u32);
+    w.u32(tables.len() as u32);
     for (tid, name) in &tables {
         let table = db.table(*tid).expect("catalog and tables agree");
         let schema = table.schema();
-        put_string(&mut buf, name);
-        buf.put_u32_le(schema.arity() as u32);
+        w.string(name);
+        w.u32(schema.arity() as u32);
         for (_, def) in schema.iter_columns() {
-            put_string(&mut buf, &def.name);
-            buf.put_u8(type_tag(def.data_type));
-            buf.put_u8(def.indexed as u8);
-            buf.put_u8(def.searchable as u8);
+            w.string(&def.name);
+            w.u8(type_tag(def.data_type));
+            w.u8(def.indexed as u8);
+            w.u8(def.searchable as u8);
         }
         match schema.primary_key {
             Some(pk) => {
-                buf.put_u8(1);
-                buf.put_u32_le(pk.0);
+                w.u8(1);
+                w.u32(pk.0);
             }
-            None => buf.put_u8(0),
+            None => w.u8(0),
         }
         let slots: Vec<(bool, Vec<Value>)> = table.raw_slots().collect();
-        buf.put_u64_le(slots.len() as u64);
+        w.u64(slots.len() as u64);
         for (live, values) in slots {
-            buf.put_u8(live as u8);
+            w.u8(live as u8);
             for v in &values {
-                put_value(&mut buf, v);
+                put_value(&mut w, v);
             }
         }
     }
     let fks = db.catalog().foreign_keys();
-    buf.put_u32_le(fks.len() as u32);
+    w.u32(fks.len() as u32);
     for fk in fks {
-        buf.put_u32_le(fk.from_table.0);
-        buf.put_u32_le(fk.from_column.0);
-        buf.put_u32_le(fk.to_table.0);
+        w.u32(fk.from_table.0);
+        w.u32(fk.from_column.0);
+        w.u32(fk.to_table.0);
     }
-    buf.freeze()
+    w.0
 }
 
 /// Restore a database from bytes produced by [`save`]. Tuple ids are
@@ -209,45 +176,36 @@ pub fn load_with(
     bytes: &[u8],
     factory: Option<std::sync::Arc<dyn crate::storage::StorageFactory>>,
 ) -> Result<Database, SnapshotError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < MAGIC.len() || &buf.copy_to_bytes(MAGIC.len())[..] != MAGIC {
+    let mut r = Reader::new(bytes);
+    if r.bytes("magic", MAGIC.len()) != Ok(&MAGIC[..]) {
         return Err(SnapshotError::BadMagic);
     }
     let mut db = match factory {
         Some(factory) => Database::with_storage(factory),
         None => Database::new(),
     };
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated("table count"));
-    }
-    let table_count = buf.get_u32_le();
+    let table_count = r.u32("table count")?;
     // Every table needs at least a name length, a column count, a pk
     // flag, and a slot count — a hostile count fails here instead of
     // spinning through the loop.
-    if table_count as usize > buf.remaining() / 17 {
+    if table_count as usize > r.remaining() / 17 {
         return Err(SnapshotError::Corrupt(format!("implausible table count {table_count}")));
     }
     for _ in 0..table_count {
-        let name = get_string(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(SnapshotError::Truncated("column count"));
-        }
-        let column_count = buf.get_u32_le();
+        let name = r.string("table name")?;
+        let column_count = r.u32("column count")?;
         // Each column costs at least a name length plus three flag bytes;
         // never pre-allocate from an unvalidated length field.
-        if column_count as usize > buf.remaining() / 7 {
+        if column_count as usize > r.remaining() / 7 {
             return Err(SnapshotError::Corrupt(format!("implausible column count {column_count}")));
         }
         let mut builder = TableSchema::builder(&name);
         let mut column_names = Vec::with_capacity(column_count as usize);
         for _ in 0..column_count {
-            let cname = get_string(&mut buf)?;
-            if buf.remaining() < 3 {
-                return Err(SnapshotError::Truncated("column flags"));
-            }
-            let ty = tag_type(buf.get_u8())?;
-            let indexed = buf.get_u8() != 0;
-            let searchable = buf.get_u8() != 0;
+            let cname = r.string("column name")?;
+            let ty = tag_type(r.u8("column type")?)?;
+            let indexed = r.u8("column indexed flag")? != 0;
+            let searchable = r.u8("column searchable flag")? != 0;
             builder = if indexed {
                 builder.indexed_column(&cname, ty)
             } else if !searchable {
@@ -257,14 +215,8 @@ pub fn load_with(
             };
             column_names.push(cname);
         }
-        if buf.remaining() < 1 {
-            return Err(SnapshotError::Truncated("pk flag"));
-        }
-        if buf.get_u8() != 0 {
-            if buf.remaining() < 4 {
-                return Err(SnapshotError::Truncated("pk column"));
-            }
-            let pk = buf.get_u32_le() as usize;
+        if r.u8("pk flag")? != 0 {
+            let pk = r.u32("pk column")? as usize;
             let pk_name = column_names
                 .get(pk)
                 .ok_or_else(|| SnapshotError::Corrupt(format!("pk column {pk} out of range")))?;
@@ -274,43 +226,31 @@ pub fn load_with(
         let arity = schema.arity();
         let tid = db.create_table(schema).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
 
-        if buf.remaining() < 8 {
-            return Err(SnapshotError::Truncated("slot count"));
-        }
-        let slot_count = buf.get_u64_le();
+        let slot_count = r.u64("slot count")?;
         // Each slot costs at least its liveness byte plus one value tag
         // per column.
-        if slot_count > (buf.remaining() / (1 + arity.max(1))) as u64 {
+        if slot_count > (r.remaining() / (1 + arity.max(1))) as u64 {
             return Err(SnapshotError::Corrupt(format!("implausible slot count {slot_count}")));
         }
         for _ in 0..slot_count {
-            if buf.remaining() < 1 {
-                return Err(SnapshotError::Truncated("slot liveness"));
-            }
-            let live = buf.get_u8() != 0;
+            let live = r.u8("slot liveness")? != 0;
             let mut values = Vec::with_capacity(arity);
             for _ in 0..arity {
-                values.push(get_value(&mut buf)?);
+                values.push(get_value(&mut r)?);
             }
             db.restore_slot(tid, live, values)
                 .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
         }
     }
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated("fk count"));
-    }
-    let fk_count = buf.get_u32_le();
-    if fk_count as usize > buf.remaining() / 12 {
+    let fk_count = r.u32("fk count")?;
+    if fk_count as usize > r.remaining() / 12 {
         return Err(SnapshotError::Corrupt(format!("implausible foreign-key count {fk_count}")));
     }
     for _ in 0..fk_count {
-        if buf.remaining() < 12 {
-            return Err(SnapshotError::Truncated("foreign key"));
-        }
         let fk = ForeignKey {
-            from_table: TableId(buf.get_u32_le()),
-            from_column: ColumnId(buf.get_u32_le()),
-            to_table: TableId(buf.get_u32_le()),
+            from_table: TableId(r.u32("foreign key")?),
+            from_column: ColumnId(r.u32("foreign key")?),
+            to_table: TableId(r.u32("foreign key")?),
         };
         db.restore_foreign_key(fk).map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
     }
@@ -415,6 +355,13 @@ mod tests {
             )
             .unwrap();
         assert_eq!(new_id.row, 3, "new rows append after restored slots");
+    }
+
+    /// Shard replicas compare fingerprints across builds; the value of a
+    /// fixed database must not move.
+    #[test]
+    fn fingerprint_of_a_fixed_database_is_pinned() {
+        assert_eq!(fingerprint(&sample_db()), 0x0b0b_9d4d_fe99_be3e);
     }
 
     #[test]

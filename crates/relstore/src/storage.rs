@@ -16,7 +16,7 @@
 
 use crate::snapshot::SnapshotError;
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use nebula_codec::{Reader, Writer};
 use std::fmt;
 
 /// An error from a storage backend — an I/O failure, a checksum mismatch,
@@ -81,28 +81,23 @@ pub const POSTINGS_NAMESPACE: u32 = u32::MAX;
 /// value encoding (tag byte + payload), concatenated in column order. The
 /// arity comes from the schema, so no count prefix is needed.
 pub fn encode_row(values: &[Value]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut w = Writer::default();
     for v in values {
-        crate::snapshot::put_value(&mut buf, v);
+        crate::snapshot::put_value(&mut w, v);
     }
-    buf.to_vec()
+    w.0
 }
 
 /// Decode a row record written by [`encode_row`]. Fails cleanly on
 /// truncated or hostile bytes; never panics, never over-allocates (the
 /// per-value decoder validates lengths against the remaining buffer).
 pub fn decode_row(bytes: &[u8], arity: usize) -> Result<Vec<Value>, SnapshotError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
+    let mut r = Reader::new(bytes);
     let mut values = Vec::with_capacity(arity.min(bytes.len() + 1));
     for _ in 0..arity {
-        values.push(crate::snapshot::get_value(&mut buf)?);
+        values.push(crate::snapshot::get_value(&mut r)?);
     }
-    if buf.remaining() > 0 {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after row of arity {arity}",
-            buf.remaining()
-        )));
-    }
+    r.finish()?;
     Ok(values)
 }
 
@@ -111,17 +106,17 @@ pub fn decode_row(bytes: &[u8], arity: usize) -> Result<Vec<Value>, SnapshotErro
 /// from the previous posting's row. Postings within a block share the
 /// delta chain; the first delta is against row 0.
 pub fn encode_posting_block(postings: &[crate::Posting]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(postings.len() as u32);
+    let mut w = Writer::default();
+    w.u32(postings.len() as u32);
     let mut prev_row: i64 = 0;
     for p in postings {
-        put_varint(&mut buf, u64::from(p.table.0));
-        put_varint(&mut buf, u64::from(p.column.0));
+        put_varint(&mut w, u64::from(p.table.0));
+        put_varint(&mut w, u64::from(p.column.0));
         let row = p.tuple.row as i64;
-        put_varint(&mut buf, zigzag(row.wrapping_sub(prev_row)));
+        put_varint(&mut w, zigzag(row.wrapping_sub(prev_row)));
         prev_row = row;
     }
-    buf.to_vec()
+    w.0
 }
 
 /// Decode a posting block written by [`encode_posting_block`]. Fails
@@ -130,21 +125,18 @@ pub fn encode_posting_block(postings: &[crate::Posting]) -> Vec<u8> {
 pub fn decode_posting_block(bytes: &[u8]) -> Result<Vec<crate::Posting>, SnapshotError> {
     use crate::schema::{ColumnId, TableId};
     use crate::tuple::TupleId;
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Truncated("posting count"));
-    }
-    let count = buf.get_u32_le() as usize;
+    let mut r = Reader::new(bytes);
+    let count = r.u32("posting count")? as usize;
     // Each posting costs at least three varint bytes.
-    if count > buf.remaining() / 3 {
+    if count > r.remaining() / 3 {
         return Err(SnapshotError::Corrupt(format!("implausible posting count {count}")));
     }
     let mut out = Vec::with_capacity(count);
     let mut prev_row: i64 = 0;
     for _ in 0..count {
-        let table = get_varint(&mut buf)?;
-        let column = get_varint(&mut buf)?;
-        let delta = unzigzag(get_varint(&mut buf)?);
+        let table = get_varint(&mut r)?;
+        let column = get_varint(&mut r)?;
+        let delta = unzigzag(get_varint(&mut r)?);
         let row = prev_row.wrapping_add(delta);
         prev_row = row;
         let table = u32::try_from(table)
@@ -157,12 +149,7 @@ pub fn decode_posting_block(bytes: &[u8]) -> Result<Vec<crate::Posting>, Snapsho
             tuple: TupleId::new(TableId(table), row as u64),
         });
     }
-    if buf.remaining() > 0 {
-        return Err(SnapshotError::Corrupt(format!(
-            "{} trailing bytes after posting block",
-            buf.remaining()
-        )));
-    }
+    r.finish()?;
     Ok(out)
 }
 
@@ -174,25 +161,22 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_varint(buf: &mut BytesMut, mut v: u64) {
+fn put_varint(w: &mut Writer, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            w.u8(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        w.u8(byte | 0x80);
     }
 }
 
-fn get_varint(buf: &mut Bytes) -> Result<u64, SnapshotError> {
+fn get_varint(r: &mut Reader<'_>) -> Result<u64, SnapshotError> {
     let mut v: u64 = 0;
     for shift in (0..64).step_by(7) {
-        if buf.remaining() < 1 {
-            return Err(SnapshotError::Truncated("varint"));
-        }
-        let byte = buf.get_u8();
+        let byte = r.u8("varint")?;
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Ok(v);

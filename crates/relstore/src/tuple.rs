@@ -24,6 +24,13 @@ impl TupleId {
     }
 }
 
+/// The `(table, row)` pair a tuple id travels as on disk and on the wire.
+impl From<(u32, u64)> for TupleId {
+    fn from((table, row): (u32, u64)) -> Self {
+        TupleId::new(TableId(table), row)
+    }
+}
+
 impl fmt::Display for TupleId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.table, self.row)

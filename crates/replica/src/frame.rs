@@ -9,6 +9,7 @@
 //! fence stale senders without decoding a payload.
 
 use crate::ReplicaError;
+use nebula_codec::{Reader, Writer};
 
 /// One replication message.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,88 +57,60 @@ const KIND_NACK: u8 = 5;
 impl Frame {
     /// Serialize for the wire.
     pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::default();
         match self {
             Frame::Segment(bytes) => {
-                let mut out = Vec::with_capacity(1 + bytes.len());
-                out.push(KIND_SEGMENT);
-                out.extend_from_slice(bytes);
-                out
+                w.u8(KIND_SEGMENT);
+                w.bytes(bytes);
             }
             Frame::Checkpoint(bytes) => {
-                let mut out = Vec::with_capacity(1 + bytes.len());
-                out.push(KIND_CHECKPOINT);
-                out.extend_from_slice(bytes);
-                out
+                w.u8(KIND_CHECKPOINT);
+                w.bytes(bytes);
             }
             Frame::Fence { epoch, reason } => {
-                let mut out = Vec::with_capacity(9 + reason.len());
-                out.push(KIND_FENCE);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(reason.as_bytes());
-                out
+                w.u8(KIND_FENCE);
+                w.u64(*epoch);
+                w.bytes(reason.as_bytes());
             }
             Frame::Ack { epoch, lsn, digest } => {
-                let mut out = Vec::with_capacity(25);
-                out.push(KIND_ACK);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&lsn.to_le_bytes());
-                out.extend_from_slice(&digest.0.to_le_bytes());
-                out.extend_from_slice(&digest.1.to_le_bytes());
-                out
+                w.u8(KIND_ACK);
+                w.u64(*epoch);
+                w.u64(*lsn);
+                w.u32(digest.0);
+                w.u32(digest.1);
             }
             Frame::Nack { epoch, lsn } => {
-                let mut out = Vec::with_capacity(17);
-                out.push(KIND_NACK);
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.extend_from_slice(&lsn.to_le_bytes());
-                out
+                w.u8(KIND_NACK);
+                w.u64(*epoch);
+                w.u64(*lsn);
             }
         }
+        w.0
     }
 
-    /// Deserialize from the wire.
+    /// Deserialize from the wire. The three variable-length kinds run to
+    /// the end of the message; the fixed-size control frames must end
+    /// exactly where their last field does.
     pub fn decode(bytes: &[u8]) -> Result<Frame, ReplicaError> {
-        let (&kind, rest) =
-            bytes.split_first().ok_or_else(|| ReplicaError::Codec("empty frame".into()))?;
-        match kind {
-            KIND_SEGMENT => Ok(Frame::Segment(rest.to_vec())),
-            KIND_CHECKPOINT => Ok(Frame::Checkpoint(rest.to_vec())),
-            KIND_FENCE => {
-                let (epoch, rest) = take_u64(rest, "fence epoch")?;
-                let reason = String::from_utf8_lossy(rest).into_owned();
-                Ok(Frame::Fence { epoch, reason })
-            }
-            KIND_ACK => {
-                let (epoch, rest) = take_u64(rest, "ack epoch")?;
-                let (lsn, rest) = take_u64(rest, "ack lsn")?;
-                let (d0, rest) = take_u32(rest, "ack digest")?;
-                let (d1, _) = take_u32(rest, "ack digest")?;
-                Ok(Frame::Ack { epoch, lsn, digest: (d0, d1) })
-            }
-            KIND_NACK => {
-                let (epoch, rest) = take_u64(rest, "nack epoch")?;
-                let (lsn, _) = take_u64(rest, "nack lsn")?;
-                Ok(Frame::Nack { epoch, lsn })
-            }
-            other => Err(ReplicaError::Codec(format!("unknown frame kind {other}"))),
-        }
+        let mut r = Reader::new(bytes);
+        let frame = match r.u8("frame kind")? {
+            KIND_SEGMENT => Frame::Segment(r.rest().to_vec()),
+            KIND_CHECKPOINT => Frame::Checkpoint(r.rest().to_vec()),
+            KIND_FENCE => Frame::Fence {
+                epoch: r.u64("fence epoch")?,
+                reason: String::from_utf8_lossy(r.rest()).into_owned(),
+            },
+            KIND_ACK => Frame::Ack {
+                epoch: r.u64("ack epoch")?,
+                lsn: r.u64("ack lsn")?,
+                digest: (r.u32("ack digest")?, r.u32("ack digest")?),
+            },
+            KIND_NACK => Frame::Nack { epoch: r.u64("nack epoch")?, lsn: r.u64("nack lsn")? },
+            other => return Err(ReplicaError::Codec(format!("unknown frame kind {other}"))),
+        };
+        r.finish()?;
+        Ok(frame)
     }
-}
-
-fn take_u64<'a>(bytes: &'a [u8], what: &str) -> Result<(u64, &'a [u8]), ReplicaError> {
-    if bytes.len() < 8 {
-        return Err(ReplicaError::Codec(format!("{what}: truncated")));
-    }
-    let (head, rest) = bytes.split_at(8);
-    Ok((u64::from_le_bytes(head.try_into().expect("8 bytes")), rest))
-}
-
-fn take_u32<'a>(bytes: &'a [u8], what: &str) -> Result<(u32, &'a [u8]), ReplicaError> {
-    if bytes.len() < 4 {
-        return Err(ReplicaError::Codec(format!("{what}: truncated")));
-    }
-    let (head, rest) = bytes.split_at(4);
-    Ok((u32::from_le_bytes(head.try_into().expect("4 bytes")), rest))
 }
 
 #[cfg(test)]
@@ -163,5 +136,14 @@ mod tests {
         assert!(Frame::decode(&[]).is_err());
         assert!(Frame::decode(&[42]).is_err());
         assert!(Frame::decode(&[KIND_ACK, 1, 2]).is_err());
+        // A fixed-size control frame ends where its last field does.
+        for frame in [
+            Frame::Ack { epoch: 2, lsn: 41, digest: (0xDEAD, 0xBEEF) },
+            Frame::Nack { epoch: 5, lsn: 40 },
+        ] {
+            let mut over_long = frame.encode();
+            over_long.push(0);
+            assert!(matches!(Frame::decode(&over_long), Err(ReplicaError::Codec(_))), "{frame:?}");
+        }
     }
 }

@@ -169,6 +169,12 @@ impl fmt::Display for ReplicaError {
 
 impl std::error::Error for ReplicaError {}
 
+impl From<nebula_codec::CodecError> for ReplicaError {
+    fn from(e: nebula_codec::CodecError) -> ReplicaError {
+        ReplicaError::Codec(e.to_string())
+    }
+}
+
 impl From<DurableError> for ReplicaError {
     fn from(e: DurableError) -> ReplicaError {
         ReplicaError::Durable(e)

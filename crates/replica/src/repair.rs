@@ -13,7 +13,7 @@
 //! prune old entries, so the common domain — not either chain alone — is
 //! what can be meaningfully compared.
 
-use nebula_durable::crc32c::crc32c;
+use nebula_codec::crc32c;
 use std::collections::BTreeMap;
 
 /// The result of one ladder comparison between two digest chains.

@@ -34,10 +34,10 @@
 
 use annostore::{snapshot as astore_snapshot, Annotation, AnnotationId, AnnotationStore};
 use annostore::{AttachmentTarget, StoreError};
-use bytes::Bytes;
+use nebula_codec::fnv1a;
 use nebula_core::{
-    GroupSearch, Mutation, MutationSink, Nebula, NebulaConfig, NebulaError, NebulaMeta,
-    ProcessOutcome, SinkError,
+    Mutation, MutationSink, Nebula, NebulaConfig, NebulaError, NebulaMeta, ProcessOutcome,
+    SinkError,
 };
 use nebula_durable::wal::{encode_record, read_wal};
 use nebula_durable::{checkpoint, replay_op, WalOp};
@@ -49,7 +49,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use textsearch::{
-    ExecutionMode, KeywordQuery, KeywordSearch, SearchError, SearchHit, SearchOptions, SearchStats,
+    ExecutionMode, KeywordQuery, KeywordSearch, SearchBackend, SearchError, SearchHit,
+    SearchOptions, SearchStats,
 };
 
 use crate::counters;
@@ -169,19 +170,9 @@ impl ShardConfig {
     }
 }
 
-/// FNV-1a over a byte string.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Digest of an annotation store's canonical snapshot encoding.
+/// FNV-1a digest of an annotation store's canonical snapshot encoding.
 pub fn store_digest(store: &AnnotationStore) -> u64 {
-    fnv64(astore_snapshot::save(store).as_ref())
+    fnv1a(fnv1a::OFFSET, &astore_snapshot::save(store))
 }
 
 /// One committed mutation batch: WAL records concatenated in commit
@@ -546,7 +537,7 @@ struct ScatterBackend {
     options: SearchOptions,
 }
 
-impl GroupSearch for ScatterBackend {
+impl SearchBackend for ScatterBackend {
     fn run_group(
         &self,
         queries: &[KeywordQuery],
@@ -589,7 +580,7 @@ impl GroupSearch for ScatterBackend {
         Ok((groups, stats))
     }
 
-    fn label(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "scatter-gather"
     }
 }
@@ -1044,7 +1035,7 @@ impl ShardCluster {
 
     /// Each shard's digest slice: the canonical partition slice covering
     /// the annotations it processed, computed from its **own** replica.
-    pub fn shard_slices(&self) -> Result<Vec<Bytes>, ShardError> {
+    pub fn shard_slices(&self) -> Result<Vec<Vec<u8>>, ShardError> {
         let f = self.lock();
         let shards = f.router.shards();
         let homes = self.homes.clone();
@@ -1060,7 +1051,7 @@ impl ShardCluster {
 
     /// FNV digests of the per-shard slices (what `SHOW SHARDS` prints).
     pub fn slice_digests(&self) -> Result<Vec<u64>, ShardError> {
-        Ok(self.shard_slices()?.iter().map(|b| fnv64(b.as_ref())).collect())
+        Ok(self.shard_slices()?.iter().map(|b| fnv1a(fnv1a::OFFSET, b)).collect())
     }
 
     /// Merge the per-shard slices back into one store. With no unhealed
@@ -1191,11 +1182,15 @@ impl ShardCluster {
 mod tests {
     use super::*;
 
+    /// Acks carry this digest between shards; a build that computed it
+    /// differently would read every healthy peer as diverged.
     #[test]
-    fn fnv_digest_is_stable() {
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"nebula"), fnv64(b"nebula"));
-        assert_ne!(fnv64(b"nebula"), fnv64(b"nebulb"));
+    fn store_digest_of_a_fixed_store_is_pinned() {
+        let mut store = AnnotationStore::new();
+        let a = store.add_annotation(Annotation::new("heat-shock note").by("Bob"));
+        let tuple = TupleId::new(relstore::schema::TableId(1), 7);
+        store.attach(a, AttachmentTarget::tuple(tuple)).expect("attach");
+        assert_eq!(store_digest(&store), 0x3340_3458_1ac6_4bb6);
     }
 
     #[test]

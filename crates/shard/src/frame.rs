@@ -17,6 +17,7 @@
 //! frames minted before a failover promote are silently discarded by
 //! receivers on the new epoch.
 
+use nebula_codec::{CodecError, Reader, Writer};
 use textsearch::{ExecutionMode, KeywordQuery, SearchHit};
 
 /// Decode failure: a frame that is truncated, of unknown kind, or
@@ -31,6 +32,12 @@ impl std::fmt::Display for FrameError {
 }
 
 impl std::error::Error for FrameError {}
+
+impl From<CodecError> for FrameError {
+    fn from(e: CodecError) -> FrameError {
+        FrameError(e.to_string())
+    }
+}
 
 /// One shard-to-shard message.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,126 +114,111 @@ const KIND_APPLY_NACK: u8 = 5;
 const MAX_QUERIES: u32 = 1 << 16;
 const MAX_KEYWORDS: u32 = 1 << 12;
 const MAX_HITS: u32 = 1 << 24;
+const MAX_KEYWORD_BYTES: u32 = 1 << 20;
 
 impl ShardFrame {
     /// Encode to the wire form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
+        let mut w = Writer(Vec::with_capacity(64));
         match self {
             ShardFrame::Probe { probe_id, origin, epoch, mode, queries } => {
-                out.push(KIND_PROBE);
-                out.extend_from_slice(&probe_id.to_le_bytes());
-                out.extend_from_slice(&(*origin as u32).to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.push(match mode {
+                w.u8(KIND_PROBE);
+                w.u64(*probe_id);
+                w.u32(*origin as u32);
+                w.u64(*epoch);
+                w.u8(match mode {
                     ExecutionMode::Isolated => 0,
                     ExecutionMode::Shared => 1,
                 });
-                out.extend_from_slice(&(queries.len() as u32).to_le_bytes());
+                w.u32(queries.len() as u32);
                 for q in queries {
-                    out.extend_from_slice(&(q.keywords.len() as u32).to_le_bytes());
+                    w.u32(q.keywords.len() as u32);
                     for kw in &q.keywords {
-                        out.extend_from_slice(&(kw.len() as u32).to_le_bytes());
-                        out.extend_from_slice(kw.as_bytes());
+                        w.string(kw);
                     }
-                    out.extend_from_slice(&q.weight.to_bits().to_le_bytes());
+                    w.f64(q.weight);
                 }
             }
             ShardFrame::ProbeReply { probe_id, shard, ok, groups } => {
-                out.push(KIND_PROBE_REPLY);
-                out.extend_from_slice(&probe_id.to_le_bytes());
-                out.extend_from_slice(&(*shard as u32).to_le_bytes());
-                out.push(u8::from(*ok));
-                out.extend_from_slice(&(groups.len() as u32).to_le_bytes());
+                w.u8(KIND_PROBE_REPLY);
+                w.u64(*probe_id);
+                w.u32(*shard as u32);
+                w.u8(u8::from(*ok));
+                w.u32(groups.len() as u32);
                 for hits in groups {
-                    out.extend_from_slice(&(hits.len() as u32).to_le_bytes());
+                    w.u32(hits.len() as u32);
                     for h in hits {
-                        out.extend_from_slice(&h.tuple.table.0.to_le_bytes());
-                        out.extend_from_slice(&h.tuple.row.to_le_bytes());
-                        out.extend_from_slice(&h.confidence.to_bits().to_le_bytes());
+                        w.tuple_id(h.tuple.table.0, h.tuple.row);
+                        w.f64(h.confidence);
                     }
                 }
             }
             ShardFrame::Apply { seq, origin, epoch, completed, ops } => {
-                out.push(KIND_APPLY);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(*origin as u32).to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-                out.push(u8::from(*completed));
-                out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-                out.extend_from_slice(ops);
+                w.u8(KIND_APPLY);
+                w.u64(*seq);
+                w.u32(*origin as u32);
+                w.u64(*epoch);
+                w.u8(u8::from(*completed));
+                w.u32(ops.len() as u32);
+                w.bytes(ops);
             }
             ShardFrame::ApplyAck { seq, shard, digest } => {
-                out.push(KIND_APPLY_ACK);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(*shard as u32).to_le_bytes());
-                out.extend_from_slice(&digest.to_le_bytes());
+                w.u8(KIND_APPLY_ACK);
+                w.u64(*seq);
+                w.u32(*shard as u32);
+                w.u64(*digest);
             }
             ShardFrame::ApplyNack { seq, shard, applied } => {
-                out.push(KIND_APPLY_NACK);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&(*shard as u32).to_le_bytes());
-                out.extend_from_slice(&applied.to_le_bytes());
+                w.u8(KIND_APPLY_NACK);
+                w.u64(*seq);
+                w.u32(*shard as u32);
+                w.u64(*applied);
             }
         }
-        out
+        w.0
     }
 
     /// Decode from the wire form.
     pub fn decode(bytes: &[u8]) -> Result<ShardFrame, FrameError> {
-        let mut c = Cursor { bytes, at: 0 };
-        let kind = c.u8("kind")?;
-        let frame = match kind {
+        let mut r = Reader::new(bytes);
+        let frame = match r.u8("kind")? {
             KIND_PROBE => {
-                let probe_id = c.u64("probe_id")?;
-                let origin = c.u32("origin")? as usize;
-                let epoch = c.u64("epoch")?;
-                let mode = match c.u8("mode")? {
+                let probe_id = r.u64("probe_id")?;
+                let origin = r.u32("origin")? as usize;
+                let epoch = r.u64("epoch")?;
+                let mode = match r.u8("mode")? {
                     0 => ExecutionMode::Isolated,
                     1 => ExecutionMode::Shared,
                     m => return Err(FrameError(format!("unknown execution mode {m}"))),
                 };
-                let n = c.u32("query count")?;
-                if n > MAX_QUERIES {
-                    return Err(FrameError(format!("implausible query count {n}")));
-                }
-                let mut queries = Vec::with_capacity(n as usize);
+                let n = capped(r.u32("query count")?, MAX_QUERIES, "query count")?;
+                let mut queries = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let kws = c.u32("keyword count")?;
-                    if kws > MAX_KEYWORDS {
-                        return Err(FrameError(format!("implausible keyword count {kws}")));
-                    }
-                    let mut keywords = Vec::with_capacity(kws as usize);
+                    let kws = capped(r.u32("keyword count")?, MAX_KEYWORDS, "keyword count")?;
+                    let mut keywords = Vec::with_capacity(kws);
                     for _ in 0..kws {
-                        keywords.push(c.string("keyword")?);
+                        let keyword = r.string("keyword")?;
+                        capped(keyword.len() as u32, MAX_KEYWORD_BYTES, "keyword length")?;
+                        keywords.push(keyword);
                     }
-                    let weight = f64::from_bits(c.u64("weight")?);
+                    let weight = r.f64("weight")?;
                     queries.push(KeywordQuery::new(keywords).with_weight(weight));
                 }
                 ShardFrame::Probe { probe_id, origin, epoch, mode, queries }
             }
             KIND_PROBE_REPLY => {
-                let probe_id = c.u64("probe_id")?;
-                let shard = c.u32("shard")? as usize;
-                let ok = c.u8("ok")? != 0;
-                let n = c.u32("group count")?;
-                if n > MAX_QUERIES {
-                    return Err(FrameError(format!("implausible group count {n}")));
-                }
-                let mut groups = Vec::with_capacity(n as usize);
+                let probe_id = r.u64("probe_id")?;
+                let shard = r.u32("shard")? as usize;
+                let ok = r.u8("ok")? != 0;
+                let n = capped(r.u32("group count")?, MAX_QUERIES, "group count")?;
+                let mut groups = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let hits = c.u32("hit count")?;
-                    if hits > MAX_HITS {
-                        return Err(FrameError(format!("implausible hit count {hits}")));
-                    }
-                    let mut list = Vec::with_capacity(hits as usize);
+                    let hits = capped(r.u32("hit count")?, MAX_HITS, "hit count")?;
+                    let mut list = Vec::with_capacity(hits);
                     for _ in 0..hits {
-                        let table = c.u32("hit table")?;
-                        let row = c.u64("hit row")?;
-                        let confidence = f64::from_bits(c.u64("hit confidence")?);
                         list.push(SearchHit {
-                            tuple: relstore::TupleId::new(relstore::schema::TableId(table), row),
-                            confidence,
+                            tuple: r.tuple_id("hit tuple")?.into(),
+                            confidence: r.f64("hit confidence")?,
                         });
                     }
                     groups.push(list);
@@ -234,74 +226,37 @@ impl ShardFrame {
                 ShardFrame::ProbeReply { probe_id, shard, ok, groups }
             }
             KIND_APPLY => {
-                let seq = c.u64("seq")?;
-                let origin = c.u32("origin")? as usize;
-                let epoch = c.u64("epoch")?;
-                let completed = c.u8("completed")? != 0;
-                let len = c.u32("ops length")? as usize;
-                let ops = c.slice("ops", len)?.to_vec();
+                let seq = r.u64("seq")?;
+                let origin = r.u32("origin")? as usize;
+                let epoch = r.u64("epoch")?;
+                let completed = r.u8("completed")? != 0;
+                let len = r.u32("ops length")? as usize;
+                let ops = r.bytes("ops", len)?.to_vec();
                 ShardFrame::Apply { seq, origin, epoch, completed, ops }
             }
             KIND_APPLY_ACK => ShardFrame::ApplyAck {
-                seq: c.u64("seq")?,
-                shard: c.u32("shard")? as usize,
-                digest: c.u64("digest")?,
+                seq: r.u64("seq")?,
+                shard: r.u32("shard")? as usize,
+                digest: r.u64("digest")?,
             },
             KIND_APPLY_NACK => ShardFrame::ApplyNack {
-                seq: c.u64("seq")?,
-                shard: c.u32("shard")? as usize,
-                applied: c.u64("applied")?,
+                seq: r.u64("seq")?,
+                shard: r.u32("shard")? as usize,
+                applied: r.u64("applied")?,
             },
             k => return Err(FrameError(format!("unknown frame kind {k}"))),
         };
-        if c.at != bytes.len() {
-            return Err(FrameError(format!("{} trailing bytes", bytes.len() - c.at)));
-        }
+        r.finish()?;
         Ok(frame)
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cursor<'_> {
-    fn slice(&mut self, what: &str, n: usize) -> Result<&[u8], FrameError> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| FrameError(format!("truncated at {what}")))?;
-        let s = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(s)
+/// A count or length field, refused when it exceeds its cap.
+fn capped(n: u32, cap: u32, what: &str) -> Result<usize, FrameError> {
+    if n > cap {
+        return Err(FrameError(format!("implausible {what} {n}")));
     }
-
-    fn u8(&mut self, what: &str) -> Result<u8, FrameError> {
-        Ok(self.slice(what, 1)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, FrameError> {
-        let s = self.slice(what, 4)?;
-        Ok(u32::from_le_bytes([s[0], s[1], s[2], s[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, FrameError> {
-        let s = self.slice(what, 8)?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(s);
-        Ok(u64::from_le_bytes(b))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, FrameError> {
-        let len = self.u32(what)? as usize;
-        if len > 1 << 20 {
-            return Err(FrameError(format!("implausible {what} length {len}")));
-        }
-        let s = self.slice(what, len)?;
-        String::from_utf8(s.to_vec()).map_err(|_| FrameError(format!("{what} not utf-8")))
-    }
+    Ok(n as usize)
 }
 
 #[cfg(test)]

@@ -17,7 +17,10 @@ use relstore::{Database, TupleId};
 use std::collections::HashMap;
 
 /// A keyword-search technique usable as Nebula's Stage-2 black box.
-pub trait SearchBackend {
+///
+/// `Send` because the ingest pool drives engines — and the backend one
+/// may hold — from worker threads; `Debug` because the engine derives it.
+pub trait SearchBackend: std::fmt::Debug + Send {
     /// Execute a group of keyword queries (typically all the queries
     /// generated from one annotation), returning one hit list per query
     /// plus work counters. `mode` requests isolated or shared execution;

@@ -64,6 +64,7 @@ pub mod shell;
 
 pub use annostore;
 pub use nebula_backup;
+pub use nebula_codec;
 pub use nebula_core;
 pub use nebula_durable;
 pub use nebula_govern;
