@@ -25,6 +25,7 @@ use nebula_durable::segment::{decode_checkpoint_frame, decode_segment, Segment};
 use nebula_durable::{checkpoint, replay_op};
 use nebula_govern::{inject_io, FaultSite, IoFault};
 use relstore::Database;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// What to capture into a bundle.
@@ -91,12 +92,16 @@ fn epoch_cutoff(starts: &[(u64, u64)], epoch: u64) -> u64 {
 
 /// Copy one file into the bundle, rolling the `Enospc` fault site so a
 /// full disk surfaces as a typed error with nothing half-written kept as
-/// a complete capture (the manifest is written last).
+/// a complete capture (the manifest is written last). The bytes are on
+/// stable storage when this returns, so every data file is durable
+/// before the manifest that vouches for it is written.
 fn write_bundle_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), BackupError> {
     if let Some(IoFault::NoSpace) = inject_io(FaultSite::Enospc, bytes.len()) {
         return Err(BackupError::NoSpace(format!("writing {name} into the bundle")));
     }
-    std::fs::write(dir.join(name), bytes)?;
+    let mut file = std::fs::File::create(dir.join(name))?;
+    file.write_all(bytes)?;
+    file.sync_data()?;
     nebula_obs::counter_add(counters::BUNDLE_BYTES, bytes.len() as u64);
     Ok(())
 }
@@ -106,8 +111,9 @@ fn write_bundle_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), BackupE
 /// Every archive file is structurally decoded **before** it is copied —
 /// a torn or rotten archive file fails the capture with
 /// [`BackupError::Corrupt`] (run [`crate::scrub`] to find them all)
-/// rather than poisoning the bundle. The signed manifest is written
-/// last, so an interrupted capture is detectable: no manifest, no
+/// rather than poisoning the bundle. Each file is fsynced as it is
+/// written and the signed manifest is written last, then the directory
+/// is fsynced, so an interrupted capture is detectable: no manifest, no
 /// bundle.
 pub fn create_bundle(spec: &BundleSpec) -> Result<BackupManifest, BackupError> {
     let bases = list_bases(&spec.archive_dir)?;
@@ -201,6 +207,9 @@ pub fn create_bundle(spec: &BundleSpec) -> Result<BackupManifest, BackupError> {
     entries.sort_by(|a, b| a.name.cmp(&b.name));
     let m = BackupManifest { head_lsn, oldest_lsn, epoch, created_seq: spec.created_seq, entries };
     write_bundle_file(&spec.bundle_dir, MANIFEST_FILE, &manifest::encode(&m))?;
+    // The new directory entries — the manifest's above all — must survive
+    // a crash before the capture is reported complete.
+    std::fs::File::open(&spec.bundle_dir)?.sync_all()?;
     nebula_obs::counter_add(counters::BUNDLES_CREATED, 1);
     Ok(m)
 }

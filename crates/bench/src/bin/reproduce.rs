@@ -14,11 +14,7 @@
 //!   durability               WAL append overhead + recovery vs log length
 //!   overload                 concurrent ingest under arrival pressure
 //!   replication              WAL shipping under transport faults
-//!   sharding                 scatter-gather ingest across shard counts
 //!   repair                   reconvergence cost vs divergence depth
-//!   recovery                 backup cost + restore time vs archive depth
-//!   paging                   paged storage vs RAM across pool sizes
-//!   tracing                  trace overhead + critical-path attribution
 //!   ablation-acg ablation-querygen ablation-stability
 //!   all                      everything above
 //! ```
@@ -34,8 +30,8 @@
 //! to `DIR/<experiment>.trace.json` (default `traces/`).
 
 use nebula_bench::{
-    ablation, degradation, durability, fig11, fig12, fig13, fig14, fig15, overload, paging,
-    pipeline, profile, recovery, repair, replication, sharding, tracing, Scale, Setup,
+    ablation, degradation, durability, fig11, fig12, fig13, fig14, fig15, overload, profile,
+    repair, replication, Scale, Setup,
 };
 
 fn main() {
@@ -76,16 +72,11 @@ fn main() {
             "fig15b",
             "naive-assess",
             "profile",
-            "pipeline",
             "degradation",
             "durability",
             "overload",
             "replication",
-            "sharding",
             "repair",
-            "recovery",
-            "paging",
-            "tracing",
             "ablation-acg",
             "ablation-learn",
             "ablation-querygen",
@@ -94,9 +85,9 @@ fn main() {
     } else if experiments.contains(&"help") {
         println!(
             "experiments: fig11a fig11b fig11c fig12a fig12b fig13 fig14a fig14b \
-             fig15a fig15b naive-assess profile pipeline degradation durability \
-             overload replication sharding repair recovery paging tracing ablation-acg \
-             ablation-learn ablation-querygen ablation-stability all"
+             fig15a fig15b naive-assess profile degradation durability overload \
+             replication repair ablation-acg ablation-learn ablation-querygen \
+             ablation-stability all"
         );
         return;
     } else {
@@ -126,9 +117,7 @@ fn main() {
         let baseline = metrics_dir.as_ref().map(|_| nebula_obs::snapshot());
         if traces_dir.is_some() {
             // Fresh ring per experiment so each sidecar carries only its
-            // own span trees; the experiment may toggle tracing itself
-            // (the `tracing` experiment does), so re-arm it here.
-            nebula_obs::trace::set_enabled(true);
+            // own span trees.
             nebula_obs::trace::reset();
         }
         match exp {
@@ -217,12 +206,6 @@ fn main() {
                     }
                 }
             }
-            "pipeline" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                let report = pipeline::run(&setup, 100);
-                pipeline::table(setup.name, 100, &report).print();
-            }
             "degradation" => {
                 eprintln!("[reproduce] generating D_small ...");
                 let setup = Setup::small(scale);
@@ -245,27 +228,8 @@ fn main() {
                 let setup = Setup::small(scale);
                 replication::table(&replication::run(&setup, if fast { 30 } else { 80 })).print();
             }
-            "sharding" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                sharding::table(&sharding::run(&setup, if fast { 24 } else { 64 })).print();
-            }
             "repair" => {
                 repair::table(&repair::run(if fast { 48 } else { 160 })).print();
-            }
-            "recovery" => {
-                recovery::table(&recovery::run(if fast { 2_000 } else { 8_000 })).print();
-            }
-            "paging" => {
-                paging::table(&paging::run(if fast { 200 } else { 800 })).print();
-            }
-            "tracing" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                let overhead = tracing::run_overhead(&setup, if fast { 2 } else { 5 });
-                tracing::overhead_table(&overhead).print();
-                let cells = tracing::run_attribution(&setup, if fast { 24 } else { 64 });
-                tracing::attribution_table(&cells).print();
             }
             "profile" => {
                 let setup = get_large!();

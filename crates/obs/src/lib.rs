@@ -12,12 +12,12 @@
 //!   records (stage, duration, candidate counts, routing decision)
 //!   backing `EXPLAIN ANNOTATION <id>` in the shell.
 //!
-//! Everything funnels through a [`MetricSink`]. The default global sink
-//! is a [`RecordingSink`] guarded by an `AtomicBool`: when telemetry is
-//! disabled (the default), every instrumentation call is a single
-//! relaxed atomic load — no locks, no clock reads, no allocation — so
-//! instrumented hot paths cost nothing measurable. Enable collection
-//! with [`set_enabled`]`(true)`, read it back with [`snapshot`].
+//! Everything funnels through one [`Telemetry`] registry guarded by an
+//! `AtomicBool`: when telemetry is disabled (the default), every
+//! instrumentation call is a single relaxed atomic load — no locks, no
+//! clock reads, no allocation — so instrumented hot paths cost nothing
+//! measurable. Enable collection with [`set_enabled`]`(true)`, read it
+//! back with [`snapshot`].
 //!
 //! Snapshots ([`TelemetrySnapshot`]) render deterministically as text or
 //! JSON and support diffing against an earlier snapshot, which is how
@@ -38,7 +38,7 @@ pub use snapshot::{HistogramSnapshot, TelemetrySnapshot, BUCKET_BOUNDS_NS};
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Canonical metric names, so the instrumented crates and the renderers
@@ -262,32 +262,6 @@ pub mod registry {
     }
 }
 
-/// Receives every telemetry record. Implementations must be cheap and
-/// non-blocking — instrumentation sites call these inline.
-pub trait MetricSink: Send + Sync {
-    /// Add `delta` to the named monotonic counter.
-    fn counter_add(&self, name: &'static str, delta: u64);
-    /// Record one latency observation for the named histogram.
-    fn observe_ns(&self, name: &'static str, ns: u64);
-    /// Record one pipeline event (ring-buffered).
-    fn event(&self, event: PipelineEvent);
-    /// Set the named gauge to `value` (last-value-wins, e.g. queue depth
-    /// or health state). Default: dropped, so counter-only sinks keep
-    /// working.
-    fn gauge_set(&self, _name: &'static str, _value: u64) {}
-}
-
-/// A sink that drops everything (the disabled path and a useful default
-/// for embedding).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
-
-impl MetricSink for NoopSink {
-    fn counter_add(&self, _name: &'static str, _delta: u64) {}
-    fn observe_ns(&self, _name: &'static str, _ns: u64) {}
-    fn event(&self, _event: PipelineEvent) {}
-}
-
 /// How many pipeline events the ring buffer retains.
 pub const EVENT_CAPACITY: usize = 256;
 
@@ -299,106 +273,29 @@ struct Recording {
     events: VecDeque<PipelineEvent>,
 }
 
-/// The standard in-memory sink: counters + histograms + a bounded event
-/// ring, all behind one mutex (instrumented sections are short).
-#[derive(Debug, Default)]
-pub struct RecordingSink {
+/// A telemetry registry: an enabled flag in front of the recorded state
+/// — counters, gauges, histograms and a bounded event ring, all behind
+/// one mutex (instrumented sections are short).
+///
+/// Most code uses the process-global registry through the free functions
+/// ([`counter_add`], [`span`], ...), but `Telemetry` values can also be
+/// created standalone for embedding.
+#[derive(Debug)]
+pub struct Telemetry {
+    enabled: AtomicBool,
     inner: Mutex<Recording>,
 }
 
-impl RecordingSink {
-    /// Fresh, empty sink.
-    pub fn new() -> RecordingSink {
-        RecordingSink::default()
+impl Telemetry {
+    /// Empty registry, initially **disabled**.
+    pub fn recording() -> Telemetry {
+        Telemetry { enabled: AtomicBool::new(false), inner: Mutex::default() }
     }
 
     fn locked(&self) -> std::sync::MutexGuard<'_, Recording> {
         // A panic while holding the lock poisons it; the data is plain
         // counters, so recovering the inner value is always safe.
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Copy out the current state.
-    pub fn snapshot(&self) -> TelemetrySnapshot {
-        let inner = self.locked();
-        TelemetrySnapshot {
-            counters: inner.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            gauges: inner.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-            histograms: inner.histograms.iter().map(|(&k, v)| (k.to_string(), v.clone())).collect(),
-            events: inner.events.iter().cloned().collect(),
-        }
-    }
-
-    /// Drop all recorded state.
-    pub fn reset(&self) {
-        let mut inner = self.locked();
-        *inner = Recording::default();
-    }
-}
-
-impl MetricSink for RecordingSink {
-    fn counter_add(&self, name: &'static str, delta: u64) {
-        let mut inner = self.locked();
-        let slot = inner.counters.entry(name).or_insert(0);
-        *slot = slot.saturating_add(delta);
-    }
-
-    fn observe_ns(&self, name: &'static str, ns: u64) {
-        let mut inner = self.locked();
-        inner.histograms.entry(name).or_default().record(ns);
-    }
-
-    fn event(&self, event: PipelineEvent) {
-        let mut inner = self.locked();
-        if inner.events.len() == EVENT_CAPACITY {
-            inner.events.pop_front();
-        }
-        inner.events.push_back(event);
-    }
-
-    fn gauge_set(&self, name: &'static str, value: u64) {
-        self.locked().gauges.insert(name, value);
-    }
-}
-
-/// A telemetry registry: an enabled flag in front of a [`MetricSink`].
-///
-/// Most code uses the process-global registry through the free functions
-/// ([`counter_add`], [`span`], ...), but `Telemetry` values can also be
-/// created standalone (e.g. with a custom sink) for embedding.
-pub struct Telemetry {
-    enabled: AtomicBool,
-    sink: Arc<dyn MetricSink>,
-    /// Set when `sink` is a [`RecordingSink`], so snapshots work without
-    /// downcasting.
-    recording: Option<Arc<RecordingSink>>,
-}
-
-impl std::fmt::Debug for Telemetry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Telemetry")
-            .field("enabled", &self.is_enabled())
-            .field("recording", &self.recording.is_some())
-            .finish()
-    }
-}
-
-impl Telemetry {
-    /// Registry backed by a [`RecordingSink`], initially **disabled**.
-    pub fn recording() -> Telemetry {
-        let sink = Arc::new(RecordingSink::new());
-        Telemetry { enabled: AtomicBool::new(false), recording: Some(sink.clone()), sink }
-    }
-
-    /// Registry forwarding to a custom sink, initially **enabled** (a
-    /// custom sink that should start silent can be wrapped or toggled).
-    pub fn with_sink(sink: Arc<dyn MetricSink>) -> Telemetry {
-        Telemetry { enabled: AtomicBool::new(true), sink, recording: None }
-    }
-
-    /// Registry that never records anything.
-    pub fn noop() -> Telemetry {
-        Telemetry { enabled: AtomicBool::new(false), sink: Arc::new(NoopSink), recording: None }
     }
 
     /// Is collection on? A single relaxed load — this is the whole cost
@@ -417,7 +314,7 @@ impl Telemetry {
     #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
         if self.is_enabled() {
-            self.sink.counter_add(name, delta);
+            self.record_counter(name, delta);
         }
     }
 
@@ -425,7 +322,7 @@ impl Telemetry {
     #[inline]
     pub fn observe_ns(&self, name: &'static str, ns: u64) {
         if self.is_enabled() {
-            self.sink.observe_ns(name, ns);
+            self.record_observation(name, ns);
         }
     }
 
@@ -433,7 +330,7 @@ impl Telemetry {
     #[inline]
     pub fn gauge_set(&self, name: &'static str, value: u64) {
         if self.is_enabled() {
-            self.sink.gauge_set(name, value);
+            self.record_gauge(name, value);
         }
     }
 
@@ -451,24 +348,54 @@ impl Telemetry {
         SpanGuard { target, name }
     }
 
-    /// Record one pipeline event.
+    /// Record one pipeline event (ring-buffered).
     #[inline]
     pub fn record_event(&self, event: PipelineEvent) {
         if self.is_enabled() {
-            self.sink.event(event);
+            self.push_event(event);
         }
     }
 
-    /// Snapshot the recorded state. Empty for non-recording sinks.
+    // The recording halves are deliberately not `#[inline]`: an
+    // instrumentation site inlines the flag check above and calls one of
+    // these, so a hot loop carries a call, not a lock and a map walk.
+
+    fn record_counter(&self, name: &'static str, delta: u64) {
+        let mut inner = self.locked();
+        let slot = inner.counters.entry(name).or_insert(0);
+        *slot = slot.saturating_add(delta);
+    }
+
+    fn record_observation(&self, name: &'static str, ns: u64) {
+        self.locked().histograms.entry(name).or_default().record(ns);
+    }
+
+    fn record_gauge(&self, name: &'static str, value: u64) {
+        self.locked().gauges.insert(name, value);
+    }
+
+    fn push_event(&self, event: PipelineEvent) {
+        let mut inner = self.locked();
+        if inner.events.len() == EVENT_CAPACITY {
+            inner.events.pop_front();
+        }
+        inner.events.push_back(event);
+    }
+
+    /// Copy out the recorded state.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        self.recording.as_ref().map(|r| r.snapshot()).unwrap_or_default()
+        let inner = self.locked();
+        TelemetrySnapshot {
+            counters: inner.counters.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
+            gauges: inner.gauges.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
+            histograms: inner.histograms.iter().map(|(&k, v)| (k.to_string(), v.clone())).collect(),
+            events: inner.events.iter().cloned().collect(),
+        }
     }
 
     /// Drop all recorded state (the enabled flag is unchanged).
     pub fn reset(&self) {
-        if let Some(r) = &self.recording {
-            r.reset();
-        }
+        *self.locked() = Recording::default();
     }
 }
 
@@ -501,8 +428,7 @@ impl Drop for SpanGuard<'_> {
 
 static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
 
-/// The process-global registry (a [`RecordingSink`], disabled until
-/// [`set_enabled`]`(true)`).
+/// The process-global registry (disabled until [`set_enabled`]`(true)`).
 pub fn global() -> &'static Telemetry {
     GLOBAL.get_or_init(Telemetry::recording)
 }
@@ -668,32 +594,5 @@ mod tests {
         assert!(t.snapshot().counters.is_empty());
         t.counter_add("x", 1);
         assert_eq!(t.snapshot().counters["x"], 1);
-    }
-
-    #[test]
-    fn custom_sink_receives_records() {
-        #[derive(Default)]
-        struct CountingSink(std::sync::atomic::AtomicU64);
-        impl MetricSink for CountingSink {
-            fn counter_add(&self, _: &'static str, d: u64) {
-                self.0.fetch_add(d, Ordering::Relaxed);
-            }
-            fn observe_ns(&self, _: &'static str, _: u64) {}
-            fn event(&self, _: PipelineEvent) {}
-        }
-        let sink = Arc::new(CountingSink::default());
-        let t = Telemetry::with_sink(sink.clone());
-        assert!(t.is_enabled(), "custom-sink registries start enabled");
-        t.counter_add("k", 7);
-        assert_eq!(sink.0.load(Ordering::Relaxed), 7);
-        assert!(t.snapshot().counters.is_empty(), "non-recording snapshot is empty");
-    }
-
-    #[test]
-    fn noop_registry_is_inert() {
-        let t = Telemetry::noop();
-        t.set_enabled(true); // even enabled, the sink drops everything
-        t.counter_add("x", 1);
-        assert!(t.snapshot().counters.is_empty());
     }
 }

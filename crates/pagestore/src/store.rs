@@ -13,7 +13,7 @@
 //! it into the header-page watermark as part of the shadow commit, so
 //! "how far did disk get" is always answerable after a crash.
 
-use crate::file::{CrashPoint, FaultTally, PageRepairReport, PageScrubReport};
+use crate::file::{FaultTally, PageRepairReport, PageScrubReport};
 use crate::heap::RecordHeap;
 use crate::pool::PoolStats;
 use crate::PageStoreError;
@@ -112,14 +112,6 @@ impl PagedStorage {
         let mut inner = self.lock();
         let lsn = inner.lsn;
         inner.heap.flush(lsn)
-    }
-
-    /// [`PagedStorage::flush_pages`] torn at `crash` for the crash-point
-    /// harness. The store should be dropped and reopened afterwards.
-    pub fn flush_pages_crash(&self, crash: CrashPoint) -> Result<(), PageStoreError> {
-        let mut inner = self.lock();
-        let lsn = inner.lsn;
-        inner.heap.flush_crash(lsn, crash)
     }
 
     /// Read-only CRC walk over the flushed page file.

@@ -44,11 +44,6 @@ impl Database {
         }
     }
 
-    /// The storage factory behind this database, if it is disk-paged.
-    pub fn storage_factory(&self) -> Option<&Arc<dyn StorageFactory>> {
-        self.storage.as_ref()
-    }
-
     /// One-line description of where the database's bytes live.
     pub fn storage_label(&self) -> String {
         match &self.storage {

@@ -384,11 +384,6 @@ impl Primary {
             .unwrap_or(0)
     }
 
-    /// Attached peers (wedged included).
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// Peers wedged by divergence detection.
     pub fn wedged_count(&self) -> usize {
         self.peers.values().filter(|tr| tr.wedged).count()

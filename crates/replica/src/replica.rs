@@ -303,12 +303,6 @@ impl Replica {
         self.checkpoint_loads
     }
 
-    /// Consume the replica, yielding its state — promotion hands these to
-    /// the new primary's WAL.
-    pub fn into_state(self) -> (Database, AnnotationStore, u64, u64) {
-        (self.db, self.store, self.applied, self.epoch)
-    }
-
     /// The replica's per-LSN digest chain (its half of the anti-entropy
     /// ladder).
     pub fn digests(&self) -> &BTreeMap<u64, (u32, u32)> {

@@ -485,6 +485,26 @@ impl Shell {
         }
     }
 
+    /// Open the page file in `dir` behind a pool of `frames`, rebuild the
+    /// database from `snapshot` onto it, and flush. The caller takes the
+    /// snapshot: `scrub_pages` must read the live state before it deletes
+    /// the file this opens afresh.
+    fn load_onto_pages(
+        &mut self,
+        dir: &std::path::Path,
+        frames: usize,
+        snapshot: &[u8],
+    ) -> Result<nebula_pagestore::StorageMetrics, ShellError> {
+        let store =
+            nebula_pagestore::PagedStorage::open(dir, frames).map_err(|e| err(e.to_string()))?;
+        self.db = relstore::snapshot::load_with(snapshot, Some(std::sync::Arc::new(store.clone())))
+            .map_err(|e| err(e.to_string()))?;
+        store.flush_pages().map_err(|e| err(e.to_string()))?;
+        let m = store.metrics();
+        self.storage = Some(store);
+        Ok(m)
+    }
+
     /// `SET STORAGE DISK '<dir>' [POOL <frames>] | MEM` — rebuild the
     /// database onto the crash-safe paged backend rooted at `<dir>`
     /// (rows and inverted-index posting blocks move into a checksummed
@@ -526,15 +546,8 @@ impl Shell {
                             ))
                         })?;
                 }
-                let store = nebula_pagestore::PagedStorage::open(std::path::Path::new(dir), frames)
-                    .map_err(|e| err(e.to_string()))?;
                 let bytes = relstore::snapshot::save(&self.db);
-                self.db =
-                    relstore::snapshot::load_with(&bytes, Some(std::sync::Arc::new(store.clone())))
-                        .map_err(|e| err(e.to_string()))?;
-                store.flush_pages().map_err(|e| err(e.to_string()))?;
-                let m = store.metrics();
-                self.storage = Some(store);
+                let m = self.load_onto_pages(std::path::Path::new(dir), frames, &bytes)?;
                 Ok(format!(
                     "storage: disk ({dir}, pool {frames} frames); \
                      {} pages flushed at watermark {}",
@@ -1037,13 +1050,7 @@ impl Shell {
         self.storage = None;
         std::fs::remove_file(dir.join(nebula_pagestore::file::FILE_NAME))
             .map_err(|e| err(e.to_string()))?;
-        let fresh =
-            nebula_pagestore::PagedStorage::open(&dir, frames).map_err(|e| err(e.to_string()))?;
-        self.db = relstore::snapshot::load_with(&bytes, Some(std::sync::Arc::new(fresh.clone())))
-            .map_err(|e| err(e.to_string()))?;
-        fresh.flush_pages().map_err(|e| err(e.to_string()))?;
-        let m = fresh.metrics();
-        self.storage = Some(fresh);
+        let m = self.load_onto_pages(&dir, frames, &bytes)?;
         out.push(format!(
             "pages: repaired — rebuilt a clean file ({} pages at watermark {})",
             m.page_count, m.watermark
@@ -2042,6 +2049,14 @@ mod tests {
         assert!(on.contains("ack-quorum(1)"), "{on}");
         sh.exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
             .expect("shell operation should succeed");
+        // A replicated commit's span tree carries the shipping work. The
+        // ring is process-global and other tests commit under the same
+        // annotation ids, so search it instead of asking for this id.
+        let shipped = nebula_obs::trace::traces().iter().any(|t| {
+            let tree = t.render_tree();
+            tree.contains("repl.ship") && tree.contains("repl.quorum")
+        });
+        assert!(shipped, "no committed trace carries repl.ship and repl.quorum");
 
         let shown = sh.exec("SHOW REPLICATION").expect("shell operation should succeed");
         assert!(shown.contains("epoch 1"), "{shown}");

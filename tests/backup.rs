@@ -179,6 +179,12 @@ fn restore_as_of_every_lsn_matches_a_stopped_reference() {
             digests[target as usize],
             "restore AS OF LSN {target} diverges from the reference stopped at {target}"
         );
+        // The restore seeds from the newest base at or below the target,
+        // so the replayed tail is bounded by the checkpoint cadence, not
+        // by the history's length.
+        let base = if target == n { n } else { target - target % 64 };
+        assert_eq!(r.base_watermark, base, "AS OF LSN {target}");
+        assert_eq!(r.replayed as u64, target - base, "AS OF LSN {target}");
     }
 
     // No AS OF: the head, equal to the live engine.

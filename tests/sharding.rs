@@ -22,12 +22,14 @@ use nebula::nebula_core::{Nebula, NebulaConfig, ProcessOutcome, SearchMode};
 use nebula::nebula_durable::checkpoint;
 use nebula::nebula_govern::{Degradation, ExecutionBudget};
 use nebula::nebula_ingest::BreakerState;
-use nebula::nebula_shard::{ShardCluster, ShardConfig};
+use nebula::nebula_shard::{NetProfile, ShardCluster, ShardConfig};
 use nebula::nebula_workload::{build_workload, WorkloadSpec};
 use nebula::prelude::*;
 
 const DATASET_SEED: u64 = 0x5E_AC;
 const WORKLOAD_SEED: u64 = 21;
+/// Seed of the lossy fabric's fault stream.
+const NET_SEED: u64 = 0xF00D;
 
 /// Deterministic workload: real annotations with their first ideal tuple
 /// as the focal attachment, cycled to `n` items.
@@ -125,6 +127,46 @@ fn merged_digest_matches_unsharded_at_every_shard_count() {
         let scrub = cluster.scrub().expect("scrub");
         assert_eq!(scrub.checked, shards);
         assert!(scrub.divergent.is_empty(), "healthy cluster must scrub clean");
+
+        // The same workload over a lossy fabric: probes may time out and
+        // applies are nacked and retried, so decisions may differ from
+        // the clean run — but every annotation ingests, every shortfall
+        // is a typed partial, and the durable history still replays to
+        // the bytes the shards hold.
+        let mut cluster = ShardCluster::new(
+            &bundle.db,
+            &bundle.annotations,
+            &bundle.meta,
+            &engine_config(),
+            ShardConfig { net: Some(NetProfile::lossy(NET_SEED)), ..ShardConfig::new(shards) },
+        )
+        .expect("lossy cluster boots");
+        for (annotation, focal) in &items {
+            let outcome = cluster.ingest(annotation, focal).expect("lossy ingest never errors");
+            for d in &outcome.degradations {
+                assert!(
+                    matches!(d, Degradation::PartialShards { .. }),
+                    "a lossy fabric degrades to typed partials only, got {d:?}"
+                );
+            }
+        }
+        if shards > 1 {
+            let stats = cluster.transport_stats();
+            assert!(stats.dropped > 0, "the fabric must actually lose frames: {stats:?}");
+        }
+        // A shard the bounded retry rounds left behind catches up on heal:
+        // every pass resends the missed batches with fresh fault draws.
+        for _ in 0..64 {
+            for s in cluster.lagging() {
+                cluster.heal_shard(s);
+            }
+        }
+        assert!(cluster.lagging().is_empty(), "lossy fabric must drain at {shards} shards");
+        assert_eq!(
+            cluster.merged_checkpoint().expect("merged image"),
+            cluster.rebuild_twin().expect("twin").checkpoint(),
+            "lossy merged image diverges from its own history at {shards} shards"
+        );
     }
 }
 

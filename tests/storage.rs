@@ -20,6 +20,7 @@
 use nebula::nebula_durable::checkpoint;
 use nebula::nebula_pagestore::file::CrashPoint;
 use nebula::nebula_pagestore::heap::RecordHeap;
+use nebula::nebula_pagestore::pool::MIN_FRAMES;
 use nebula::nebula_pagestore::PAGE_SIZE;
 use nebula::nebula_workload::{build_workload, WorkloadSpec};
 use nebula::prelude::*;
@@ -68,31 +69,39 @@ fn paged_pipeline_matches_mem_pipeline_at_every_worker_count() {
     let db_image = snapshot::save(&base.db);
     let mem_bytes = run_pipeline(&base.db, 1);
 
-    for workers in [1usize, 2, 8] {
-        let dir = temp_dir(&format!("parity-w{workers}"));
-        let store = PagedStorage::open(&dir, 8).expect("paged store");
-        // The same database, rehydrated onto the page file: every row and
-        // every posting block now reads through the buffer pool.
-        let paged_db = snapshot::load_with(&db_image, Some(Arc::new(store.clone())))
-            .expect("rehydrate onto pages");
-        assert!(paged_db.storage_label().contains("disk"), "rows actually live on disk");
-        let paged_bytes = run_pipeline(&paged_db, workers);
-        assert_eq!(
-            paged_bytes, mem_bytes,
-            "workers={workers}: paged checkpoint bytes == mem checkpoint bytes"
-        );
-        assert_eq!(
-            snapshot::fingerprint(&paged_db),
-            snapshot::fingerprint(&base.db),
-            "workers={workers}: database fingerprints agree"
-        );
-        // The paged run actually exercised the pool, and the file is
-        // durable and clean afterwards.
-        let m = store.metrics();
-        assert!(m.pool.hits + m.pool.misses > 0, "workers={workers}: reads hit the pool");
-        store.flush_pages().expect("final flush");
-        assert!(store.scrub().expect("scrub").is_clean(), "workers={workers}");
-        let _ = std::fs::remove_dir_all(&dir);
+    // Every worker count at two pool sizes: 8 frames, and the 2-frame floor
+    // where every row or posting read past two pages evicts.
+    for frames in [8usize, MIN_FRAMES] {
+        for workers in [1usize, 2, 8] {
+            let tag = format!("frames={frames} workers={workers}");
+            let dir = temp_dir(&format!("parity-f{frames}-w{workers}"));
+            let store = PagedStorage::open(&dir, frames).expect("paged store");
+            // The same database, rehydrated onto the page file: every row
+            // and every posting block now reads through the buffer pool.
+            let paged_db = snapshot::load_with(&db_image, Some(Arc::new(store.clone())))
+                .expect("rehydrate onto pages");
+            assert!(paged_db.storage_label().contains("disk"), "rows actually live on disk");
+            let paged_bytes = run_pipeline(&paged_db, workers);
+            assert_eq!(
+                paged_bytes, mem_bytes,
+                "{tag}: paged checkpoint bytes == mem checkpoint bytes"
+            );
+            assert_eq!(
+                snapshot::fingerprint(&paged_db),
+                snapshot::fingerprint(&base.db),
+                "{tag}: database fingerprints agree"
+            );
+            // The paged run actually exercised the pool, and the file is
+            // durable and clean afterwards.
+            let m = store.metrics();
+            assert!(m.pool.hits + m.pool.misses > 0, "{tag}: reads hit the pool");
+            if frames == MIN_FRAMES {
+                assert!(m.pool.evictions > 0, "{tag}: a 2-frame pool must evict");
+            }
+            store.flush_pages().expect("final flush");
+            assert!(store.scrub().expect("scrub").is_clean(), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
