@@ -23,6 +23,7 @@ use crate::patterns::Pattern;
 use relstore::schema::{ColumnId, TableId};
 use relstore::{DataType, Database};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Match strengths for `p(w, c)` — concept (schema) matching. Exact and
 /// equivalent-name matches rank above synonym matches (§5.2.1).
@@ -73,8 +74,20 @@ pub struct ColumnDomain {
     pub ontology: Option<HashSet<String>>,
     /// Syntactic pattern the values conform to.
     pub pattern: Option<Pattern>,
-    /// Sampled values (used when neither ontology nor pattern exists).
-    pub sample: Vec<String>,
+    /// Evidence from sampled values (used when neither ontology nor
+    /// pattern exists). Shared, so cloning the repository copies no value.
+    pub sample: Arc<SampleEvidence>,
+}
+
+/// What a drawn sample says about a column's values, compiled once by
+/// [`NebulaMeta::set_sample`] so that matching a word costs two hash
+/// lookups instead of a pass over the sample.
+#[derive(Debug, Default)]
+pub struct SampleEvidence {
+    /// The sampled values, ASCII-case-folded.
+    values: HashSet<String>,
+    /// The distinct character-class shapes among the sampled values.
+    shapes: HashSet<Vec<u8>>,
 }
 
 /// A schema object a word may reference — the paper's *rectangle* (table)
@@ -181,8 +194,12 @@ impl NebulaMeta {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        self.domain_mut(table, column).sample =
-            values.into_iter().map(|v| v.as_ref().to_string()).collect();
+        let mut evidence = SampleEvidence::default();
+        for v in values {
+            evidence.shapes.insert(shape_signature(v.as_ref()));
+            evidence.values.insert(v.as_ref().to_ascii_lowercase());
+        }
+        self.domain_mut(table, column).sample = Arc::new(evidence);
     }
 
     fn domain_mut(&mut self, table: &str, column: &str) -> &mut ColumnDomain {
@@ -214,78 +231,46 @@ impl NebulaMeta {
         out
     }
 
-    /// `p(w, c)`: schema objects the word may reference, with weights
-    /// (§5.2.1 Step 1). Only tables/columns appearing in `ConceptRefs`
-    /// participate.
-    pub fn match_concepts(&self, db: &Database, word: &str) -> Vec<(ConceptTarget, f64)> {
-        let w = word.to_lowercase();
-        // Plural concept words match their singular form ("genes JW0013
-        // and JW0014" must reach the `gene` concept) — the lexical
-        // normalization WordNet provides in the paper.
-        let singular = textsearch::singularize(&w);
-        let name_matches = |name: &str| {
-            name.eq_ignore_ascii_case(&w) || singular.as_deref() == Some(&name.to_lowercase())
+    /// The names `ConceptRefs` gives the schema objects of `db`, resolved
+    /// once so a whole annotation's words are matched against them
+    /// (`p(w, c)`, §5.2.1 Step 1). Only tables/columns appearing in
+    /// `ConceptRefs` participate.
+    pub fn concept_matcher<'a>(&'a self, db: &'a Database) -> ConceptMatcher<'a> {
+        // Tables and columns named in ConceptRefs match exactly; the
+        // concept's own display name is an equivalent of its table.
+        let mut names = Vec::new();
+        let mut name = |raw: &'a str, target, weight| {
+            names.push(ConceptName { raw, lower: raw.to_lowercase(), target, weight });
         };
-
-        let mut best: HashMap<ConceptTarget, f64> = HashMap::new();
-        let mut add = |target: ConceptTarget, weight: f64| {
-            let e = best.entry(target).or_insert(0.0);
-            if weight > *e {
-                *e = weight;
-            }
-        };
-
-        // Tables and columns named in ConceptRefs (exact name matches,
-        // including the concept's own display name as an equivalent).
         for cr in &self.concept_refs {
             let Some(tid) = db.catalog().resolve(&cr.table) else { continue };
-            if name_matches(&cr.table) {
-                add(ConceptTarget::Table(tid), concept_weights::EXACT);
-            }
-            if name_matches(&cr.concept) && !name_matches(&cr.table) {
-                add(ConceptTarget::Table(tid), concept_weights::EQUIVALENT);
-            }
+            name(&cr.table, ConceptTarget::Table(tid), concept_weights::EXACT);
+            name(&cr.concept, ConceptTarget::Table(tid), concept_weights::EQUIVALENT);
             let Some(table) = db.table(tid) else { continue };
-            for combo in &cr.referenced_by {
-                for col in combo {
-                    if let Some(cid) = table.schema().column_id(col) {
-                        if name_matches(col) {
-                            add(ConceptTarget::Column(tid, cid), concept_weights::EXACT);
-                        }
-                    }
+            for col in cr.referenced_by.iter().flatten() {
+                if let Some(cid) = table.schema().column_id(col) {
+                    name(col, ConceptTarget::Column(tid, cid), concept_weights::EXACT);
                 }
             }
         }
-        // Curator equivalents and lexicon synonyms (singular form too).
-        let alias_keys: Vec<&str> =
-            std::iter::once(w.as_str()).chain(singular.as_deref()).collect();
-        for key in &alias_keys {
-            if let Some(aliases) = self.table_aliases.get(*key) {
-                for (tname, weight) in aliases {
-                    if let Some(tid) = db.catalog().resolve(tname) {
-                        if self.table_in_concepts(tname) {
-                            add(ConceptTarget::Table(tid), *weight);
-                        }
-                    }
-                }
-            }
-            if let Some(aliases) = self.column_aliases.get(*key) {
-                for (tname, cname, weight) in aliases {
-                    if let Some(tid) = db.catalog().resolve(tname) {
-                        if let Some(cid) = db.table(tid).and_then(|t| t.schema().column_id(cname)) {
-                            add(ConceptTarget::Column(tid, cid), *weight);
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<(ConceptTarget, f64)> = best.into_iter().collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1));
-        out
+        ConceptMatcher { meta: self, db, names }
     }
 
     fn table_in_concepts(&self, table: &str) -> bool {
         self.concept_refs.iter().any(|cr| cr.table.eq_ignore_ascii_case(table))
+    }
+
+    /// A column's data type and declared domain, if the column exists.
+    fn column_domain(
+        &self,
+        db: &Database,
+        table: TableId,
+        column: ColumnId,
+    ) -> Option<(DataType, Option<&ColumnDomain>)> {
+        let schema = db.table(table)?.schema();
+        let def = schema.column(column)?;
+        let key = (schema.name.to_lowercase(), def.name.to_lowercase());
+        Some((def.data_type, self.domains.get(&key)))
     }
 
     /// `d(w, c)`: probability the word belongs to the domain of column
@@ -298,59 +283,24 @@ impl NebulaMeta {
         table: TableId,
         column: ColumnId,
     ) -> f64 {
-        let Some(t) = db.table(table) else { return 0.0 };
-        let Some(def) = t.schema().column(column) else { return 0.0 };
-        // Factor 1: data-type conformance.
-        if !type_conforms(word, def.data_type) {
-            return 0.0;
+        match self.column_domain(db, table, column) {
+            Some((ty, domain)) => domain_score(&WordForms::of(word), ty, domain),
+            None => 0.0,
         }
-        let table_name = t.schema().name.to_lowercase();
-        let domain = self.domains.get(&(table_name, def.name.to_lowercase()));
-        // Type conformance is the evidence floor; each further factor only
-        // raises the score (positive evidence accumulates by max — a word
-        // failing the pattern still type-conforms, which is exactly why
-        // the ε = 0.4 threshold is noisy in Figure 11(c)).
-        let mut score = domain_weights::TYPE_ONLY;
-        let Some(domain) = domain else { return score };
-        // Factor 2: ontology membership.
-        if let Some(ont) = &domain.ontology {
-            if ont.contains(&word.to_lowercase()) {
-                score = score.max(domain_weights::ONTOLOGY_MEMBER);
-            }
-        }
-        // Factor 3: syntactic pattern.
-        if let Some(p) = &domain.pattern {
-            if p.matches(word) {
-                score = score.max(domain_weights::PATTERN_MATCH);
-            }
-        }
-        // Factor 4: sample matching.
-        if !domain.sample.is_empty() {
-            if domain.sample.iter().any(|v| v.eq_ignore_ascii_case(word)) {
-                score = score.max(domain_weights::SAMPLE_EXACT);
-            } else {
-                let sig = shape_signature(word);
-                if domain.sample.iter().any(|v| shape_signature(v) == sig) {
-                    score = score.max(domain_weights::SAMPLE_SHAPE);
-                }
-            }
-        }
-        score
     }
 
-    /// `d(w, c)` across **all** target columns: every column for which the
-    /// word scores above zero, sorted by descending weight.
-    pub fn match_domains(&self, db: &Database, word: &str) -> Vec<(TableId, ColumnId, f64)> {
-        let mut out: Vec<(TableId, ColumnId, f64)> = self
+    /// The target columns of `db` with their types and declared domains,
+    /// resolved once so a whole annotation's words are scored against them.
+    pub fn domain_matcher(&self, db: &Database) -> DomainMatcher<'_> {
+        let columns = self
             .target_columns(db)
             .into_iter()
             .filter_map(|(t, c)| {
-                let w = self.domain_weight(db, word, t, c);
-                (w > 0.0).then_some((t, c, w))
+                let (ty, domain) = self.column_domain(db, t, c)?;
+                Some((t, c, ty, domain))
             })
             .collect();
-        out.sort_by(|a, b| b.2.total_cmp(&a.2));
-        out
+        DomainMatcher { columns }
     }
 
     /// Export the schema vocabulary for the keyword-search engine, so its
@@ -383,6 +333,145 @@ impl NebulaMeta {
         }
         vocab
     }
+}
+
+/// One name a `ConceptRefs` row gives a schema object.
+#[derive(Debug)]
+struct ConceptName<'a> {
+    raw: &'a str,
+    lower: String,
+    target: ConceptTarget,
+    weight: f64,
+}
+
+/// `p(w, c)` over one database; see [`NebulaMeta::concept_matcher`].
+#[derive(Debug)]
+pub struct ConceptMatcher<'a> {
+    meta: &'a NebulaMeta,
+    db: &'a Database,
+    names: Vec<ConceptName<'a>>,
+}
+
+impl ConceptMatcher<'_> {
+    /// Schema objects the word may reference, each with its best weight,
+    /// sorted by descending weight.
+    pub fn match_word(&self, word: &str) -> Vec<(ConceptTarget, f64)> {
+        let w = word.to_lowercase();
+        // Plural concept words match their singular form ("genes JW0013
+        // and JW0014" must reach the `gene` concept) — the lexical
+        // normalization WordNet provides in the paper.
+        let singular = textsearch::singularize(&w);
+
+        let mut best: Vec<(ConceptTarget, f64)> = Vec::new();
+        let mut add = |target: ConceptTarget, weight: f64| match best
+            .iter_mut()
+            .find(|(t, _)| *t == target)
+        {
+            Some((_, held)) => *held = held.max(weight),
+            None => best.push((target, weight)),
+        };
+
+        for name in &self.names {
+            if name.raw.eq_ignore_ascii_case(&w) || singular.as_deref() == Some(&name.lower) {
+                add(name.target, name.weight);
+            }
+        }
+        // Curator equivalents and lexicon synonyms (singular form too).
+        let (meta, db) = (self.meta, self.db);
+        for key in std::iter::once(w.as_str()).chain(singular.as_deref()) {
+            for (tname, weight) in meta.table_aliases.get(key).into_iter().flatten() {
+                if let Some(tid) = db.catalog().resolve(tname) {
+                    if meta.table_in_concepts(tname) {
+                        add(ConceptTarget::Table(tid), *weight);
+                    }
+                }
+            }
+            for (tname, cname, weight) in meta.column_aliases.get(key).into_iter().flatten() {
+                if let Some(tid) = db.catalog().resolve(tname) {
+                    if let Some(cid) = db.table(tid).and_then(|t| t.schema().column_id(cname)) {
+                        add(ConceptTarget::Column(tid, cid), *weight);
+                    }
+                }
+            }
+        }
+        best.sort_by(|a, b| b.1.total_cmp(&a.1));
+        best
+    }
+}
+
+/// `d(w, c)` over one database; see [`NebulaMeta::domain_matcher`].
+#[derive(Debug)]
+pub struct DomainMatcher<'a> {
+    columns: Vec<(TableId, ColumnId, DataType, Option<&'a ColumnDomain>)>,
+}
+
+impl DomainMatcher<'_> {
+    /// `d(w, c)` across **all** target columns: every column for which the
+    /// word scores above zero, sorted by descending weight.
+    pub fn match_word(&self, word: &str) -> Vec<(TableId, ColumnId, f64)> {
+        let forms = WordForms::of(word);
+        let mut out: Vec<(TableId, ColumnId, f64)> = self
+            .columns
+            .iter()
+            .filter_map(|&(t, c, ty, domain)| {
+                let w = domain_score(&forms, ty, domain);
+                (w > 0.0).then_some((t, c, w))
+            })
+            .collect();
+        out.sort_by(|a, b| b.2.total_cmp(&a.2));
+        out
+    }
+}
+
+/// A word in the forms the domain factors compare, derived once per word
+/// rather than once per column.
+struct WordForms<'w> {
+    raw: &'w str,
+    /// Lower-cased, as ontology terms are stored.
+    lower: String,
+    /// ASCII-case-folded, as sampled values are stored.
+    folded: String,
+    shape: Vec<u8>,
+}
+
+impl<'w> WordForms<'w> {
+    fn of(raw: &'w str) -> Self {
+        WordForms {
+            raw,
+            lower: raw.to_lowercase(),
+            folded: raw.to_ascii_lowercase(),
+            shape: shape_signature(raw),
+        }
+    }
+}
+
+/// `d(w, c)` for one column of the given type and declared domain.
+fn domain_score(word: &WordForms<'_>, ty: DataType, domain: Option<&ColumnDomain>) -> f64 {
+    // Factor 1: data-type conformance.
+    if !type_conforms(word.raw, ty) {
+        return 0.0;
+    }
+    // Type conformance is the evidence floor; each further factor only
+    // raises the score (positive evidence accumulates by max — a word
+    // failing the pattern still type-conforms, which is exactly why
+    // the ε = 0.4 threshold is noisy in Figure 11(c)).
+    let mut score = domain_weights::TYPE_ONLY;
+    let Some(domain) = domain else { return score };
+    // Factor 2: ontology membership.
+    if domain.ontology.as_ref().is_some_and(|ont| ont.contains(&word.lower)) {
+        score = score.max(domain_weights::ONTOLOGY_MEMBER);
+    }
+    // Factor 3: syntactic pattern.
+    if domain.pattern.as_ref().is_some_and(|p| p.matches(word.raw)) {
+        score = score.max(domain_weights::PATTERN_MATCH);
+    }
+    // Factor 4: sample matching — an exact value beats a shared shape.
+    if domain.sample.values.contains(&word.folded) {
+        score = score.max(domain_weights::SAMPLE_EXACT);
+    } else if domain.sample.shapes.contains(&word.shape) {
+        score = score.max(domain_weights::SAMPLE_SHAPE);
+    }
+    score
 }
 
 /// Can this word be a value of a column with the given type?
@@ -457,11 +546,11 @@ mod tests {
         let db = bio_db();
         let m = meta();
         let gene_t = db.catalog().resolve("gene").unwrap();
-        let exact = m.match_concepts(&db, "gene");
+        let exact = m.concept_matcher(&db).match_word("gene");
         assert_eq!(exact[0], (ConceptTarget::Table(gene_t), concept_weights::EXACT));
-        let syn = m.match_concepts(&db, "locus");
+        let syn = m.concept_matcher(&db).match_word("locus");
         assert_eq!(syn[0].1, concept_weights::SYNONYM);
-        assert!(m.match_concepts(&db, "banana").is_empty());
+        assert!(m.concept_matcher(&db).match_word("banana").is_empty());
     }
 
     #[test]
@@ -470,10 +559,10 @@ mod tests {
         let m = meta();
         let gene_t = db.catalog().resolve("gene").unwrap();
         let gid = db.table(gene_t).unwrap().schema().column_id("gid").unwrap();
-        let hits = m.match_concepts(&db, "id");
+        let hits = m.concept_matcher(&db).match_word("id");
         assert_eq!(hits[0], (ConceptTarget::Column(gene_t, gid), concept_weights::EQUIVALENT));
         // The column's own name matches exactly.
-        let hits = m.match_concepts(&db, "GID");
+        let hits = m.concept_matcher(&db).match_word("GID");
         assert_eq!(hits[0].1, concept_weights::EXACT);
     }
 
@@ -541,7 +630,7 @@ mod tests {
     fn match_domains_sorted_and_filtered() {
         let db = bio_db();
         let m = meta();
-        let hits = m.match_domains(&db, "JW0013");
+        let hits = m.domain_matcher(&db).match_word("JW0013");
         assert!(!hits.is_empty());
         assert!(hits.windows(2).all(|w| w[0].2 >= w[1].2));
         // gid (pattern match) should rank first.

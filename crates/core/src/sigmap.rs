@@ -133,10 +133,12 @@ pub fn generate_concept_map(
     words: &[Word],
     epsilon: f64,
 ) -> Vec<Vec<ConceptMapping>> {
+    let matcher = meta.concept_matcher(db);
     words
         .iter()
         .map(|w| {
-            meta.match_concepts(db, &w.text)
+            matcher
+                .match_word(&w.text)
                 .into_iter()
                 .filter(|(_, weight)| *weight >= epsilon)
                 .map(|(target, weight)| ConceptMapping { target, weight })
@@ -155,13 +157,15 @@ pub fn generate_value_map(
     words: &[Word],
     epsilon: f64,
 ) -> Vec<Vec<ValueMapping>> {
+    let matcher = meta.domain_matcher(db);
     words
         .iter()
         .map(|w| {
             if textsearch::is_stopword(&w.text) {
                 return Vec::new();
             }
-            meta.match_domains(db, &w.raw_for_matching())
+            matcher
+                .match_word(&w.raw_for_matching())
                 .into_iter()
                 .filter(|(_, _, weight)| *weight >= epsilon)
                 .map(|(table, column, weight)| ValueMapping { table, column, weight })

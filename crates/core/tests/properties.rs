@@ -174,3 +174,120 @@ proptest! {
         prop_assert_eq!(r.m_f, (n_verify_t + n_verify_f) as f64);
     }
 }
+
+/// `d(w, c)` as it was computed before samples were compiled into sets: a
+/// pass over the sampled values per word, comparing ASCII-case-folded
+/// values and then character-class shapes. Kept as the oracle for
+/// [`NebulaMeta::domain_weight`].
+fn reference_domain_weight(
+    word: &str,
+    ontology: Option<&[String]>,
+    pattern: Option<&Pattern>,
+    sample: &[String],
+) -> f64 {
+    use nebula_core::meta::domain_weights as w;
+    fn shape_signature(s: &str) -> Vec<u8> {
+        let mut out = Vec::new();
+        for ch in s.chars() {
+            let class = if ch.is_ascii_digit() {
+                b'd'
+            } else if ch.is_lowercase() {
+                b'l'
+            } else if ch.is_uppercase() {
+                b'u'
+            } else {
+                b'o'
+            };
+            if out.last() != Some(&class) {
+                out.push(class);
+            }
+        }
+        out
+    }
+    let mut score = w::TYPE_ONLY;
+    if ontology.is_some_and(|ont| ont.iter().any(|t| t.to_lowercase() == word.to_lowercase())) {
+        score = score.max(w::ONTOLOGY_MEMBER);
+    }
+    if pattern.is_some_and(|p| p.matches(word)) {
+        score = score.max(w::PATTERN_MATCH);
+    }
+    if !sample.is_empty() {
+        if sample.iter().any(|v| v.eq_ignore_ascii_case(word)) {
+            score = score.max(w::SAMPLE_EXACT);
+        } else {
+            let sig = shape_signature(word);
+            if sample.iter().any(|v| shape_signature(v) == sig) {
+                score = score.max(w::SAMPLE_SHAPE);
+            }
+        }
+    }
+    score
+}
+
+proptest! {
+    /// Compiled sample evidence gives bit-identical weights to the pass
+    /// over the sample it replaced, over mixed-case and non-ASCII values:
+    /// only ASCII letters fold (`Ä` is not `ä`), shapes use the Unicode
+    /// case classes.
+    #[test]
+    fn domain_weight_equals_the_sample_scanning_reference(
+        sample in proptest::collection::vec("[a-bA-B0-1ÄäÉéß -]{0,4}", 0..6),
+        ontology in proptest::collection::vec("[a-bA-BÄä]{1,3}", 0..3),
+        with_ontology in any::<bool>(),
+        with_pattern in any::<bool>(),
+        words in proptest::collection::vec("[a-bA-B0-1ÄäÉéß -]{0,4}", 1..12),
+    ) {
+        use nebula_core::NebulaMeta;
+        use relstore::{DataType, Database, TableSchema};
+
+        let mut db = Database::new();
+        let table = db
+            .create_table(
+                TableSchema::builder("Gene").column("Name", DataType::Text).build().unwrap(),
+            )
+            .unwrap();
+        let column = db.table(table).unwrap().schema().column_id("Name").unwrap();
+        let pattern = Pattern::compile("[A-B][a-b0-1]{0,3}").unwrap();
+
+        let mut meta = NebulaMeta::new();
+        meta.set_sample("gene", "name", &sample);
+        if with_ontology {
+            meta.set_ontology("gene", "name", &ontology);
+        }
+        if with_pattern {
+            meta.set_pattern("gene", "name", pattern.clone());
+        }
+        // A clone shares the compiled evidence and must answer alike.
+        let cloned = meta.clone();
+        for word in words.iter().chain(&sample) {
+            let want = reference_domain_weight(
+                word,
+                with_ontology.then_some(ontology.as_slice()),
+                with_pattern.then_some(&pattern),
+                &sample,
+            );
+            prop_assert_eq!(meta.domain_weight(&db, word, table, column).to_bits(), want.to_bits());
+            prop_assert_eq!(cloned.domain_weight(&db, word, table, column), want);
+        }
+    }
+}
+
+#[test]
+fn sample_matching_folds_ascii_only() {
+    use nebula_core::meta::domain_weights as w;
+    use nebula_core::NebulaMeta;
+    use relstore::{DataType, Database, TableSchema};
+
+    let mut db = Database::new();
+    let table = db
+        .create_table(TableSchema::builder("t").column("c", DataType::Text).build().unwrap())
+        .unwrap();
+    let column = db.table(table).unwrap().schema().column_id("c").unwrap();
+    let mut meta = NebulaMeta::new();
+    meta.set_sample("t", "c", ["Äb1"]);
+    assert_eq!(meta.domain_weight(&db, "ÄB1", table, column), w::SAMPLE_EXACT);
+    // `ä` is another character, not another case: only the shape (upper
+    // vs lower, then a letter run, then a digit) can match, and it does not.
+    assert_eq!(meta.domain_weight(&db, "äb1", table, column), w::TYPE_ONLY);
+    assert_eq!(meta.domain_weight(&db, "Éa0", table, column), w::SAMPLE_SHAPE);
+}

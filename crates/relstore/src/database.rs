@@ -266,7 +266,7 @@ impl Database {
         for orig in sorted {
             if let Some(tuple) = self.get(orig) {
                 // Skip rows whose PK already exists (duplicates collapse).
-                match mini.insert_into(orig.table, tuple.values.clone()) {
+                match mini.insert_into(orig.table, tuple.values) {
                     Ok(new_id) => {
                         back.insert(new_id, orig);
                     }

@@ -41,11 +41,12 @@ impl Predicate {
     pub fn matches(&self, tuple: &Tuple) -> bool {
         match self {
             Predicate::Eq(c, v) => tuple.get(*c) == Some(v),
-            Predicate::ContainsToken(c, token) => tuple
-                .get(*c)
-                .and_then(Value::as_text)
-                .map(|text| crate::index::tokenize(text).iter().any(|t| t == &token.to_lowercase()))
-                .unwrap_or(false),
+            Predicate::ContainsToken(c, token) => {
+                tuple.get(*c).and_then(Value::as_text).is_some_and(|text| {
+                    let needle = token.to_lowercase();
+                    crate::index::tokenize(text).contains(&needle)
+                })
+            }
             Predicate::NotNull(c) => tuple.get(*c).map(|v| !v.is_null()).unwrap_or(false),
         }
     }
@@ -178,7 +179,7 @@ impl ConjunctiveQuery {
             if let Predicate::Eq(c, v) = p {
                 let hits = table.lookup(*c, v);
                 if table.schema().column(*c).map(|d| d.indexed).unwrap_or(false) {
-                    // Inverted-index probes are counted inside `lookup`;
+                    // Inverted-index probes are counted inside the index;
                     // key-index probes are counted here.
                     nebula_obs::counter_add("relstore.index_probes", 1);
                     return Some(hits);
@@ -187,14 +188,7 @@ impl ConjunctiveQuery {
         }
         for p in &self.predicates {
             if let Predicate::ContainsToken(c, token) = p {
-                let ids: Vec<TupleId> = db
-                    .inverted_index()
-                    .lookup(token)
-                    .iter()
-                    .filter(|posting| posting.table == self.base && posting.column == *c)
-                    .map(|posting| posting.tuple)
-                    .collect();
-                return Some(ids);
+                return Some(db.inverted_index().pair_tuples(token, self.base, *c).into_owned());
             }
         }
         None

@@ -42,15 +42,6 @@ pub struct CompiledQuery {
     pub tokens: Vec<String>,
 }
 
-/// Document frequency of `token` within one `(table, column)` pair.
-fn pair_df(db: &Database, table: TableId, column: ColumnId, token: &str) -> usize {
-    db.inverted_index()
-        .lookup(token)
-        .iter()
-        .filter(|p| p.table == table && p.column == column)
-        .count()
-}
-
 /// Compile one configuration into zero or more queries.
 ///
 /// `keywords` is the original keyword list the configuration's mapping
@@ -107,7 +98,7 @@ pub fn compile_configuration(
             for token in kw_tokens {
                 q = q.with_predicate(Predicate::ContainsToken(*cid, token.clone()));
                 tokens.push(token.clone());
-                let df = pair_df(db, *base, *cid, token);
+                let df = db.inverted_index().pair_df(token, *base, *cid);
                 expected *= df as f64 / rows as f64;
             }
         }

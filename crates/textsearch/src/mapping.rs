@@ -166,15 +166,6 @@ pub fn is_fk_column(db: &Database, table: TableId, column: ColumnId) -> bool {
     db.catalog().outgoing(table).any(|fk| fk.from_table == table && fk.from_column == column)
 }
 
-/// Per-pair document frequency of one token.
-fn token_pair_df(db: &Database, token: &str) -> HashMap<(TableId, ColumnId), usize> {
-    let mut pair_df = HashMap::new();
-    for p in db.inverted_index().lookup(token).iter() {
-        *pair_df.entry((p.table, p.column)).or_insert(0) += 1;
-    }
-    pair_df
-}
-
 /// Weight of a `(table, column)` value mapping with the given document
 /// frequency: rarity (`value_weight`) × a scale-invariant coverage
 /// penalty (a token in nearly every row identifies nothing) × an FK damp
@@ -201,31 +192,32 @@ pub fn match_values(db: &Database, word: &str) -> Vec<(TableId, ColumnId, f64)> 
         return Vec::new();
     }
     // Intersect per-token pair sets, tracking the max df (= the least
-    // selective token) per surviving pair.
-    let mut acc: Option<HashMap<(TableId, ColumnId), usize>> = None;
+    // selective token) per surviving pair. The directory lists a token's
+    // pairs in ascending order, so the survivors stay sorted.
+    let mut acc: Option<Vec<((TableId, ColumnId), usize)>> = None;
     for token in &tokens {
-        let df = token_pair_df(db, token);
+        let df: Vec<_> = db.inverted_index().pair_counts(token).collect();
         if df.is_empty() {
             return Vec::new();
         }
         acc = Some(match acc {
             None => df,
-            Some(prev) => prev
+            Some(prev) => df
                 .into_iter()
-                .filter_map(|(pair, d)| df.get(&pair).map(|d2| (pair, d.max(*d2))))
+                .filter_map(|(pair, d2)| {
+                    let at = prev.binary_search_by_key(&pair, |e| e.0).ok()?;
+                    Some((pair, prev[at].1.max(d2)))
+                })
                 .collect(),
         });
     }
-    let mut out: Vec<(TableId, ColumnId, f64)> = acc
-        .unwrap_or_default()
+    acc.unwrap_or_default()
         .into_iter()
         .filter_map(|((t, c), df)| {
             let w = pair_value_weight(db, t, c, df);
             (w > f64::EPSILON).then_some((t, c, w))
         })
-        .collect();
-    out.sort_by_key(|a| (a.0, a.1));
-    out
+        .collect()
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 
 use relstore::schema::{ColumnId, TableId};
 use relstore::{ConjunctiveQuery, Database, JoinStep, Predicate, QueryResult, TupleId, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -46,7 +47,7 @@ impl PredKey {
 #[derive(Debug)]
 pub struct SharedExecutor<'a> {
     db: &'a Database,
-    memo: HashMap<PredKey, Rc<Vec<TupleId>>>,
+    memo: HashMap<PredKey, IdSet<'a>>,
     /// Predicate evaluations actually performed (cache misses).
     pub evaluations: usize,
     /// Predicate evaluations answered from the memo.
@@ -61,7 +62,7 @@ impl<'a> SharedExecutor<'a> {
 
     /// Evaluate one predicate table-wide, memoized. Returns the sorted
     /// tuple ids satisfying it.
-    fn eval_predicate(&mut self, table: TableId, p: &Predicate) -> Rc<Vec<TupleId>> {
+    fn eval_predicate(&mut self, table: TableId, p: &Predicate) -> IdSet<'a> {
         let key = PredKey::new(table, p);
         if let Some(hit) = self.memo.get(&key) {
             self.cache_hits += 1;
@@ -74,8 +75,8 @@ impl<'a> SharedExecutor<'a> {
         rc
     }
 
-    fn eval_uncached(&self, table: TableId, p: &Predicate) -> Vec<TupleId> {
-        let Some(t) = self.db.table(table) else { return Vec::new() };
+    fn eval_uncached(&self, table: TableId, p: &Predicate) -> Cow<'a, [TupleId]> {
+        let Some(t) = self.db.table(table) else { return Cow::Borrowed(&[]) };
         let mut ids: Vec<TupleId> = match p {
             Predicate::Eq(c, v) => t.lookup(*c, v),
             Predicate::ContainsToken(..)
@@ -86,15 +87,11 @@ impl<'a> SharedExecutor<'a> {
                 nebula_govern::note_recovered(nebula_govern::FaultSite::IndexProbe);
                 t.scan().filter(|tuple| p.matches(tuple)).map(|tuple| tuple.id).collect()
             }
-            Predicate::ContainsToken(c, token) => self
-                .db
-                .inverted_index()
-                .lookup(token)
-                .iter()
-                .filter(|posting| posting.table == table && posting.column == *c)
-                .map(|posting| posting.tuple)
-                .filter(|tid| t.is_live(*tid))
-                .collect(),
+            // One group of the term directory: live tuples only, already
+            // ascending and duplicate-free, borrowed when it is in RAM.
+            Predicate::ContainsToken(c, token) => {
+                return self.db.inverted_index().pair_tuples(token, table, *c);
+            }
             Predicate::NotNull(c) => t
                 .scan()
                 .filter(|tuple| tuple.get(*c).map(|v| !v.is_null()).unwrap_or(false))
@@ -103,7 +100,7 @@ impl<'a> SharedExecutor<'a> {
         };
         ids.sort();
         ids.dedup();
-        ids
+        Cow::Owned(ids)
     }
 
     /// Execute one query through the memo.
@@ -112,62 +109,83 @@ impl<'a> SharedExecutor<'a> {
             return Err(fault.into());
         }
         let mut inspected = 0usize;
-        // Intersect per-predicate result sets.
-        let mut candidates: Option<Vec<TupleId>> = None;
+        // Intersect per-predicate result sets, in query order; the first
+        // predicate's memoized set is shared, not copied.
+        let mut candidates: Option<IdSet<'a>> = None;
         for p in &q.predicates {
             let ids = self.eval_predicate(q.base, p);
             inspected += ids.len();
             nebula_govern::charge(nebula_govern::Resource::TuplesInspected, ids.len())?;
-            candidates = Some(match candidates {
-                None => ids.as_ref().clone(),
-                Some(prev) => intersect_sorted(&prev, &ids),
-            });
-            if matches!(candidates.as_deref(), Some([])) {
+            let narrowed = match candidates.take() {
+                None => ids,
+                Some(prev) => Rc::new(Cow::Owned(intersect_sorted(&prev, &ids))),
+            };
+            if candidates.insert(narrowed).is_empty() {
                 break;
             }
         }
-        let base_ids: Vec<TupleId> = match candidates {
+        let Some(table) = self.db.table(q.base) else {
+            return Ok(QueryResult { tuples: Vec::new(), inspected });
+        };
+        let base_ids: IdSet<'a> = match candidates {
             Some(ids) => ids,
-            None => match self.db.table(q.base) {
-                Some(t) => t.scan().map(|tuple| tuple.id).collect(),
-                None => Vec::new(),
-            },
+            None => Rc::new(Cow::Owned(table.scan().map(|tuple| tuple.id).collect())),
         };
         // Apply join steps: a base tuple qualifies if every join step has a
-        // partner in its memoized qualifying set.
+        // partner in the step's qualifying set. Each set is built when the
+        // first base tuple reaches its step and kept for the rest of the
+        // query (outer `None`: not built yet; inner `None`: a step without
+        // predicates). Base ids ascend, so the output does too.
+        let mut qualifying: Vec<Option<Option<IdSet<'a>>>> = vec![None; q.joins.len()];
         let mut out = Vec::new();
-        'tuples: for tid in base_ids {
-            let Some(tuple) = self.db.get(tid) else { continue };
-            inspected += 1;
-            nebula_govern::charge(nebula_govern::Resource::TuplesInspected, 1)?;
-            for step in &q.joins {
-                if !self.join_matches(&tuple, step) {
-                    continue 'tuples;
+        'tuples: for &tid in base_ids.iter() {
+            if q.joins.is_empty() {
+                // Nothing reads the row: liveness is all that is asked.
+                if !table.is_live(tid) {
+                    continue;
+                }
+                inspected += 1;
+                nebula_govern::charge(nebula_govern::Resource::TuplesInspected, 1)?;
+            } else {
+                let Some(tuple) = self.db.get(tid) else { continue };
+                inspected += 1;
+                nebula_govern::charge(nebula_govern::Resource::TuplesInspected, 1)?;
+                for (step, slot) in q.joins.iter().zip(&mut qualifying) {
+                    let set = slot.get_or_insert_with(|| self.qualifying_set(step));
+                    if !self.join_matches(&tuple, step, set) {
+                        continue 'tuples;
+                    }
                 }
             }
             out.push(tid);
         }
-        out.sort();
-        out.dedup();
         Ok(QueryResult { tuples: out, inspected })
     }
 
-    /// Whether `tuple` has a partner in `step.table` satisfying the step's
-    /// predicates, using memoized per-predicate sets on the joined table.
-    fn join_matches(&mut self, tuple: &relstore::Tuple, step: &JoinStep) -> bool {
-        // Qualifying set of the joined table under the step's predicates.
-        let qualifying: Option<Vec<TupleId>> = {
-            let mut acc: Option<Vec<TupleId>> = None;
-            for p in &step.predicates {
-                let ids = self.eval_predicate(step.table, p);
-                acc = Some(match acc {
-                    None => ids.as_ref().clone(),
-                    Some(prev) => intersect_sorted(&prev, &ids),
-                });
-            }
-            acc
-        };
-        let holds = |pid: TupleId, qualifying: &Option<Vec<TupleId>>| match qualifying {
+    /// Tuples of the joined table satisfying every predicate of the step,
+    /// from memoized per-predicate sets (`None`: the step has no predicate,
+    /// every partner qualifies).
+    fn qualifying_set(&mut self, step: &JoinStep) -> Option<IdSet<'a>> {
+        let mut acc: Option<IdSet<'a>> = None;
+        for p in &step.predicates {
+            let ids = self.eval_predicate(step.table, p);
+            acc = Some(match acc {
+                None => ids,
+                Some(prev) => Rc::new(Cow::Owned(intersect_sorted(&prev, &ids))),
+            });
+        }
+        acc
+    }
+
+    /// Whether `tuple` has a partner in `step.table` within the step's
+    /// qualifying set.
+    fn join_matches(
+        &self,
+        tuple: &relstore::Tuple,
+        step: &JoinStep,
+        set: &Option<IdSet<'a>>,
+    ) -> bool {
+        let holds = |pid: TupleId| match set {
             None => true,
             Some(ids) => ids.binary_search(&pid).is_ok(),
         };
@@ -177,7 +195,7 @@ impl<'a> SharedExecutor<'a> {
                 continue;
             }
             if let Some(pid) = self.db.follow_fk(tuple, fk) {
-                if holds(pid, &qualifying) {
+                if holds(pid) {
                     return true;
                 }
             }
@@ -189,10 +207,8 @@ impl<'a> SharedExecutor<'a> {
             }
             let Some(key) = tuple.key() else { continue };
             if let Some(t) = self.db.table(fk.from_table) {
-                for pid in t.lookup(fk.from_column, key) {
-                    if holds(pid, &qualifying) {
-                        return true;
-                    }
+                if t.lookup(fk.from_column, key).into_iter().any(holds) {
+                    return true;
                 }
             }
         }
@@ -218,19 +234,27 @@ impl<'a> SharedExecutor<'a> {
     }
 }
 
-/// Intersection of two ascending-sorted id lists.
+/// A shared, strictly ascending answer set: borrowed from the term
+/// directory when the index holds the group in RAM, owned otherwise.
+type IdSet<'a> = Rc<Cow<'a, [TupleId]>>;
+
+/// Intersection of two strictly ascending id lists: walk the shorter and
+/// gallop through the longer, so the cost follows the shorter list.
 fn intersect_sorted(a: &[TupleId], b: &[TupleId]) -> Vec<TupleId> {
-    let mut out = Vec::with_capacity(a.len().min(b.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+    let (short, mut long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let mut out = Vec::new();
+    for id in short {
+        // Double the window until it holds the first element >= id.
+        let mut bound = 1;
+        while bound < long.len() && long[bound] < *id {
+            bound *= 2;
+        }
+        let window = &long[bound / 2..long.len().min(bound + 1)];
+        long = &long[bound / 2 + window.partition_point(|x| x < id)..];
+        match long.first() {
+            None => break,
+            Some(hit) if hit == id => out.push(*id),
+            Some(_) => {}
         }
     }
     out

@@ -107,3 +107,121 @@ proptest! {
         }
     }
 }
+
+/// Two FK-linked tables of short text rows for the executor differential.
+fn build_joined_db(genes: &[(String, String)], proteins: &[(String, usize)]) -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::builder("gene")
+            .column("gid", DataType::Int)
+            .column("name", DataType::Text)
+            .column("family", DataType::Text)
+            .primary_key("gid")
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.create_table(
+        TableSchema::builder("protein")
+            .column("pid", DataType::Int)
+            .column("pname", DataType::Text)
+            .column("gene_id", DataType::Int)
+            .primary_key("pid")
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    db.add_foreign_key("protein", "gene_id", "gene").unwrap();
+    for (i, (name, family)) in genes.iter().enumerate() {
+        let row =
+            vec![Value::Int(i as i64), Value::text(name.clone()), Value::text(family.clone())];
+        db.insert("gene", row).unwrap();
+    }
+    for (i, (pname, gene)) in proteins.iter().enumerate() {
+        let gene = Value::Int((gene % genes.len()) as i64);
+        db.insert("protein", vec![Value::Int(i as i64), Value::text(pname.clone()), gene]).unwrap();
+    }
+    db
+}
+
+proptest! {
+    /// The memoizing executor against the reference executor, on random
+    /// conjunctive queries (1–3 token predicates, 0–1 join step) over a
+    /// database with deleted rows: the same tuples, and `inspected` — the
+    /// budget's unit — equal to the size of each evaluated predicate's
+    /// answer set (evaluation stops at the first empty prefix) plus the
+    /// live base ids. Both with the index answering and with every probe
+    /// failing over to a scan.
+    #[test]
+    fn shared_executor_agrees_with_the_reference_and_counts_answer_sets(
+        genes in proptest::collection::vec(("[a-c]{1,2}( [a-c]{1,2}){0,2}", "[a-c]{1,2}"), 1..12),
+        proteins in proptest::collection::vec(("[a-c]{1,2}( [a-c]{1,2}){0,2}", 0usize..12), 0..16),
+        deleted in proptest::collection::vec(any::<prop::sample::Index>(), 0..4),
+        base_is_gene in any::<bool>(),
+        predicates in proptest::collection::vec((0usize..2, "[a-c]{1,2}"), 1..4),
+        join in proptest::collection::vec((0usize..2, "[a-c]{1,2}"), 0..3),
+        with_join in any::<bool>(),
+    ) {
+        use relstore::{ColumnId, ConjunctiveQuery, JoinStep, Predicate, TupleId};
+        use textsearch::SharedExecutor;
+
+        let mut db = build_joined_db(&genes, &proteins);
+        let gene = db.catalog().resolve("gene").unwrap();
+        let protein = db.catalog().resolve("protein").unwrap();
+        for ix in &deleted {
+            let victims: Vec<TupleId> = db.table(gene).unwrap().scan().map(|t| t.id).collect();
+            if victims.len() > 1 {
+                db.delete(victims[ix.index(victims.len())]);
+            }
+        }
+        // Text columns: gene.name / gene.family, protein.pname (twice).
+        let text_column = |table, pick: usize| match (table == gene, pick) {
+            (true, 0) => ColumnId(1),
+            (true, _) => ColumnId(2),
+            (false, _) => ColumnId(1),
+        };
+        let (base, other) = if base_is_gene { (gene, protein) } else { (protein, gene) };
+        let mut q = ConjunctiveQuery::scan(base);
+        for (pick, token) in &predicates {
+            q = q.with_predicate(Predicate::ContainsToken(text_column(base, *pick), token.clone()));
+        }
+        if with_join {
+            q = q.with_join(JoinStep {
+                table: other,
+                predicates: join
+                    .iter()
+                    .map(|(pick, t)| Predicate::ContainsToken(text_column(other, *pick), t.clone()))
+                    .collect(),
+            });
+        }
+
+        // Answer sets by brute force over the live rows.
+        let mut expected_inspected = 0usize;
+        let mut survivors: Option<Vec<TupleId>> = None;
+        for p in &q.predicates {
+            let answer: Vec<TupleId> =
+                db.table(base).unwrap().scan().filter(|t| p.matches(t)).map(|t| t.id).collect();
+            expected_inspected += answer.len();
+            let kept: Vec<TupleId> = match &survivors {
+                None => answer,
+                Some(prev) => prev.iter().copied().filter(|t| answer.contains(t)).collect(),
+            };
+            let exhausted = kept.is_empty();
+            survivors = Some(kept);
+            if exhausted {
+                break;
+            }
+        }
+        expected_inspected += survivors.map_or(0, |s| s.len());
+
+        for plan in [None, Some(nebula_govern::FaultPlan::new(7).with_index_probe(1.0))] {
+            nebula_govern::set_fault_plan(plan);
+            let shared = SharedExecutor::new(&db).execute(&q);
+            let reference = q.execute(&db);
+            nebula_govern::set_fault_plan(None);
+            let (shared, reference) = (shared.unwrap(), reference.unwrap());
+            prop_assert_eq!(&shared.tuples, &reference.tuples);
+            prop_assert_eq!(shared.inspected, expected_inspected);
+        }
+    }
+}

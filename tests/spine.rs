@@ -32,3 +32,55 @@ fn spine_builds_and_every_workload_passes_its_output_check() {
         String::from_utf8_lossy(&output.stderr)
     );
 }
+
+/// The first number after `"<key>": ` at or after `from` in `text`,
+/// whether it stands alone or opens a `{"value": …}` metric object.
+fn number_after(text: &str, from: usize, key: &str) -> f64 {
+    let needle = format!("\"{key}\": ");
+    let at = from + text[from..].find(&needle).unwrap_or_else(|| panic!("no {key}")) + needle.len();
+    let rest = text[at..].trim_start_matches("{\"value\": ");
+    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+    rest[..end].trim().parse().unwrap_or_else(|e| panic!("{key}: {e} in {:?}", &rest[..end]))
+}
+
+/// The work counts of `ram-seq` are machine-independent and repeat
+/// exactly: a change to the index or the executor that alters how many
+/// configurations, queries, probes, tuples or edges an annotation costs
+/// is a change of behaviour, not of speed. `BENCH_pr18.json` records them
+/// for the parent commit and for the change that made stages 1–2 answer
+/// from the term directory; this run must reproduce them to the digit.
+#[test]
+#[ignore = "generates D_large and runs a traced round (~10 s); the CI `spine` job runs it"]
+fn ram_seq_work_counts_match_the_checked_in_trajectory() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let spine = root.join("spine");
+    let output = Command::new(env!("CARGO"))
+        .args(["run", "--release", "--quiet", "--offline", "--manifest-path"])
+        .arg(spine.join("Cargo.toml"))
+        .args(["--", "--workload", "ram-seq", "--trace", "1", "--seconds", "1"])
+        .env("CARGO_TARGET_DIR", spine.join("target"))
+        .output()
+        .expect("cargo starts");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(output.status.success(), "spine failed:\n{stdout}");
+    let result = stdout.lines().last().expect("a result line");
+
+    let bench = std::fs::read_to_string(root.join("BENCH_pr18.json")).expect("checked-in file");
+    let counts = bench.find("\"exact_counts\"").expect("exact_counts section");
+    let ram_seq = counts + bench[counts..].find("\"ram-seq\"").expect("ram-seq counts");
+    for metric in [
+        "textsearch.tuples_inspected_per_annotation",
+        "relstore.index_probes_per_annotation",
+        "textsearch.compiled_per_annotation",
+        "textsearch.configurations_per_annotation",
+        "core.queries_per_annotation",
+        "core.candidates_per_annotation",
+        "annostore.edges_added_per_annotation",
+    ] {
+        assert_eq!(
+            number_after(result, 0, metric),
+            number_after(&bench, ram_seq, metric),
+            "{metric} moved"
+        );
+    }
+}

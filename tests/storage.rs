@@ -25,6 +25,7 @@ use nebula::nebula_pagestore::PAGE_SIZE;
 use nebula::nebula_workload::{build_workload, WorkloadSpec};
 use nebula::prelude::*;
 use nebula::relstore::snapshot;
+use nebula::relstore::{ColumnId, TableId};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -391,4 +392,160 @@ fn regenerate_golden_page_file() {
     build_golden(&dir);
     // Drop the shadow leftovers: only the page file itself is the format.
     checked_in_golden_page_file_is_reproduced_byte_for_byte();
+}
+
+/// The vocabulary the index property test draws cell text from: few
+/// tokens, so groups grow long; mixed case and a repeat, so folding and
+/// in-cell duplicates are exercised.
+const CELL_TEXTS: [&str; 8] = [
+    "alpha",
+    "beta gamma",
+    "Alpha BETA",
+    "gamma gamma delta",
+    "delta-epsilon",
+    "common alpha",
+    "common",
+    "",
+];
+
+fn index_schema(name: &str) -> nebula::relstore::TableSchema {
+    nebula::relstore::TableSchema::builder(name)
+        .column("id", DataType::Int)
+        .column("title", DataType::Text)
+        .column("body", DataType::Text)
+        .primary_key("id")
+        .build()
+        .expect("valid schema")
+}
+
+/// What the term directory must say, from a scan of the live rows through
+/// the tokenizer: `token → (table, column) → ascending tuples`.
+fn scan_postings(
+    db: &nebula::relstore::Database,
+) -> BTreeMap<String, BTreeMap<(TableId, ColumnId), Vec<TupleId>>> {
+    let mut expect: BTreeMap<String, BTreeMap<(TableId, ColumnId), Vec<TupleId>>> = BTreeMap::new();
+    for (table_id, _) in db.catalog().iter() {
+        let table = db.table(table_id).expect("catalogued table");
+        for tuple in table.scan() {
+            for (column, _) in table.schema().iter_columns() {
+                let Some(text) = tuple.get(column).and_then(Value::as_text) else { continue };
+                for token in nebula::relstore::index::tokenize(text) {
+                    let ids =
+                        expect.entry(token).or_default().entry((table_id, column)).or_default();
+                    if ids.last() != Some(&tuple.id) {
+                        ids.push(tuple.id);
+                    }
+                }
+            }
+        }
+    }
+    expect
+}
+
+mod index_properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The term directory on either backend equals a brute-force scan
+        /// after every insert, update and delete: per-pair counts, pair
+        /// df and pair tuple lists agree for every token, lists ascend
+        /// strictly, and `lookup` is equal across backends *in order*.
+        /// The seed rows put one token in enough rows to span several
+        /// posting blocks, with gaps that later updates fill (a block
+        /// that is full must split, and an old tuple id must land in the
+        /// middle of its group).
+        #[test]
+        fn term_directory_equals_a_scan_on_both_backends(
+            ops in proptest::collection::vec(
+                (0u8..4, any::<prop::sample::Index>(), 0usize..CELL_TEXTS.len(), 0usize..CELL_TEXTS.len()),
+                1..24,
+            ),
+        ) {
+            let dir = temp_dir("index-props");
+            let store = PagedStorage::open(&dir, 8).expect("paged store");
+            let mut dbs =
+                [Database::new(), Database::with_storage(Arc::new(store.clone()))];
+            let mut rows: Vec<TupleId> = Vec::new();
+            let mut next_key = 300i64;
+            for db in &mut dbs {
+                db.create_table(index_schema("paper")).expect("fresh name");
+                db.create_table(index_schema("note")).expect("fresh name");
+            }
+            for i in 0..next_key {
+                let title = if i % 7 == 3 { "sparse" } else { "common title" };
+                let row = vec![Value::Int(i), Value::text(title), Value::text("body")];
+                let ids = dbs.each_mut().map(|db| db.insert("paper", row.clone()).expect("insert"));
+                prop_assert_eq!(ids[0], ids[1]);
+                rows.push(ids[0]);
+            }
+
+            for (kind, pick, title, body) in ops {
+                let values = |key: i64| {
+                    vec![Value::Int(key), Value::text(CELL_TEXTS[title]), Value::text(CELL_TEXTS[body])]
+                };
+                match kind {
+                    0 => {
+                        let table = if pick.index(2) == 0 { "paper" } else { "note" };
+                        let ids = dbs
+                            .each_mut()
+                            .map(|db| db.insert(table, values(next_key)).expect("insert"));
+                        prop_assert_eq!(ids[0], ids[1]);
+                        rows.push(ids[0]);
+                        next_key += 1;
+                    }
+                    1 | 2 if !rows.is_empty() => {
+                        let tid = rows[pick.index(rows.len())];
+                        let key = dbs[0].get(tid).expect("live row").values[0].clone();
+                        let Value::Int(key) = key else { unreachable!("integer key") };
+                        for db in &mut dbs {
+                            db.update(tid, values(key)).expect("update");
+                        }
+                    }
+                    _ if !rows.is_empty() => {
+                        let tid = rows.swap_remove(pick.index(rows.len()));
+                        for db in &mut dbs {
+                            prop_assert!(db.delete(tid));
+                        }
+                    }
+                    _ => {}
+                }
+
+                let expect = scan_postings(&dbs[0]);
+                let mut tokens: Vec<&str> = expect.keys().map(String::as_str).collect();
+                tokens.extend(["ALPHA", "absent"]);
+                for token in tokens {
+                    let want = expect.get(&token.to_lowercase()).cloned().unwrap_or_default();
+                    let flat: Vec<(TableId, ColumnId, TupleId)> = want
+                        .iter()
+                        .flat_map(|(&(t, c), ids)| ids.iter().map(move |&id| (t, c, id)))
+                        .collect();
+                    for db in &dbs {
+                        let index = db.inverted_index();
+                        let counts: Vec<_> = index.pair_counts(token).collect();
+                        let want_counts: Vec<_> =
+                            want.iter().map(|(&pair, ids)| (pair, ids.len())).collect();
+                        prop_assert_eq!(counts, want_counts, "pair counts of {}", token);
+                        for (&(t, c), ids) in &want {
+                            prop_assert_eq!(index.pair_df(token, t, c), ids.len());
+                            let got = index.pair_tuples(token, t, c);
+                            prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
+                            prop_assert_eq!(&*got, ids.as_slice(), "pair tuples of {}", token);
+                        }
+                        prop_assert_eq!(index.pair_df(token, TableId(9), ColumnId(0)), 0);
+                        prop_assert!(index.pair_tuples(token, TableId(9), ColumnId(0)).is_empty());
+                        let lookup: Vec<_> = index
+                            .lookup(token)
+                            .iter()
+                            .map(|p| (p.table, p.column, p.tuple))
+                            .collect();
+                        prop_assert_eq!(&lookup, &flat, "lookup order of {}", token);
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
 }
