@@ -11,11 +11,7 @@
 //!   fig15a fig15b            verification & assessment criteria
 //!   naive-assess             §8.2 naive-baseline assessment
 //!   profile                  Figure 7 hop profile + K selection
-//!   durability               WAL append overhead + recovery vs log length
-//!   overload                 concurrent ingest under arrival pressure
-//!   replication              WAL shipping under transport faults
-//!   repair                   reconvergence cost vs divergence depth
-//!   ablation-acg ablation-querygen ablation-stability
+//!   ablation-acg ablation-learn ablation-querygen ablation-stability
 //!   all                      everything above
 //! ```
 //!
@@ -24,15 +20,8 @@
 //! `--metrics[=DIR]` turns on the telemetry subsystem and writes one JSON
 //! snapshot per experiment (work counters, stage latency histograms,
 //! recent pipeline events) to `DIR/<experiment>.json` (default `metrics/`).
-//!
-//! `--traces[=DIR]` turns on end-to-end tracing and writes the span trees
-//! retained at the end of each experiment (full JSON, durations included)
-//! to `DIR/<experiment>.trace.json` (default `traces/`).
 
-use nebula_bench::{
-    ablation, degradation, durability, fig11, fig12, fig13, fig14, fig15, overload, profile,
-    repair, replication, Scale, Setup,
-};
+use nebula_bench::{ablation, fig11, fig12, fig13, fig14, fig15, profile, Scale, Setup};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,15 +35,6 @@ fn main() {
     });
     if metrics_dir.is_some() {
         nebula_obs::set_enabled(true);
-    }
-    let traces_dir: Option<std::path::PathBuf> = args.iter().find_map(|a| {
-        a.strip_prefix("--traces").map(|rest| match rest.strip_prefix('=') {
-            Some(dir) if !dir.is_empty() => dir.into(),
-            _ => std::path::PathBuf::from("traces"),
-        })
-    });
-    if traces_dir.is_some() {
-        nebula_obs::trace::set_enabled(true);
     }
     let experiments: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
@@ -72,11 +52,6 @@ fn main() {
             "fig15b",
             "naive-assess",
             "profile",
-            "degradation",
-            "durability",
-            "overload",
-            "replication",
-            "repair",
             "ablation-acg",
             "ablation-learn",
             "ablation-querygen",
@@ -85,9 +60,8 @@ fn main() {
     } else if experiments.contains(&"help") {
         println!(
             "experiments: fig11a fig11b fig11c fig12a fig12b fig13 fig14a fig14b \
-             fig15a fig15b naive-assess profile degradation durability overload \
-             replication repair ablation-acg ablation-learn ablation-querygen \
-             ablation-stability all"
+             fig15a fig15b naive-assess profile ablation-acg ablation-learn \
+             ablation-querygen ablation-stability all"
         );
         return;
     } else {
@@ -115,11 +89,6 @@ fn main() {
         // Per-experiment metrics: diff against the counters accumulated so
         // far, so each sidecar reports only its own experiment's work.
         let baseline = metrics_dir.as_ref().map(|_| nebula_obs::snapshot());
-        if traces_dir.is_some() {
-            // Fresh ring per experiment so each sidecar carries only its
-            // own span trees.
-            nebula_obs::trace::reset();
-        }
         match exp {
             "fig11a" | "fig11b" | "fig11c" => {
                 let setup = get_large!();
@@ -206,31 +175,6 @@ fn main() {
                     }
                 }
             }
-            "degradation" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                degradation::table(&degradation::run(&setup, 100)).print();
-            }
-            "durability" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                let (cells, recovery) = durability::run(&setup, 100);
-                durability::table(&cells).print();
-                durability::recovery_table(&recovery).print();
-            }
-            "overload" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                overload::table(&overload::run(&setup, if fast { 40 } else { 96 })).print();
-            }
-            "replication" => {
-                eprintln!("[reproduce] generating D_small ...");
-                let setup = Setup::small(scale);
-                replication::table(&replication::run(&setup, if fast { 30 } else { 80 })).print();
-            }
-            "repair" => {
-                repair::table(&repair::run(if fast { 48 } else { 160 })).print();
-            }
             "profile" => {
                 let setup = get_large!();
                 let p = profile::build_profile(setup, if fast { 30 } else { 120 });
@@ -257,21 +201,6 @@ fn main() {
                 eprintln!(
                     "[reproduce] metrics sidecar → {}",
                     dir.join(format!("{exp}.json")).display()
-                );
-            }
-        }
-        if let Some(dir) = &traces_dir {
-            let traces = nebula_obs::trace::traces();
-            let json = nebula_obs::trace::render_traces_json(&traces, true);
-            let path = dir.join(format!("{exp}.trace.json"));
-            if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json))
-            {
-                eprintln!("[reproduce] failed to write trace sidecar for {exp}: {e}");
-            } else {
-                eprintln!(
-                    "[reproduce] trace sidecar → {} ({} trace(s))",
-                    path.display(),
-                    traces.len()
                 );
             }
         }

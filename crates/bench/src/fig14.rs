@@ -9,8 +9,8 @@
 use crate::setup::Setup;
 use crate::table::{fmt_duration, Table};
 use nebula_core::{
-    build_minidb, distort, generate_queries, identify_related_tuples, translate_candidates,
-    ExecutionConfig, QueryGenConfig,
+    distort, generate_queries, identify_related_tuples, spreading_search, ExecutionConfig,
+    QueryGenConfig,
 };
 use std::time::Instant;
 use textsearch::{ExecutionMode, KeywordSearch, SearchOptions};
@@ -78,25 +78,19 @@ pub fn run_dataset(setup: &Setup, max_bytes: usize) -> Vec<FocalCell> {
                     }
                     Some(k) => {
                         let t0 = Instant::now();
-                        let (mini, back) = build_minidb(&setup.bundle.db, &setup.acg, &focal, k);
-                        let mini_engine = KeywordSearch::new(SearchOptions {
-                            vocab: setup.bundle.meta.to_vocabulary(&mini),
-                            ..Default::default()
-                        });
-                        let (cands, _) = identify_related_tuples(
-                            &mini,
-                            &mini_engine,
+                        let (cands, _, mini_size) = spreading_search(
+                            &setup.bundle.db,
+                            &setup.bundle.meta,
+                            &setup.acg,
                             &queries,
-                            &[],
-                            None,
+                            &focal,
+                            k,
                             &ExecutionConfig { acg_adjustment: false, ..exec },
                         )
                         .expect("ungoverned search cannot fail");
-                        let mut cands = translate_candidates(cands, &back);
-                        cands.retain(|c| !focal.contains(&c.tuple));
                         seconds += t0.elapsed().as_secs_f64() / n;
                         tuples += cands.len() as f64 / n;
-                        minidb_tuples += mini.total_tuples() as f64 / n;
+                        minidb_tuples += mini_size as f64 / n;
                     }
                 }
             }

@@ -10,9 +10,9 @@
 use crate::setup::{Setup, SEED};
 use crate::table::{fmt_pct, Table};
 use nebula_core::{
-    assess_predictions, build_minidb, distort, generate_queries, identify_related_tuples,
-    translate_candidates, AssessmentReport, BoundsSetting, Candidate, ExecutionConfig,
-    QueryGenConfig, TrainingExample, VerificationBounds,
+    assess_predictions, distort, generate_queries, identify_related_tuples, spreading_search,
+    AssessmentReport, BoundsSetting, Candidate, ExecutionConfig, QueryGenConfig, TrainingExample,
+    VerificationBounds,
 };
 use nebula_workload::{build_workload, WorkloadAnnotation, WorkloadSpec};
 use textsearch::{naive_search, ExecutionMode, KeywordSearch, SearchOptions};
@@ -92,24 +92,20 @@ pub fn candidates_for(
             .expect("ungoverned search cannot fail")
             .0
         }
+        // Unadjusted, unlike the engine's spreading arm: see the miniDB
+        // entry of DESIGN.md's *Key design decisions*.
         Some(k) => {
-            let (mini, back) = build_minidb(&setup.bundle.db, &setup.acg, &focal, k);
-            let engine = KeywordSearch::new(SearchOptions {
-                vocab: setup.bundle.meta.to_vocabulary(&mini),
-                ..Default::default()
-            });
-            let (cands, _) = identify_related_tuples(
-                &mini,
-                &engine,
+            spreading_search(
+                &setup.bundle.db,
+                &setup.bundle.meta,
+                &setup.acg,
                 &queries,
-                &[],
-                None,
+                &focal,
+                k,
                 &ExecutionConfig { acg_adjustment: false, ..exec },
             )
-            .expect("ungoverned search cannot fail");
-            let mut cands = translate_candidates(cands, &back);
-            cands.retain(|c| !focal.contains(&c.tuple));
-            cands
+            .expect("ungoverned search cannot fail")
+            .0
         }
     };
     (cands, focal)

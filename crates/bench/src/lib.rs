@@ -10,17 +10,12 @@
 //! the experiment list.
 
 pub mod ablation;
-pub mod degradation;
-pub mod durability;
 pub mod fig11;
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod fig15;
-pub mod overload;
 pub mod profile;
-pub mod repair;
-pub mod replication;
 pub mod setup;
 pub mod table;
 

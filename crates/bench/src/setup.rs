@@ -1,6 +1,6 @@
-//! Shared experiment setup: datasets, workloads, and engine builders.
+//! Shared experiment setup: datasets and workloads.
 
-use nebula_core::{Acg, Nebula, NebulaConfig, NebulaMeta};
+use nebula_core::Acg;
 use nebula_workload::{
     build_workload, generate_dataset, DatasetBundle, DatasetSpec, WorkloadSet, WorkloadSpec,
 };
@@ -92,20 +92,6 @@ impl Setup {
     /// The workload set with the given byte cap.
     pub fn set(&self, max_bytes: usize) -> &WorkloadSet {
         self.workload.iter().find(|s| s.max_bytes == max_bytes).expect("workload set exists")
-    }
-
-    /// A Nebula engine over this dataset with the given config, ACG
-    /// pre-loaded.
-    pub fn engine(&self, config: NebulaConfig) -> Nebula {
-        let mut nebula = Nebula::new(config, self.meta());
-        *nebula.acg_mut() = self.acg.clone();
-        nebula.acg_mut().set_stable(true);
-        nebula
-    }
-
-    /// A fresh copy of the dataset's NebulaMeta.
-    pub fn meta(&self) -> NebulaMeta {
-        self.bundle.meta.clone()
     }
 }
 

@@ -213,6 +213,7 @@ impl Acg {
     /// `from` to `to`, within `max_hops` — the §6.2 extension that rewards
     /// indirect focal connections by multiplying the in-between edge
     /// weights. `None` when unreachable; `Some(1.0)` when `from == to`.
+    /// Among equal-length paths the one through the lowest-id parents wins.
     pub fn path_weight(&self, from: TupleId, to: TupleId, max_hops: usize) -> Option<f64> {
         if from == to {
             return Some(1.0);
@@ -227,7 +228,11 @@ impl Acg {
                 continue;
             }
             if let Some(neigh) = self.adjacency.get(&cur) {
-                for &n in neigh.keys() {
+                // Ascending id order: which of several equal-length paths
+                // wins must not depend on this map's per-process hash keys.
+                let mut ordered: Vec<TupleId> = neigh.keys().copied().collect();
+                ordered.sort_unstable();
+                for n in ordered {
                     if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(n) {
                         e.insert(cur);
                         if n == to {
@@ -431,6 +436,22 @@ mod tests {
         assert_eq!(acg.path_weight(t(1), t(1), 8), Some(1.0));
         assert_eq!(acg.path_weight(t(1), t(99), 8), None);
         assert_eq!(acg.path_weight(t(1), t(4), 2), None, "hop cap respected");
+    }
+
+    #[test]
+    fn path_weight_picks_the_lowest_id_parent_in_every_fresh_graph() {
+        // Diamond 1 - 2 - 4, 1 - 3 - 4 with unequal products: tuple 2
+        // carries three extra annotations, which dilutes both of its
+        // edges. Every `Acg` draws fresh hash keys, so a BFS that followed
+        // map order would take the path through 3 in about half of them.
+        let s = store_with(&[&[1, 2], &[2, 4], &[1, 3], &[3, 4], &[2], &[2], &[2]]);
+        for round in 0..16 {
+            let acg = Acg::build_from_store(&s);
+            let edge = |a, b| acg.edge_weight(t(a), t(b)).unwrap();
+            let (via_2, via_3) = (edge(1, 2) * edge(2, 4), edge(1, 3) * edge(3, 4));
+            assert!(via_2 < via_3, "the two paths must disagree: {via_2} vs {via_3}");
+            assert_eq!(acg.path_weight(t(1), t(4), 4), Some(via_2), "round {round}");
+        }
     }
 
     #[test]

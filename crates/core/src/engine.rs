@@ -20,8 +20,8 @@
 use crate::acg::{Acg, StabilityConfig};
 use crate::durability::{Mutation, MutationSink};
 use crate::error::NebulaError;
-use crate::execution::{identify_related_tuples, translate_candidates, Candidate, ExecutionConfig};
-use crate::focal::{build_minidb, HopProfile};
+use crate::execution::{identify_related_tuples, Candidate, ExecutionConfig};
+use crate::focal::{spreading_search, HopProfile};
 use crate::meta::NebulaMeta;
 use crate::querygen::{generate_queries, GeneratedQuery, QueryGenConfig};
 use crate::verify::{Command, Decision, VerificationBounds, VerificationQueue, VerificationTask};
@@ -544,25 +544,9 @@ impl Nebula {
         focal: &[TupleId],
         k: usize,
     ) -> Result<(Vec<Candidate>, SearchStats), SearchError> {
-        let (mini, back) = build_minidb(db, &self.acg, focal, k);
-        let mini_engine = self.search_engine(&mini);
-        // Focal ids in miniDB space for exclusion/ACG are the *translated*
-        // ones; simplest is to translate results back first and
-        // exclude/adjust in original space.
-        let (cands, stats) = identify_related_tuples(
-            &mini,
-            &mini_engine,
-            queries,
-            &[],
-            None,
-            &ExecutionConfig { acg_adjustment: false, ..self.config.execution },
-        )?;
-        let mut cands = translate_candidates(cands, &back);
-        cands.retain(|c| !focal.contains(&c.tuple));
-        if self.config.execution.acg_adjustment {
-            apply_acg_adjustment(&mut cands, &self.acg, focal);
-        }
-        Ok((cands, stats))
+        let exec = &self.config.execution;
+        spreading_search(db, &self.meta, &self.acg, queries, focal, k, exec)
+            .map(|(cands, stats, _)| (cands, stats))
     }
 
     /// Accept one predicted attachment: promote the edge, update the ACG,
@@ -837,30 +821,6 @@ impl Drop for PipelineTrace {
         if self.owns_root {
             nebula_obs::trace::abandon();
         }
-    }
-}
-
-/// §6.2 reward applied in original-id space (used by the focal-spreading
-/// path after translation).
-fn apply_acg_adjustment(candidates: &mut [Candidate], acg: &Acg, focal: &[TupleId]) {
-    let mut keyed: Vec<(f64, Candidate)> = candidates
-        .iter()
-        .cloned()
-        .map(|mut c| {
-            for f in focal {
-                if let Some(w) = acg.edge_weight(c.tuple, *f) {
-                    c.confidence += w * c.confidence;
-                }
-            }
-            let raw = c.confidence;
-            // Capped, not max-normalized — see `identify_related_tuples`.
-            c.confidence = c.confidence.min(1.0);
-            (raw, c)
-        })
-        .collect();
-    keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.tuple.cmp(&b.1.tuple)));
-    for (slot, (_, c)) in candidates.iter_mut().zip(keyed) {
-        *slot = c;
     }
 }
 

@@ -163,23 +163,6 @@ pub fn identify_related_tuples(
     Ok((out, stats))
 }
 
-/// Translate candidates produced over a miniDB back into original-database
-/// tuple ids, dropping any that do not translate (should not happen for a
-/// well-formed map).
-pub fn translate_candidates(
-    candidates: Vec<Candidate>,
-    back: &HashMap<TupleId, TupleId>,
-) -> Vec<Candidate> {
-    candidates
-        .into_iter()
-        .filter_map(|mut c| {
-            let orig = back.get(&c.tuple)?;
-            c.tuple = *orig;
-            Some(c)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,24 +330,5 @@ mod tests {
             },
         );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn translate_candidates_maps_ids() {
-        let (_, _, ids) = setup();
-        let mini_id = TupleId::new(relstore::schema::TableId(0), 99);
-        let mut back = HashMap::new();
-        back.insert(mini_id, ids[0]);
-        let cands = vec![
-            Candidate { tuple: mini_id, confidence: 0.9, evidence: vec![] },
-            Candidate {
-                tuple: TupleId::new(relstore::schema::TableId(0), 98),
-                confidence: 0.5,
-                evidence: vec![],
-            },
-        ];
-        let out = translate_candidates(cands, &back);
-        assert_eq!(out.len(), 1, "untranslatable candidates dropped");
-        assert_eq!(out[0].tuple, ids[0]);
     }
 }

@@ -8,12 +8,17 @@
 //!   away discovered attachments were from the focal) that guides the
 //!   choice of K, either manually by DB admins or automatically given a
 //!   desired coverage;
-//! - [`build_minidb`] — materialization of the K-hop miniDB over which
-//!   `KeywordSearch` runs unchanged.
+//! - [`spreading_search`] — the search itself: materialize the K-hop
+//!   miniDB, run `KeywordSearch` over it unchanged, and translate the
+//!   hits back into the database's tuple ids.
 
 use crate::acg::Acg;
+use crate::execution::{identify_related_tuples, Candidate, ExecutionConfig};
+use crate::meta::NebulaMeta;
+use crate::querygen::GeneratedQuery;
 use relstore::{Database, TupleId};
 use std::collections::HashMap;
+use textsearch::{KeywordSearch, SearchError, SearchOptions, SearchStats};
 
 /// Cap on tracked hop distances; further hops land in the last bucket.
 const MAX_TRACKED_HOPS: usize = 16;
@@ -80,16 +85,77 @@ impl HopProfile {
     }
 }
 
-/// Materialize the K-hop miniDB around `focal`: the returned map
-/// translates miniDB tuple ids back to ids in `db`.
-pub fn build_minidb(
+/// One focal-based spreading search: execute `queries` over the K-hop
+/// miniDB around `focal` and return the candidates in `db`'s tuple ids
+/// (focal tuples excluded), the search work counters, and the miniDB's
+/// tuple count. The §6.2 reward is applied iff `exec.acg_adjustment`.
+pub fn spreading_search(
     db: &Database,
+    meta: &NebulaMeta,
     acg: &Acg,
+    queries: &[GeneratedQuery],
     focal: &[TupleId],
     k: usize,
-) -> (Database, HashMap<TupleId, TupleId>) {
-    let members = acg.k_hop(focal, k);
-    db.materialize_subset(&members)
+    exec: &ExecutionConfig,
+) -> Result<(Vec<Candidate>, SearchStats, usize), SearchError> {
+    let (mini, back) = db.materialize_subset(&acg.k_hop(focal, k));
+    let engine = KeywordSearch::new(SearchOptions {
+        vocab: meta.to_vocabulary(&mini),
+        ..Default::default()
+    });
+    // The focal's ids differ in miniDB space: search without them, then
+    // exclude and reward after translating back to original ids.
+    let (cands, stats) = identify_related_tuples(
+        &mini,
+        &engine,
+        queries,
+        &[],
+        None,
+        &ExecutionConfig { acg_adjustment: false, ..*exec },
+    )?;
+    let mut cands = translate_candidates(cands, &back);
+    cands.retain(|c| !focal.contains(&c.tuple));
+    if exec.acg_adjustment {
+        apply_acg_adjustment(&mut cands, acg, focal);
+    }
+    Ok((cands, stats, mini.total_tuples()))
+}
+
+/// Translate candidates produced over a miniDB back into original-database
+/// tuple ids, dropping any that do not translate (should not happen for a
+/// well-formed map).
+fn translate_candidates(
+    candidates: Vec<Candidate>,
+    back: &HashMap<TupleId, TupleId>,
+) -> Vec<Candidate> {
+    candidates
+        .into_iter()
+        .filter_map(|mut c| {
+            let orig = back.get(&c.tuple)?;
+            c.tuple = *orig;
+            Some(c)
+        })
+        .collect()
+}
+
+/// §6.2 reward applied in original-id space, after translation.
+fn apply_acg_adjustment(candidates: &mut Vec<Candidate>, acg: &Acg, focal: &[TupleId]) {
+    let mut keyed: Vec<(f64, Candidate)> = std::mem::take(candidates)
+        .into_iter()
+        .map(|mut c| {
+            for f in focal {
+                if let Some(w) = acg.edge_weight(c.tuple, *f) {
+                    c.confidence += w * c.confidence;
+                }
+            }
+            let raw = c.confidence;
+            // Capped, not max-normalized — see `identify_related_tuples`.
+            c.confidence = c.confidence.min(1.0);
+            (raw, c)
+        })
+        .collect();
+    keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.tuple.cmp(&b.1.tuple)));
+    candidates.extend(keyed.into_iter().map(|(_, c)| c));
 }
 
 #[cfg(test)]
@@ -187,7 +253,7 @@ mod tests {
         acg.set_stable(true);
         let _ = StabilityConfig::default();
 
-        let (mini, back) = build_minidb(&db, &acg, &[ids[0]], 2);
+        let (mini, back) = db.materialize_subset(&acg.k_hop(&[ids[0]], 2));
         assert_eq!(mini.total_tuples(), 3, "focal + 2 hops");
         // Back-translation maps every mini tuple to a chain member.
         for orig in back.values() {
@@ -196,5 +262,19 @@ mod tests {
         // The miniDB is searchable.
         assert_eq!(mini.inverted_index().lookup("gn0a").len(), 1);
         assert_eq!(mini.inverted_index().lookup("gn4a").len(), 0);
+    }
+
+    #[test]
+    fn translate_candidates_maps_ids() {
+        let table = relstore::schema::TableId(0);
+        let (mini_id, orig) = (TupleId::new(table, 99), TupleId::new(table, 7));
+        let back = HashMap::from([(mini_id, orig)]);
+        let cands = vec![
+            Candidate { tuple: mini_id, confidence: 0.9, evidence: vec![] },
+            Candidate { tuple: TupleId::new(table, 98), confidence: 0.5, evidence: vec![] },
+        ];
+        let out = translate_candidates(cands, &back);
+        assert_eq!(out.len(), 1, "untranslatable candidates dropped");
+        assert_eq!(out[0].tuple, orig);
     }
 }

@@ -58,10 +58,8 @@ pub use bounds::{distort, BoundsEvaluation, BoundsSetting, TrainingExample};
 pub use durability::{CommitRule, Mutation, MutationSink, ReplicationStatus, SinkError};
 pub use engine::{Nebula, NebulaConfig, ProcessOutcome, SearchMode};
 pub use error::NebulaError;
-pub use execution::{
-    identify_related_tuples, translate_candidates, AcgRewardMode, Candidate, ExecutionConfig,
-};
-pub use focal::{build_minidb, HopProfile};
+pub use execution::{identify_related_tuples, AcgRewardMode, Candidate, ExecutionConfig};
+pub use focal::{spreading_search, HopProfile};
 pub use learn::{learn_concept_refs, learn_referencing_columns, LearnConfig, LearnedColumn};
 pub use meta::{ConceptRef, ConceptTarget, NebulaMeta};
 pub use patterns::{Pattern, PatternError};

@@ -68,6 +68,9 @@ impl IngestItem {
     }
 }
 
+/// Sliding-window size (recent item outcomes) the health machine judges.
+const HEALTH_WINDOW: usize = 64;
+
 /// Worker-pool tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
@@ -78,12 +81,10 @@ pub struct IngestConfig {
     pub queue_capacity: usize,
     /// Circuit-breaker tuning (shared by the search and WAL breakers).
     pub breaker: BreakerConfig,
-    /// Sliding-window size for the health machine.
-    pub health_window: usize,
     /// WAL breaker trips after which the engine declares itself Wedged.
     pub wedge_after_wal_trips: u32,
     /// Pause between admissions — the arrival-rate knob of the overload
-    /// experiment. `None` offers the whole batch as one burst. Uses the
+    /// soak. `None` offers the whole batch as one burst. Uses the
     /// governed clock, so a virtual clock makes paced runs instantaneous.
     pub admit_gap: Option<Duration>,
 }
@@ -94,7 +95,6 @@ impl Default for IngestConfig {
             workers: 4,
             queue_capacity: 64,
             breaker: BreakerConfig::default(),
-            health_window: 64,
             wedge_after_wal_trips: 3,
             admit_gap: None,
         }
@@ -241,7 +241,7 @@ pub fn ingest_batch(
             search_breaker: CircuitBreaker::new(config.breaker),
             wal_breaker: CircuitBreaker::new(config.breaker),
             repl_breaker: CircuitBreaker::new(config.breaker),
-            health: HealthMachine::new(config.health_window, config.wedge_after_wal_trips),
+            health: HealthMachine::new(HEALTH_WINDOW, config.wedge_after_wal_trips),
             slots: vec![None; items.len()],
             sheds: Vec::new(),
             latencies_ns: Vec::new(),

@@ -206,11 +206,11 @@ impl Trace {
         out
     }
 
-    /// Deterministic JSON. With `with_durations` false this is the
-    /// *structure* rendering — IDs, parentage, labels, details only —
-    /// which is byte-identical across worker counts for a fixed fault
-    /// seed and backs the determinism tests and the golden sample.
-    pub fn render_json(&self, with_durations: bool) -> String {
+    /// Deterministic JSON: the *structure* rendering — IDs, parentage,
+    /// labels, details, no durations — which is byte-identical across
+    /// worker counts for a fixed fault seed and backs the determinism
+    /// tests and the golden sample.
+    pub fn render_json(&self) -> String {
         let mut out = format!(
             "{{\"annotation\": {}, \"epoch\": {}, \"lsn\": {}, \"spans\": [",
             self.annotation, self.epoch, self.lsn
@@ -228,9 +228,6 @@ impl Trace {
                 json_string(span.label),
                 json_string(&span.detail),
             ));
-            if with_durations {
-                out.push_str(&format!(", \"duration_ns\": {}", span.duration_ns));
-            }
             out.push('}');
         }
         if !first {
@@ -282,7 +279,7 @@ impl Trace {
 }
 
 /// Render a batch of traces as one deterministic JSON document.
-pub fn render_traces_json(traces: &[Trace], with_durations: bool) -> String {
+pub fn render_traces_json(traces: &[Trace]) -> String {
     let mut out = String::from("{\n  \"traces\": [");
     let mut first = true;
     for trace in traces {
@@ -291,7 +288,7 @@ pub fn render_traces_json(traces: &[Trace], with_durations: bool) -> String {
         }
         first = false;
         out.push_str("\n  ");
-        out.push_str(&trace.render_json(with_durations));
+        out.push_str(&trace.render_json());
     }
     if !first {
         out.push('\n');
@@ -870,16 +867,12 @@ mod tests {
         set_enabled(false);
 
         assert_eq!(
-            a.render_json(false),
-            b.render_json(false),
+            a.render_json(),
+            b.render_json(),
             "structure is independent of measured durations"
         );
-        assert!(!a.render_json(false).contains("duration_ns"));
-        assert!(a.render_json(true).contains("duration_ns"));
-        assert_eq!(
-            render_traces_json(std::slice::from_ref(&a), false),
-            render_traces_json(&[b], false)
-        );
+        assert!(!a.render_json().contains("duration_ns"));
+        assert_eq!(render_traces_json(std::slice::from_ref(&a)), render_traces_json(&[b]));
         assert!(a.render_tree().contains("annotation A9"));
     }
 

@@ -38,6 +38,12 @@ use crate::replica::Replica;
 use crate::transport::Transport;
 use crate::ReplicaError;
 
+/// Transport pump rounds attempted per record before giving up on the
+/// commit rule for that record (a typed lag degradation, not an error).
+/// Attach and fencing pump this many rounds too; repair and rejoin allow
+/// eight times as many to converge.
+const PUMP_ROUNDS: usize = 8;
+
 /// Tuning knobs for a [`Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterConfig {
@@ -46,9 +52,6 @@ pub struct ClusterConfig {
     /// Largest tolerated acknowledgement lag (LSNs) before a record is
     /// flagged as a lag degradation even under ack-none.
     pub lag_budget: u64,
-    /// Transport pump rounds attempted per record before giving up on
-    /// the commit rule for that record.
-    pub pump_rounds: usize,
     /// Options for the primary's local WAL.
     pub options: DurabilityOptions,
     /// Governed-clock cadence for automatic anti-entropy scrubs (and
@@ -63,7 +66,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             rule: CommitRule::Local,
             lag_budget: 64,
-            pump_rounds: 8,
             options: DurabilityOptions::default(),
             scrub_interval: None,
         }
@@ -313,7 +315,7 @@ impl Cluster {
         ));
         self.replicas.sort_by_key(Replica::id);
         self.primary.attach(id, &mut *self.transport);
-        self.pump(self.config.pump_rounds.max(4));
+        self.pump(PUMP_ROUNDS);
         Ok(seeded_to)
     }
 
@@ -329,7 +331,7 @@ impl Cluster {
         let quorum_span = nebula_obs::trace::span("repl.quorum");
         let mut satisfied = false;
         let mut rounds = 0usize;
-        for _ in 0..self.config.pump_rounds.max(1) {
+        for _ in 0..PUMP_ROUNDS {
             self.pump(1);
             rounds += 1;
             if self.primary.acks_at(lsn) >= needed {
@@ -463,7 +465,7 @@ impl Cluster {
         let expected = self.primary.shadow_digest();
         let mut rounds = 0usize;
         let mut converged = false;
-        for _ in 0..self.config.pump_rounds.max(4) * 8 {
+        for _ in 0..PUMP_ROUNDS * 8 {
             self.pump(1);
             rounds += 1;
             let r = &self.replicas[idx];
@@ -535,7 +537,7 @@ impl Cluster {
         let expected = self.primary.shadow_digest();
         let target = self.primary.last_lsn();
         let mut converged = false;
-        for _ in 0..self.config.pump_rounds.max(4) * 8 {
+        for _ in 0..PUMP_ROUNDS * 8 {
             self.pump(1);
             let Some(r) = self.replicas.iter().find(|r| r.id() == node) else { break };
             if !r.is_wedged() && r.applied() >= target && r.digest() == expected {
@@ -625,7 +627,7 @@ impl Cluster {
         let deposed_count = self.deposed.len();
         let d = self.deposed.get_mut(which).ok_or(ReplicaError::UnknownReplica(deposed_count))?;
         let lsn = d.record(op, &mut *self.transport)?;
-        for _ in 0..self.config.pump_rounds.max(2) {
+        for _ in 0..PUMP_ROUNDS {
             self.pump(1);
             if let Some(d) = self.deposed.get_mut(which) {
                 d.drain(&mut *self.transport);
@@ -1007,33 +1009,47 @@ mod tests {
 
     #[test]
     fn corrupted_replica_is_fenced_then_repaired_to_byte_identity() {
-        let mut c = fresh("repair", 2, Box::new(SimTransport::reliable(3)), CommitRule::Quorum(2));
-        for i in 0..12 {
-            c.record(&op(i)).unwrap();
+        // `(history, depth, ladder probes)`: replica 1 is poisoned `depth`
+        // records before the end of the history.
+        for (n, depth, probes) in [(13u64, 1u64, 5u64), (48, 1, 7), (48, 4, 7), (48, 16, 7)] {
+            let tag = format!("repair-{n}-{depth}");
+            let mut c = fresh(&tag, 2, Box::new(SimTransport::reliable(3)), CommitRule::Quorum(2));
+            for i in 0..n - depth {
+                c.record(&op(i)).unwrap();
+            }
+            // Poison replica 1 and keep writing: its next ack carries the
+            // wrong digest, divergence detection fences it.
+            c.chaos_corrupt_replica(1).unwrap();
+            for i in n - depth..n {
+                c.record(&op(i)).unwrap();
+            }
+            c.pump(4);
+            assert_eq!(c.primary().wedged_count(), 1, "{tag}");
+            assert!(c.replica(1).unwrap().is_wedged(), "{tag}");
+            let scrub = c.scrub();
+            assert_eq!(scrub.wedged, vec![1], "{tag}");
+            assert_eq!(c.pending_repairs(), vec![1], "{tag}");
+            // Repair: ladder to the agreed LSN, truncate, resync. The
+            // poison lands at the first LSN applied after it, so the agreed
+            // LSN is one before that; the replica wedged one record later,
+            // so the rewind stays at two however deep the divergence, and
+            // the resync covers the whole suffix.
+            let outcome = c.repair_replica(1).unwrap();
+            assert!(outcome.converged, "{tag}: {outcome:?}");
+            assert_eq!(outcome.agreed, n - depth - 1, "{tag}: {outcome:?}");
+            assert_eq!(outcome.rewound, 2, "{tag}: {outcome:?}");
+            assert_eq!(outcome.resynced, depth + 1, "{tag}: {outcome:?}");
+            assert_eq!(outcome.probes, probes, "{tag}: the ladder binary-searches");
+            assert_eq!(c.primary().wedged_count(), 0, "{tag}");
+            assert!(c.pending_repairs().is_empty(), "{tag}");
+            let expected = c.primary().shadow_digest();
+            assert_eq!(c.replica(1).unwrap().digest(), expected, "{tag}");
+            // The repaired replica keeps replicating new writes.
+            c.record(&op(n)).unwrap();
+            c.pump(4);
+            assert_eq!(c.replica(1).unwrap().applied(), n + 1, "{tag}");
+            assert_eq!(c.replica(1).unwrap().digest(), c.primary().shadow_digest(), "{tag}");
         }
-        // Poison replica 1 and write once more: its ack now carries the
-        // wrong digest, divergence detection fences it.
-        c.chaos_corrupt_replica(1).unwrap();
-        c.record(&op(12)).unwrap();
-        c.pump(4);
-        assert_eq!(c.primary().wedged_count(), 1);
-        assert!(c.replica(1).unwrap().is_wedged());
-        let scrub = c.scrub();
-        assert_eq!(scrub.wedged, vec![1]);
-        assert_eq!(c.pending_repairs(), vec![1]);
-        // Repair: ladder to the agreed LSN, truncate, resync.
-        let outcome = c.repair_replica(1).unwrap();
-        assert!(outcome.converged, "{outcome:?}");
-        assert!(outcome.rewound >= 1, "the poisoned suffix must be discarded");
-        assert_eq!(c.primary().wedged_count(), 0);
-        assert!(c.pending_repairs().is_empty());
-        let expected = c.primary().shadow_digest();
-        assert_eq!(c.replica(1).unwrap().digest(), expected);
-        // The repaired replica keeps replicating new writes.
-        c.record(&op(13)).unwrap();
-        c.pump(4);
-        assert_eq!(c.replica(1).unwrap().applied(), 14);
-        assert_eq!(c.replica(1).unwrap().digest(), c.primary().shadow_digest());
     }
 
     #[test]

@@ -129,20 +129,24 @@ impl NetProfile {
     }
 }
 
+/// Scatter deadline, counted in pump rounds; each round advances the
+/// governed clock by one [`TICK`]. A sibling that has not replied when the
+/// rounds are exhausted is a typed partial-result miss. Tight on purpose:
+/// the deadline is virtual time, identical on every run.
+const DEADLINE_ROUNDS: u32 = 6;
+
+/// Governed-clock advance per pump round.
+const TICK: Duration = Duration::from_millis(1);
+
+/// Rounds the boundary-edge exchange retries unacked batches before
+/// declaring a shard lagging (it catches up on heal).
+const REPLICATE_ROUNDS: u32 = 16;
+
 /// Cluster tuning.
 #[derive(Debug, Clone)]
 pub struct ShardConfig {
     /// Shard count (clamped to `1..=SLOTS` by the router).
     pub shards: usize,
-    /// Scatter deadline, counted in pump rounds; each round advances the
-    /// governed clock by one `tick`. A sibling that has not replied when
-    /// the rounds are exhausted is a typed partial-result miss.
-    pub deadline_rounds: u32,
-    /// Governed-clock advance per pump round.
-    pub tick: Duration,
-    /// Rounds the boundary-edge exchange retries unacked batches before
-    /// declaring a shard lagging (it catches up on heal).
-    pub replicate_rounds: u32,
     /// Per-shard breaker tuning for the scatter path.
     pub breaker: BreakerConfig,
     /// Per-shard probe-serving budget: each shard answers probes under
@@ -154,15 +158,12 @@ pub struct ShardConfig {
 }
 
 impl ShardConfig {
-    /// Defaults tuned for the deterministic tests: tight deadline, a
-    /// breaker that opens after 3 misses, effectively-unbounded serving
-    /// budget (bounded so the scope still *installs* and isolates).
+    /// Defaults tuned for the deterministic tests: a breaker that opens
+    /// after 3 misses, effectively-unbounded serving budget (bounded so
+    /// the scope still *installs* and isolates).
     pub fn new(shards: usize) -> ShardConfig {
         ShardConfig {
             shards,
-            deadline_rounds: 6,
-            tick: Duration::from_millis(1),
-            replicate_rounds: 16,
             breaker: BreakerConfig { failure_threshold: 3, open_shed_count: 4 },
             serve_budget: ExecutionBudget::unbounded().with_max_tuples(usize::MAX >> 1),
             net: None,
@@ -312,8 +313,6 @@ struct Fabric {
     partitioned: Vec<bool>,
     epoch: u64,
     probe_seq: u64,
-    deadline_rounds: u32,
-    tick: Duration,
     /// Expected post-apply store digest per batch sequence (1-based).
     expected_digests: Vec<u64>,
     /// Shards whose acks ever disagreed with the durable history.
@@ -492,13 +491,13 @@ impl Fabric {
             nebula_obs::counter_add(counters::PROBES_SENT, 1);
         }
         let mut replies: BTreeMap<usize, Vec<Vec<SearchHit>>> = BTreeMap::new();
-        for _round in 0..self.deadline_rounds {
+        for _round in 0..DEADLINE_ROUNDS {
             if outstanding.is_empty() {
                 break;
             }
             // One governed-clock tick per round: the deadline is virtual
             // time, not wall time, so it is identical on every run.
-            clock::sleep(self.tick);
+            clock::sleep(TICK);
             self.pump(me);
             while let Some((_from, bytes)) = self.transport.recv(me) {
                 let Ok(frame) = ShardFrame::decode(&bytes) else { continue };
@@ -710,8 +709,6 @@ impl ShardCluster {
             partitioned: vec![false; shards],
             epoch: 0,
             probe_seq: 0,
-            deadline_rounds: config.deadline_rounds,
-            tick: config.tick,
             expected_digests: Vec::new(),
             divergent: BTreeSet::new(),
         }));
@@ -851,7 +848,7 @@ impl ShardCluster {
         let still_behind;
         loop {
             let pending = behind(&f);
-            if pending.is_empty() || round >= self.config.replicate_rounds {
+            if pending.is_empty() || round >= REPLICATE_ROUNDS {
                 still_behind = pending;
                 break;
             }
@@ -873,7 +870,7 @@ impl ShardCluster {
                     nebula_obs::counter_add(counters::APPLIES_SENT, 1);
                 }
             }
-            clock::sleep(self.config.tick);
+            clock::sleep(TICK);
             f.pump(usize::MAX);
             round += 1;
         }

@@ -190,7 +190,8 @@ fn degraded_focal_candidates_are_subset_of_full_search() {
 /// Durability observes the pipeline and must never steer it: the same
 /// batch with the WAL on and off produces a byte-identical batch report,
 /// and identical pipeline metrics modulo the `durable.*` keys the sink
-/// itself emits.
+/// itself emits. A replicated sink is as transparent, under either commit
+/// rule and over a lossy transport, and both rules ship the same records.
 #[test]
 fn durability_on_and_off_produce_identical_outcomes() {
     let _serial = guard();
@@ -198,8 +199,8 @@ fn durability_on_and_off_produce_identical_outcomes() {
         std::env::temp_dir().join(format!("nebula-determinism-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let run = |wal_dir: Option<&std::path::Path>| {
-        let mut bundle = generate_dataset(&DatasetSpec::tiny(), 29);
+    let fixture = || {
+        let bundle = generate_dataset(&DatasetSpec::tiny(), 29);
         let workload = build_workload(&bundle, &WorkloadSpec::default(), 29);
         let items: Vec<_> = workload
             .iter()
@@ -210,6 +211,10 @@ fn durability_on_and_off_produce_identical_outcomes() {
             .collect();
         let mut nebula = Nebula::new(NebulaConfig::default(), bundle.meta.clone());
         nebula.bootstrap_acg(&bundle.annotations);
+        (bundle, nebula, items)
+    };
+    let run = |wal_dir: Option<&std::path::Path>| {
+        let (mut bundle, mut nebula, items) = fixture();
         if let Some(d) = wal_dir {
             let durability =
                 Durability::begin(d, &bundle.db, &bundle.annotations, DurabilityOptions::default())
@@ -254,6 +259,37 @@ fn durability_on_and_off_produce_identical_outcomes() {
     // And the durable keys exist exactly when the sink is attached.
     assert!(on_snap.counters.keys().any(|k| k.starts_with("durable.")));
     assert!(!off_snap.counters.keys().any(|k| k.starts_with("durable.")));
+
+    // The same batch through a two-replica cluster whose every link
+    // drops, delays, reorders and duplicates frames.
+    let replicated = |rule: CommitRule| {
+        let (mut bundle, mut nebula, items) = fixture();
+        let _ = std::fs::remove_dir_all(&dir);
+        let plan = FaultPlan::new(0xF00D).with_net(0.15, 0.15, 0.1, 0.1);
+        let cluster = Cluster::new(
+            &dir,
+            &bundle.db,
+            &bundle.annotations,
+            2,
+            Box::new(SimTransport::new(3, plan)),
+            ClusterConfig { rule, ..ClusterConfig::default() },
+        )
+        .expect("fresh cluster directory");
+        let sink = ClusterSink::new(cluster);
+        let handle = sink.handle();
+        nebula.set_mutation_sink(Some(Box::new(sink)));
+        let report = nebula.process_batch(&bundle.db, &mut bundle.annotations, &items);
+        drop(nebula.take_mutation_sink());
+        let records = handle.lock().primary().last_lsn();
+        let _ = std::fs::remove_dir_all(&dir);
+        (format!("{report:?}"), records)
+    };
+    let (none_report, none_records) = replicated(CommitRule::Local);
+    let (quorum_report, quorum_records) = replicated(CommitRule::Quorum(2));
+    assert_eq!(off_report, none_report, "ack-none must not change what the batch produces");
+    assert_eq!(off_report, quorum_report, "ack-quorum must not change what the batch produces");
+    assert!(none_records > 0, "the batch shipped records");
+    assert_eq!(none_records, quorum_records, "the commit rule never changes what is shipped");
 }
 
 /// Worker counts exercised by the concurrency-equivalence tests:
@@ -407,8 +443,8 @@ fn concurrent_ingest_recovers_to_the_same_bytes_as_sequential() {
 
 /// The fault seed honored by the trace-determinism tests:
 /// `NEBULA_FAULT_SEED` (hex with `0x` prefix or decimal), default
-/// `0xF00D` — the same knob the bench grids and the replication soak
-/// share. CI's tracing matrix pins seeds here.
+/// `0xF00D` — the same knob the durability and replication suites read.
+/// CI's tracing matrix pins seeds here.
 fn trace_fault_seed() -> u64 {
     std::env::var("NEBULA_FAULT_SEED")
         .ok()
@@ -470,7 +506,7 @@ fn trace_structure_is_byte_identical_at_any_worker_count() {
 
         assert!(report.sheds.is_empty(), "deterministic config never sheds");
         assert!(!traces.is_empty(), "committed annotations leave traces");
-        nebula::nebula_obs::trace::render_traces_json(&traces, false)
+        nebula::nebula_obs::trace::render_traces_json(&traces)
     };
 
     let reference = run(1);

@@ -128,27 +128,38 @@ fn a_500_operation_hostile_batch_survives_every_crash_point() {
 /// the recovered state equals a clean replay of the surviving prefix.
 #[test]
 fn torn_tail_recovery_reports_exactly_what_was_dropped() {
-    let dir = tmp("torn-tail");
-    let (bundle, mut nebula, items) = batch_fixture(7, 8);
-    let mut store = fresh_store(&bundle);
-    let durability = Durability::begin(
-        &dir,
-        &bundle.db,
-        &store,
-        DurabilityOptions { sync: SyncPolicy::EveryRecord, checkpoint_every: None },
-    )
-    .unwrap();
-    nebula.set_mutation_sink(Some(Box::new(durability)));
-    nebula.process_batch(&bundle.db, &mut store, &items);
-    drop(nebula.take_mutation_sink());
+    // The same fault-free batch logged under each policy.
+    let logged = |tag: &str, sync: SyncPolicy, checkpoint_every: Option<usize>| {
+        let dir = tmp(tag);
+        let (bundle, mut nebula, items) = batch_fixture(7, 8);
+        let mut store = fresh_store(&bundle);
+        let options = DurabilityOptions { sync, checkpoint_every };
+        let durability = Durability::begin(&dir, &bundle.db, &store, options).unwrap();
+        nebula.set_mutation_sink(Some(Box::new(durability)));
+        nebula.process_batch(&bundle.db, &mut store, &items);
+        drop(nebula.take_mutation_sink());
+        let bytes = std::fs::read(dir.join(wal::WAL_FILE)).unwrap();
+        (dir, bytes)
+    };
+    let (dir, bytes) = logged("torn-tail", SyncPolicy::EveryRecord, None);
 
     let image = checkpoint::list_checkpoints(&dir)
         .ok()
         .and_then(|list| list.last().and_then(|(_, p)| std::fs::read(p).ok()))
         .expect("begin wrote a checkpoint");
-    let bytes = std::fs::read(dir.join(wal::WAL_FILE)).unwrap();
     let (records, tail) = wal::read_wal(&bytes);
     assert!(tail.is_clean() && records.len() >= 8, "need a log to tear, got {}", records.len());
+
+    // The sync policy decides when bytes reach the disk, never which
+    // records are appended; a checkpointing run truncates behind its
+    // watermark, so its log is strictly shorter.
+    let (batch_dir, batch_bytes) = logged("torn-tail-batch", SyncPolicy::Batch, None);
+    assert_eq!(wal::read_wal(&batch_bytes).0, records, "both policies append one record stream");
+    let (ckpt_dir, ckpt_bytes) = logged("torn-tail-ckpt", SyncPolicy::Batch, Some(4));
+    assert!(ckpt_bytes.len() < batch_bytes.len(), "{} vs {}", ckpt_bytes.len(), batch_bytes.len());
+    for d in [batch_dir, ckpt_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 
     for k in [0, records.len() / 2, records.len() - 1] {
         let prev_end = if k == 0 { 0 } else { records[k - 1].end_offset };

@@ -2,8 +2,8 @@
 //! ACG machinery across crates.
 
 use nebula::nebula_core::{
-    build_minidb, distort, generate_queries, identify_related_tuples, translate_candidates,
-    ExecutionConfig, QueryGenConfig, StabilityConfig,
+    distort, generate_queries, identify_related_tuples, spreading_search, ExecutionConfig,
+    QueryGenConfig, StabilityConfig,
 };
 use nebula::nebula_workload::{build_workload, WorkloadSpec};
 use nebula::prelude::*;
@@ -41,15 +41,11 @@ fn spread_candidates_subset_of_full_search() {
             .expect("ungoverned search cannot fail");
         let full_set: std::collections::HashSet<TupleId> = full.iter().map(|c| c.tuple).collect();
 
-        let (mini, back) = build_minidb(&bundle.db, &acg, &focal, 3);
-        let mini_engine = engine_for(&bundle, &mini);
-        let (spread, _) = identify_related_tuples(&mini, &mini_engine, &queries, &[], None, &exec)
-            .expect("ungoverned search cannot fail");
-        let spread = translate_candidates(spread, &back);
+        let (spread, _, _) =
+            spreading_search(&bundle.db, &bundle.meta, &acg, &queries, &focal, 3, &exec)
+                .expect("ungoverned search cannot fail");
         for c in spread {
-            if focal.contains(&c.tuple) {
-                continue;
-            }
+            assert!(!focal.contains(&c.tuple), "the focal is never its own candidate");
             assert!(
                 full_set.contains(&c.tuple),
                 "focal-spread found {} that full search missed",
@@ -69,11 +65,16 @@ fn minidb_monotone_in_k() {
         .find(|wa| wa.ideal.len() >= 2)
         .expect("multi-link annotation");
     let (focal, _) = distort(&wa.ideal, 1);
+    let queries =
+        generate_queries(&bundle.db, &bundle.meta, &wa.annotation.text, &QueryGenConfig::default());
+    let exec = ExecutionConfig::default();
     let mut prev = 0usize;
     for k in 0..5 {
-        let (mini, _) = build_minidb(&bundle.db, &acg, &focal, k);
-        assert!(mini.total_tuples() >= prev, "K={k} shrank the miniDB");
-        prev = mini.total_tuples();
+        let (_, _, mini_tuples) =
+            spreading_search(&bundle.db, &bundle.meta, &acg, &queries, &focal, k, &exec)
+                .expect("ungoverned search cannot fail");
+        assert!(mini_tuples >= prev, "K={k} shrank the miniDB");
+        prev = mini_tuples;
     }
 }
 

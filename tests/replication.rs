@@ -29,7 +29,7 @@ use nebula::prelude::*;
 use std::path::PathBuf;
 
 /// The transport fault seed: `NEBULA_FAULT_SEED` (hex with `0x` prefix or
-/// decimal), defaulting to the seed the bench experiments use.
+/// decimal), default `0xF00D`.
 fn fault_seed() -> u64 {
     std::env::var("NEBULA_FAULT_SEED")
         .ok()
@@ -289,92 +289,121 @@ fn fork_op(n: u64) -> WalOp {
 /// epoch. The rejoined node must locate the promotion point exactly,
 /// rewind precisely its un-acked epoch-1 suffix (every fenced LSN
 /// accounted once, none surviving, none double-applied), and reconverge
-/// byte-for-byte with the new chain.
+/// byte-for-byte with the new chain. Then the divergence-depth sweep: over
+/// a 48-record history the deposed primary first writes `depth` records
+/// into a full partition, so the suffix to rewind grows 16-fold while the
+/// ladder's probe count stays logarithmic.
 #[test]
 fn rejoin_at_every_failover_boundary_reconverges_byte_for_byte() {
     const N: u64 = 10;
     for rule in ack_rules() {
         for k in 1..=N {
-            let dir = temp_dir(&format!("rejoin-{rule}-{k}"));
-            let config = ClusterConfig { rule, ..ClusterConfig::default() };
-            let mut cluster = Cluster::new(
-                &dir,
-                &nebula::relstore::Database::new(),
-                &AnnotationStore::new(),
-                2,
-                Box::new(SimTransport::reliable(3)),
-                config,
-            )
-            .expect("fresh cluster directory");
-            for i in 0..k {
-                cluster.record(&op(i)).expect("record on healthy cluster");
-            }
-            let target = cluster.best_failover_candidate().expect("a live candidate");
-            cluster.promote(target).expect("promotion");
-            let a = cluster.primary().last_lsn();
-
-            // The deposed primary keeps writing and is fenced every time.
-            assert!(matches!(
-                cluster.record_on_deposed(0, &op(a)).unwrap_err(),
-                ReplicaError::Fenced { .. }
-            ));
-            // The new chain continues with *different* records, so the
-            // deposed primary's suffix past `a` is a real fork.
-            for i in a..N {
-                cluster.record(&fork_op(i)).expect("record on the new primary");
-            }
-            cluster.pump(8);
-
-            // Reference: the agreed prefix, then the forked suffix.
-            let mut rdb = nebula::relstore::Database::new();
-            let mut rstore = AnnotationStore::new();
-            for i in 0..a {
-                replay_op(&mut rdb, &mut rstore, &op(i)).expect("reference replay");
-            }
-            for i in a..N {
-                replay_op(&mut rdb, &mut rstore, &fork_op(i)).expect("reference replay");
-            }
-            let want_digest = state_digest(&rdb, &rstore);
-            let want_bytes = state_bytes(&rdb, &rstore);
-
-            // Rejoin: the deposed primary demotes, rewinds its un-acked
-            // epoch-1 suffix, and catches up under epoch 2.
-            let deposed_last = cluster
-                .deposed()
-                .first()
-                .map(nebula::nebula_replica::Primary::last_lsn)
-                .expect("a deposed primary existed");
-            let out = cluster.rejoin(0).expect("rejoin the deposed primary");
-            assert_eq!(out.node, 0, "{rule}/{k}");
-            assert_eq!(out.epoch, 2, "{rule}/{k}");
-            assert!(out.converged, "{rule}/{k}: rejoin converged");
-            // Exactly-once accounting: the ladder pins the promotion
-            // point, and every fenced LSN past it is rewound exactly once
-            // — none survive, and the agreed prefix is not re-wound.
-            assert_eq!(out.agreed, a, "{rule}/{k}: rewind point is the promotion point");
-            assert_eq!(out.rewound, deposed_last - a, "{rule}/{k}: exactly the fenced suffix");
-            assert_eq!(cluster.deposed_nodes(), Vec::<usize>::new(), "{rule}/{k}");
-
-            // Byte-for-byte reconvergence of the whole membership — the
-            // rejoined node included — on the new chain.
-            assert_eq!(cluster.primary().shadow_digest(), want_digest, "{rule}/{k}");
-            assert_eq!(cluster.replicas().len(), 2, "{rule}/{k}: both replicas attached");
-            for r in cluster.replicas() {
-                assert!(!r.is_wedged(), "{rule}/{k}: replica {}", r.id());
-                assert_eq!(r.applied(), N, "{rule}/{k}: replica {}", r.id());
-                assert_eq!(r.digest(), want_digest, "{rule}/{k}: replica {}", r.id());
-                assert_eq!(
-                    state_bytes(r.db(), r.store()),
-                    want_bytes,
-                    "{rule}/{k}: replica {}",
-                    r.id()
-                );
-            }
-            assert_eq!(cluster.repair_status().rejoins, 1, "{rule}/{k}");
-            drop(cluster);
-            let _ = std::fs::remove_dir_all(&dir);
+            rejoin_case(rule, k, 0, N);
+        }
+        for (depth, probes) in [(1, 2), (4, 3), (16, 5)] {
+            let out = rejoin_case(rule, 48, depth, 48 + depth);
+            assert_eq!(out.agreed, 48, "{rule}/depth {depth}: nothing sound is discarded");
+            // The partitioned writes plus the one fenced write.
+            assert_eq!(out.rewound, depth + 1, "{rule}/depth {depth}");
+            assert_eq!(out.probes, probes, "{rule}/depth {depth}: the ladder binary-searches");
         }
     }
+}
+
+/// One rejoin scenario: `k` acked records, `depth` more written by the
+/// primary into a full partition (acked by nobody), promotion, a fenced
+/// write on the deposed primary, a forked new chain up to LSN `end`, and
+/// the rejoin — with the assertions every such scenario must satisfy.
+fn rejoin_case(
+    rule: CommitRule,
+    k: u64,
+    depth: u64,
+    end: u64,
+) -> nebula::nebula_replica::RejoinOutcome {
+    let dir = temp_dir(&format!("rejoin-{rule}-{k}-{depth}"));
+    let config = ClusterConfig { rule, ..ClusterConfig::default() };
+    let mut cluster = Cluster::new(
+        &dir,
+        &nebula::relstore::Database::new(),
+        &AnnotationStore::new(),
+        2,
+        Box::new(SimTransport::reliable(3)),
+        config,
+    )
+    .expect("fresh cluster directory");
+    for i in 0..k {
+        cluster.record(&op(i)).expect("record on healthy cluster");
+    }
+    for node in 1..=2 {
+        cluster.set_partitioned(node, true);
+    }
+    for i in k..k + depth {
+        cluster.record(&op(i)).expect("record under partition");
+    }
+    for node in 1..=2 {
+        cluster.set_partitioned(node, false);
+    }
+    let target = cluster.best_failover_candidate().expect("a live candidate");
+    cluster.promote(target).expect("promotion");
+    let a = cluster.primary().last_lsn();
+
+    // The deposed primary keeps writing and is fenced every time.
+    assert!(matches!(
+        cluster.record_on_deposed(0, &op(a)).unwrap_err(),
+        ReplicaError::Fenced { .. }
+    ));
+    // The new chain continues with *different* records, so the
+    // deposed primary's suffix past `a` is a real fork.
+    for i in a..end {
+        cluster.record(&fork_op(i)).expect("record on the new primary");
+    }
+    cluster.pump(8);
+
+    // Reference: the agreed prefix, then the forked suffix.
+    let mut rdb = nebula::relstore::Database::new();
+    let mut rstore = AnnotationStore::new();
+    for i in 0..a {
+        replay_op(&mut rdb, &mut rstore, &op(i)).expect("reference replay");
+    }
+    for i in a..end {
+        replay_op(&mut rdb, &mut rstore, &fork_op(i)).expect("reference replay");
+    }
+    let want_digest = state_digest(&rdb, &rstore);
+    let want_bytes = state_bytes(&rdb, &rstore);
+
+    // Rejoin: the deposed primary demotes, rewinds its un-acked
+    // epoch-1 suffix, and catches up under epoch 2.
+    let deposed_last = cluster
+        .deposed()
+        .first()
+        .map(nebula::nebula_replica::Primary::last_lsn)
+        .expect("a deposed primary existed");
+    let out = cluster.rejoin(0).expect("rejoin the deposed primary");
+    let case = format!("{rule}/{k}+{depth}");
+    assert_eq!(out.node, 0, "{case}");
+    assert_eq!(out.epoch, 2, "{case}");
+    assert!(out.converged, "{case}: rejoin converged");
+    // Exactly-once accounting: the ladder pins the promotion
+    // point, and every fenced LSN past it is rewound exactly once
+    // — none survive, and the agreed prefix is not re-wound.
+    assert_eq!(out.agreed, a, "{case}: rewind point is the promotion point");
+    assert_eq!(out.rewound, deposed_last - a, "{case}: exactly the fenced suffix");
+    assert_eq!(cluster.deposed_nodes(), Vec::<usize>::new(), "{case}");
+
+    // Byte-for-byte reconvergence of the whole membership — the
+    // rejoined node included — on the new chain.
+    assert_eq!(cluster.primary().shadow_digest(), want_digest, "{case}");
+    assert_eq!(cluster.replicas().len(), 2, "{case}: both replicas attached");
+    for r in cluster.replicas() {
+        assert!(!r.is_wedged(), "{case}: replica {}", r.id());
+        assert_eq!(r.applied(), end, "{case}: replica {}", r.id());
+        assert_eq!(r.digest(), want_digest, "{case}: replica {}", r.id());
+        assert_eq!(state_bytes(r.db(), r.store()), want_bytes, "{case}: replica {}", r.id());
+    }
+    assert_eq!(cluster.repair_status().rejoins, 1, "{case}");
+    drop(cluster);
+    let _ = std::fs::remove_dir_all(&dir);
+    out
 }
 
 /// The acceptance bar for ack-quorum: with a full quorum, *every* acked

@@ -2,8 +2,8 @@
 //! JSON must match the checked-in sample byte for byte.
 //!
 //! The sample (`samples/traces/pipeline.trace.json`) is what external
-//! consumers of `reproduce --traces` and the shell's `TRACE ANNOTATION`
-//! parse, so format drift is a compatibility break: either restore the
+//! consumers of `nebula_obs::trace::render_traces_json` parse, so format
+//! drift is a compatibility break: either restore the
 //! old rendering or regenerate the sample via the ignored test below and
 //! call the change out in the PR.
 
@@ -81,7 +81,7 @@ fn build_sample_traces() -> Vec<trace::Trace> {
 #[test]
 fn checked_in_golden_trace_matches_the_renderer() {
     let _serial = guard();
-    let rendered = trace::render_traces_json(&build_sample_traces(), false);
+    let rendered = trace::render_traces_json(&build_sample_traces());
     let want = std::fs::read_to_string(sample_path())
         .expect("samples/traces/pipeline.trace.json must be checked in");
     assert_eq!(
@@ -123,7 +123,7 @@ fn golden_traces_are_rooted_and_analyzable() {
 #[ignore = "rewrites the checked-in sample; run manually after intentional format changes"]
 fn regenerate_golden_trace_sample() {
     let _serial = guard();
-    let rendered = trace::render_traces_json(&build_sample_traces(), false);
+    let rendered = trace::render_traces_json(&build_sample_traces());
     let path = sample_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, rendered).unwrap();
