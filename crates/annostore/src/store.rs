@@ -56,6 +56,14 @@ pub enum StoreError {
     UnknownEdge(AnnotationId, TupleId),
     /// The confidence is outside `[0, 1]`.
     InvalidWeight(String),
+    /// A logged annotation names an id the store would not assign next
+    /// (ids are dense, in insertion order).
+    IdGap {
+        /// The id the log recorded.
+        expected: AnnotationId,
+        /// The id the store would assign.
+        next: AnnotationId,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -64,6 +72,11 @@ impl fmt::Display for StoreError {
             StoreError::UnknownAnnotation(a) => write!(f, "unknown annotation {a}"),
             StoreError::UnknownEdge(a, t) => write!(f, "no edge between {a} and {t}"),
             StoreError::InvalidWeight(msg) => write!(f, "invalid weight: {msg}"),
+            StoreError::IdGap { expected, next } => write!(
+                f,
+                "annotation id gap: log expects {} but store would assign {}",
+                expected.0, next.0
+            ),
         }
     }
 }

@@ -118,7 +118,7 @@ impl BatchReport {
 
 /// Classify a clean outcome. Degradation dominates — a degraded run's
 /// accepts were computed from a reduced search and should be flagged.
-pub fn classify_outcome(outcome: &ProcessOutcome) -> BatchStatus {
+fn classify_outcome(outcome: &ProcessOutcome) -> BatchStatus {
     if !outcome.degradations.is_empty() {
         BatchStatus::Degraded
     } else if !outcome.accepted.is_empty() {
@@ -131,7 +131,7 @@ pub fn classify_outcome(outcome: &ProcessOutcome) -> BatchStatus {
 }
 
 /// Downcast a caught panic payload to its message where possible.
-pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -154,48 +154,59 @@ impl Nebula {
     ) -> BatchReport {
         let mut report = BatchReport::default();
         for (index, (annotation, focal)) in items.iter().enumerate() {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                self.process_annotation(db, store, annotation, focal)
-            }));
-            let entry = match attempt {
-                Ok(Ok(outcome)) => BatchEntry {
-                    index,
-                    status: classify_outcome(&outcome),
-                    outcome: Some(outcome),
-                    quarantine: None,
-                },
-                Ok(Err(e)) => BatchEntry {
-                    index,
-                    status: BatchStatus::Quarantined,
-                    outcome: None,
-                    quarantine: Some(QuarantineReason::Error(e)),
-                },
-                Err(payload) => BatchEntry {
-                    index,
-                    status: BatchStatus::Quarantined,
-                    outcome: None,
-                    quarantine: Some(QuarantineReason::Panic(panic_message(payload))),
-                },
-            };
-            if entry.status == BatchStatus::Quarantined {
-                nebula_obs::counter_add("core.quarantined", 1);
+            report.push(self.process_contained(db, store, index, annotation, focal));
+            self.checkpoint_if_due(db, store);
+        }
+        self.flush_batch();
+        report
+    }
+
+    /// One contained item: run the pipeline, turn an error or a panic into
+    /// a quarantined entry instead of propagating it. The per-item step of
+    /// [`Nebula::process_batch`] and of the ingest pool's commit turn.
+    pub fn process_contained(
+        &mut self,
+        db: &Database,
+        store: &mut AnnotationStore,
+        index: usize,
+        annotation: &Annotation,
+        focal: &[TupleId],
+    ) -> BatchEntry {
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            self.process_annotation(db, store, annotation, focal)
+        }));
+        let (status, outcome, quarantine) = match attempt {
+            Ok(Ok(outcome)) => (classify_outcome(&outcome), Some(outcome), None),
+            Ok(Err(e)) => (BatchStatus::Quarantined, None, Some(QuarantineReason::Error(e))),
+            Err(payload) => {
+                let reason = QuarantineReason::Panic(panic_message(payload));
+                (BatchStatus::Quarantined, None, Some(reason))
             }
-            report.push(entry);
-            // Periodic checkpointing between items: the sink decides when
-            // one is due; a failed checkpoint degrades gracefully (the WAL
-            // still covers everything, so nothing is lost).
-            if let Some(sink) = self.mutation_sink_mut() {
-                if sink.checkpoint_due() && sink.checkpoint(db, store).is_err() {
-                    nebula_obs::counter_add("core.checkpoint_deferred", 1);
-                }
+        };
+        if status == BatchStatus::Quarantined {
+            nebula_obs::counter_add("core.quarantined", 1);
+        }
+        BatchEntry { index, status, outcome, quarantine }
+    }
+
+    /// Periodic checkpointing between items: the sink decides when one is
+    /// due; a failed checkpoint degrades gracefully (the WAL still covers
+    /// everything, so nothing is lost).
+    pub fn checkpoint_if_due(&mut self, db: &Database, store: &AnnotationStore) {
+        if let Some(sink) = self.mutation_sink_mut() {
+            if sink.checkpoint_due() && sink.checkpoint(db, store).is_err() {
+                nebula_obs::counter_add("core.checkpoint_deferred", 1);
             }
         }
+    }
+
+    /// End-of-batch flush (the group commit of a batch-synced sink).
+    pub fn flush_batch(&mut self) {
         if let Some(sink) = self.mutation_sink_mut() {
             if sink.flush().is_err() {
                 nebula_obs::counter_add("core.flush_failed", 1);
             }
         }
-        report
     }
 }
 

@@ -11,7 +11,7 @@
 //! concrete durability implementation; `nebula-durable` depends on core and
 //! implements the trait, and the facade wires the two together.
 
-use annostore::{Annotation, AnnotationId, AnnotationStore};
+use annostore::{Annotation, AnnotationId, AnnotationStore, AttachmentTarget, StoreError};
 use relstore::{ColumnId, Database, TupleId};
 use std::fmt;
 
@@ -76,6 +76,42 @@ pub enum Mutation<'a> {
         /// The deleted tuple.
         tuple: TupleId,
     },
+}
+
+impl Mutation<'_> {
+    /// What this event does to the annotation store — the one place a
+    /// mutation meets an [`AnnotationStore`]; the pipeline (through
+    /// [`Nebula::apply`](crate::Nebula::apply)) and every replayer end up
+    /// here. Strict: an id gap, an unknown annotation or a reject of an
+    /// edge that is not a prediction is an error (idempotent replayers
+    /// guard first). Returns the annotations that lost a true attachment —
+    /// empty except for `TupleDeleted`.
+    pub fn apply(&self, store: &mut AnnotationStore) -> Result<Vec<AnnotationId>, StoreError> {
+        match *self {
+            Mutation::AddAnnotation { expected, annotation } => {
+                let next = AnnotationId(store.annotation_count() as u64);
+                if expected != next {
+                    return Err(StoreError::IdGap { expected, next });
+                }
+                store.add_annotation(annotation.clone());
+            }
+            Mutation::AttachTuple { annotation, tuple }
+            | Mutation::AcceptEdge { annotation, tuple } => {
+                store.attach(annotation, AttachmentTarget::tuple(tuple))?;
+            }
+            Mutation::AttachCell { annotation, tuple, column } => {
+                store.attach(annotation, AttachmentTarget::cell(tuple, column))?;
+            }
+            Mutation::AttachPredicted { annotation, tuple, confidence } => {
+                store.attach_predicted(annotation, tuple, confidence)?;
+            }
+            Mutation::RejectEdge { annotation, tuple } => {
+                store.discard_prediction(annotation, tuple)?;
+            }
+            Mutation::TupleDeleted { tuple } => return Ok(store.on_tuple_deleted(tuple)),
+        }
+        Ok(Vec::new())
+    }
 }
 
 /// How a sink decides a recorded mutation counts as *committed*.
@@ -173,12 +209,6 @@ pub trait MutationSink: fmt::Debug + Send {
     /// One-line status for `SHOW DURABILITY`.
     fn describe(&self) -> String {
         String::new()
-    }
-
-    /// The commit rule this sink enforces. Non-replicated sinks commit on
-    /// local append.
-    fn commit_rule(&self) -> CommitRule {
-        CommitRule::Local
     }
 
     /// Replication posture after the most recent record, if this sink

@@ -25,7 +25,7 @@ use crate::focal::{spreading_search, HopProfile};
 use crate::meta::NebulaMeta;
 use crate::querygen::{generate_queries, GeneratedQuery, QueryGenConfig};
 use crate::verify::{Command, Decision, VerificationBounds, VerificationQueue, VerificationTask};
-use annostore::{Annotation, AnnotationId, AnnotationStore, AttachmentTarget};
+use annostore::{Annotation, AnnotationId, AnnotationStore};
 use nebula_govern::{Degradation, ExecutionBudget, RetryPolicy};
 use nebula_obs::{names, PipelineEvent};
 use relstore::{Database, TupleId};
@@ -213,12 +213,81 @@ impl Nebula {
         self.searcher = searcher;
     }
 
-    /// Offer one mutation to the sink (no-op when none is installed).
-    fn log_mutation(&mut self, mutation: &Mutation<'_>) -> Result<(), NebulaError> {
+    /// The write path: offer `mutation` to the sink (no-op when none is
+    /// installed), then [`Nebula::apply`] it. A sink failure aborts before
+    /// anything changes, so the log never diverges from the in-memory state.
+    fn commit(
+        &mut self,
+        store: &mut AnnotationStore,
+        mutation: &Mutation<'_>,
+        focal: &[TupleId],
+    ) -> Result<Vec<AnnotationId>, NebulaError> {
         if let Some(sink) = self.sink.as_deref_mut() {
             sink.record(mutation)?;
         }
-        Ok(())
+        self.apply(store, mutation, focal)
+    }
+
+    /// The one transition function: [`Mutation::apply`] on the store plus
+    /// what the engine derives from it (ACG, hop profile, verification
+    /// queue). The pipeline runs it after logging; a follower — shard
+    /// sibling, failover rebuild, scrub reference, unsharded twin — runs it
+    /// on every record of the origin's batches and marks a completed run
+    /// with `acg_mut().record_annotation()`. Only `AcceptEdge` reads
+    /// `focal`, and which list that is is the caller's to know: its batch's
+    /// `AttachTuple` targets (the run's *manual* focal) for a pipeline
+    /// accept, `store.focal(..)` for an expert's. Returns [`Mutation::apply`]'s.
+    pub fn apply(
+        &mut self,
+        store: &mut AnnotationStore,
+        mutation: &Mutation<'_>,
+        focal: &[TupleId],
+    ) -> Result<Vec<AnnotationId>, NebulaError> {
+        match *mutation {
+            Mutation::AcceptEdge { annotation, tuple } => {
+                // An expert's accept resolves the pending task of an edge
+                // that already exists; a pipeline auto-accept has neither.
+                if store.edge(annotation, tuple).is_some() {
+                    self.queue.retain(|t| (t.annotation, t.tuple) != (annotation, tuple));
+                }
+                // §6.3: the hop distance enters the profile **before** the
+                // new edges are added.
+                if !focal.is_empty() {
+                    if let Some(hops) = self.acg.shortest_hops(tuple, focal, 16) {
+                        self.profile.record(hops);
+                    }
+                }
+            }
+            Mutation::TupleDeleted { tuple } => {
+                self.queue.retain(|t| t.tuple != tuple);
+                self.acg.remove_tuple(tuple);
+            }
+            _ => {}
+        }
+        let orphaned = mutation.apply(store)?;
+        match *mutation {
+            Mutation::AttachTuple { annotation, tuple }
+            | Mutation::AcceptEdge { annotation, tuple } => {
+                self.acg.add_attachment(store, annotation, tuple);
+            }
+            Mutation::AttachPredicted { annotation, tuple, confidence } => {
+                // Evidence is display-only and not logged; the pipeline
+                // attaches it to the task it just enqueued.
+                let vid = self.queue.next_vid();
+                self.queue.enqueue(VerificationTask {
+                    vid,
+                    annotation,
+                    tuple,
+                    confidence,
+                    evidence: Vec::new(),
+                });
+            }
+            Mutation::RejectEdge { annotation, tuple } => {
+                self.queue.retain(|t| (t.annotation, t.tuple) != (annotation, tuple));
+            }
+            _ => {}
+        }
+        Ok(orphaned)
     }
 
     /// Build the ACG at once from the store's current true attachments
@@ -297,14 +366,11 @@ impl Nebula {
         nebula_govern::stage_boundary(names::STAGE0_REGISTER);
         let stage0_span = nebula_obs::span(names::STAGE0_REGISTER);
         let stage0_trace = nebula_obs::trace::span(names::STAGE0_REGISTER);
-        let expected = AnnotationId(store.annotation_count() as u64);
-        self.log_mutation(&Mutation::AddAnnotation { expected, annotation })?;
-        let aid = store.add_annotation(annotation.clone());
+        let aid = AnnotationId(store.annotation_count() as u64);
+        self.commit(store, &Mutation::AddAnnotation { expected: aid, annotation }, &[])?;
         nebula_obs::trace::bind(aid.0);
         for &f in focal {
-            self.log_mutation(&Mutation::AttachTuple { annotation: aid, tuple: f })?;
-            store.attach(aid, AttachmentTarget::tuple(f))?;
-            self.acg.add_attachment(store, aid, f);
+            self.commit(store, &Mutation::AttachTuple { annotation: aid, tuple: f }, &[])?;
         }
         stage_event(aid, names::STAGE0_REGISTER, stage0_span, stage0_trace, focal.len(), || {
             format!("focal={}", focal.len())
@@ -365,25 +431,21 @@ impl Nebula {
         for cand in &candidates {
             match self.config.bounds.decide(cand.confidence) {
                 Decision::AutoAccept => {
-                    self.apply_accept(store, aid, cand.tuple, focal)?;
+                    let accept = Mutation::AcceptEdge { annotation: aid, tuple: cand.tuple };
+                    self.commit(store, &accept, focal)?;
                     accepted.push((cand.tuple, cand.confidence));
                 }
                 Decision::Pending => {
-                    self.log_mutation(&Mutation::AttachPredicted {
+                    let predict = Mutation::AttachPredicted {
                         annotation: aid,
                         tuple: cand.tuple,
                         confidence: cand.confidence,
-                    })?;
-                    store.attach_predicted(aid, cand.tuple, cand.confidence)?;
-                    let vid = self.queue.next_vid();
-                    self.queue.enqueue(VerificationTask {
-                        vid,
-                        annotation: aid,
-                        tuple: cand.tuple,
-                        confidence: cand.confidence,
-                        evidence: cand.evidence.clone(),
-                    });
-                    pending.push(vid);
+                    };
+                    self.commit(store, &predict, focal)?;
+                    if let Some(task) = self.queue.newest_mut() {
+                        task.evidence = cand.evidence.clone();
+                        pending.push(task.vid);
+                    }
                 }
                 Decision::AutoReject => {
                     rejected.push((cand.tuple, cand.confidence));
@@ -549,103 +611,6 @@ impl Nebula {
             .map(|(cands, stats, _)| (cands, stats))
     }
 
-    /// Accept one predicted attachment: promote the edge, update the ACG,
-    /// and record the hop distance in the profile **before** the new edges
-    /// are added (§6.3's profile-update rule).
-    fn apply_accept(
-        &mut self,
-        store: &mut AnnotationStore,
-        aid: AnnotationId,
-        tuple: TupleId,
-        focal: &[TupleId],
-    ) -> Result<(), NebulaError> {
-        self.log_mutation(&Mutation::AcceptEdge { annotation: aid, tuple })?;
-        if !focal.is_empty() {
-            if let Some(hops) = self.acg.shortest_hops(tuple, focal, 16) {
-                self.profile.record(hops);
-            }
-        }
-        store.attach(aid, AttachmentTarget::tuple(tuple))?;
-        self.acg.add_attachment(store, aid, tuple);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Mirror API: replaying another engine's committed mutations.
-    //
-    // A shard sibling (or any follower holding a full replica) replays the
-    // home engine's mutation batches through these methods so its own
-    // engine state — store, ACG, hop profile, verification queue — stays
-    // byte-equivalent with the engine that originated the batch. Each
-    // method performs exactly the state transitions the originating
-    // pipeline performed, in the same order, without consulting the sink
-    // (the mutations are already committed upstream).
-    // ------------------------------------------------------------------
-
-    /// Mirror a focal (true, manual) attachment: Stage 0's per-focal
-    /// store + ACG update.
-    pub fn mirror_attach_focal(
-        &mut self,
-        store: &mut AnnotationStore,
-        aid: AnnotationId,
-        tuple: TupleId,
-    ) -> Result<(), NebulaError> {
-        store.attach(aid, AttachmentTarget::tuple(tuple))?;
-        self.acg.add_attachment(store, aid, tuple);
-        Ok(())
-    }
-
-    /// Mirror an auto-accepted (or expert-verified) attachment, including
-    /// the profile-before-attach rule of [`Nebula::process_annotation`]'s
-    /// Stage 3. `focal` must be the annotation's *manual* focal list at
-    /// accept time (its logged `AttachTuple` targets), not every true
-    /// attachment accumulated since.
-    pub fn mirror_accept(
-        &mut self,
-        store: &mut AnnotationStore,
-        aid: AnnotationId,
-        tuple: TupleId,
-        focal: &[TupleId],
-    ) -> Result<(), NebulaError> {
-        if !focal.is_empty() {
-            if let Some(hops) = self.acg.shortest_hops(tuple, focal, 16) {
-                self.profile.record(hops);
-            }
-        }
-        store.attach(aid, AttachmentTarget::tuple(tuple))?;
-        self.acg.add_attachment(store, aid, tuple);
-        Ok(())
-    }
-
-    /// Mirror a predicted attachment entering the pending band. The
-    /// verification task is enqueued with the same vid sequence the
-    /// originating engine drew; evidence strings are not replicated (they
-    /// are display-only and never feed a decision).
-    pub fn mirror_attach_predicted(
-        &mut self,
-        store: &mut AnnotationStore,
-        aid: AnnotationId,
-        tuple: TupleId,
-        confidence: f64,
-    ) -> Result<u64, NebulaError> {
-        store.attach_predicted(aid, tuple, confidence)?;
-        let vid = self.queue.next_vid();
-        self.queue.enqueue(VerificationTask {
-            vid,
-            annotation: aid,
-            tuple,
-            confidence,
-            evidence: Vec::new(),
-        });
-        Ok(vid)
-    }
-
-    /// Mirror the end of one annotation's pipeline run: advance the ACG
-    /// stability batch exactly as the originating engine did.
-    pub fn mirror_annotation_done(&mut self) {
-        self.acg.record_annotation();
-    }
-
     /// Expert resolution of a pending task. `accept == true` verifies the
     /// attachment (it becomes true, with ACG and profile updates exactly
     /// like an auto-accept); `false` rejects and discards it.
@@ -655,18 +620,15 @@ impl Nebula {
         vid: u64,
         accept: bool,
     ) -> Result<VerificationTask, NebulaError> {
-        let Some(task) = self.queue.take(vid) else {
+        let Some(task) = self.queue.get(vid).cloned() else {
             return Err(NebulaError::UnknownTask(vid));
         };
+        let (annotation, tuple) = (task.annotation, task.tuple);
         if accept {
-            let focal = store.focal(task.annotation);
-            self.apply_accept(store, task.annotation, task.tuple, &focal)?;
+            let focal = store.focal(annotation);
+            self.commit(store, &Mutation::AcceptEdge { annotation, tuple }, &focal)?;
         } else {
-            self.log_mutation(&Mutation::RejectEdge {
-                annotation: task.annotation,
-                tuple: task.tuple,
-            })?;
-            store.discard_prediction(task.annotation, task.tuple)?;
+            self.commit(store, &Mutation::RejectEdge { annotation, tuple }, &[])?;
         }
         Ok(task)
     }
@@ -682,14 +644,7 @@ impl Nebula {
         store: &mut AnnotationStore,
         tid: TupleId,
     ) -> Result<Vec<AnnotationId>, NebulaError> {
-        self.log_mutation(&Mutation::TupleDeleted { tuple: tid })?;
-        let stale: Vec<u64> =
-            self.queue.iter().filter(|task| task.tuple == tid).map(|task| task.vid).collect();
-        for vid in stale {
-            self.queue.take(vid);
-        }
-        self.acg.remove_tuple(tid);
-        Ok(store.on_tuple_deleted(tid))
+        self.commit(store, &Mutation::TupleDeleted { tuple: tid }, &[])
     }
 
     /// Execute the extended SQL command
@@ -829,6 +784,7 @@ mod tests {
     use super::*;
     use crate::meta::ConceptRef;
     use crate::patterns::Pattern;
+    use annostore::AttachmentTarget;
     use relstore::{DataType, TableSchema, Value};
 
     fn setup() -> (Database, NebulaMeta, Vec<TupleId>) {

@@ -51,9 +51,7 @@ pub mod verify;
 pub use acg::{Acg, StabilityConfig};
 pub use adjust::{context_based_adjustment, AdjustParams};
 pub use assess::{assess_predictions, AssessmentCounts, AssessmentReport};
-pub use batch::{
-    classify_outcome, panic_message, BatchEntry, BatchReport, BatchStatus, QuarantineReason,
-};
+pub use batch::{BatchEntry, BatchReport, BatchStatus, QuarantineReason};
 pub use bounds::{distort, BoundsEvaluation, BoundsSetting, TrainingExample};
 pub use durability::{CommitRule, Mutation, MutationSink, ReplicationStatus, SinkError};
 pub use engine::{Nebula, NebulaConfig, ProcessOutcome, SearchMode};

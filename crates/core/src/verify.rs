@@ -102,9 +102,15 @@ impl VerificationQueue {
         self.pending.insert(task.vid, task);
     }
 
-    /// Remove and return a pending task (expert handled it).
-    pub fn take(&mut self, vid: u64) -> Option<VerificationTask> {
-        self.pending.remove(&vid)
+    /// Drop every pending task `keep` refuses (its edge was resolved or
+    /// its tuple deleted).
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&VerificationTask) -> bool) {
+        self.pending.retain(|_, task| keep(task));
+    }
+
+    /// The most recently enqueued task still pending.
+    pub(crate) fn newest_mut(&mut self) -> Option<&mut VerificationTask> {
+        self.pending.values_mut().next_back()
     }
 
     /// Look at a pending task.
@@ -234,9 +240,9 @@ mod tests {
         q.enqueue(task(v1));
         assert_eq!(q.len(), 2);
         assert!(q.get(v0).is_some());
-        let t = q.take(v0).unwrap();
-        assert_eq!(t.vid, v0);
-        assert!(q.take(v0).is_none());
+        assert_eq!(q.newest_mut().map(|t| t.vid), Some(v1));
+        q.retain(|t| t.vid != v0);
+        assert!(q.get(v0).is_none());
         assert_eq!(q.iter().count(), 1);
     }
 

@@ -291,3 +291,205 @@ fn sample_matching_folds_ascii_only() {
     assert_eq!(meta.domain_weight(&db, "äb1", table, column), w::TYPE_ONLY);
     assert_eq!(meta.domain_weight(&db, "Éa0", table, column), w::SAMPLE_SHAPE);
 }
+
+/// Follower equivalence: an engine that applies another engine's logged
+/// mutations through the public [`Nebula::apply`] ends in the same store,
+/// ACG, hop profile and verification queue — for the pipeline's events and
+/// for the expert's accept / reject and a tuple deletion alike.
+mod follower {
+    use annostore::{Annotation, AnnotationId, AnnotationStore};
+    use nebula_core::{
+        ConceptRef, Mutation, MutationSink, Nebula, NebulaConfig, NebulaMeta, Pattern, SinkError,
+        StabilityConfig, VerificationBounds,
+    };
+    use proptest::prelude::*;
+    use relstore::{DataType, Database, TableSchema, TupleId, Value};
+    use std::sync::{Arc, Mutex};
+
+    const GENES: [(&str, &str); 6] = [
+        ("JW0012", "yaaI"),
+        ("JW0013", "grpC"),
+        ("JW0014", "groP"),
+        ("JW0019", "yaaB"),
+        ("JW0021", "dnaK"),
+        ("JW0035", "carA"),
+    ];
+
+    fn setup() -> (Database, NebulaMeta, Vec<TupleId>) {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::builder("gene")
+                .column("gid", DataType::Text)
+                .column("name", DataType::Text)
+                .primary_key("gid")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let ids = GENES
+            .iter()
+            .map(|(gid, name)| {
+                db.insert("gene", vec![Value::text(*gid), Value::text(*name)]).unwrap()
+            })
+            .collect();
+        let mut meta = NebulaMeta::new();
+        meta.add_concept(ConceptRef {
+            concept: "Gene".into(),
+            table: "gene".into(),
+            referenced_by: vec![vec!["gid".into()], vec!["name".into()]],
+        });
+        meta.set_pattern("gene", "gid", Pattern::compile("JW[0-9]{4}").unwrap());
+        meta.set_pattern("gene", "name", Pattern::compile("[a-z]{3}[A-Z]").unwrap());
+        (db, meta, ids)
+    }
+
+    /// An owned copy of one logged mutation (core only has the borrowed
+    /// form; the WAL's owned one lives in `nebula-durable`).
+    enum Logged {
+        Add(AnnotationId, Annotation),
+        Other(Mutation<'static>),
+    }
+
+    #[derive(Debug)]
+    struct Capture(Arc<Mutex<Vec<Logged>>>);
+
+    impl std::fmt::Debug for Logged {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            match self {
+                Logged::Add(id, a) => write!(f, "Add({id:?}, {:?})", a.text),
+                Logged::Other(m) => write!(f, "{m:?}"),
+            }
+        }
+    }
+
+    impl MutationSink for Capture {
+        fn record(&mut self, m: &Mutation<'_>) -> Result<u64, SinkError> {
+            let owned = match *m {
+                Mutation::AddAnnotation { expected, annotation } => {
+                    Logged::Add(expected, annotation.clone())
+                }
+                Mutation::AttachTuple { annotation, tuple } => {
+                    Logged::Other(Mutation::AttachTuple { annotation, tuple })
+                }
+                Mutation::AttachCell { annotation, tuple, column } => {
+                    Logged::Other(Mutation::AttachCell { annotation, tuple, column })
+                }
+                Mutation::AttachPredicted { annotation, tuple, confidence } => {
+                    Logged::Other(Mutation::AttachPredicted { annotation, tuple, confidence })
+                }
+                Mutation::AcceptEdge { annotation, tuple } => {
+                    Logged::Other(Mutation::AcceptEdge { annotation, tuple })
+                }
+                Mutation::RejectEdge { annotation, tuple } => {
+                    Logged::Other(Mutation::RejectEdge { annotation, tuple })
+                }
+                Mutation::TupleDeleted { tuple } => Logged::Other(Mutation::TupleDeleted { tuple }),
+            };
+            let mut log = self.0.lock().unwrap();
+            log.push(owned);
+            Ok(log.len() as u64)
+        }
+
+        fn checkpoint(&mut self, _: &Database, _: &AnnotationStore) -> Result<u64, SinkError> {
+            Ok(0)
+        }
+    }
+
+    fn queue_of(engine: &Nebula) -> Vec<(u64, AnnotationId, TupleId, u64)> {
+        engine
+            .queue()
+            .iter()
+            .map(|t| (t.vid, t.annotation, t.tuple, t.confidence.to_bits()))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn a_follower_applying_the_log_equals_its_origin(
+            upper in prop_oneof![Just(0.0f64), Just(0.6), Just(0.9), Just(1.0)],
+            // (kind, a, b, c): 0..=3 annotate, 4 expert accept, 5 expert
+            // reject, 6 delete; a/b/c pick genes, focal sizes and tasks.
+            steps in proptest::collection::vec((0u8..7, 0usize..6, 0usize..6, 0usize..3), 1..24),
+        ) {
+            let (mut db, meta, ids) = setup();
+            let config = NebulaConfig {
+                bounds: VerificationBounds::new(0.0, upper),
+                stability: StabilityConfig { batch_size: 2, mu: 0.5 },
+                ..Default::default()
+            };
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mut origin = Nebula::new(config.clone(), meta.clone());
+            origin.set_mutation_sink(Some(Box::new(Capture(log.clone()))));
+            let mut origin_store = AnnotationStore::new();
+            let mut follower = Nebula::new(config, meta);
+            let mut follower_store = AnnotationStore::new();
+            let mut focals: Vec<Vec<TupleId>> = Vec::new();
+
+            for &(kind, a, b, c) in &steps {
+                // Run one step on the origin; `focal` is what its accepts
+                // measured hop distances from, `done` whether a pipeline
+                // run completed.
+                let (focal, done): (Option<Vec<TupleId>>, bool) = match kind {
+                    0..=3 => {
+                        let text = format!(
+                            "this gene {} correlates with gene {} in step {kind}",
+                            GENES[a].0, GENES[b].1
+                        );
+                        let focal: Vec<TupleId> = (0..c).map(|i| ids[(a + b + i) % ids.len()]).collect();
+                        let out = origin.process_annotation(
+                            &db, &mut origin_store, &Annotation::new(text), &focal,
+                        );
+                        focals.push(focal.clone());
+                        (Some(focal), out.is_ok())
+                    }
+                    4 | 5 => {
+                        let Some(vid) = origin.queue().iter().nth(a).map(|t| t.vid) else { continue };
+                        origin.resolve_task(&mut origin_store, vid, kind == 4).unwrap();
+                        (None, false)
+                    }
+                    _ => {
+                        origin.on_tuple_deleted(&mut origin_store, ids[a]).unwrap();
+                        db.delete(ids[a]);
+                        (None, false)
+                    }
+                };
+                for logged in log.lock().unwrap().drain(..) {
+                    let m = match &logged {
+                        Logged::Add(expected, annotation) => {
+                            Mutation::AddAnnotation { expected: *expected, annotation }
+                        }
+                        Logged::Other(m) => *m,
+                    };
+                    // An expert's accept measures from the annotation's
+                    // focal set in the store, on both sides.
+                    let focal = match (&focal, m) {
+                        (Some(f), _) => f.clone(),
+                        (None, Mutation::AcceptEdge { annotation, .. }) => {
+                            follower_store.focal(annotation)
+                        }
+                        (None, _) => Vec::new(),
+                    };
+                    follower.apply(&mut follower_store, &m, &focal).unwrap();
+                }
+                if done {
+                    follower.acg_mut().record_annotation();
+                }
+
+                prop_assert_eq!(
+                    annostore::snapshot::save(&follower_store),
+                    annostore::snapshot::save(&origin_store)
+                );
+                prop_assert_eq!(follower.acg().node_count(), origin.acg().node_count());
+                prop_assert_eq!(follower.acg().edge_count(), origin.acg().edge_count());
+                prop_assert_eq!(follower.acg().is_stable(), origin.acg().is_stable());
+                for f in &focals {
+                    prop_assert_eq!(follower.acg().k_hop(f, 2), origin.acg().k_hop(f, 2));
+                }
+                prop_assert_eq!(follower.profile(), origin.profile());
+                prop_assert_eq!(queue_of(&follower), queue_of(&origin));
+            }
+        }
+    }
+}

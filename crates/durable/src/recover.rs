@@ -17,7 +17,7 @@
 use crate::checkpoint;
 use crate::wal::{read_wal, TailReport, WalOp, WAL_FILE};
 use crate::{counters, DurableError};
-use annostore::{Annotation, AnnotationId, AnnotationStore, AttachmentTarget, StoreError};
+use annostore::AnnotationStore;
 use relstore::Database;
 use std::path::Path;
 
@@ -51,61 +51,30 @@ pub struct Recovered {
 /// Apply one WAL operation to the state. Public so the crash-point
 /// harness and the replication layer (`nebula-replica`) build their
 /// reference and replica states through the same idempotent code path
-/// recovery uses.
+/// recovery uses. What the operation does to the annotation store is
+/// [`Mutation::apply`](nebula_core::Mutation::apply)'s business; this adds
+/// only the relational half of a deletion and the guards that make a
+/// double replay a no-op.
 pub fn replay_op(
     db: &mut Database,
     store: &mut AnnotationStore,
     op: &WalOp,
 ) -> Result<(), DurableError> {
-    match op {
-        WalOp::AddAnnotation { expected, text, author, kind } => {
-            let next = AnnotationId(store.annotation_count() as u64);
-            if expected.0 < next.0 {
-                // Already present (checkpoint raced ahead of the
-                // watermark is impossible, but double replay is not).
-                return Ok(());
-            }
-            if expected.0 > next.0 {
-                return Err(DurableError::Replay(format!(
-                    "annotation id gap: log expects {} but store would assign {}",
-                    expected.0, next.0
-                )));
-            }
-            let assigned = store.add_annotation(Annotation {
-                text: text.clone(),
-                author: author.clone(),
-                kind: kind.clone(),
-            });
-            debug_assert_eq!(assigned, *expected);
-            Ok(())
+    match *op {
+        // Already present (the record was replayed before).
+        WalOp::AddAnnotation { expected, .. } if expected.0 < store.annotation_count() as u64 => {
+            return Ok(());
         }
-        WalOp::AttachTuple { annotation, tuple } | WalOp::AcceptEdge { annotation, tuple } => store
-            .attach(*annotation, AttachmentTarget::tuple(*tuple))
-            .map_err(|e| replay_err("attach", e)),
-        WalOp::AttachCell { annotation, tuple, column } => store
-            .attach(*annotation, AttachmentTarget::cell(*tuple, *column))
-            .map_err(|e| replay_err("attach cell", e)),
-        WalOp::AttachPredicted { annotation, tuple, confidence } => store
-            .attach_predicted(*annotation, *tuple, *confidence)
-            .map_err(|e| replay_err("attach predicted", e)),
-        WalOp::RejectEdge { annotation, tuple } => {
-            match store.discard_prediction(*annotation, *tuple) {
-                // The edge being gone already is fine: rejection is
-                // idempotent under double replay.
-                Ok(()) | Err(StoreError::UnknownEdge(..)) => Ok(()),
-                Err(e) => Err(replay_err("reject", e)),
-            }
+        // The predicted edge being gone already is fine.
+        WalOp::RejectEdge { annotation, tuple } if store.edge(annotation, tuple).is_none() => {
+            return Ok(());
         }
         WalOp::TupleDeleted { tuple } => {
-            db.delete(*tuple);
-            store.on_tuple_deleted(*tuple);
-            Ok(())
+            db.delete(tuple);
         }
+        _ => {}
     }
-}
-
-fn replay_err(what: &str, e: StoreError) -> DurableError {
-    DurableError::Replay(format!("{what}: {e}"))
+    op.with_mutation(|m| m.apply(store)).map(drop).map_err(|e| DurableError::Replay(e.to_string()))
 }
 
 /// Recover from raw bytes: an optional checkpoint image plus the WAL.
@@ -211,6 +180,7 @@ pub fn recover(dir: &Path) -> Result<Recovered, DurableError> {
 mod tests {
     use super::*;
     use crate::wal::encode_record;
+    use annostore::AnnotationId;
 
     fn log_of(ops: &[(u64, WalOp)]) -> Vec<u8> {
         let mut log = Vec::new();

@@ -28,7 +28,7 @@
 //! best-effort beyond that frame.
 
 use crate::DurableError;
-use annostore::AnnotationId;
+use annostore::{Annotation, AnnotationId};
 use nebula_codec::{crc32c, Reader, Writer};
 use nebula_core::Mutation;
 use relstore::schema::ColumnId;
@@ -134,6 +134,37 @@ impl WalOp {
             Mutation::AcceptEdge { annotation, tuple } => WalOp::AcceptEdge { annotation, tuple },
             Mutation::RejectEdge { annotation, tuple } => WalOp::RejectEdge { annotation, tuple },
             Mutation::TupleDeleted { tuple } => WalOp::TupleDeleted { tuple },
+        }
+    }
+
+    /// Hand `f` the borrowed engine view of this record — the inverse of
+    /// [`WalOp::from_mutation`], and how every replayer reaches
+    /// [`Mutation::apply`] and `Nebula::apply`. A closure because
+    /// `Mutation::AddAnnotation` borrows a whole [`Annotation`], which the
+    /// record holds as fields.
+    pub fn with_mutation<R>(&self, f: impl FnOnce(&Mutation<'_>) -> R) -> R {
+        match *self {
+            WalOp::AddAnnotation { expected, ref text, ref author, ref kind } => {
+                let annotation =
+                    Annotation { text: text.clone(), author: author.clone(), kind: kind.clone() };
+                f(&Mutation::AddAnnotation { expected, annotation: &annotation })
+            }
+            WalOp::AttachTuple { annotation, tuple } => {
+                f(&Mutation::AttachTuple { annotation, tuple })
+            }
+            WalOp::AttachCell { annotation, tuple, column } => {
+                f(&Mutation::AttachCell { annotation, tuple, column })
+            }
+            WalOp::AttachPredicted { annotation, tuple, confidence } => {
+                f(&Mutation::AttachPredicted { annotation, tuple, confidence })
+            }
+            WalOp::AcceptEdge { annotation, tuple } => {
+                f(&Mutation::AcceptEdge { annotation, tuple })
+            }
+            WalOp::RejectEdge { annotation, tuple } => {
+                f(&Mutation::RejectEdge { annotation, tuple })
+            }
+            WalOp::TupleDeleted { tuple } => f(&Mutation::TupleDeleted { tuple }),
         }
     }
 

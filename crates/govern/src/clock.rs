@@ -75,8 +75,13 @@ pub fn reset_virtual() {
 mod tests {
     use super::*;
 
+    /// The virtual-clock switch is process-global: a test that turns it off
+    /// while the other is about to sleep an hour would make that sleep real.
+    static SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn virtual_sleep_accumulates_without_blocking() {
+        let _serial = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         set_virtual(true);
         reset_virtual();
         let start = std::time::Instant::now();
@@ -91,6 +96,7 @@ mod tests {
 
     #[test]
     fn zero_sleep_is_free_in_both_modes() {
+        let _serial = SWITCH.lock().unwrap_or_else(|e| e.into_inner());
         sleep(Duration::ZERO);
         set_virtual(true);
         reset_virtual();

@@ -26,11 +26,9 @@ use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 use crate::counters;
 use crate::health::{HealthMachine, HealthSignal, HealthState};
 use annostore::{Annotation, AnnotationStore};
-use nebula_core::batch::{classify_outcome, panic_message, BatchEntry, BatchReport, BatchStatus};
-use nebula_core::{Nebula, NebulaError, QuarantineReason};
+use nebula_core::{BatchEntry, BatchReport, BatchStatus, Nebula, NebulaError, QuarantineReason};
 use nebula_govern::FaultContext;
 use relstore::{Database, TupleId};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -281,13 +279,7 @@ pub fn ingest_batch(
 
     let state = shared.engine.into_inner().unwrap_or_else(|e| e.into_inner());
     nebula_govern::restore_fault_context(state.fault_ctx.unwrap_or_default());
-    // End-of-batch flush, exactly as `process_batch` does it (this is the
-    // group commit for SyncPolicy::Batch sinks).
-    if let Some(sink) = state.nebula.mutation_sink_mut() {
-        if sink.flush().is_err() {
-            nebula_obs::counter_add("core.flush_failed", 1);
-        }
-    }
+    state.nebula.flush_batch();
     let mut batch = BatchReport::default();
     for entry in state.slots.into_iter().flatten() {
         batch.push(entry);
@@ -346,87 +338,32 @@ fn dispatch(
         );
         nebula_obs::trace::wait("ingest.turn_wait", String::new(), turn_wait_ns);
     }
-    if state.health.state() == HealthState::Wedged {
-        // Recovery probe: if the WAL breaker has left Open (its cooldown
-        // elapsed) and the sink itself reports writable again — e.g. an
-        // operator checkpoint or the cluster's scrub rebuilt the log — the
-        // wedge is provably stale. Lift it to Degraded and let this item
-        // run; otherwise shed as before.
-        let wal_calm = state.wal_breaker.state() != BreakerState::Open;
-        let sink_ok = {
-            let EngineState { nebula, .. } = state;
-            nebula.mutation_sink_mut().is_none_or(|sink| sink.healthy())
-        };
-        if !(wal_calm && sink_ok && state.health.try_recover()) {
-            record_shed(
-                state,
-                ShedRecord {
-                    index: queued.index,
-                    priority: queued.priority,
-                    reason: ShedReason::Wedged,
-                },
-            );
-            return;
-        }
-    }
-    if queued.deadline.is_some_and(|d| Instant::now() >= d) {
-        record_shed(
-            state,
-            ShedRecord {
-                index: queued.index,
-                priority: queued.priority,
-                reason: ShedReason::DeadlineExpired,
-            },
-        );
-        return;
-    }
-    // All breakers must consent; each open breaker counts the shed
-    // toward its own half-open transition, so no short-circuiting.
-    let search_ok = state.search_breaker.allows();
-    let wal_ok = state.wal_breaker.allows();
-    let repl_ok = state.repl_breaker.allows();
-    if !(search_ok && wal_ok && repl_ok) {
-        record_shed(
-            state,
-            ShedRecord {
-                index: queued.index,
-                priority: queued.priority,
-                reason: ShedReason::CircuitOpen,
-            },
-        );
+    let shed = if state.health.state() == HealthState::Wedged && !recovery_probe(state) {
+        Some(ShedReason::Wedged)
+    } else if queued.deadline.is_some_and(|d| Instant::now() >= d) {
+        Some(ShedReason::DeadlineExpired)
+    } else {
+        // All breakers must consent; each open breaker counts the shed
+        // toward its own half-open transition, so no short-circuiting.
+        let search_ok = state.search_breaker.allows();
+        let wal_ok = state.wal_breaker.allows();
+        let repl_ok = state.repl_breaker.allows();
+        (!(search_ok && wal_ok && repl_ok)).then_some(ShedReason::CircuitOpen)
+    };
+    if let Some(reason) = shed {
+        record_shed(state, ShedRecord { index: queued.index, priority: queued.priority, reason });
         return;
     }
 
     nebula_govern::restore_fault_context(state.fault_ctx.take().unwrap_or_default());
-    let EngineState { nebula, store, .. } = state;
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        nebula.process_annotation(db, store, &item.annotation, &item.focal)
-    }));
+    let entry = state.nebula.process_contained(
+        db,
+        state.store,
+        queued.index,
+        &item.annotation,
+        &item.focal,
+    );
     state.fault_ctx = Some(nebula_govern::take_fault_context());
-
-    let entry = match attempt {
-        Ok(Ok(outcome)) => BatchEntry {
-            index: queued.index,
-            status: classify_outcome(&outcome),
-            outcome: Some(outcome),
-            quarantine: None,
-        },
-        Ok(Err(e)) => BatchEntry {
-            index: queued.index,
-            status: BatchStatus::Quarantined,
-            outcome: None,
-            quarantine: Some(QuarantineReason::Error(e)),
-        },
-        Err(payload) => BatchEntry {
-            index: queued.index,
-            status: BatchStatus::Quarantined,
-            outcome: None,
-            quarantine: Some(QuarantineReason::Panic(panic_message(payload))),
-        },
-    };
-    if entry.status == BatchStatus::Quarantined {
-        nebula_obs::counter_add("core.quarantined", 1);
-    }
 
     // Breaker + health bookkeeping, still in commit order.
     match &entry.quarantine {
@@ -435,43 +372,20 @@ fn dispatch(
             state.wal_breaker.record_success();
         }
         Some(QuarantineReason::Error(NebulaError::Durability(_))) => {
-            let trips_before = state.wal_breaker.trips;
-            state.wal_breaker.record_failure();
-            if state.wal_breaker.trips > trips_before {
-                nebula_obs::trace::flight_event(
-                    "breaker.trip",
-                    format!("wal trips={}", state.wal_breaker.trips),
-                );
+            if record_failure(&mut state.wal_breaker, "wal") {
                 state.health.note_wal_trip();
             }
         }
         Some(_) => {
-            let trips_before = state.search_breaker.trips;
-            state.search_breaker.record_failure();
-            if state.search_breaker.trips > trips_before {
-                nebula_obs::trace::flight_event(
-                    "breaker.trip",
-                    format!("search trips={}", state.search_breaker.trips),
-                );
-            }
+            record_failure(&mut state.search_breaker, "search");
         }
     }
     // A replicated sink reports its posture after every record; feed the
     // lag signal into the replication breaker and the health machine.
-    let repl_status = {
-        let EngineState { nebula, .. } = state;
-        nebula.mutation_sink_mut().and_then(|sink| sink.replication())
-    };
+    let repl_status = state.nebula.mutation_sink_mut().and_then(|sink| sink.replication());
     if let Some(repl) = repl_status {
         if repl.lag_budget_exceeded {
-            let trips_before = state.repl_breaker.trips;
-            state.repl_breaker.record_failure();
-            if state.repl_breaker.trips > trips_before {
-                nebula_obs::trace::flight_event(
-                    "breaker.trip",
-                    format!("replication trips={}", state.repl_breaker.trips),
-                );
-            }
+            record_failure(&mut state.repl_breaker, "replication");
         } else {
             state.repl_breaker.record_success();
         }
@@ -496,20 +410,11 @@ fn dispatch(
     let committed = entry.status != BatchStatus::Quarantined;
     state.slots[queued.index] = Some(entry);
 
-    // Periodic checkpointing between items, mirroring `process_batch`:
-    // the sink decides when one is due; a failure defers (the WAL still
-    // covers everything). The checkpoint rolls I/O fault sites, so it
-    // must run under the migrated fault context — otherwise its draws
-    // vanish from the stream and the sequential twin diverges.
+    // The periodic checkpoint rolls I/O fault sites, so it must run under
+    // the migrated fault context — otherwise its draws vanish from the
+    // stream and the sequential twin diverges.
     nebula_govern::restore_fault_context(state.fault_ctx.take().unwrap_or_default());
-    {
-        let EngineState { nebula, store, .. } = state;
-        if let Some(sink) = nebula.mutation_sink_mut() {
-            if sink.checkpoint_due() && sink.checkpoint(db, store).is_err() {
-                nebula_obs::counter_add("core.checkpoint_deferred", 1);
-            }
-        }
-    }
+    state.nebula.checkpoint_if_due(db, state.store);
     state.fault_ctx = Some(nebula_govern::take_fault_context());
 
     // Route the trace: a committed annotation's tree (including any
@@ -520,6 +425,28 @@ fn dispatch(
     } else {
         nebula_obs::trace::abandon();
     }
+}
+
+/// Recovery probe of a Wedged pool: if the WAL breaker has left Open (its
+/// cooldown elapsed) and the sink itself reports writable again — e.g. an
+/// operator checkpoint or the cluster's scrub rebuilt the log — the wedge is
+/// provably stale: lift it to Degraded and let the item run.
+fn recovery_probe(state: &mut EngineState<'_>) -> bool {
+    let wal_calm = state.wal_breaker.state() != BreakerState::Open;
+    let sink_ok = state.nebula.mutation_sink_mut().is_none_or(|sink| sink.healthy());
+    wal_calm && sink_ok && state.health.try_recover()
+}
+
+/// Count a failure on `breaker`; a failure that trips it leaves a
+/// flight-recorder event and returns true.
+fn record_failure(breaker: &mut CircuitBreaker, name: &str) -> bool {
+    let trips_before = breaker.trips;
+    breaker.record_failure();
+    let tripped = breaker.trips > trips_before;
+    if tripped {
+        nebula_obs::trace::flight_event("breaker.trip", format!("{name} trips={}", breaker.trips));
+    }
+    tripped
 }
 
 fn record_shed(state: &mut EngineState<'_>, shed: ShedRecord) {

@@ -878,10 +878,6 @@ impl MutationSink for ClusterSink {
         )
     }
 
-    fn commit_rule(&self) -> CommitRule {
-        self.lock().config().rule
-    }
-
     fn healthy(&self) -> bool {
         !self.lock().primary().wal().is_wedged()
     }
@@ -1302,7 +1298,7 @@ mod tests {
         let st = sink.replication().unwrap();
         assert_eq!(st.epoch, 1);
         assert_eq!(st.replicas, 1);
-        assert_eq!(sink.commit_rule(), CommitRule::Local);
+        assert_eq!(sink.lock().config().rule, CommitRule::Local);
         let count = sink.lock().read_replica(1, 0, |_, s| s.annotation_count()).unwrap();
         assert_eq!(count, 1);
         assert!(sink.describe().contains("replicated epoch=1"));

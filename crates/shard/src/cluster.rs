@@ -33,14 +33,13 @@
 //! hangs, panics, or silently pretends to be complete.
 
 use annostore::{snapshot as astore_snapshot, Annotation, AnnotationId, AnnotationStore};
-use annostore::{AttachmentTarget, StoreError};
 use nebula_codec::fnv1a;
 use nebula_core::{
     Mutation, MutationSink, Nebula, NebulaConfig, NebulaError, NebulaMeta, ProcessOutcome,
     SinkError,
 };
 use nebula_durable::wal::{encode_record, read_wal};
-use nebula_durable::{checkpoint, replay_op, WalOp};
+use nebula_durable::{checkpoint, WalOp};
 use nebula_govern::{clock, Degradation, ExecutionBudget, FaultPlan, FaultSite};
 use nebula_ingest::{BreakerConfig, BreakerState, CircuitBreaker, ShardHealth, ShardRouter};
 use nebula_replica::{SimTransport, Transport, TransportStats};
@@ -226,17 +225,11 @@ struct ShardNode {
     options: SearchOptions,
 }
 
-impl ShardNode {
-    /// Replay one committed batch through the engine's mirror API.
-    fn apply_batch(&mut self, bytes: &[u8], completed: bool) -> Result<(), ShardError> {
-        replay_batch(&mut self.engine, &mut self.db, &mut self.store, bytes, completed)
-    }
-}
-
-/// Replay one batch onto an engine + replica pair. The focal list for
-/// profile updates is reconstructed from the batch's own `AttachTuple`
-/// records (the store's focal set would wrongly include tuples accepted
-/// by *earlier* annotations).
+/// Replay one batch — the records one `process_annotation` run committed —
+/// onto an engine + replica pair: decode, hand each record to
+/// [`Nebula::apply`]. The focal list for profile updates is the batch's own
+/// `AttachTuple` records (the store's focal set would wrongly include
+/// tuples accepted by *earlier* annotations).
 fn replay_batch(
     engine: &mut Nebula,
     db: &mut Database,
@@ -250,53 +243,46 @@ fn replay_batch(
     }
     let mut focal: Vec<TupleId> = Vec::new();
     for rec in &records {
-        match &rec.op {
-            WalOp::AddAnnotation { expected, text, author, kind } => {
-                focal.clear();
-                let next = AnnotationId(store.annotation_count() as u64);
-                if *expected != next {
-                    return Err(ShardError::Apply(format!(
-                        "annotation id gap: batch expects {} but replica would assign {}",
-                        expected.0, next.0
-                    )));
-                }
-                store.add_annotation(Annotation {
-                    text: text.clone(),
-                    author: author.clone(),
-                    kind: kind.clone(),
-                });
+        rec.op.with_mutation(|m| {
+            if let Mutation::TupleDeleted { tuple } = *m {
+                db.delete(tuple);
             }
-            WalOp::AttachTuple { annotation, tuple } => {
-                engine.mirror_attach_focal(store, *annotation, *tuple)?;
-                focal.push(*tuple);
+            engine.apply(store, m, &focal)?;
+            if let Mutation::AttachTuple { tuple, .. } = *m {
+                focal.push(tuple);
             }
-            WalOp::AcceptEdge { annotation, tuple } => {
-                engine.mirror_accept(store, *annotation, *tuple, &focal)?;
-            }
-            WalOp::AttachPredicted { annotation, tuple, confidence } => {
-                engine.mirror_attach_predicted(store, *annotation, *tuple, *confidence)?;
-            }
-            WalOp::AttachCell { annotation, tuple, column } => {
-                store
-                    .attach(*annotation, AttachmentTarget::cell(*tuple, *column))
-                    .map_err(|e| ShardError::Apply(format!("attach cell: {e}")))?;
-            }
-            WalOp::RejectEdge { annotation, tuple } => {
-                match store.discard_prediction(*annotation, *tuple) {
-                    Ok(()) | Err(StoreError::UnknownEdge(..)) => {}
-                    Err(e) => return Err(ShardError::Apply(format!("reject: {e}"))),
-                }
-            }
-            WalOp::TupleDeleted { tuple } => {
-                db.delete(*tuple);
-                store.on_tuple_deleted(*tuple);
-            }
-        }
+            Ok::<(), NebulaError>(())
+        })?;
     }
     if completed {
-        engine.mirror_annotation_done();
+        engine.acg_mut().record_annotation();
     }
     Ok(())
+}
+
+/// The one "genesis + log" replay: an unsharded engine booted from the
+/// `genesis` image with `log` replayed on top. `at(seq, store)` sees the
+/// store at every batch boundary, genesis (`seq` 0) included. Shard boot
+/// and failover rebuild, the scrub reference and the twin all start here.
+fn replay_history(
+    genesis: &[u8],
+    meta: &NebulaMeta,
+    engine_config: &NebulaConfig,
+    log: &[LogEntry],
+    mut at: impl FnMut(u64, &AnnotationStore),
+) -> Result<TwinEngine, ShardError> {
+    let (_, mut db, mut store) =
+        checkpoint::decode(genesis).map_err(|e| ShardError::Snapshot(e.to_string()))?;
+    let mut engine = Nebula::new(engine_config.clone(), meta.clone());
+    if store.annotation_count() > 0 {
+        engine.bootstrap_acg(&store);
+    }
+    at(0, &store);
+    for (i, e) in log.iter().enumerate() {
+        replay_batch(&mut engine, &mut db, &mut store, &e.bytes, e.completed)?;
+        at((i + 1) as u64, &store);
+    }
+    Ok(TwinEngine { engine, db, store })
 }
 
 /// The shared fabric: the simulated network, the shard nodes, and the
@@ -429,7 +415,8 @@ impl Fabric {
         }
         let refuse = seq > node.applied_seq + 1
             || nebula_govern::inject(FaultSite::ShardApply).is_some()
-            || node.apply_batch(ops, completed).is_err();
+            || replay_batch(&mut node.engine, &mut node.db, &mut node.store, ops, completed)
+                .is_err();
         if refuse {
             let nack = ShardFrame::ApplyNack { seq, shard: node.id, applied: node.applied_seq };
             self.transport.send(node.id, origin, nack.encode());
@@ -584,38 +571,25 @@ impl SearchBackend for ScatterBackend {
     }
 }
 
+/// Turn a replayed engine into shard `id`: install the scatter override
+/// and the probe-serving options.
 fn build_node(
     id: usize,
     epoch: u64,
-    genesis: &[u8],
+    applied_seq: u64,
+    twin: TwinEngine,
     meta: &NebulaMeta,
-    engine_config: &NebulaConfig,
     serve_budget: ExecutionBudget,
     fabric: &Arc<Mutex<Fabric>>,
-) -> Result<ShardNode, ShardError> {
-    let (_, db, store) =
-        checkpoint::decode(genesis).map_err(|e| ShardError::Snapshot(e.to_string()))?;
-    let mut engine = Nebula::new(engine_config.clone(), meta.clone());
-    if store.annotation_count() > 0 {
-        engine.bootstrap_acg(&store);
-    }
+) -> ShardNode {
+    let TwinEngine { mut engine, db, store } = twin;
     let options = SearchOptions { vocab: meta.to_vocabulary(&db), ..Default::default() };
     engine.set_group_search(Some(Box::new(ScatterBackend {
         fabric: fabric.clone(),
         me: id,
         options: options.clone(),
     })));
-    Ok(ShardNode {
-        id,
-        epoch,
-        applied_seq: 0,
-        failed: false,
-        engine,
-        db,
-        store,
-        serve_budget,
-        options,
-    })
+    ShardNode { id, epoch, applied_seq, failed: false, engine, db, store, serve_budget, options }
 }
 
 /// What one anti-entropy scrub pass found and fixed.
@@ -713,15 +687,8 @@ impl ShardCluster {
             divergent: BTreeSet::new(),
         }));
         for id in 0..shards {
-            let node = build_node(
-                id,
-                0,
-                &genesis,
-                meta,
-                engine_config,
-                config.serve_budget.clone(),
-                &fabric,
-            )?;
+            let twin = replay_history(&genesis, meta, engine_config, &[], |_, _| {})?;
+            let node = build_node(id, 0, 0, twin, meta, config.serve_budget.clone(), &fabric);
             fabric.lock().expect("shard fabric poisoned").nodes[id] = Some(node);
         }
         nebula_obs::gauge_set(counters::SHARDS_GAUGE, shards as u64);
@@ -944,23 +911,22 @@ impl ShardCluster {
         Ok(())
     }
 
-    /// Rebuild shard `s` from the durable history: genesis image plus the
-    /// first `upto` batches replayed through the mirror path.
+    /// The durable history — genesis plus the first `upto` batches (all of
+    /// them when there are fewer) — replayed into an unsharded engine.
+    fn replay(
+        &self,
+        upto: usize,
+        at: impl FnMut(u64, &AnnotationStore),
+    ) -> Result<TwinEngine, ShardError> {
+        let log = &self.log[..upto.min(self.log.len())];
+        replay_history(&self.genesis, &self.meta, &self.engine_config, log, at)
+    }
+
+    /// Rebuild shard `s` from the durable history at watermark `upto`.
     fn rebuild_node(&self, s: usize, epoch: u64, upto: usize) -> Result<ShardNode, ShardError> {
-        let mut node = build_node(
-            s,
-            epoch,
-            &self.genesis,
-            &self.meta,
-            &self.engine_config,
-            self.config.serve_budget.clone(),
-            &self.fabric,
-        )?;
-        for (i, e) in self.log.iter().take(upto).enumerate() {
-            node.apply_batch(&e.bytes, e.completed)?;
-            node.applied_seq = (i + 1) as u64;
-        }
-        Ok(node)
+        let twin = self.replay(upto, |_, _| {})?;
+        let budget = self.config.serve_budget.clone();
+        Ok(build_node(s, epoch, upto as u64, twin, &self.meta, budget, &self.fabric))
     }
 
     /// Flip bits on shard `s`'s replica (simulated silent corruption);
@@ -986,23 +952,12 @@ impl ShardCluster {
         };
         // One replay pass over the history, capturing the reference
         // digest at every watermark a live shard sits at.
-        let (_, mut db, mut store) =
-            checkpoint::decode(&self.genesis).map_err(|e| ShardError::Snapshot(e.to_string()))?;
         let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
-        if watermarks.contains(&0) {
-            reference.insert(0, store_digest(&store));
-        }
-        for (i, e) in self.log.iter().enumerate() {
-            let (records, _) = read_wal(&e.bytes);
-            for r in &records {
-                replay_op(&mut db, &mut store, &r.op)
-                    .map_err(|e| ShardError::Apply(e.to_string()))?;
-            }
-            let seq = (i + 1) as u64;
+        self.replay(self.log.len(), |seq, store| {
             if watermarks.contains(&seq) {
-                reference.insert(seq, store_digest(&store));
+                reference.insert(seq, store_digest(store));
             }
-        }
+        })?;
         let mut outcome = ScrubOutcome::default();
         let shards = self.shards();
         for s in 0..shards {
@@ -1069,16 +1024,7 @@ impl ShardCluster {
 
     /// Rebuild an unsharded reference engine from the durable history.
     pub fn rebuild_twin(&self) -> Result<TwinEngine, ShardError> {
-        let (_, mut db, mut store) =
-            checkpoint::decode(&self.genesis).map_err(|e| ShardError::Snapshot(e.to_string()))?;
-        let mut engine = Nebula::new(self.engine_config.clone(), self.meta.clone());
-        if store.annotation_count() > 0 {
-            engine.bootstrap_acg(&store);
-        }
-        for e in &self.log {
-            replay_batch(&mut engine, &mut db, &mut store, &e.bytes, e.completed)?;
-        }
-        Ok(TwinEngine { engine, db, store })
+        self.replay(self.log.len(), |_, _| {})
     }
 
     /// Per-shard health rows for `SHOW SHARDS`.
@@ -1186,7 +1132,7 @@ mod tests {
         let mut store = AnnotationStore::new();
         let a = store.add_annotation(Annotation::new("heat-shock note").by("Bob"));
         let tuple = TupleId::new(relstore::schema::TableId(1), 7);
-        store.attach(a, AttachmentTarget::tuple(tuple)).expect("attach");
+        store.attach(a, annostore::AttachmentTarget::tuple(tuple)).expect("attach");
         assert_eq!(store_digest(&store), 0x3340_3458_1ac6_4bb6);
     }
 

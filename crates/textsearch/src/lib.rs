@@ -46,7 +46,7 @@ pub mod search;
 pub mod shared;
 pub mod token;
 
-pub use backend::{SearchBackend, TfIdfSearch};
+pub use backend::SearchBackend;
 pub use compile::{compile_configuration, CompiledQuery};
 pub use config::{Configuration, ConfigurationGenerator};
 pub use error::SearchError;

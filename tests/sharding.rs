@@ -30,6 +30,8 @@ const DATASET_SEED: u64 = 0x5E_AC;
 const WORKLOAD_SEED: u64 = 21;
 /// Seed of the lossy fabric's fault stream.
 const NET_SEED: u64 = 0xF00D;
+/// Seed of the plan that makes the shard-layer fault sites fire.
+const SHARD_FAULT_SEED: u64 = 0x5AAD;
 
 /// Deterministic workload: real annotations with their first ideal tuple
 /// as the focal attachment, cycled to `n` items.
@@ -143,12 +145,7 @@ fn merged_digest_matches_unsharded_at_every_shard_count() {
         .expect("lossy cluster boots");
         for (annotation, focal) in &items {
             let outcome = cluster.ingest(annotation, focal).expect("lossy ingest never errors");
-            for d in &outcome.degradations {
-                assert!(
-                    matches!(d, Degradation::PartialShards { .. }),
-                    "a lossy fabric degrades to typed partials only, got {d:?}"
-                );
-            }
+            partial_shards(&outcome);
         }
         if shards > 1 {
             let stats = cluster.transport_stats();
@@ -170,8 +167,33 @@ fn merged_digest_matches_unsharded_at_every_shard_count() {
     }
 }
 
+/// The partial-result note of one outcome, `(answered, total, missing)`;
+/// any other degradation is a failure.
+fn partial_shards(o: &ProcessOutcome) -> Option<(usize, usize, Vec<usize>)> {
+    let mut partial = None;
+    for d in &o.degradations {
+        match d {
+            Degradation::PartialShards { answered, total, missing } => {
+                partial = Some((*answered, *total, missing.clone()));
+            }
+            other => panic!("shard trouble must degrade to typed partials only, got {other:?}"),
+        }
+    }
+    partial
+}
+
 #[test]
 fn partitioned_shard_degrades_typed_then_heals_byte_identically() {
+    // Once on a fault-free cluster, once with the shard-layer fault sites
+    // live: a third of all probe servings answer `ok = false` and a third
+    // of all boundary-edge applies are nacked and retried.
+    for shard_faults in [None, Some(FaultPlan::new(SHARD_FAULT_SEED).with_shard(0.3))] {
+        partition_scenario(shard_faults);
+    }
+}
+
+fn partition_scenario(shard_faults: Option<FaultPlan>) {
+    let faulty = shard_faults.is_some();
     let bundle = generate_dataset(&DatasetSpec::tiny(), DATASET_SEED);
     let items = workload_items(&bundle, 40);
     let shards = 3usize;
@@ -185,19 +207,25 @@ fn partitioned_shard_degrades_typed_then_heals_byte_identically() {
     .expect("cluster boots");
     let router = cluster.router();
     let victim = 2usize;
+    nebula::nebula_obs::set_enabled(true);
+    let apply_retries =
+        || nebula::nebula_obs::snapshot().counters.get("shard.apply_retries").copied().unwrap_or(0);
+    nebula::nebula_govern::set_fault_plan(shard_faults);
 
-    // Warm up with a few clean annotations.
+    // Warm up with a few annotations: clean without faults, typed partials
+    // (a sibling's probe serving failed) with them.
     let mut cursor = items.iter();
     for (annotation, focal) in cursor.by_ref().take(6) {
         let o = cluster.ingest(annotation, focal).expect("warmup");
-        assert!(o.degradations.is_empty());
+        assert!(faulty || o.degradations.is_empty());
+        partial_shards(&o);
     }
 
     cluster.partition_shard(victim);
 
     // Annotations homed on a *healthy* shard must complete with a typed
-    // partial result naming exactly the dark shard.
-    let mut partials = 0usize;
+    // partial result naming the dark shard — and, on a fault-free cluster,
+    // only it.
     let mut processed = 0usize;
     let mut fell_back = false;
     for (annotation, focal) in cursor.by_ref().take(12) {
@@ -208,40 +236,53 @@ fn partitioned_shard_degrades_typed_then_heals_byte_identically() {
             // The router's choice was dark: a healthy shard took over.
             fell_back = true;
         }
-        let partial = o.degradations.iter().find_map(|d| match d {
-            Degradation::PartialShards { answered, total, missing } => {
-                Some((*answered, *total, missing.clone()))
-            }
-            _ => None,
-        });
-        match partial {
-            Some((answered, total, missing)) => {
-                partials += 1;
-                assert_eq!(total, shards);
-                assert_eq!(missing, vec![victim], "only the dark shard may be missing");
-                assert_eq!(answered, shards - missing.len());
-            }
-            None => {
-                // Once the victim's breaker opens, probes are skipped but
-                // the degradation note must still name it.
-                panic!("partitioned shard produced a silently-full result: {o:?}");
-            }
-        }
+        // Once the victim's breaker opens, probes are skipped but the
+        // degradation note must still name it.
+        let Some((answered, total, missing)) = partial_shards(&o) else {
+            panic!("partitioned shard produced a silently-full result: {o:?}");
+        };
+        assert_eq!(total, shards);
+        assert!(missing.contains(&victim), "the dark shard must be missing: {missing:?}");
+        assert!(faulty || missing == [victim], "only the dark shard may be missing");
+        assert_eq!(answered, shards - missing.len());
     }
-    assert!(processed > 0 && partials == processed);
+    assert!(processed > 0);
     assert!(fell_back, "some annotation should have routed to the dark shard");
 
     // Fault domains: the victim's breaker tripped (it cycles between
     // Open and a shed-gated HalfOpen re-probe while the partition
-    // persists); siblings stayed green.
+    // persists); without injected probe faults its siblings stayed green.
     assert_ne!(cluster.breaker_state(victim), BreakerState::Closed);
-    for s in (0..shards).filter(|&s| s != victim) {
-        assert_eq!(cluster.breaker_state(s), BreakerState::Closed, "sibling {s} breaker moved");
+    if !faulty {
+        for s in (0..shards).filter(|&s| s != victim) {
+            assert_eq!(cluster.breaker_state(s), BreakerState::Closed, "sibling {s} breaker moved");
+        }
     }
-    assert_eq!(cluster.lagging(), vec![victim]);
+    if faulty {
+        // A nacked boundary apply may leave a healthy sibling behind too.
+        assert!(cluster.lagging().contains(&victim));
+    } else {
+        assert_eq!(cluster.lagging(), vec![victim]);
+    }
 
-    // Heal: catch-up replays every missed batch, scrub finds nothing.
+    // Heal: catch-up replays every missed batch — with the apply site
+    // live, through nack and retry (no probe is served during a heal, so
+    // every shard fault drawn here is a nacked apply). Then the plan is
+    // cleared and one more exchange drains whatever the bounded rounds
+    // left behind.
+    let faults_before = nebula::nebula_govern::fault_stats().shard_faults;
+    let retries_before = apply_retries();
     cluster.heal_shard(victim);
+    if faulty {
+        let nacked = nebula::nebula_govern::fault_stats().shard_faults - faults_before;
+        assert!(faults_before > 0, "the shard sites must fire while the shard is dark too");
+        assert!(nacked > 0, "catch-up applies must actually be nacked");
+        assert!(apply_retries() > retries_before, "a nacked apply must be retried");
+        nebula::nebula_govern::set_fault_plan(None);
+        for s in cluster.lagging() {
+            cluster.heal_shard(s);
+        }
+    }
     assert!(cluster.lagging().is_empty(), "healed shard must catch up");
     let scrub = cluster.scrub().expect("scrub");
     assert!(scrub.divergent.is_empty(), "catch-up must reconverge without repair");
