@@ -220,31 +220,34 @@ impl AnnotationStore {
         self.cell_columns.get(&(id, tid)).copied()
     }
 
-    /// Annotations with a true edge to `tid`, in attachment order.
+    /// Borrowed view of the annotations with a true edge to `tid`, in
+    /// attachment order.
+    pub fn tuple_annotations(&self, tid: TupleId) -> &[AnnotationId] {
+        self.by_tuple.get(&tid).map_or(&[], Vec::as_slice)
+    }
+
+    /// Borrowed view of the tuples with a true edge to `id`, in attachment
+    /// order.
+    pub fn annotation_tuples(&self, id: AnnotationId) -> &[TupleId] {
+        self.by_annotation.get(&id).map_or(&[], Vec::as_slice)
+    }
+
+    /// Annotations with a true edge to `tid`, in attachment order (an
+    /// owned copy of [`AnnotationStore::tuple_annotations`]).
     pub fn annotations_of(&self, tid: TupleId) -> Vec<AnnotationId> {
-        self.by_tuple.get(&tid).cloned().unwrap_or_default()
+        self.tuple_annotations(tid).to_vec()
     }
 
     /// Tuples with a true edge to `id` — the annotation's **focal**
-    /// (Definition 3.5).
+    /// (Definition 3.5); an owned copy of
+    /// [`AnnotationStore::annotation_tuples`].
     pub fn focal(&self, id: AnnotationId) -> Vec<TupleId> {
-        self.by_annotation.get(&id).cloned().unwrap_or_default()
+        self.annotation_tuples(id).to_vec()
     }
 
     /// Number of true attachments of `id`.
     pub fn attachment_count(&self, id: AnnotationId) -> usize {
-        self.by_annotation.get(&id).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Count of common annotations between two tuples and the size of the
-    /// union of their annotation sets — the ACG edge-weight ingredients.
-    pub fn common_annotations(&self, a: TupleId, b: TupleId) -> (usize, usize) {
-        let sa = self.by_tuple.get(&a).map(Vec::as_slice).unwrap_or(&[]);
-        let sb = self.by_tuple.get(&b).map(Vec::as_slice).unwrap_or(&[]);
-        let set: std::collections::HashSet<AnnotationId> = sa.iter().copied().collect();
-        let common = sb.iter().filter(|x| set.contains(x)).count();
-        let total = sa.len() + sb.len() - common;
-        (common, total)
+        self.annotation_tuples(id).len()
     }
 
     /// All edges (both kinds).
@@ -430,21 +433,6 @@ mod tests {
             s.attach(AnnotationId(7), AttachmentTarget::tuple(t(0))),
             Err(StoreError::UnknownAnnotation(_))
         ));
-    }
-
-    #[test]
-    fn common_annotations_counts() {
-        let (mut s, ids) = store_with(3);
-        // t1: {a0, a1}, t2: {a1, a2}
-        s.attach(ids[0], AttachmentTarget::tuple(t(1))).unwrap();
-        s.attach(ids[1], AttachmentTarget::tuple(t(1))).unwrap();
-        s.attach(ids[1], AttachmentTarget::tuple(t(2))).unwrap();
-        s.attach(ids[2], AttachmentTarget::tuple(t(2))).unwrap();
-        let (common, total) = s.common_annotations(t(1), t(2));
-        assert_eq!(common, 1);
-        assert_eq!(total, 3);
-        let (c0, t0) = s.common_annotations(t(1), t(9));
-        assert_eq!((c0, t0), (0, 2));
     }
 
     #[test]

@@ -72,29 +72,6 @@ proptest! {
         }
     }
 
-    /// `common_annotations` is symmetric and bounded by each tuple's own
-    /// annotation count.
-    #[test]
-    fn common_annotations_symmetric(
-        attachments in proptest::collection::vec((0usize..5, 0u64..6), 0..30),
-        x in 0u64..6,
-        y in 0u64..6,
-    ) {
-        let mut store = AnnotationStore::new();
-        let ids: Vec<AnnotationId> =
-            (0..5).map(|i| store.add_annotation(Annotation::new(format!("a{i}")))).collect();
-        for (a, row) in &attachments {
-            store.attach(ids[*a], AttachmentTarget::tuple(t(*row))).unwrap();
-        }
-        let (cxy, txy) = store.common_annotations(t(x), t(y));
-        let (cyx, tyx) = store.common_annotations(t(y), t(x));
-        prop_assert_eq!(cxy, cyx);
-        prop_assert_eq!(txy, tyx);
-        prop_assert!(cxy <= store.annotations_of(t(x)).len());
-        prop_assert!(cxy <= store.annotations_of(t(y)).len());
-        prop_assert!(cxy <= txy || txy == 0);
-    }
-
     /// Prediction lifecycle: promote turns exactly the predicted edge
     /// true; discard removes it; true edges are never downgraded.
     #[test]

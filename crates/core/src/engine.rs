@@ -248,7 +248,7 @@ impl Nebula {
                 // An expert's accept resolves the pending task of an edge
                 // that already exists; a pipeline auto-accept has neither.
                 if store.edge(annotation, tuple).is_some() {
-                    self.queue.retain(|t| (t.annotation, t.tuple) != (annotation, tuple));
+                    self.queue.remove_edge(annotation, tuple);
                 }
                 // §6.3: the hop distance enters the profile **before** the
                 // new edges are added.
@@ -259,7 +259,7 @@ impl Nebula {
                 }
             }
             Mutation::TupleDeleted { tuple } => {
-                self.queue.retain(|t| t.tuple != tuple);
+                self.queue.remove_tuple(tuple);
                 self.acg.remove_tuple(tuple);
             }
             _ => {}
@@ -267,6 +267,7 @@ impl Nebula {
         let orphaned = mutation.apply(store)?;
         match *mutation {
             Mutation::AttachTuple { annotation, tuple }
+            | Mutation::AttachCell { annotation, tuple, .. }
             | Mutation::AcceptEdge { annotation, tuple } => {
                 self.acg.add_attachment(store, annotation, tuple);
             }
@@ -283,7 +284,7 @@ impl Nebula {
                 });
             }
             Mutation::RejectEdge { annotation, tuple } => {
-                self.queue.retain(|t| (t.annotation, t.tuple) != (annotation, tuple));
+                self.queue.remove_edge(annotation, tuple);
             }
             _ => {}
         }
@@ -620,17 +621,23 @@ impl Nebula {
         vid: u64,
         accept: bool,
     ) -> Result<VerificationTask, NebulaError> {
-        let Some(task) = self.queue.get(vid).cloned() else {
-            return Err(NebulaError::UnknownTask(vid));
-        };
+        // Taken out first, so `apply` finds no task left to drop; put back
+        // if the commit fails.
+        let task = self.queue.take(vid).ok_or(NebulaError::UnknownTask(vid))?;
         let (annotation, tuple) = (task.annotation, task.tuple);
-        if accept {
+        let committed = if accept {
             let focal = store.focal(annotation);
-            self.commit(store, &Mutation::AcceptEdge { annotation, tuple }, &focal)?;
+            self.commit(store, &Mutation::AcceptEdge { annotation, tuple }, &focal)
         } else {
-            self.commit(store, &Mutation::RejectEdge { annotation, tuple }, &[])?;
+            self.commit(store, &Mutation::RejectEdge { annotation, tuple }, &[])
+        };
+        match committed {
+            Ok(_) => Ok(task),
+            Err(e) => {
+                self.queue.enqueue(task);
+                Err(e)
+            }
         }
-        Ok(task)
     }
 
     /// Tuple-deletion hook: call after `db.delete(tid)` to keep the

@@ -9,7 +9,7 @@
 
 use annostore::AnnotationId;
 use relstore::TupleId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A verification task `v = (vid, a, t, confidence, evidence)`
@@ -76,9 +76,12 @@ pub enum Decision {
 }
 
 /// The system table of pending verification tasks, queryable by admins.
+/// At most one task is pending per `(annotation, tuple)` edge.
 #[derive(Debug, Clone, Default)]
 pub struct VerificationQueue {
     pending: BTreeMap<u64, VerificationTask>,
+    /// `(annotation, tuple) → vid` of every pending task.
+    by_edge: HashMap<(AnnotationId, TupleId), u64>,
     next_vid: u64,
 }
 
@@ -95,17 +98,37 @@ impl VerificationQueue {
         vid
     }
 
-    /// Enqueue a pending task. Panics in debug builds if the vid is
-    /// already queued.
+    /// Enqueue a pending task. Panics in debug builds if the vid or the
+    /// edge is already queued.
     pub fn enqueue(&mut self, task: VerificationTask) {
         debug_assert!(!self.pending.contains_key(&task.vid));
+        let previous = self.by_edge.insert((task.annotation, task.tuple), task.vid);
+        debug_assert!(previous.is_none(), "one pending task per edge");
         self.pending.insert(task.vid, task);
     }
 
-    /// Drop every pending task `keep` refuses (its edge was resolved or
-    /// its tuple deleted).
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&VerificationTask) -> bool) {
-        self.pending.retain(|_, task| keep(task));
+    /// Remove and return the task pending on the edge `(annotation,
+    /// tuple)` (its edge was resolved).
+    pub(crate) fn remove_edge(
+        &mut self,
+        annotation: AnnotationId,
+        tuple: TupleId,
+    ) -> Option<VerificationTask> {
+        let vid = self.by_edge.remove(&(annotation, tuple))?;
+        self.pending.remove(&vid)
+    }
+
+    /// Remove and return task `vid`.
+    pub(crate) fn take(&mut self, vid: u64) -> Option<VerificationTask> {
+        let task = self.pending.remove(&vid)?;
+        self.by_edge.remove(&(task.annotation, task.tuple));
+        Some(task)
+    }
+
+    /// Drop every pending task on `tuple` (it was deleted).
+    pub(crate) fn remove_tuple(&mut self, tuple: TupleId) {
+        self.pending.retain(|_, task| task.tuple != tuple);
+        self.by_edge.retain(|&(_, t), _| t != tuple);
     }
 
     /// The most recently enqueued task still pending.
@@ -241,9 +264,17 @@ mod tests {
         assert_eq!(q.len(), 2);
         assert!(q.get(v0).is_some());
         assert_eq!(q.newest_mut().map(|t| t.vid), Some(v1));
-        q.retain(|t| t.vid != v0);
+        let t0 = task(v0);
+        assert_eq!(q.remove_edge(t0.annotation, t0.tuple).map(|t| t.vid), Some(v0));
         assert!(q.get(v0).is_none());
+        assert!(q.remove_edge(t0.annotation, t0.tuple).is_none(), "resolved once");
         assert_eq!(q.iter().count(), 1);
+        assert_eq!(q.take(v1).map(|t| t.vid), Some(v1));
+        q.enqueue(task(v1));
+        q.remove_tuple(task(v1).tuple);
+        assert!(q.is_empty());
+        q.enqueue(task(v1));
+        assert_eq!(q.len(), 1, "the edge index forgot the deleted tuple's task");
     }
 
     #[test]

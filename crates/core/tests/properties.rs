@@ -493,3 +493,324 @@ mod follower {
         }
     }
 }
+
+/// The compact ACG against oracles that know nothing of its layout: every
+/// weight recomputed from the store's annotation sets, the graph rebuilt
+/// at once with [`Acg::build_from_store`], and breadth-first searches over
+/// the public `neighbors()` for hops, K-hop membership and path weights.
+/// Scripts run through [`Nebula::apply`], so the hop profile of every
+/// accept is checked against the distance the oracle measured just before
+/// that accept's edges went in.
+mod acg_oracle {
+    use annostore::{Annotation, AnnotationId, AnnotationStore};
+    use nebula_core::{Acg, HopProfile, Mutation, Nebula, NebulaConfig, NebulaMeta};
+    use proptest::prelude::*;
+    use relstore::schema::{ColumnId, TableId};
+    use relstore::TupleId;
+    use std::collections::BTreeMap;
+
+    fn t(row: u64) -> TupleId {
+        TupleId::new(TableId(0), row)
+    }
+
+    /// The seven tuples scripts attach, and one they never do.
+    fn universe() -> Vec<TupleId> {
+        (0..7).map(t).chain([t(99)]).collect()
+    }
+
+    fn weight(store: &AnnotationStore, a: TupleId, b: TupleId) -> Option<f64> {
+        let (sa, sb) = (store.tuple_annotations(a), store.tuple_annotations(b));
+        let common = sa.iter().filter(|x| sb.contains(x)).count();
+        (a != b && common > 0).then(|| common as f64 / (sa.len() + sb.len() - common) as f64)
+    }
+
+    /// Neighbours in ascending tuple id.
+    fn sorted_neighbors(acg: &Acg, n: TupleId) -> Vec<TupleId> {
+        let mut out: Vec<TupleId> = acg.neighbors(n).map(|(m, _)| m).collect();
+        out.sort();
+        out
+    }
+
+    /// Breadth-first search from `from` up to `cap` hops: each reached
+    /// tuple with its distance and the lowest-id parent it was reached by.
+    fn bfs(acg: &Acg, from: &[TupleId], cap: usize) -> BTreeMap<TupleId, (usize, TupleId)> {
+        let mut seen: BTreeMap<TupleId, (usize, TupleId)> =
+            from.iter().map(|&f| (f, (0, f))).collect();
+        let mut level: Vec<TupleId> = seen.keys().copied().collect();
+        for d in 1..=cap {
+            let mut next = Vec::new();
+            for &n in &level {
+                for m in sorted_neighbors(acg, n) {
+                    if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(m) {
+                        e.insert((d, n));
+                        next.push(m);
+                    }
+                }
+            }
+            level = next;
+        }
+        seen
+    }
+
+    fn hops(acg: &Acg, from: TupleId, targets: &[TupleId], cap: usize) -> Option<usize> {
+        let reached = bfs(acg, &[from], cap);
+        targets.iter().filter_map(|g| reached.get(g).map(|&(d, _)| d)).min()
+    }
+
+    fn path_weight(acg: &Acg, from: TupleId, to: TupleId, cap: usize) -> Option<f64> {
+        let reached = bfs(acg, &[from], cap);
+        reached.get(&to)?;
+        let (mut w, mut cur) = (1.0, to);
+        while cur != from {
+            let parent = reached[&cur].1;
+            w *= acg.edge_weight(parent, cur)?;
+            cur = parent;
+        }
+        Some(w)
+    }
+
+    /// Every weight, both counts, and the searches for every start, every
+    /// single target and every cap up to five, plus `probes` of target
+    /// sets (a bit mask over the universe) and K-hop radii.
+    fn check(
+        acg: &Acg,
+        store: &AnnotationStore,
+        probes: &[(usize, u16, usize)],
+    ) -> Result<(), TestCaseError> {
+        let u = universe();
+        let rebuilt = Acg::build_from_store(store);
+        prop_assert_eq!(acg.node_count(), rebuilt.node_count());
+        prop_assert_eq!(acg.edge_count(), rebuilt.edge_count());
+        let linked = u.iter().filter(|&&a| u.iter().any(|&b| weight(store, a, b).is_some()));
+        prop_assert_eq!(acg.node_count(), linked.count());
+        for &a in &u {
+            for &b in &u {
+                let want = weight(store, a, b).map(f64::to_bits);
+                prop_assert_eq!(acg.edge_weight(a, b).map(f64::to_bits), want, "{} {}", a, b);
+                prop_assert_eq!(rebuilt.edge_weight(a, b).map(f64::to_bits), want);
+            }
+        }
+        for &from in &u {
+            for &to in &u {
+                for cap in 0..5 {
+                    prop_assert_eq!(
+                        acg.shortest_hops(from, &[to], cap),
+                        hops(acg, from, &[to], cap),
+                        "{} → {} within {}",
+                        from,
+                        to,
+                        cap
+                    );
+                    let want = path_weight(acg, from, to, cap).map(f64::to_bits);
+                    prop_assert_eq!(acg.path_weight(from, to, cap).map(f64::to_bits), want);
+                }
+            }
+        }
+        for &(from, mask, cap) in probes {
+            let targets: Vec<TupleId> =
+                (0..u.len()).filter(|i| mask >> i & 1 == 1).map(|i| u[i]).collect();
+            let from = u[from % u.len()];
+            prop_assert_eq!(
+                acg.shortest_hops(from, &targets, cap),
+                hops(acg, from, &targets, cap),
+                "{} → {:?} within {}",
+                from,
+                targets,
+                cap
+            );
+            let members: Vec<TupleId> = bfs(acg, &targets, cap).into_keys().collect();
+            prop_assert_eq!(acg.k_hop(&targets, cap), members);
+        }
+        Ok(())
+    }
+
+    /// Accept `tuple` for `annotation` the way the pipeline or an expert
+    /// does, recording the oracle's distance first.
+    fn accept(
+        engine: &mut Nebula,
+        store: &mut AnnotationStore,
+        profile: &mut HopProfile,
+        annotation: AnnotationId,
+        tuple: TupleId,
+        focal: &[TupleId],
+    ) {
+        if !focal.is_empty() {
+            if let Some(h) = hops(engine.acg(), tuple, focal, 16) {
+                profile.record(h);
+            }
+        }
+        engine.apply(store, &Mutation::AcceptEdge { annotation, tuple }, focal).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn the_compact_acg_equals_its_oracles(
+            // (kind, a, b, c): 0..=2 annotate `c + 1` focal tuples from `a`
+            // and auto-accept `b` and `b + c + 1`; 3 attach an existing
+            // annotation; 4 expert accept; 5 delete a tuple; 6 repeat an
+            // existing attachment; 7 attach at cell granularity.
+            steps in proptest::collection::vec((0u8..8, 0usize..7, 0usize..7, 0usize..3), 1..30),
+            probes in proptest::collection::vec((0usize..8, 0u16..256, 0usize..5), 6),
+        ) {
+            let mut engine = Nebula::new(NebulaConfig::default(), NebulaMeta::new());
+            let mut store = AnnotationStore::new();
+            let mut profile = HopProfile::new();
+            for &(kind, a, b, c) in &steps {
+                let count = store.annotation_count() as u64;
+                let existing = AnnotationId(a as u64 % count.max(1));
+                match kind {
+                    0..=2 => {
+                        let aid = AnnotationId(count);
+                        let note = Annotation::new("x");
+                        engine
+                            .apply(&mut store, &Mutation::AddAnnotation { expected: aid, annotation: &note }, &[])
+                            .unwrap();
+                        let focal: Vec<TupleId> = (0..=c).map(|i| t(((a + i) % 7) as u64)).collect();
+                        for &f in &focal {
+                            engine.apply(&mut store, &Mutation::AttachTuple { annotation: aid, tuple: f }, &[]).unwrap();
+                        }
+                        for tuple in [t(b as u64), t(((b + c + 1) % 7) as u64)] {
+                            if !focal.contains(&tuple) && store.edge(aid, tuple).is_none() {
+                                accept(&mut engine, &mut store, &mut profile, aid, tuple, &focal);
+                            }
+                        }
+                        engine.acg_mut().record_annotation();
+                    }
+                    _ if count == 0 => continue,
+                    3 => {
+                        let m = Mutation::AttachTuple { annotation: existing, tuple: t(b as u64) };
+                        engine.apply(&mut store, &m, &[]).unwrap();
+                    }
+                    4 => {
+                        let tuple = t(b as u64);
+                        if store.edge(existing, tuple).is_none() {
+                            let predict = Mutation::AttachPredicted { annotation: existing, tuple, confidence: 0.5 };
+                            engine.apply(&mut store, &predict, &[]).unwrap();
+                        }
+                        let focal = store.focal(existing);
+                        accept(&mut engine, &mut store, &mut profile, existing, tuple, &focal);
+                    }
+                    5 => {
+                        engine.apply(&mut store, &Mutation::TupleDeleted { tuple: t(b as u64) }, &[]).unwrap();
+                    }
+                    6 => {
+                        let Some(&tuple) = store.annotation_tuples(existing).first() else { continue };
+                        engine.apply(&mut store, &Mutation::AttachTuple { annotation: existing, tuple }, &[]).unwrap();
+                    }
+                    _ => {
+                        let m = Mutation::AttachCell { annotation: existing, tuple: t(b as u64), column: ColumnId(0) };
+                        engine.apply(&mut store, &m, &[]).unwrap();
+                    }
+                }
+                check(engine.acg(), &store, &probes)?;
+                prop_assert_eq!(engine.profile(), &profile);
+            }
+        }
+    }
+
+    /// The trap in measuring hops per annotation: the second auto-accept
+    /// of one annotation is measured against a graph that already holds
+    /// the first accept's edges. A chain 1 - 2 - 3 - 4 with focal {1}:
+    /// accepting 3 (two hops) links it to 1, so 4 is then two hops away,
+    /// not the three one search before both accepts would report.
+    #[test]
+    fn a_second_accept_sees_the_first_accepts_edges() {
+        let mut engine = Nebula::new(NebulaConfig::default(), NebulaMeta::new());
+        let mut store = AnnotationStore::new();
+        let note = Annotation::new("x");
+        let mut next = 0;
+        let mut annotate = |engine: &mut Nebula, store: &mut AnnotationStore, rows: &[u64]| {
+            let aid = AnnotationId(next);
+            next += 1;
+            engine
+                .apply(store, &Mutation::AddAnnotation { expected: aid, annotation: &note }, &[])
+                .unwrap();
+            for &r in rows {
+                engine
+                    .apply(store, &Mutation::AttachTuple { annotation: aid, tuple: t(r) }, &[])
+                    .unwrap();
+            }
+            aid
+        };
+        for pair in [[1, 2], [2, 3], [3, 4]] {
+            annotate(&mut engine, &mut store, &pair);
+        }
+        assert_eq!(engine.acg().shortest_hops(t(4), &[t(1)], 16), Some(3));
+        let aid = annotate(&mut engine, &mut store, &[1]);
+        for tuple in [t(3), t(4)] {
+            engine
+                .apply(&mut store, &Mutation::AcceptEdge { annotation: aid, tuple }, &[t(1)])
+                .unwrap();
+        }
+        let mut want = HopProfile::new();
+        want.record(2);
+        want.record(2);
+        assert_eq!(engine.profile(), &want);
+    }
+}
+
+/// Expert resolution through the queue's edge index against the whole-queue
+/// scan it replaced: 2 000 pending tasks resolved one by one in a scrambled
+/// order (every third rejected, a tuple deleted every 250 steps) leave the
+/// same store bytes and, after every step, the same queue order as a
+/// reference that applies each resolution to a plain store and drops
+/// every task of the resolved edge (or of the deleted tuple) by scanning.
+#[test]
+fn draining_2000_tasks_matches_the_whole_queue_scan() {
+    use annostore::{Annotation, AnnotationId, AnnotationStore};
+    use nebula_core::{Mutation, Nebula, NebulaConfig, NebulaError, NebulaMeta};
+
+    let mut engine = Nebula::new(NebulaConfig::default(), NebulaMeta::new());
+    let mut store = AnnotationStore::new();
+    for a in 0..200u64 {
+        let aid = AnnotationId(a);
+        let note = Annotation::new(format!("note {a}"));
+        engine
+            .apply(&mut store, &Mutation::AddAnnotation { expected: aid, annotation: &note }, &[])
+            .unwrap();
+        engine
+            .apply(&mut store, &Mutation::AttachTuple { annotation: aid, tuple: t(a % 37) }, &[])
+            .unwrap();
+        for j in 0..10 {
+            let tuple = t(100 + (a * 7 + j * 13) % 500);
+            let predict = Mutation::AttachPredicted { annotation: aid, tuple, confidence: 0.5 };
+            engine.apply(&mut store, &predict, &[]).unwrap();
+        }
+    }
+    let mut reference = annostore::snapshot::load(&annostore::snapshot::save(&store)).unwrap();
+    let mut queue: Vec<(u64, AnnotationId, TupleId)> =
+        engine.queue().iter().map(|task| (task.vid, task.annotation, task.tuple)).collect();
+    assert_eq!(queue.len(), 2000);
+
+    let mut order: Vec<u64> = queue.iter().map(|q| q.0).collect();
+    order.sort_by_key(|vid| vid.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40);
+    for (step, vid) in order.into_iter().enumerate() {
+        if step % 250 == 249 && !queue.is_empty() {
+            let victim = queue[queue.len() / 2].2;
+            engine.on_tuple_deleted(&mut store, victim).unwrap();
+            Mutation::TupleDeleted { tuple: victim }.apply(&mut reference).unwrap();
+            queue.retain(|q| q.2 != victim);
+        }
+        let Some(&(_, annotation, tuple)) = queue.iter().find(|q| q.0 == vid) else {
+            let err = engine.resolve_task(&mut store, vid, true).unwrap_err();
+            assert!(matches!(err, NebulaError::UnknownTask(v) if v == vid));
+            continue;
+        };
+        let accept = vid % 3 != 0;
+        let task = engine.resolve_task(&mut store, vid, accept).unwrap();
+        assert_eq!((task.vid, task.annotation, task.tuple), (vid, annotation, tuple));
+        let resolution = if accept {
+            Mutation::AcceptEdge { annotation, tuple }
+        } else {
+            Mutation::RejectEdge { annotation, tuple }
+        };
+        resolution.apply(&mut reference).unwrap();
+        queue.retain(|q| (q.1, q.2) != (annotation, tuple));
+        let order: Vec<u64> = engine.queue().iter().map(|task| task.vid).collect();
+        assert_eq!(order, queue.iter().map(|q| q.0).collect::<Vec<_>>(), "step {step}");
+    }
+    assert!(engine.queue().is_empty());
+    assert_eq!(annostore::snapshot::save(&store), annostore::snapshot::save(&reference));
+}

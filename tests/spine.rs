@@ -8,7 +8,7 @@
 //! workloads, traced and untraced, through their byte-identity output
 //! check on the tiny dataset.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 #[test]
@@ -43,12 +43,22 @@ fn number_after(text: &str, from: usize, key: &str) -> f64 {
     rest[..end].trim().parse().unwrap_or_else(|e| panic!("{key}: {e} in {:?}", &rest[..end]))
 }
 
+/// The checked-in trajectory file with the highest PR number.
+fn latest_trajectory(root: &Path) -> PathBuf {
+    let numbered = std::fs::read_dir(root).expect("repository root").filter_map(|entry| {
+        let name = entry.ok()?.file_name().into_string().ok()?;
+        let pr: u32 = name.strip_prefix("BENCH_pr")?.strip_suffix(".json")?.parse().ok()?;
+        Some((pr, name))
+    });
+    numbered.max().map(|(_, name)| root.join(name)).expect("a checked-in BENCH_pr*.json")
+}
+
 /// The work counts of `ram-seq` are machine-independent and repeat
 /// exactly: a change to the index or the executor that alters how many
 /// configurations, queries, probes, tuples or edges an annotation costs
-/// is a change of behaviour, not of speed. `BENCH_pr18.json` records them
-/// for the parent commit and for the change that made stages 1–2 answer
-/// from the term directory; this run must reproduce them to the digit.
+/// is a change of behaviour, not of speed. Every `BENCH_pr*.json` records
+/// them for its parent commit and its change; this run must reproduce the
+/// latest file's to the digit.
 #[test]
 #[ignore = "generates D_large and runs a traced round (~10 s); the CI `spine` job runs it"]
 fn ram_seq_work_counts_match_the_checked_in_trajectory() {
@@ -65,7 +75,7 @@ fn ram_seq_work_counts_match_the_checked_in_trajectory() {
     assert!(output.status.success(), "spine failed:\n{stdout}");
     let result = stdout.lines().last().expect("a result line");
 
-    let bench = std::fs::read_to_string(root.join("BENCH_pr18.json")).expect("checked-in file");
+    let bench = std::fs::read_to_string(latest_trajectory(root)).expect("checked-in file");
     let counts = bench.find("\"exact_counts\"").expect("exact_counts section");
     let ram_seq = counts + bench[counts..].find("\"ram-seq\"").expect("ram-seq counts");
     for metric in [
