@@ -16,11 +16,18 @@
 //! u64 cell_count
 //! per cell: u64 annotation, u32 table, u64 row, u32 column
 //! ```
+//!
+//! The same records are the elements of the store's state digest: a
+//! [`MultisetHash`] over one element per annotation (tag 1, `u64` id, then
+//! the body), one per edge (tag 2, then the edge) and one per cell
+//! refinement (tag 3, then the cell). [`AnnotationStore::digest`] keeps
+//! that sum as the store changes once it has been read; [`fingerprint`]
+//! recomputes it from scratch and is its oracle.
 
 use crate::annotation::{Annotation, AnnotationId};
-use crate::graph::EdgeKind;
+use crate::graph::{Edge, EdgeKind};
 use crate::store::{AnnotationStore, AttachmentTarget};
-use nebula_codec::{CodecError, Reader, Writer};
+use nebula_codec::{CodecError, MultisetHash, Reader, Writer};
 use relstore::schema::ColumnId;
 use relstore::TupleId;
 use std::fmt;
@@ -74,12 +81,78 @@ fn get_body(r: &mut Reader<'_>) -> Result<Annotation, SnapshotError> {
     Ok(a)
 }
 
+fn put_edge(w: &mut Writer, e: &Edge) {
+    w.u64(e.annotation.0);
+    w.tuple_id(e.tuple.table.0, e.tuple.row);
+    w.u8(match e.kind {
+        EdgeKind::True => 0,
+        EdgeKind::Predicted => 1,
+    });
+    w.f64(e.weight);
+}
+
+fn put_cell(w: &mut Writer, aid: AnnotationId, tid: TupleId, column: ColumnId) {
+    w.u64(aid.0);
+    w.tuple_id(tid.table.0, tid.row);
+    w.u32(column.0);
+}
+
+/// The digest element of an annotation.
+pub(crate) fn annotation_element(id: AnnotationId, a: &Annotation) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u8(1);
+    w.u64(id.0);
+    put_body(&mut w, a);
+    w.0
+}
+
+/// The digest element of an edge.
+pub(crate) fn edge_element(e: &Edge) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u8(2);
+    put_edge(&mut w, e);
+    w.0
+}
+
+/// The digest element of a cell refinement.
+pub(crate) fn cell_element(aid: AnnotationId, tid: TupleId, column: ColumnId) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u8(3);
+    put_cell(&mut w, aid, tid, column);
+    w.0
+}
+
+/// The store's state digest recomputed from scratch: the multiset hash of
+/// every annotation, edge and cell refinement.
+///
+/// This is the oracle [`AnnotationStore::digest`], the running value, is
+/// checked against; it visits the whole store, so callers that compare
+/// states use the running value.
+pub fn fingerprint(store: &AnnotationStore) -> u64 {
+    multiset(store).value()
+}
+
+/// The multiset [`fingerprint`] sums, which a running digest starts from.
+pub(crate) fn multiset(store: &AnnotationStore) -> MultisetHash {
+    let mut h = MultisetHash::default();
+    for (id, a) in store.iter_annotations() {
+        h.insert(&annotation_element(id, a));
+    }
+    for e in store.iter_edges() {
+        h.insert(&edge_element(e));
+    }
+    for (aid, tid, column) in store.iter_cell_columns() {
+        h.insert(&cell_element(aid, tid, column));
+    }
+    h
+}
+
 /// Write the edge and cell sections for the annotations `owned` selects,
 /// both in canonical (sorted) order: restore rebuilds the per-tuple and
 /// per-annotation attachment lists in `(annotation, tuple)` order, not
 /// original insertion order, and two stores with the same logical content
-/// produce identical bytes (the durability layer compares states by
-/// snapshot digest).
+/// produce identical bytes (checkpoint images of equal states compare
+/// byte-for-byte).
 fn put_edges_and_cells(
     w: &mut Writer,
     store: &AnnotationStore,
@@ -89,22 +162,14 @@ fn put_edges_and_cells(
     edges.sort_by_key(|e| (e.annotation, e.tuple));
     w.u64(edges.len() as u64);
     for e in edges {
-        w.u64(e.annotation.0);
-        w.tuple_id(e.tuple.table.0, e.tuple.row);
-        w.u8(match e.kind {
-            EdgeKind::True => 0,
-            EdgeKind::Predicted => 1,
-        });
-        w.f64(e.weight);
+        put_edge(w, e);
     }
     let mut cells: Vec<CellRecord> =
         store.iter_cell_columns().filter(|(aid, _, _)| owned(*aid)).collect();
     cells.sort();
     w.u64(cells.len() as u64);
     for (aid, tid, cid) in cells {
-        w.u64(aid.0);
-        w.tuple_id(tid.table.0, tid.row);
-        w.u32(cid.0);
+        put_cell(w, aid, tid, cid);
     }
 }
 

@@ -2,10 +2,13 @@
 
 use crate::annotation::{Annotation, AnnotationId};
 use crate::graph::{Edge, EdgeKind, EdgeSet};
+use crate::snapshot::{self, annotation_element, cell_element, edge_element};
+use nebula_codec::MultisetHash;
 use relstore::schema::ColumnId;
 use relstore::TupleId;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// What an annotation is attached to.
 ///
@@ -84,7 +87,9 @@ impl fmt::Display for StoreError {
 impl std::error::Error for StoreError {}
 
 /// The annotated-database store: set `A` of annotations plus the edge set
-/// `E`, indexed from both endpoints.
+/// `E`, indexed from both endpoints. Once [`AnnotationStore::digest`] has
+/// been read, every mutator keeps that running state digest current, in
+/// O(size of the change).
 #[derive(Debug, Default)]
 pub struct AnnotationStore {
     annotations: Vec<Annotation>,
@@ -98,6 +103,9 @@ pub struct AnnotationStore {
     by_tuple: HashMap<TupleId, Vec<AnnotationId>>,
     /// annotation → tuples with a true edge (the annotation's focal).
     by_annotation: HashMap<AnnotationId, Vec<TupleId>>,
+    /// Started by the first [`AnnotationStore::digest`] call, so a store
+    /// nobody compares hashes nothing.
+    digest: OnceLock<MultisetHash>,
 }
 
 impl AnnotationStore {
@@ -106,9 +114,50 @@ impl AnnotationStore {
         AnnotationStore::default()
     }
 
+    /// The state digest: the multiset hash of every annotation, edge and
+    /// cell refinement, in the encoding [`crate::snapshot`] writes them.
+    /// Equal content gives an equal digest whatever order it was built
+    /// in. The first call computes it from scratch; from then on the
+    /// mutators maintain it and a call is O(1). Debug builds check every
+    /// call against [`snapshot::fingerprint`], which recomputes it.
+    pub fn digest(&self) -> u64 {
+        let running = self.digest.get_or_init(|| snapshot::multiset(self)).value();
+        debug_assert_eq!(
+            running,
+            snapshot::fingerprint(self),
+            "running store digest drifted from its from-scratch oracle"
+        );
+        running
+    }
+
+    /// Put `edge` in place of whatever edge its pair had.
+    fn set_edge(&mut self, edge: Edge) {
+        if let Some(h) = self.digest.get_mut() {
+            h.insert(&edge_element(&edge));
+            if let Some(old) = self.edges.get(&edge.endpoints()) {
+                h.remove(&edge_element(old));
+            }
+        }
+        self.edges.insert(edge.endpoints(), edge);
+    }
+
+    /// Refine a pair to `column`, replacing any column it had.
+    fn set_cell(&mut self, id: AnnotationId, tid: TupleId, column: ColumnId) {
+        if let Some(h) = self.digest.get_mut() {
+            h.insert(&cell_element(id, tid, column));
+            if let Some(&old) = self.cell_columns.get(&(id, tid)) {
+                h.remove(&cell_element(id, tid, old));
+            }
+        }
+        self.cell_columns.insert((id, tid), column);
+    }
+
     /// Register a new annotation, returning its id.
     pub fn add_annotation(&mut self, annotation: Annotation) -> AnnotationId {
         let id = AnnotationId(self.annotations.len() as u64);
+        if let Some(h) = self.digest.get_mut() {
+            h.insert(&annotation_element(id, &annotation));
+        }
         self.annotations.push(annotation);
         nebula_obs::counter_add("annostore.annotations_registered", 1);
         id
@@ -143,21 +192,16 @@ impl AnnotationStore {
     pub fn attach(&mut self, id: AnnotationId, target: AttachmentTarget) -> Result<(), StoreError> {
         self.require(id)?;
         let tid = target.tuple_id();
-        let key = (id, tid);
         if let Some(col) = target.column() {
-            self.cell_columns.insert(key, col);
+            self.set_cell(id, tid, col);
         }
-        match self.edges.get(&key) {
-            Some(e) if e.kind == EdgeKind::True => return Ok(()), // idempotent
-            Some(_) => { /* predicted -> promote below */ }
-            None => {}
+        if matches!(self.edges.get(&(id, tid)), Some(e) if e.kind == EdgeKind::True) {
+            return Ok(()); // idempotent
         }
-        let had_true = matches!(self.edges.get(&key), Some(e) if e.kind == EdgeKind::True);
-        self.edges.insert(key, Edge::truth(id, tid));
-        if !had_true {
-            self.by_tuple.entry(tid).or_default().push(id);
-            self.by_annotation.entry(id).or_default().push(tid);
-        }
+        // New, or a prediction promoted to true.
+        self.set_edge(Edge::truth(id, tid));
+        self.by_tuple.entry(tid).or_default().push(id);
+        self.by_annotation.entry(id).or_default().push(tid);
         nebula_obs::counter_add("annostore.edges_added", 1);
         Ok(())
     }
@@ -174,11 +218,10 @@ impl AnnotationStore {
         if !(0.0..=1.0).contains(&weight) {
             return Err(StoreError::InvalidWeight(format!("{weight} outside [0,1]")));
         }
-        let key = (id, tid);
-        match self.edges.get(&key) {
+        match self.edges.get(&(id, tid)) {
             Some(e) if e.kind == EdgeKind::True => Ok(()),
             _ => {
-                self.edges.insert(key, Edge::predicted(id, tid, weight));
+                self.set_edge(Edge::predicted(id, tid, weight));
                 nebula_obs::counter_add("annostore.edges_added", 1);
                 Ok(())
             }
@@ -199,6 +242,9 @@ impl AnnotationStore {
     pub fn discard_prediction(&mut self, id: AnnotationId, tid: TupleId) -> Result<(), StoreError> {
         match self.edges.get(&(id, tid)) {
             Some(e) if e.kind == EdgeKind::Predicted => {
+                if let Some(h) = self.digest.get_mut() {
+                    h.remove(&edge_element(e));
+                }
                 self.edges.remove(&(id, tid));
                 Ok(())
             }
@@ -283,7 +329,7 @@ impl AnnotationStore {
         column: ColumnId,
     ) -> Result<(), StoreError> {
         if self.edges.contains_key(&(id, tid)) {
-            self.cell_columns.insert((id, tid), column);
+            self.set_cell(id, tid, column);
             Ok(())
         } else {
             Err(StoreError::UnknownEdge(id, tid))
@@ -296,17 +342,28 @@ impl AnnotationStore {
     /// annotations).
     pub fn on_tuple_deleted(&mut self, tid: TupleId) -> Vec<AnnotationId> {
         let mut affected = Vec::new();
+        let mut digest = self.digest.get_mut();
         self.edges.retain(|&(a, t), edge| {
-            if t == tid {
-                if edge.kind == EdgeKind::True {
-                    affected.push(a);
-                }
-                false
-            } else {
-                true
+            if t != tid {
+                return true;
             }
+            if edge.kind == EdgeKind::True {
+                affected.push(a);
+            }
+            if let Some(h) = digest.as_deref_mut() {
+                h.remove(&edge_element(edge));
+            }
+            false
         });
-        self.cell_columns.retain(|&(_, t), _| t != tid);
+        self.cell_columns.retain(|&(a, t), &mut column| {
+            if t != tid {
+                return true;
+            }
+            if let Some(h) = digest.as_deref_mut() {
+                h.remove(&cell_element(a, t, column));
+            }
+            false
+        });
         self.by_tuple.remove(&tid);
         for a in &affected {
             if let Some(list) = self.by_annotation.get_mut(a) {

@@ -3,7 +3,8 @@
 //! What the on-disk and on-wire formats of this workspace share, said
 //! once and depending on nothing: the [`crc32c`] checksum (with the two
 //! linear helpers page repair walks with), the [`fnv1a`] hash behind slot
-//! routing, span ids and state digests, the `magic | crc32c(body) | body`
+//! routing and span ids, the additive [`MultisetHash`] the two stores keep
+//! as their running state digests, the `magic | crc32c(body) | body`
 //! [`envelope`], and the bounds-checked little-endian [`Reader`] /
 //! [`Writer`] every format body is parsed and written with. Each format's
 //! owner keeps its layout and its error type; a [`CodecError`] converts
@@ -16,10 +17,12 @@ pub mod crc32c;
 pub mod envelope;
 pub mod fnv1a;
 mod io;
+mod multiset;
 
 pub use crc32c::crc32c;
 pub use fnv1a::fnv1a;
 pub use io::{Reader, Writer};
+pub use multiset::MultisetHash;
 
 use std::fmt;
 

@@ -814,3 +814,200 @@ fn draining_2000_tasks_matches_the_whole_queue_scan() {
     assert!(engine.queue().is_empty());
     assert_eq!(annostore::snapshot::save(&store), annostore::snapshot::save(&reference));
 }
+
+/// The running state digests against their from-scratch oracles: random
+/// scripts of inserts, updates (one back to values the row held before),
+/// deletions fanned out through [`Mutation::apply`], annotations, tuple
+/// and cell attachments, predictions, re-predictions, accepts and
+/// rejects. After every step `Database::digest` equals
+/// `relstore::snapshot::fingerprint` and `AnnotationStore::digest` equals
+/// `annostore::snapshot::fingerprint`; equal content digests equally
+/// across save/load and partition/merge; and one changed element — a
+/// weight bit, a cell column, a tombstone, a text byte — moves it.
+mod digest_oracle {
+    use annostore::snapshot as asnap;
+    use annostore::{Annotation, AnnotationId, AnnotationStore, EdgeKind};
+    use nebula_core::Mutation;
+    use proptest::prelude::*;
+    use relstore::snapshot as rsnap;
+    use relstore::{ColumnId, DataType, Database, TableSchema, TupleId, Value};
+    use std::collections::HashMap;
+
+    const NAMES: [&str; 4] = ["grpC", "dnaK", "carA", "yaaB"];
+
+    /// An empty database and store whose running digests have started, so
+    /// every mutation after this goes through the incremental path.
+    fn fresh() -> (Database, AnnotationStore) {
+        let (mut db, store) = (Database::new(), AnnotationStore::new());
+        assert_eq!((db.digest(), store.digest()), (0, 0));
+        let gene = TableSchema::builder("gene")
+            .column("gid", DataType::Text)
+            .column("name", DataType::Text)
+            .column("length", DataType::Int)
+            .primary_key("gid")
+            .build()
+            .unwrap();
+        let protein = TableSchema::builder("protein")
+            .column("pid", DataType::Text)
+            .column("gene_id", DataType::Text)
+            .column("mass", DataType::Float)
+            .primary_key("pid")
+            .build()
+            .unwrap();
+        db.create_table(gene).unwrap();
+        db.create_table(protein).unwrap();
+        db.add_foreign_key("protein", "gene_id", "gene").unwrap();
+        (db, store)
+    }
+
+    fn check(db: &Database, store: &AnnotationStore) -> Result<(), TestCaseError> {
+        prop_assert_eq!(db.digest(), rsnap::fingerprint(db));
+        prop_assert_eq!(store.digest(), asnap::fingerprint(store));
+        Ok(())
+    }
+
+    fn predictions(store: &AnnotationStore) -> Vec<(AnnotationId, TupleId, f64)> {
+        let mut out: Vec<_> = store
+            .iter_edges()
+            .filter(|e| e.kind == EdgeKind::Predicted)
+            .map(|e| (e.annotation, e.tuple, e.weight))
+            .collect();
+        out.sort_by_key(|p| (p.0, p.1));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn running_digests_equal_their_from_scratch_oracles(
+            // (kind, a, b, c): 0 insert, 1 update, 2 delete, 3 annotate,
+            // 4 attach, 5 cell-attach, 6 predict, 7 accept, 8 reject.
+            steps in proptest::collection::vec((0u8..9, 0usize..8, 0usize..8, 0usize..4), 1..40),
+        ) {
+            let (mut db, mut store) = fresh();
+            check(&db, &store)?;
+            let mut tuples: Vec<TupleId> = Vec::new();
+            let mut history: HashMap<TupleId, Vec<Vec<Value>>> = HashMap::new();
+            let mut genes = 0usize;
+            for &(kind, a, b, c) in &steps {
+                let annotation = (store.annotation_count() > 0)
+                    .then(|| AnnotationId((a % store.annotation_count()) as u64));
+                let tuple = (!tuples.is_empty()).then(|| tuples[b % tuples.len()]);
+                match kind {
+                    0 => {
+                        let gid = format!("JW{genes:04}");
+                        genes += 1;
+                        let row = vec![Value::text(&gid), Value::text(NAMES[a % 4]), Value::Int(b as i64)];
+                        let g = db.insert("gene", row.clone()).unwrap();
+                        history.entry(g).or_default().push(row);
+                        tuples.push(g);
+                        if c == 0 {
+                            let p = vec![Value::text(format!("P{gid}")), Value::text(&gid), Value::Float(a as f64 / 3.0)];
+                            tuples.push(db.insert("protein", p).unwrap());
+                        }
+                    }
+                    1 => {
+                        let Some(tid) = tuple.filter(|t| history.contains_key(t) && db.get(*t).is_some()) else { continue };
+                        let past = &history[&tid];
+                        // Back to values this tuple id held before: the
+                        // element removed earlier is added again.
+                        let row = if c == 0 && past.len() > 1 {
+                            past[a % (past.len() - 1)].clone()
+                        } else {
+                            let mut row = db.get(tid).unwrap().values;
+                            row[1] = Value::text(NAMES[b % 4]);
+                            row[2] = Value::Int(a as i64 * 10 + c as i64);
+                            row
+                        };
+                        db.update(tid, row.clone()).unwrap();
+                        history.get_mut(&tid).unwrap().push(row);
+                    }
+                    2 => {
+                        let Some(tid) = tuple else { continue };
+                        db.delete(tid);
+                        Mutation::TupleDeleted { tuple: tid }.apply(&mut store).unwrap();
+                    }
+                    3 => {
+                        let mut note = Annotation::new(format!("note {a} on {}", NAMES[b % 4]));
+                        if c > 1 {
+                            note = note.by("curator").of_kind("comment");
+                        }
+                        let expected = AnnotationId(store.annotation_count() as u64);
+                        Mutation::AddAnnotation { expected, annotation: &note }.apply(&mut store).unwrap();
+                    }
+                    4 | 5 => {
+                        let (Some(annotation), Some(tuple)) = (annotation, tuple) else { continue };
+                        let m = if kind == 4 {
+                            Mutation::AttachTuple { annotation, tuple }
+                        } else {
+                            Mutation::AttachCell { annotation, tuple, column: ColumnId(c as u32 % 3) }
+                        };
+                        m.apply(&mut store).unwrap();
+                    }
+                    6 => {
+                        let (Some(annotation), Some(tuple)) = (annotation, tuple) else { continue };
+                        // A pair predicted twice is re-predicted at a new weight.
+                        let confidence = (c * 8 + b + 1) as f64 / 40.0;
+                        Mutation::AttachPredicted { annotation, tuple, confidence }.apply(&mut store).unwrap();
+                    }
+                    _ => {
+                        let pending = predictions(&store);
+                        let Some(&(annotation, tuple, _)) = pending.get(a % pending.len().max(1)) else { continue };
+                        match (kind, c % 2) {
+                            (7, 0) => Mutation::AcceptEdge { annotation, tuple }.apply(&mut store).map(drop).unwrap(),
+                            (7, _) => store.promote(annotation, tuple).unwrap(),
+                            (_, 0) => Mutation::RejectEdge { annotation, tuple }.apply(&mut store).map(drop).unwrap(),
+                            _ => store.discard_prediction(annotation, tuple).unwrap(),
+                        }
+                    }
+                }
+                check(&db, &store)?;
+            }
+
+            // Make every perturbation below applicable: one live row, one
+            // annotation with a prediction and a cell refinement.
+            let row = db.insert("gene", vec![Value::text("JW9999"), Value::text("carA"), Value::Int(1)]).unwrap();
+            let note = Annotation::new("note on carA");
+            let aid = AnnotationId(store.annotation_count() as u64);
+            Mutation::AddAnnotation { expected: aid, annotation: &note }.apply(&mut store).unwrap();
+            Mutation::AttachCell { annotation: aid, tuple: row, column: ColumnId(1) }.apply(&mut store).unwrap();
+            Mutation::AttachPredicted { annotation: aid, tuple: TupleId::new(row.table, 9999), confidence: 0.25 }
+                .apply(&mut store)
+                .unwrap();
+            check(&db, &store)?;
+
+            // Equal content, equal digest.
+            let db_copy = rsnap::load(&rsnap::save(&db)).unwrap();
+            prop_assert_eq!(db_copy.digest(), db.digest());
+            let store_copy = asnap::load(&asnap::save(&store)).unwrap();
+            prop_assert_eq!(store_copy.digest(), store.digest());
+            for shards in 1..4usize {
+                let slices = asnap::partition(&store, shards, &|aid| (aid.0 as usize).wrapping_mul(7));
+                prop_assert_eq!(asnap::merge(&slices).unwrap().digest(), store.digest());
+            }
+
+            // One changed element, another digest.
+            let (pa, pt, w) = predictions(&store)[0];
+            let mut flipped = asnap::load(&asnap::save(&store)).unwrap();
+            flipped.attach_predicted(pa, pt, f64::from_bits(w.to_bits() ^ 1)).unwrap();
+            prop_assert_ne!(flipped.digest(), store.digest());
+            let mut recolumned = asnap::load(&asnap::save(&store)).unwrap();
+            recolumned.restore_cell_column(aid, row, ColumnId(2)).unwrap();
+            prop_assert_ne!(recolumned.digest(), store.digest());
+            let mut tombstoned = rsnap::load(&rsnap::save(&db)).unwrap();
+            prop_assert!(tombstoned.delete(row));
+            prop_assert_ne!(tombstoned.digest(), db.digest());
+            // The first text byte of annotation 0 follows the magic, the
+            // count and the text length.
+            let mut bytes = asnap::save(&store);
+            bytes[20] ^= 1;
+            let edited = asnap::load(&bytes).unwrap();
+            prop_assert_ne!(
+                edited.annotation(AnnotationId(0)).map(|a| a.text.clone()),
+                store.annotation(AnnotationId(0)).map(|a| a.text.clone())
+            );
+            prop_assert_ne!(edited.digest(), store.digest());
+        }
+    }
+}

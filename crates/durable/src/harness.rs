@@ -10,16 +10,17 @@
 //! boundary and asserts recovery still lands on the same prefix state
 //! while reporting **exactly one** dropped record.
 //!
-//! States are compared by CRC32C digests of the canonical snapshot
-//! encodings, so the comparison covers the relational and annotation
-//! stores byte-for-byte.
+//! States are compared by [`state_digest`]: the multiset digests of the
+//! relational and annotation stores' whole logical content, so the
+//! comparison covers every row, annotation, edge and cell. The reference
+//! replay keeps its digests running (O(delta) per record); each recovered
+//! state computes its own once.
 
 use crate::checkpoint;
 use crate::recover::{recover_from_bytes, replay_op};
 use crate::wal::{read_wal, WAL_FILE};
 use crate::DurableError;
 use annostore::AnnotationStore;
-use nebula_codec::crc32c;
 use relstore::Database;
 use std::path::Path;
 
@@ -35,10 +36,14 @@ pub struct CrashPointReport {
     pub torn_cuts: usize,
 }
 
-/// CRC32C digests of the two snapshot encodings — a compact equality
-/// witness for a full engine state.
-pub fn state_digest(db: &Database, store: &AnnotationStore) -> (u32, u32) {
-    (crc32c(&relstore::snapshot::save(db)), crc32c(&annostore::snapshot::save(store)))
+/// The two stores' running state digests, [`Database::digest`] and
+/// [`AnnotationStore::digest`] — a compact equality witness for a full
+/// engine state, O(1) once a state's digests have started (the first call
+/// on a state computes them). Debug builds check each against its
+/// from-scratch oracle (`relstore::snapshot::fingerprint`,
+/// `annostore::snapshot::fingerprint`) on every call.
+pub fn state_digest(db: &Database, store: &AnnotationStore) -> (u64, u64) {
+    (db.digest(), store.digest())
 }
 
 /// Kill-and-recover at every record boundary of the log in `dir`.
@@ -117,7 +122,7 @@ pub fn crash_points(dir: &Path) -> Result<CrashPointReport, DurableError> {
 fn check_boundary(
     image: &[u8],
     wal_prefix: &[u8],
-    expected: (u32, u32),
+    expected: (u64, u64),
     expected_drops: usize,
 ) -> Result<(), DurableError> {
     let r = recover_from_bytes(Some(image), wal_prefix)?;

@@ -71,11 +71,13 @@ impl Catalog {
         self.names.iter().enumerate().map(|(i, n)| (TableId(i as u32), n.as_str()))
     }
 
-    /// Declare a foreign key.
-    pub fn add_foreign_key(&mut self, fk: ForeignKey) {
-        if !self.foreign_keys.contains(&fk) {
-            self.foreign_keys.push(fk);
+    /// Declare a foreign key. Returns false if it was already declared.
+    pub fn add_foreign_key(&mut self, fk: ForeignKey) -> bool {
+        if self.foreign_keys.contains(&fk) {
+            return false;
         }
+        self.foreign_keys.push(fk);
+        true
     }
 
     /// All declared foreign keys.
@@ -161,8 +163,8 @@ mod tests {
         let a = c.register("a").unwrap();
         let b = c.register("b").unwrap();
         let fk = ForeignKey { from_table: a, from_column: ColumnId(0), to_table: b };
-        c.add_foreign_key(fk);
-        c.add_foreign_key(fk);
+        assert!(c.add_foreign_key(fk));
+        assert!(!c.add_foreign_key(fk));
         assert_eq!(c.foreign_keys().len(), 1);
     }
 }

@@ -4,12 +4,14 @@ use crate::catalog::{Catalog, ForeignKey};
 use crate::error::{Error, Result};
 use crate::index::InvertedIndex;
 use crate::schema::{TableId, TableSchema};
+use crate::snapshot::{self, fk_element, slot_element, table_element};
 use crate::storage::{StorageFactory, POSTINGS_NAMESPACE};
 use crate::table::Table;
 use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
+use nebula_codec::MultisetHash;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A relational database, RAM-resident or disk-paged.
 ///
@@ -19,12 +21,19 @@ use std::sync::Arc;
 /// [`Database::with_storage`], row payloads and posting blocks live in
 /// backends the factory opens (one namespace per table plus one for the
 /// index); otherwise everything stays in RAM.
+///
+/// Once [`Database::digest`] has been read, every mutator keeps that
+/// running state digest current, in O(size of the change).
 #[derive(Debug, Default)]
 pub struct Database {
     catalog: Catalog,
     tables: HashMap<TableId, Table>,
     inverted: InvertedIndex,
     storage: Option<Arc<dyn StorageFactory>>,
+    /// Started by the first [`Database::digest`] call, so a database
+    /// nobody compares (a bulk load, an engine's own RAM copy) hashes
+    /// nothing.
+    digest: OnceLock<MultisetHash>,
 }
 
 impl Database {
@@ -41,7 +50,25 @@ impl Database {
             tables: HashMap::new(),
             inverted: InvertedIndex::with_backend(factory.open(POSTINGS_NAMESPACE)),
             storage: Some(factory),
+            digest: OnceLock::new(),
         }
+    }
+
+    /// The state digest: the multiset hash of every table header, row
+    /// slot (tombstones included) and foreign key, in the encoding
+    /// [`crate::snapshot`] writes them. Equal logical content gives an
+    /// equal digest whatever the backend or the order of inserts. The
+    /// first call computes it from scratch; from then on the mutators
+    /// maintain it and a call is O(1). Debug builds check every call
+    /// against [`snapshot::fingerprint`], which recomputes it.
+    pub fn digest(&self) -> u64 {
+        let running = self.digest.get_or_init(|| snapshot::multiset(self)).value();
+        debug_assert_eq!(
+            running,
+            snapshot::fingerprint(self),
+            "running database digest drifted from its from-scratch oracle"
+        );
+        running
     }
 
     /// One-line description of where the database's bytes live.
@@ -55,6 +82,9 @@ impl Database {
     /// Register a table from a schema. Fails if the name is taken.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<TableId> {
         let id = self.catalog.register(&schema.name)?;
+        if let Some(h) = self.digest.get_mut() {
+            h.insert(&table_element(id, &schema));
+        }
         let table = match &self.storage {
             Some(factory) => Table::with_backend(id, schema, factory.open(id.0)),
             None => Table::new(id, schema),
@@ -79,12 +109,14 @@ impl Database {
                 "foreign key target `{to_table}` has no primary key"
             )));
         }
-        self.catalog.add_foreign_key(ForeignKey {
-            from_table: from,
-            from_column: from_col,
-            to_table: to,
-        });
+        self.push_foreign_key(ForeignKey { from_table: from, from_column: from_col, to_table: to });
         Ok(())
+    }
+
+    fn push_foreign_key(&mut self, fk: ForeignKey) {
+        if let (true, Some(h)) = (self.catalog.add_foreign_key(fk), self.digest.get_mut()) {
+            h.insert(&fk_element(&fk));
+        }
     }
 
     /// The catalog (read-only).
@@ -124,7 +156,11 @@ impl Database {
             .filter(|((_, def), v)| def.searchable && v.as_text().is_some())
             .map(|((cid, _), v)| (cid, v.as_text().unwrap().to_string()))
             .collect();
+        let element = self.digest.get().map(|_| slot_element(t.next_tid(), true, &values));
         let tid = t.insert(values)?;
+        if let (Some(h), Some(element)) = (self.digest.get_mut(), element) {
+            h.insert(&element);
+        }
         for (cid, text) in searchable {
             self.inverted.add_cell(table, cid, tid, &text);
         }
@@ -150,7 +186,11 @@ impl Database {
         } else {
             Vec::new()
         };
+        let element = self.digest.get().map(|_| slot_element(t.next_tid(), live, &values));
         let tid = t.restore_slot(live, values)?;
+        if let (Some(h), Some(element)) = (self.digest.get_mut(), element) {
+            h.insert(&element);
+        }
         for (cid, text) in searchable {
             self.inverted.add_cell(table, cid, tid, &text);
         }
@@ -171,7 +211,7 @@ impl Database {
                 "snapshot foreign key references missing objects: {fk:?}"
             )));
         }
-        self.catalog.add_foreign_key(fk);
+        self.push_foreign_key(fk);
         Ok(())
     }
 
@@ -191,7 +231,12 @@ impl Database {
             .filter(|((_, def), v)| def.searchable && v.as_text().is_some())
             .map(|((cid, _), v)| (cid, v.as_text().expect("filtered").to_string()))
             .collect();
-        t.update(tid, values)?;
+        let element = self.digest.get().map(|_| slot_element(tid, true, &values));
+        let old = t.replace(tid, values)?;
+        if let (Some(h), Some(element)) = (self.digest.get_mut(), element) {
+            h.remove(&slot_element(tid, true, &old));
+            h.insert(&element);
+        }
         self.inverted.remove_tuple(tid);
         for (cid, text) in searchable {
             self.inverted.add_cell(tid.table, cid, tid, &text);
@@ -202,12 +247,13 @@ impl Database {
     /// Delete a tuple, cleaning its index entries. Returns true if it was live.
     pub fn delete(&mut self, tid: TupleId) -> bool {
         let Some(t) = self.tables.get_mut(&tid.table) else { return false };
-        if t.delete(tid) {
-            self.inverted.remove_tuple(tid);
-            true
-        } else {
-            false
+        let Some(old) = t.tombstone(tid) else { return false };
+        self.inverted.remove_tuple(tid);
+        if let Some(h) = self.digest.get_mut() {
+            h.remove(&slot_element(tid, true, &old));
+            h.insert(&slot_element(tid, false, &old));
         }
+        true
     }
 
     /// Number of live tuples across all tables.
@@ -257,7 +303,7 @@ impl Database {
             mini.create_table(schema).expect("fresh catalog cannot collide");
         }
         for fk in self.catalog.foreign_keys() {
-            mini.catalog.add_foreign_key(*fk);
+            mini.push_foreign_key(*fk);
         }
         let mut back = HashMap::new();
         let mut sorted: Vec<TupleId> = tuples.to_vec();

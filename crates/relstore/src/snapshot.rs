@@ -19,12 +19,20 @@
 //! ```
 //!
 //! Value tags: 0 = Null, 1 = Int(i64), 2 = Float(f64 bits), 3 = Text.
+//!
+//! The same records are the elements of the database's state digest: a
+//! [`MultisetHash`] over one element per table header (tag 1, `u32` table
+//! id, then the header as laid out above), one per row slot (tag 2, tuple
+//! id, then the slot) and one per foreign key (tag 3, then the key).
+//! [`Database::digest`] keeps that sum as rows change once it has been
+//! read; [`fingerprint`] recomputes it from scratch and is its oracle.
 
 use crate::catalog::ForeignKey;
 use crate::database::Database;
 use crate::schema::{ColumnId, TableId, TableSchema};
+use crate::tuple::TupleId;
 use crate::value::{DataType, Value};
-use nebula_codec::{fnv1a, CodecError, Reader, Writer};
+use nebula_codec::{CodecError, MultisetHash, Reader, Writer};
 use std::fmt;
 
 const MAGIC: &[u8; 8] = b"NEBREL1\0";
@@ -108,55 +116,109 @@ fn tag_type(tag: u8) -> Result<DataType, SnapshotError> {
     }
 }
 
-/// A 64-bit FNV-1a fingerprint of the canonical snapshot encoding.
+fn put_header(w: &mut Writer, schema: &TableSchema) {
+    w.string(&schema.name);
+    w.u32(schema.arity() as u32);
+    for (_, def) in schema.iter_columns() {
+        w.string(&def.name);
+        w.u8(type_tag(def.data_type));
+        w.u8(def.indexed as u8);
+        w.u8(def.searchable as u8);
+    }
+    match schema.primary_key {
+        Some(pk) => {
+            w.u8(1);
+            w.u32(pk.0);
+        }
+        None => w.u8(0),
+    }
+}
+
+fn put_slot(w: &mut Writer, live: bool, values: &[Value]) {
+    w.u8(live as u8);
+    for v in values {
+        put_value(w, v);
+    }
+}
+
+fn put_foreign_key(w: &mut Writer, fk: &ForeignKey) {
+    w.u32(fk.from_table.0);
+    w.u32(fk.from_column.0);
+    w.u32(fk.to_table.0);
+}
+
+/// The digest element of a table header.
+pub(crate) fn table_element(id: TableId, schema: &TableSchema) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u8(1);
+    w.u32(id.0);
+    put_header(&mut w, schema);
+    w.0
+}
+
+/// The digest element of one row slot.
+pub(crate) fn slot_element(tid: TupleId, live: bool, values: &[Value]) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u8(2);
+    w.tuple_id(tid.table.0, tid.row);
+    put_slot(&mut w, live, values);
+    w.0
+}
+
+/// The digest element of a foreign key.
+pub(crate) fn fk_element(fk: &ForeignKey) -> Vec<u8> {
+    let mut w = Writer::default();
+    w.u8(3);
+    put_foreign_key(&mut w, fk);
+    w.0
+}
+
+/// The database's state digest recomputed from scratch: the multiset
+/// hash of every table header, row slot and foreign key.
 ///
-/// Two databases with identical logical content fingerprint identically
-/// (the encoding is canonical); a shard deployment uses this to verify
-/// cheaply that its full-database replicas have not diverged without
-/// shipping the snapshots themselves.
+/// Two databases with identical logical content fingerprint identically,
+/// whichever backend holds their rows. This is the oracle
+/// [`Database::digest`], the running value, is checked against; it reads
+/// every row, so callers that compare states use the running value.
 pub fn fingerprint(db: &Database) -> u64 {
-    fnv1a(fnv1a::OFFSET, &save(db))
+    multiset(db).value()
+}
+
+/// The multiset [`fingerprint`] sums, which a running digest starts from.
+pub(crate) fn multiset(db: &Database) -> MultisetHash {
+    let mut h = MultisetHash::default();
+    for (tid, _) in db.catalog().iter() {
+        let table = db.table(tid).expect("catalog and tables agree");
+        h.insert(&table_element(tid, table.schema()));
+        for (row, (live, values)) in table.raw_slots().enumerate() {
+            h.insert(&slot_element(TupleId::new(tid, row as u64), live, &values));
+        }
+    }
+    for fk in db.catalog().foreign_keys() {
+        h.insert(&fk_element(fk));
+    }
+    h
 }
 
 /// Serialize a database to bytes.
 pub fn save(db: &Database) -> Vec<u8> {
     let mut w = Writer::default();
     w.bytes(MAGIC);
-    let tables: Vec<(TableId, &str)> = db.catalog().iter().collect();
+    let tables: Vec<TableId> = db.catalog().iter().map(|(tid, _)| tid).collect();
     w.u32(tables.len() as u32);
-    for (tid, name) in &tables {
-        let table = db.table(*tid).expect("catalog and tables agree");
-        let schema = table.schema();
-        w.string(name);
-        w.u32(schema.arity() as u32);
-        for (_, def) in schema.iter_columns() {
-            w.string(&def.name);
-            w.u8(type_tag(def.data_type));
-            w.u8(def.indexed as u8);
-            w.u8(def.searchable as u8);
-        }
-        match schema.primary_key {
-            Some(pk) => {
-                w.u8(1);
-                w.u32(pk.0);
-            }
-            None => w.u8(0),
-        }
+    for tid in tables {
+        let table = db.table(tid).expect("catalog and tables agree");
+        put_header(&mut w, table.schema());
         let slots: Vec<(bool, Vec<Value>)> = table.raw_slots().collect();
         w.u64(slots.len() as u64);
         for (live, values) in slots {
-            w.u8(live as u8);
-            for v in &values {
-                put_value(&mut w, v);
-            }
+            put_slot(&mut w, live, &values);
         }
     }
     let fks = db.catalog().foreign_keys();
     w.u32(fks.len() as u32);
     for fk in fks {
-        w.u32(fk.from_table.0);
-        w.u32(fk.from_column.0);
-        w.u32(fk.to_table.0);
+        put_foreign_key(&mut w, fk);
     }
     w.0
 }
@@ -357,11 +419,14 @@ mod tests {
         assert_eq!(new_id.row, 3, "new rows append after restored slots");
     }
 
-    /// Shard replicas compare fingerprints across builds; the value of a
-    /// fixed database must not move.
+    /// Replicas compare digests across builds; the value of a fixed
+    /// database must not move, and the running digest equals the
+    /// from-scratch one.
     #[test]
     fn fingerprint_of_a_fixed_database_is_pinned() {
-        assert_eq!(fingerprint(&sample_db()), 0x0b0b_9d4d_fe99_be3e);
+        let db = sample_db();
+        assert_eq!(fingerprint(&db), 0x12f9_7244_1fb0_a4da);
+        assert_eq!(db.digest(), fingerprint(&db));
     }
 
     #[test]

@@ -193,11 +193,15 @@ impl Table {
         Ok(())
     }
 
+    /// The id the next inserted or restored slot receives.
+    pub(crate) fn next_tid(&self) -> TupleId {
+        TupleId::new(self.id, self.rows.len() as u64)
+    }
+
     /// Insert a row, returning its stable id.
     pub fn insert(&mut self, values: Vec<Value>) -> Result<TupleId> {
         self.validate(&values)?;
-        let row = self.rows.len() as u64;
-        let tid = TupleId::new(self.id, row);
+        let tid = self.next_tid();
         for (cid, index) in self.indexes.iter_mut() {
             index.insert(values[cid.index()].clone(), tid);
         }
@@ -224,6 +228,11 @@ impl Table {
     /// Validates arity, types, and primary-key uniqueness (the row may
     /// keep its own key) and maintains the hash indexes.
     pub fn update(&mut self, tid: TupleId, values: Vec<Value>) -> Result<()> {
+        self.replace(tid, values).map(drop)
+    }
+
+    /// [`Table::update`], returning the values the row held before.
+    pub(crate) fn replace(&mut self, tid: TupleId, values: Vec<Value>) -> Result<Vec<Value>> {
         if !self.is_live(tid) {
             return Err(Error::UnknownTuple(tid));
         }
@@ -269,7 +278,7 @@ impl Table {
             index.insert(values[cid.index()].clone(), tid);
         }
         self.rows.set(row, values)?;
-        Ok(())
+        Ok(old)
     }
 
     /// Delete (tombstone) a row. Returns true if the row was live.
@@ -277,13 +286,16 @@ impl Table {
     /// The slot's values stay in storage (dead slots survive snapshots so
     /// `TupleId`s stay stable), only the live flag and indexes change.
     pub fn delete(&mut self, tid: TupleId) -> bool {
-        if tid.table != self.id {
-            return false;
+        self.tombstone(tid).is_some()
+    }
+
+    /// [`Table::delete`], returning the tombstoned row's values (`None`
+    /// if the row was not live).
+    pub(crate) fn tombstone(&mut self, tid: TupleId) -> Option<Vec<Value>> {
+        if !self.is_live(tid) {
+            return None;
         }
         let i = tid.row as usize;
-        if i >= self.live.len() || !self.live[i] {
-            return false;
-        }
         self.live[i] = false;
         self.live_count -= 1;
         let old = self.rows.row(i).map(Cow::into_owned).unwrap_or_default();
@@ -292,7 +304,7 @@ impl Table {
                 index.remove(v, tid);
             }
         }
-        true
+        Some(old)
     }
 
     /// Iterate all live tuples in insertion order.
@@ -353,8 +365,7 @@ impl Table {
     /// snapshot was valid when written) but maintaining the hash indexes
     /// for live rows. Returns the restored slot's tuple id.
     pub(crate) fn restore_slot(&mut self, live: bool, values: Vec<Value>) -> Result<TupleId> {
-        let row = self.rows.len() as u64;
-        let tid = TupleId::new(self.id, row);
+        let tid = self.next_tid();
         if live {
             for (cid, index) in self.indexes.iter_mut() {
                 index.insert(values[cid.index()].clone(), tid);

@@ -1049,6 +1049,40 @@ mod tests {
     }
 
     #[test]
+    fn relational_divergence_is_reported_in_the_db_half_and_repaired() {
+        use relstore::{DataType, TableSchema, Value};
+        let mut db = Database::new();
+        let schema = TableSchema::builder("gene").column("name", DataType::Text).build().unwrap();
+        db.create_table(schema).unwrap();
+        let victim = db.insert("gene", vec![Value::text("grpC")]).unwrap();
+        db.insert("gene", vec![Value::text("dnaK")]).unwrap();
+        let config = ClusterConfig { rule: CommitRule::Quorum(2), ..ClusterConfig::default() };
+        let transport = Box::new(SimTransport::reliable(3));
+        let store = AnnotationStore::new();
+        let dir = temp_dir("reldiverge");
+        let mut c = Cluster::new(&dir, &db, &store, 2, transport, config).unwrap();
+        for i in 0..4 {
+            c.record(&op(i)).unwrap();
+        }
+        // Tombstone a row on replica 1 only; its annotation store is untouched.
+        let r1 = c.replicas.iter_mut().find(|r| r.id() == 1).unwrap();
+        assert!(r1.db_mut().delete(victim));
+        c.record(&op(4)).unwrap();
+        c.pump(4);
+        let reports = c.primary().divergences();
+        assert_eq!(reports.len(), 1, "{reports:?}");
+        let d = reports[0];
+        assert_eq!(d.replica, 1);
+        assert_ne!(d.observed.0, d.expected.0, "the database half differs: {d:?}");
+        assert_eq!(d.observed.1, d.expected.1, "the store half matches: {d:?}");
+        assert_eq!(c.scrub().wedged, vec![1]);
+        let outcome = c.repair_replica(1).unwrap();
+        assert!(outcome.converged, "{outcome:?}");
+        assert_eq!(c.replica(1).unwrap().digest(), c.primary().shadow_digest());
+        assert!(c.replica(1).unwrap().db().get(victim).is_some(), "the row is back");
+    }
+
+    #[test]
     fn deposed_primary_rejoins_the_new_epoch_as_a_replica() {
         let mut c = fresh("rejoin", 2, Box::new(SimTransport::reliable(3)), CommitRule::Quorum(2));
         for i in 0..8 {

@@ -7,6 +7,11 @@
 //!
 //! Every control frame carries the sender's **epoch** so receivers can
 //! fence stale senders without decoding a payload.
+//!
+//! An ack carries the replica's state digest as two `u64`s (the running
+//! multiset digests of its relational and annotation stores) under kind
+//! tag 6. Tag 4 was the ack of the earlier `(u32, u32)` CRC digest; it is
+//! retired, so such a frame is refused as an unknown kind, never misread.
 
 use crate::ReplicaError;
 use nebula_codec::{Reader, Writer};
@@ -35,7 +40,7 @@ pub enum Frame {
         /// Highest contiguously applied LSN.
         lsn: u64,
         /// `nebula_durable::state_digest` of the replica state at `lsn`.
-        digest: (u32, u32),
+        digest: (u64, u64),
     },
     /// An epoch rejection: the receiver holds `epoch` (newer than the
     /// sender's) and has applied up to `lsn`. A primary receiving this
@@ -51,8 +56,9 @@ pub enum Frame {
 const KIND_SEGMENT: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
 const KIND_FENCE: u8 = 3;
-const KIND_ACK: u8 = 4;
 const KIND_NACK: u8 = 5;
+// Tag 4, the retired `(u32, u32)` ack, decodes as an unknown kind.
+const KIND_ACK: u8 = 6;
 
 impl Frame {
     /// Serialize for the wire.
@@ -76,8 +82,8 @@ impl Frame {
                 w.u8(KIND_ACK);
                 w.u64(*epoch);
                 w.u64(*lsn);
-                w.u32(digest.0);
-                w.u32(digest.1);
+                w.u64(digest.0);
+                w.u64(digest.1);
             }
             Frame::Nack { epoch, lsn } => {
                 w.u8(KIND_NACK);
@@ -103,7 +109,7 @@ impl Frame {
             KIND_ACK => Frame::Ack {
                 epoch: r.u64("ack epoch")?,
                 lsn: r.u64("ack lsn")?,
-                digest: (r.u32("ack digest")?, r.u32("ack digest")?),
+                digest: (r.u64("ack digest")?, r.u64("ack digest")?),
             },
             KIND_NACK => Frame::Nack { epoch: r.u64("nack epoch")?, lsn: r.u64("nack lsn")? },
             other => return Err(ReplicaError::Codec(format!("unknown frame kind {other}"))),
@@ -136,6 +142,15 @@ mod tests {
         assert!(Frame::decode(&[]).is_err());
         assert!(Frame::decode(&[42]).is_err());
         assert!(Frame::decode(&[KIND_ACK, 1, 2]).is_err());
+        // The retired 25-byte tag-4 ack (`(u32, u32)` digest) is refused,
+        // not read as something else.
+        let mut old_ack = vec![4u8];
+        old_ack.extend_from_slice(&2u64.to_le_bytes());
+        old_ack.extend_from_slice(&41u64.to_le_bytes());
+        old_ack.extend_from_slice(&0xDEADu32.to_le_bytes());
+        old_ack.extend_from_slice(&0xBEEFu32.to_le_bytes());
+        assert_eq!(old_ack.len(), 25);
+        assert!(matches!(Frame::decode(&old_ack), Err(ReplicaError::Codec(_))));
         // A fixed-size control frame ends where its last field does.
         for frame in [
             Frame::Ack { epoch: 2, lsn: 41, digest: (0xDEAD, 0xBEEF) },

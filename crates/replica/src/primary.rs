@@ -4,7 +4,10 @@
 //! The primary wraps the existing [`Durability`] manager — every record
 //! is appended (and fsynced per its policy) locally first — and mirrors
 //! each append into an in-memory **shadow** copy of the state, recording
-//! a [`state_digest`] at every LSN. Replica acknowledgements carry the
+//! a [`state_digest`] at every LSN. That digest is the pair of running
+//! multiset hashes the shadow's two stores keep as the record applies, so
+//! recording it is O(1), not a re-encode of the state (debug builds check
+//! it against the from-scratch oracle). Replica acknowledgements carry the
 //! replica's own digest at its applied LSN; a mismatch is **divergence**
 //! (same log, different state) and the offending replica is fenced and
 //! wedged rather than allowed to drift further.
@@ -41,10 +44,11 @@ pub struct DivergenceReport {
     pub replica: usize,
     /// The LSN where the states disagree.
     pub lsn: u64,
-    /// The primary's digest at that LSN.
-    pub expected: (u32, u32),
-    /// The replica's reported digest.
-    pub observed: (u32, u32),
+    /// The primary's digest at that LSN: `(database, annotation store)`.
+    pub expected: (u64, u64),
+    /// The replica's reported digest, in the same order; the half that
+    /// differs names the store that diverged.
+    pub observed: (u64, u64),
     /// The epoch under which the divergence was detected.
     pub epoch: u64,
 }
@@ -83,7 +87,7 @@ pub struct Primary {
     shadow_db: Database,
     shadow_store: AnnotationStore,
     /// Per-LSN shadow digests, pruned below the peers' ack floor.
-    digests: BTreeMap<u64, (u32, u32)>,
+    digests: BTreeMap<u64, (u64, u64)>,
     /// Encoded records above the checkpoint watermark, ready to ship.
     buffer: VecDeque<(u64, Vec<u8>)>,
     /// Latest checkpoint image (the catch-up payload) and its watermark.
@@ -216,7 +220,7 @@ impl Primary {
         }
     }
 
-    fn on_ack(&mut self, from: usize, lsn: u64, digest: (u32, u32), t: &mut dyn Transport) {
+    fn on_ack(&mut self, from: usize, lsn: u64, digest: (u64, u64), t: &mut dyn Transport) {
         // Divergence check: the replica's digest at `lsn` must equal the
         // shadow's. LSN 0 is pre-bootstrap (nothing applied) and LSNs
         // pruned from the digest map are already acked by everyone.
@@ -449,13 +453,13 @@ impl Primary {
     }
 
     /// The shadow state's digest at the newest LSN.
-    pub fn shadow_digest(&self) -> (u32, u32) {
+    pub fn shadow_digest(&self) -> (u64, u64) {
         state_digest(&self.shadow_db, &self.shadow_store)
     }
 
     /// The primary's per-LSN digest chain (its half of the anti-entropy
     /// ladder).
-    pub fn digests(&self) -> &BTreeMap<u64, (u32, u32)> {
+    pub fn digests(&self) -> &BTreeMap<u64, (u64, u64)> {
         &self.digests
     }
 

@@ -1,9 +1,10 @@
 //! The anti-entropy range-digest ladder.
 //!
 //! Both the primary and every replica keep a chain of per-LSN state
-//! digests. Comparing the chains digest-by-digest would cost O(n) per
-//! scrub; the ladder instead compares **range digests** (a CRC over a
-//! contiguous run of per-LSN digests) and binary-searches the first
+//! digests (`(u64, u64)`, the two stores' running multiset digests).
+//! Comparing the chains digest-by-digest would cost O(n) per scrub; the
+//! ladder instead compares **range digests** (a CRC32C over a contiguous
+//! run of 24-byte `lsn | digest` entries) and binary-searches the first
 //! disagreeing prefix — O(log n) range probes to locate the exact last
 //! LSN two nodes provably agree on, which is where repair truncates the
 //! diverged suffix.
@@ -31,8 +32,8 @@ pub struct LadderOutcome {
 }
 
 /// CRC over a run of `(lsn, digest)` entries — one rung of the ladder.
-fn range_digest(entries: &[(u64, (u32, u32))]) -> u32 {
-    let mut bytes = Vec::with_capacity(entries.len() * 16);
+fn range_digest(entries: &[(u64, (u64, u64))]) -> u32 {
+    let mut bytes = Vec::with_capacity(entries.len() * 24);
     for (lsn, (d0, d1)) in entries {
         bytes.extend_from_slice(&lsn.to_le_bytes());
         bytes.extend_from_slice(&d0.to_le_bytes());
@@ -45,12 +46,12 @@ fn range_digest(entries: &[(u64, (u32, u32))]) -> u32 {
 /// they agree on, by binary-searching range digests over their common
 /// domain.
 pub fn last_agreed(
-    primary: &BTreeMap<u64, (u32, u32)>,
-    replica: &BTreeMap<u64, (u32, u32)>,
+    primary: &BTreeMap<u64, (u64, u64)>,
+    replica: &BTreeMap<u64, (u64, u64)>,
     hi: u64,
 ) -> LadderOutcome {
-    let mut ours: Vec<(u64, (u32, u32))> = Vec::new();
-    let mut theirs: Vec<(u64, (u32, u32))> = Vec::new();
+    let mut ours: Vec<(u64, (u64, u64))> = Vec::new();
+    let mut theirs: Vec<(u64, (u64, u64))> = Vec::new();
     for (&lsn, &pd) in primary.range(..=hi) {
         if let Some(&rd) = replica.get(&lsn) {
             ours.push((lsn, pd));
@@ -87,7 +88,7 @@ pub fn last_agreed(
 mod tests {
     use super::*;
 
-    fn chain(pairs: &[(u64, u32)]) -> BTreeMap<u64, (u32, u32)> {
+    fn chain(pairs: &[(u64, u64)]) -> BTreeMap<u64, (u64, u64)> {
         pairs.iter().map(|&(l, d)| (l, (d, d.wrapping_mul(7)))).collect()
     }
 
@@ -145,7 +146,7 @@ mod tests {
     #[test]
     fn probe_count_is_logarithmic() {
         let n = 1024u64;
-        let a: BTreeMap<u64, (u32, u32)> = (1..=n).map(|l| (l, (l as u32, 0))).collect();
+        let a: BTreeMap<u64, (u64, u64)> = (1..=n).map(|l| (l, (l, 0))).collect();
         let mut b = a.clone();
         for l in 700..=n {
             b.insert(l, (0xDEAD, 0xBEEF));

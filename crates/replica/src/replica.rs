@@ -3,7 +3,12 @@
 //! A replica holds a full copy of the relational and annotation stores
 //! and advances it by replaying shipped WAL segments through the same
 //! idempotent [`replay_op`] path crash recovery uses — so a replica's
-//! state at LSN `n` is byte-identical to a primary recovered at `n`.
+//! state at LSN `n` is byte-identical to a primary recovered at `n`. The
+//! two stores update their running multiset digests as each record
+//! applies, so the [`state_digest`] the replica records per LSN and sends
+//! in every ack costs O(1); only the first digest of a freshly loaded
+//! checkpoint is computed from scratch (debug builds check every one
+//! against the from-scratch oracle).
 //!
 //! Replay is **exactly-once** in effect under an at-least-once transport:
 //! records at or below the applied watermark are counted as skipped
@@ -46,7 +51,7 @@ pub struct Replica {
     checkpoint_loads: u64,
     /// Per-LSN state digests (bounded), the replica's half of the
     /// anti-entropy range-digest ladder.
-    digests: BTreeMap<u64, (u32, u32)>,
+    digests: BTreeMap<u64, (u64, u64)>,
     /// Suffix LSNs discarded by repair resyncs (divergence depth total).
     rewound: u64,
 }
@@ -268,7 +273,7 @@ impl Replica {
     }
 
     /// `nebula_durable::state_digest` of the current replica state.
-    pub fn digest(&self) -> (u32, u32) {
+    pub fn digest(&self) -> (u64, u64) {
         state_digest(&self.db, &self.store)
     }
 
@@ -280,6 +285,13 @@ impl Replica {
     /// The replica's annotation store (read-only).
     pub fn store(&self) -> &AnnotationStore {
         &self.store
+    }
+
+    /// The replica's relational store, for tests that corrupt it behind
+    /// the log's back.
+    #[cfg(test)]
+    pub(crate) fn db_mut(&mut self) -> &mut Database {
+        &mut self.db
     }
 
     /// Records replayed one-by-one from shipped segments.
@@ -305,7 +317,7 @@ impl Replica {
 
     /// The replica's per-LSN digest chain (its half of the anti-entropy
     /// ladder).
-    pub fn digests(&self) -> &BTreeMap<u64, (u32, u32)> {
+    pub fn digests(&self) -> &BTreeMap<u64, (u64, u64)> {
         &self.digests
     }
 

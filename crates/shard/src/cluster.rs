@@ -170,11 +170,6 @@ impl ShardConfig {
     }
 }
 
-/// FNV-1a digest of an annotation store's canonical snapshot encoding.
-pub fn store_digest(store: &AnnotationStore) -> u64 {
-    fnv1a(fnv1a::OFFSET, &astore_snapshot::save(store))
-}
-
 /// One committed mutation batch: WAL records concatenated in commit
 /// order, stamped with the shard that originated it.
 #[derive(Debug, Clone)]
@@ -408,8 +403,7 @@ impl Fabric {
     ) {
         if seq <= node.applied_seq {
             // Duplicate delivery: re-ack so a retrying origin unblocks.
-            let ack =
-                ShardFrame::ApplyAck { seq, shard: node.id, digest: store_digest(&node.store) };
+            let ack = ShardFrame::ApplyAck { seq, shard: node.id, digest: node.store.digest() };
             self.transport.send(node.id, origin, ack.encode());
             return;
         }
@@ -424,7 +418,7 @@ impl Fabric {
         }
         node.applied_seq = seq;
         nebula_obs::counter_add(counters::BATCHES_APPLIED, 1);
-        let ack = ShardFrame::ApplyAck { seq, shard: node.id, digest: store_digest(&node.store) };
+        let ack = ShardFrame::ApplyAck { seq, shard: node.id, digest: node.store.digest() };
         self.transport.send(node.id, origin, ack.encode());
     }
 
@@ -783,7 +777,7 @@ impl ShardCluster {
             bytes.extend_from_slice(&encode_record((i + 1) as u64, op));
         }
         node.applied_seq = seq;
-        let digest = store_digest(&node.store);
+        let digest = node.store.digest();
         {
             let mut f = self.lock();
             f.expected_digests.push(digest);
@@ -955,7 +949,7 @@ impl ShardCluster {
         let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
         self.replay(self.log.len(), |seq, store| {
             if watermarks.contains(&seq) {
-                reference.insert(seq, store_digest(store));
+                reference.insert(seq, store.digest());
             }
         })?;
         let mut outcome = ScrubOutcome::default();
@@ -964,7 +958,7 @@ impl ShardCluster {
             let (applied, epoch, digest) = {
                 let f = self.lock();
                 match f.nodes[s].as_ref() {
-                    Some(n) if !n.failed => (n.applied_seq, n.epoch, store_digest(&n.store)),
+                    Some(n) if !n.failed => (n.applied_seq, n.epoch, n.store.digest()),
                     _ => continue,
                 }
             };
@@ -1133,7 +1127,7 @@ mod tests {
         let a = store.add_annotation(Annotation::new("heat-shock note").by("Bob"));
         let tuple = TupleId::new(relstore::schema::TableId(1), 7);
         store.attach(a, annostore::AttachmentTarget::tuple(tuple)).expect("attach");
-        assert_eq!(store_digest(&store), 0x3340_3458_1ac6_4bb6);
+        assert_eq!(store.digest(), 0xe549_2aa7_53fc_7afa);
     }
 
     #[test]

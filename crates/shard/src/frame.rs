@@ -89,7 +89,7 @@ pub enum ShardFrame {
         seq: u64,
         /// Acking shard.
         shard: usize,
-        /// FNV-1a digest of the acking shard's annotation store.
+        /// `AnnotationStore::digest` of the acking shard's store.
         digest: u64,
     },
     /// Batch `seq` refused (gap or injected apply fault); the sender has

@@ -121,7 +121,7 @@ fn archived_history(
     seed_store: AnnotationStore,
     ops: &[WalOp],
     ckpt_every: usize,
-) -> (Vec<(u32, u32)>, Database, AnnotationStore) {
+) -> (Vec<(u64, u64)>, Database, AnnotationStore) {
     let mut db = seed_db;
     let mut store = seed_store;
     let mut mgr = Durability::begin(
@@ -513,7 +513,7 @@ fn sample_ops(tuples: &[TupleId]) -> Vec<WalOp> {
 
 /// Build the sample bundle into `bundle_dir` (scratch WAL and archive in
 /// `work`), returning the reference digest at the head.
-fn build_sample_bundle(work: &Path, bundle_dir: &Path) -> (u32, u32) {
+fn build_sample_bundle(work: &Path, bundle_dir: &Path) -> (u64, u64) {
     let (mut db, mut store, tuples) = sample_state();
     let mut mgr = Durability::begin(
         &work.join("wal"),

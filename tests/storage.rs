@@ -92,6 +92,7 @@ fn paged_pipeline_matches_mem_pipeline_at_every_worker_count() {
                 snapshot::fingerprint(&base.db),
                 "{tag}: database fingerprints agree"
             );
+            assert_eq!(paged_db.digest(), base.db.digest(), "{tag}: running digests agree");
             // The paged run actually exercised the pool, and the file is
             // durable and clean afterwards.
             let m = store.metrics();
