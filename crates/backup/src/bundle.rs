@@ -23,7 +23,7 @@ use nebula_codec::crc32c;
 use nebula_durable::archive::{list_bases, list_segments, parse_base_watermark, parse_segment_lsn};
 use nebula_durable::segment::{decode_checkpoint_frame, decode_segment, Segment};
 use nebula_durable::{checkpoint, replay_op};
-use nebula_govern::{inject_io, FaultSite, IoFault};
+use nebula_govern::{inject_io, FaultSite};
 use relstore::Database;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -96,7 +96,7 @@ fn epoch_cutoff(starts: &[(u64, u64)], epoch: u64) -> u64 {
 /// stable storage when this returns, so every data file is durable
 /// before the manifest that vouches for it is written.
 fn write_bundle_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), BackupError> {
-    if let Some(IoFault::NoSpace) = inject_io(FaultSite::Enospc, bytes.len()) {
+    if inject_io(FaultSite::Enospc, bytes.len()).is_some() {
         return Err(BackupError::NoSpace(format!("writing {name} into the bundle")));
     }
     let mut file = std::fs::File::create(dir.join(name))?;
@@ -714,7 +714,9 @@ mod tests {
     fn enospc_during_capture_is_typed_and_leaves_no_manifest() {
         let (_, _, archive, root) = seeded_archive("enospc", 1, 2);
         let bundle = root.join("bundle");
-        nebula_govern::set_fault_plan(Some(nebula_govern::FaultPlan::new(9).with_enospc(1.0)));
+        nebula_govern::set_fault_plan(Some(
+            nebula_govern::FaultPlan::new(9).with(FaultSite::Enospc, 1.0),
+        ));
         let err = create_bundle(&BundleSpec {
             archive_dir: archive.clone(),
             bundle_dir: bundle.clone(),

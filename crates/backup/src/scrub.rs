@@ -21,7 +21,7 @@ use nebula_codec::crc32c;
 use nebula_durable::archive::{list_bases, list_segments};
 use nebula_durable::checkpoint;
 use nebula_durable::segment::{decode_checkpoint_frame, decode_segment};
-use nebula_govern::{inject_io, FaultSite, IoFault};
+use nebula_govern::{inject_io, FaultSite};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
@@ -154,7 +154,7 @@ pub fn inject_rot(dir: &Path) -> Result<Vec<PathBuf>, BackupError> {
     files.sort();
     for path in files {
         let len = std::fs::metadata(&path)?.len() as usize;
-        if let Some(IoFault::BitFlip { bit }) = inject_io(FaultSite::ArchiveRot, len) {
+        if let Some(bit) = inject_io(FaultSite::ArchiveRot, len) {
             flip_bit(&path, bit)?;
             nebula_obs::counter_add(counters::ROT_INJECTED, 1);
             rotted.push(path);
@@ -230,7 +230,7 @@ mod tests {
         // Rate 0.5: some files rot, some stay clean — the scrubber must
         // flag exactly the rotted set (100% detection, no false positives).
         nebula_govern::set_fault_plan(Some(
-            nebula_govern::FaultPlan::new(21).with_archive_faults(0.0, 0.5, 0.0),
+            nebula_govern::FaultPlan::new(21).with(FaultSite::ArchiveRot, 0.5),
         ));
         let rotted = inject_rot(&dir).unwrap();
         nebula_govern::set_fault_plan(None);

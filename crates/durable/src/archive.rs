@@ -23,7 +23,7 @@
 use crate::segment::{decode_checkpoint_frame, decode_segment, encode_checkpoint_frame};
 use crate::wal::read_wal;
 use crate::{checkpoint, segment, DurableError};
-use nebula_govern::{inject_io, FaultSite, IoFault};
+use nebula_govern::{inject_io, FaultSite};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -66,12 +66,12 @@ pub fn parse_base_watermark(name: &str) -> Option<u64> {
 fn write_archive_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, DurableError> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
-    if let Some(IoFault::NoSpace) = inject_io(FaultSite::Enospc, bytes.len()) {
+    if inject_io(FaultSite::Enospc, bytes.len()).is_some() {
         nebula_obs::counter_add(counters::ARCHIVE_FAILURES, 1);
         return Err(DurableError::NoSpace(format!("archiving {}", path.display())));
     }
     let mut f = std::fs::File::create(&path)?;
-    if let Some(IoFault::TornWrite { keep }) = inject_io(FaultSite::ArchiveWrite, bytes.len()) {
+    if let Some(keep) = inject_io(FaultSite::ArchiveWrite, bytes.len()) {
         f.write_all(&bytes[..keep])?;
         let _ = f.sync_data();
         nebula_obs::counter_add(counters::ARCHIVE_FAILURES, 1);
@@ -82,7 +82,7 @@ fn write_archive_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, D
         )));
     }
     f.write_all(bytes)?;
-    if let Some(IoFault::FsyncFail) = inject_io(FaultSite::ArchiveFsync, bytes.len()) {
+    if inject_io(FaultSite::ArchiveFsync, bytes.len()).is_some() {
         nebula_obs::counter_add(counters::ARCHIVE_FAILURES, 1);
         return Err(DurableError::Archive(format!("fsync failed archiving {}", path.display())));
     }
@@ -279,7 +279,7 @@ mod tests {
     fn torn_archive_write_fails_and_leaves_the_torn_file() {
         let dir = temp_dir("torn");
         nebula_govern::set_fault_plan(Some(
-            nebula_govern::FaultPlan::new(3).with_archive_faults(1.0, 0.0, 0.0),
+            nebula_govern::FaultPlan::new(3).with(FaultSite::ArchiveWrite, 1.0),
         ));
         let err = archive_segment(&dir, 1, 1, &wal_bytes(1, 4)).unwrap_err();
         nebula_govern::set_fault_plan(None);
@@ -296,12 +296,14 @@ mod tests {
     #[test]
     fn enospc_and_fsync_failures_surface_typed() {
         let dir = temp_dir("enospc");
-        nebula_govern::set_fault_plan(Some(nebula_govern::FaultPlan::new(4).with_enospc(1.0)));
+        nebula_govern::set_fault_plan(Some(
+            nebula_govern::FaultPlan::new(4).with(FaultSite::Enospc, 1.0),
+        ));
         let err = archive_segment(&dir, 1, 1, &wal_bytes(1, 2)).unwrap_err();
         assert!(matches!(err, DurableError::NoSpace(_)), "{err}");
         assert!(list_segments(&dir).unwrap().is_empty(), "enospc persists nothing");
         nebula_govern::set_fault_plan(Some(
-            nebula_govern::FaultPlan::new(4).with_archive_faults(0.0, 0.0, 1.0),
+            nebula_govern::FaultPlan::new(4).with(FaultSite::ArchiveFsync, 1.0),
         ));
         let err = archive_segment(&dir, 1, 1, &wal_bytes(1, 2)).unwrap_err();
         nebula_govern::set_fault_plan(None);

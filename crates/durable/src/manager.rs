@@ -38,7 +38,7 @@ use crate::wal::{encode_record, WalOp, WAL_FILE};
 use crate::{counters, DurableError};
 use annostore::AnnotationStore;
 use nebula_core::{Mutation, MutationSink, SinkError};
-use nebula_govern::{inject_io, FaultSite, IoFault};
+use nebula_govern::{inject_io, FaultSite};
 use relstore::Database;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -196,7 +196,7 @@ impl Durability {
         }
         let record = encode_record(lsn, op);
 
-        if let Some(IoFault::NoSpace) = inject_io(FaultSite::Enospc, record.len()) {
+        if inject_io(FaultSite::Enospc, record.len()).is_some() {
             // The filesystem is full: nothing reached the file, but no
             // further append can be trusted until space is freed (a
             // checkpoint truncates the log and unwedges).
@@ -208,7 +208,7 @@ impl Durability {
             nebula_obs::counter_add(counters::APPEND_FAILURES, 1);
             return Err(DurableError::NoSpace(format!("appending lsn {lsn}")));
         }
-        if let Some(IoFault::TornWrite { keep }) = inject_io(FaultSite::TornWrite, record.len()) {
+        if let Some(keep) = inject_io(FaultSite::TornWrite, record.len()) {
             // A crash mid-write: the prefix stays on disk and the log is
             // in an unknown state until a checkpoint or recovery.
             self.wal.write_all(&record[..keep])?;
@@ -221,7 +221,7 @@ impl Durability {
             nebula_obs::counter_add(counters::APPEND_FAILURES, 1);
             return Err(DurableError::TornWrite { written: keep, expected: record.len() });
         }
-        if let Some(IoFault::ShortWrite { keep }) = inject_io(FaultSite::ShortWrite, record.len()) {
+        if let Some(keep) = inject_io(FaultSite::ShortWrite, record.len()) {
             // Detected immediately: restore the pre-write length so the
             // log stays clean.
             self.wal.write_all(&record[..keep])?;
@@ -234,7 +234,7 @@ impl Durability {
         self.wal.write_all(&record)?;
         if self.options.sync == SyncPolicy::EveryRecord {
             let fsync_span = nebula_obs::trace::span("durable.fsync");
-            if let Some(IoFault::FsyncFail) = inject_io(FaultSite::FsyncFail, record.len()) {
+            if inject_io(FaultSite::FsyncFail, record.len()).is_some() {
                 self.wedged = Some(format!("fsync failed after lsn {lsn}"));
                 nebula_obs::trace::flight_event("wedge", format!("fsync failed after lsn {lsn}"));
                 nebula_obs::counter_add(counters::APPEND_FAILURES, 1);
@@ -258,7 +258,7 @@ impl Durability {
         if self.options.sync != SyncPolicy::Batch || self.wedged.is_some() {
             return Ok(());
         }
-        if let Some(IoFault::FsyncFail) = inject_io(FaultSite::FsyncFail, self.wal_len as usize) {
+        if inject_io(FaultSite::FsyncFail, self.wal_len as usize).is_some() {
             self.wedged = Some("batch fsync failed".to_string());
             nebula_obs::trace::flight_event("wedge", "batch fsync failed".to_string());
             return Err(DurableError::SyncFailed("batch flush".to_string()));
@@ -284,7 +284,7 @@ impl Durability {
         let _tspan = nebula_obs::trace::span("durable.checkpoint");
         let watermark = self.next_lsn - 1;
         let mut image = checkpoint::encode(watermark, db, store);
-        if let Some(IoFault::BitFlip { bit }) = inject_io(FaultSite::BitFlip, image.len()) {
+        if let Some(bit) = inject_io(FaultSite::BitFlip, image.len()) {
             image[bit / 8] ^= 1 << (bit % 8);
         }
 
@@ -648,7 +648,7 @@ mod tests {
         crate::recover::replay_op(&mut db, &mut store, &op(0)).unwrap();
 
         nebula_govern::set_fault_plan(Some(
-            nebula_govern::FaultPlan::new(0xDEAD_BEEF).with_torn_writes(1.0),
+            nebula_govern::FaultPlan::new(0xDEAD_BEEF).with(FaultSite::TornWrite, 1.0),
         ));
         let err = d.append(&op(1)).unwrap_err();
         nebula_govern::set_fault_plan(None);
@@ -681,7 +681,7 @@ mod tests {
         let before = d.wal_bytes();
 
         nebula_govern::set_fault_plan(Some(
-            nebula_govern::FaultPlan::new(7).with_short_writes(1.0),
+            nebula_govern::FaultPlan::new(7).with(FaultSite::ShortWrite, 1.0),
         ));
         let err = d.append(&op(1)).unwrap_err();
         nebula_govern::set_fault_plan(None);
@@ -703,7 +703,9 @@ mod tests {
             d.append(&op(n)).unwrap();
             crate::recover::replay_op(&mut db, &mut store, &op(n)).unwrap();
         }
-        nebula_govern::set_fault_plan(Some(nebula_govern::FaultPlan::new(99).with_bit_flips(1.0)));
+        nebula_govern::set_fault_plan(Some(
+            nebula_govern::FaultPlan::new(99).with(FaultSite::BitFlip, 1.0),
+        ));
         let err = d.checkpoint(&db, &store).unwrap_err();
         nebula_govern::set_fault_plan(None);
         assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
@@ -767,7 +769,7 @@ mod tests {
         }
         let wal_before = d.wal_bytes();
         nebula_govern::set_fault_plan(Some(
-            nebula_govern::FaultPlan::new(17).with_archive_faults(1.0, 0.0, 0.0),
+            nebula_govern::FaultPlan::new(17).with(FaultSite::ArchiveWrite, 1.0),
         ));
         let err = d.checkpoint(&db, &store).unwrap_err();
         nebula_govern::set_fault_plan(None);
@@ -789,7 +791,9 @@ mod tests {
         let db = Database::new();
         let store = AnnotationStore::new();
         let mut d = Durability::begin(&dir, &db, &store, DurabilityOptions::default()).unwrap();
-        nebula_govern::set_fault_plan(Some(nebula_govern::FaultPlan::new(8).with_enospc(1.0)));
+        nebula_govern::set_fault_plan(Some(
+            nebula_govern::FaultPlan::new(8).with(FaultSite::Enospc, 1.0),
+        ));
         let err = d.append(&op(0)).unwrap_err();
         nebula_govern::set_fault_plan(None);
         assert!(matches!(err, DurableError::NoSpace(_)), "{err}");
@@ -810,7 +814,7 @@ mod tests {
         let store = AnnotationStore::new();
         let mut d = Durability::begin(&dir, &db, &store, DurabilityOptions::default()).unwrap();
         nebula_govern::set_fault_plan(Some(
-            nebula_govern::FaultPlan::new(5).with_fsync_failures(1.0),
+            nebula_govern::FaultPlan::new(5).with(FaultSite::FsyncFail, 1.0),
         ));
         let err = d.append(&op(0)).unwrap_err();
         nebula_govern::set_fault_plan(None);

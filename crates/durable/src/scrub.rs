@@ -20,7 +20,7 @@
 
 use crate::wal::{read_wal, WAL_FILE};
 use crate::{checkpoint, DurableError};
-use nebula_govern::{inject_io, FaultSite, IoFault};
+use nebula_govern::{inject_io, FaultSite};
 use std::fmt;
 use std::path::Path;
 
@@ -126,7 +126,7 @@ pub fn inject_rot(dir: &Path) -> std::io::Result<RotReport> {
 
     let wal_path = dir.join(WAL_FILE);
     let wal_len = std::fs::metadata(&wal_path).map(|m| m.len() as usize).unwrap_or(0);
-    if let Some(IoFault::BitFlip { bit }) = inject_io(FaultSite::WalRot, wal_len) {
+    if let Some(bit) = inject_io(FaultSite::WalRot, wal_len) {
         if flip_on_disk(&wal_path, bit)? {
             report.wal_bit = Some(bit);
         }
@@ -138,7 +138,7 @@ pub fn inject_rot(dir: &Path) -> std::io::Result<RotReport> {
         .and_then(|(_, p)| std::fs::metadata(p).ok())
         .map(|m| m.len() as usize)
         .unwrap_or(0);
-    if let Some(IoFault::BitFlip { bit }) = inject_io(FaultSite::CheckpointRot, ckpt_len) {
+    if let Some(bit) = inject_io(FaultSite::CheckpointRot, ckpt_len) {
         if let Some((seq, path)) = newest {
             if flip_on_disk(&path, bit)? {
                 report.checkpoint_bit = Some((seq, bit));
@@ -242,7 +242,7 @@ mod tests {
     fn injected_wal_rot_is_detected() {
         let dir = temp_dir("walrot");
         seeded(&dir);
-        set_fault_plan(Some(FaultPlan::new(11).with_bit_rot(1.0, 0.0)));
+        set_fault_plan(Some(FaultPlan::new(11).with(FaultSite::WalRot, 1.0)));
         let rot = inject_rot(&dir).unwrap();
         set_fault_plan(None);
         assert!(rot.wal_bit.is_some(), "wal rot must fire at rate 1.0");
@@ -256,7 +256,7 @@ mod tests {
     fn injected_checkpoint_rot_is_detected() {
         let dir = temp_dir("ckptrot");
         seeded(&dir);
-        set_fault_plan(Some(FaultPlan::new(12).with_bit_rot(0.0, 1.0)));
+        set_fault_plan(Some(FaultPlan::new(12).with(FaultSite::CheckpointRot, 1.0)));
         let rot = inject_rot(&dir).unwrap();
         set_fault_plan(None);
         assert!(rot.checkpoint_bit.is_some(), "checkpoint rot must fire at rate 1.0");
@@ -290,7 +290,10 @@ mod tests {
             seq
         };
         let without = run(FaultPlan::new(9).with_query(0.5, true));
-        let with = run(FaultPlan::new(9).with_query(0.5, true).with_bit_rot(1.0, 1.0));
+        let with = run(FaultPlan::new(9)
+            .with_query(0.5, true)
+            .with(FaultSite::WalRot, 1.0)
+            .with(FaultSite::CheckpointRot, 1.0));
         assert_eq!(without, with);
         let _ = std::fs::remove_dir_all(&dir);
     }

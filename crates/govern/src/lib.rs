@@ -10,9 +10,10 @@
 //!   unbounded budget (the default) installs nothing and costs one TLS
 //!   check per charge.
 //! - **Fault injection** ([`FaultPlan`], [`set_fault_plan`], [`inject`],
-//!   [`stage_boundary`]): a seeded, deterministic schedule of query errors,
-//!   index-probe failures, artificial latency, and panics, used to exercise
-//!   the engine's recovery paths.
+//!   [`inject_io`], [`stage_boundary`]): a seeded, deterministic schedule
+//!   of faults over one table of injection sites ([`FaultSite`]) — query
+//!   errors, index-probe failures, latency, panics, I/O and media faults —
+//!   used to exercise the engine's recovery paths.
 //! - **Degradation** ([`Degradation`], [`RetryPolicy`]): the vocabulary the
 //!   engine uses to report *how* it survived — focal fallback, truncated
 //!   fan-out, abandoned search, bounded retries.
@@ -25,10 +26,7 @@ pub mod clock;
 mod fault;
 
 pub use budget::{BudgetExceeded, ExecutionBudget, Resource};
-pub use fault::{
-    FaultPlan, FaultSite, FaultSpec, FaultStats, InjectedFault, IoFault, IoFaultSpec, NetFault,
-    NetFaultSpec, PageFault, PageFaultSpec, RetryPolicy,
-};
+pub use fault::{FaultPlan, FaultSite, FaultStats, InjectedFault, RetryPolicy};
 
 use std::cell::RefCell;
 use std::fmt;
@@ -320,58 +318,21 @@ pub fn fault_stats() -> FaultStats {
     GOVERNOR.with(|g| g.borrow().fault_stats)
 }
 
-/// Roll the installed plan at an error-producing site ([`FaultSite::Query`]
-/// or [`FaultSite::IndexProbe`]). Returns the fault if it fired.
-pub fn inject(site: FaultSite) -> Option<InjectedFault> {
+/// Roll the installed plan at `site` over a `len`-byte operation and tally
+/// a firing. If it fired, returns what `read` makes of the plan (its query
+/// flavor or latency delay) and the site's parameter.
+fn roll_installed<T>(
+    site: FaultSite,
+    len: usize,
+    read: impl FnOnce(&FaultPlan, usize) -> T,
+) -> Option<T> {
     let fired = GOVERNOR.with(|g| {
         let mut g = g.borrow_mut();
         let plan = g.plan.as_mut()?;
-        let fault = match site {
-            FaultSite::Query => {
-                let spec = plan.query;
-                plan.roll(spec.rate).then_some(InjectedFault { site, transient: spec.transient })
-            }
-            FaultSite::IndexProbe => {
-                let rate = plan.index_probe;
-                plan.roll(rate).then_some(InjectedFault { site, transient: false })
-            }
-            FaultSite::ShardProbe | FaultSite::ShardApply => {
-                let rate = plan.shard;
-                plan.roll(rate).then_some(InjectedFault { site, transient: false })
-            }
-            // Latency and panics fire through stage_boundary; the I/O
-            // sites fire through inject_io; the transport sites fire
-            // through FaultPlan::roll_net on a transport-owned plan; the
-            // page sites fire through FaultPlan::roll_page on the page
-            // store's own plan.
-            FaultSite::Latency
-            | FaultSite::Panic
-            | FaultSite::TornWrite
-            | FaultSite::ShortWrite
-            | FaultSite::FsyncFail
-            | FaultSite::BitFlip
-            | FaultSite::WalRot
-            | FaultSite::CheckpointRot
-            | FaultSite::NetDrop
-            | FaultSite::NetDelay
-            | FaultSite::NetReorder
-            | FaultSite::NetDuplicate
-            | FaultSite::PageRead
-            | FaultSite::PageWrite
-            | FaultSite::PageFsync
-            | FaultSite::PageRot
-            | FaultSite::ArchiveWrite
-            | FaultSite::ArchiveRot
-            | FaultSite::ArchiveFsync
-            | FaultSite::Enospc => None,
-        }?;
-        match site {
-            FaultSite::Query => g.fault_stats.query_errors += 1,
-            FaultSite::IndexProbe => g.fault_stats.index_probe_failures += 1,
-            FaultSite::ShardProbe | FaultSite::ShardApply => g.fault_stats.shard_faults += 1,
-            _ => {}
-        }
-        Some(fault)
+        let value = plan.roll(site, len)?;
+        let out = read(plan, value);
+        g.fault_stats.tally(site);
+        Some(out)
     });
     if fired.is_some() {
         nebula_obs::counter_add(counters::FAULTS_INJECTED, 1);
@@ -379,98 +340,36 @@ pub fn inject(site: FaultSite) -> Option<InjectedFault> {
     fired
 }
 
-/// Roll the installed plan at one of the I/O fault sites
-/// ([`FaultSite::TornWrite`], [`FaultSite::ShortWrite`],
-/// [`FaultSite::FsyncFail`], [`FaultSite::BitFlip`]) for an operation over a
-/// `len`-byte buffer. Returns the fault (with seed-derived parameters) if it
-/// fired; `None` for non-I/O sites, when no plan is installed, or when the
-/// roll misses.
-///
-/// Every call consumes exactly two draws from the plan's stream — one
-/// Bernoulli roll and one parameter value — so toggling a site's rate never
-/// shifts the sequence seen by other sites.
-pub fn inject_io(site: FaultSite, len: usize) -> Option<IoFault> {
-    let fired = GOVERNOR.with(|g| {
-        let mut g = g.borrow_mut();
-        let plan = g.plan.as_mut()?;
-        let rate = match site {
-            FaultSite::TornWrite => plan.io.torn_write,
-            FaultSite::ShortWrite => plan.io.short_write,
-            FaultSite::FsyncFail => plan.io.fsync_fail,
-            FaultSite::BitFlip => plan.io.bit_flip,
-            FaultSite::WalRot => plan.io.wal_rot,
-            FaultSite::CheckpointRot => plan.io.checkpoint_rot,
-            FaultSite::ArchiveWrite => plan.io.archive_write,
-            FaultSite::ArchiveRot => plan.io.archive_rot,
-            FaultSite::ArchiveFsync => plan.io.archive_fsync,
-            FaultSite::Enospc => plan.io.enospc,
-            _ => 0.0,
-        };
-        let hit = plan.roll(rate);
-        let value = plan.draw() as usize;
-        if !hit {
-            return None;
-        }
-        let fault = match site {
-            FaultSite::TornWrite => IoFault::TornWrite { keep: value % len.max(1) },
-            FaultSite::ShortWrite => IoFault::ShortWrite { keep: value % len.max(1) },
-            FaultSite::FsyncFail => IoFault::FsyncFail,
-            FaultSite::BitFlip | FaultSite::WalRot | FaultSite::CheckpointRot => {
-                IoFault::BitFlip { bit: value % (len.max(1) * 8) }
-            }
-            FaultSite::ArchiveWrite => IoFault::TornWrite { keep: value % len.max(1) },
-            FaultSite::ArchiveRot => IoFault::BitFlip { bit: value % (len.max(1) * 8) },
-            FaultSite::ArchiveFsync => IoFault::FsyncFail,
-            FaultSite::Enospc => IoFault::NoSpace,
-            _ => return None,
-        };
-        match site {
-            FaultSite::TornWrite => g.fault_stats.torn_writes += 1,
-            FaultSite::ShortWrite => g.fault_stats.short_writes += 1,
-            FaultSite::FsyncFail => g.fault_stats.fsync_failures += 1,
-            FaultSite::BitFlip => g.fault_stats.bit_flips += 1,
-            FaultSite::WalRot => g.fault_stats.wal_rots += 1,
-            FaultSite::CheckpointRot => g.fault_stats.checkpoint_rots += 1,
-            FaultSite::ArchiveWrite => g.fault_stats.archive_writes += 1,
-            FaultSite::ArchiveRot => g.fault_stats.archive_rots += 1,
-            FaultSite::ArchiveFsync => g.fault_stats.archive_fsyncs += 1,
-            FaultSite::Enospc => g.fault_stats.enospc_faults += 1,
-            _ => {}
-        }
-        Some(fault)
-    });
-    if fired.is_some() {
-        nebula_obs::counter_add(counters::FAULTS_INJECTED, 1);
-    }
-    fired
+/// Roll the installed plan at an error-producing site
+/// ([`FaultSite::Query`], [`FaultSite::IndexProbe`] or
+/// [`FaultSite::Shard`]). Returns the fault if it fired; only query faults
+/// can be transient.
+pub fn inject(site: FaultSite) -> Option<InjectedFault> {
+    debug_assert!(
+        matches!(site, FaultSite::Query | FaultSite::IndexProbe | FaultSite::Shard),
+        "inject rolls error sites only, not {site}"
+    );
+    roll_installed(site, 0, |plan, _| InjectedFault {
+        site,
+        transient: site == FaultSite::Query && plan.transient,
+    })
+}
+
+/// Roll the installed plan at an I/O fault site for an operation over a
+/// `len`-byte buffer. Returns the site's seed-derived parameter (bytes
+/// kept, bit flipped, or 0) if it fired; `None` when no plan is installed
+/// or the roll misses.
+pub fn inject_io(site: FaultSite, len: usize) -> Option<usize> {
+    roll_installed(site, len, |_, value| value)
 }
 
 /// Roll the installed plan at a pipeline stage boundary: may sleep for the
 /// plan's artificial latency, and may panic (to exercise containment).
 pub fn stage_boundary(stage: &'static str) {
-    let (delay, panic_now) = GOVERNOR.with(|g| {
-        let mut g = g.borrow_mut();
-        let Some(plan) = g.plan.as_mut() else {
-            return (None, false);
-        };
-        let latency_rate = plan.latency;
-        let delay = plan.roll(latency_rate).then_some(plan.latency_per_site);
-        let panic_rate = plan.panic_rate;
-        let panic_now = plan.roll(panic_rate);
-        if delay.is_some() {
-            g.fault_stats.latency_injections += 1;
-        }
-        if panic_now {
-            g.fault_stats.panics += 1;
-        }
-        (delay, panic_now)
-    });
-    if let Some(d) = delay {
-        nebula_obs::counter_add(counters::FAULTS_INJECTED, 1);
-        clock::sleep(d);
+    if let Some(delay) = roll_installed(FaultSite::Latency, 0, |plan, _| plan.delay) {
+        clock::sleep(delay);
     }
-    if panic_now {
-        nebula_obs::counter_add(counters::FAULTS_INJECTED, 1);
+    if roll_installed(FaultSite::Panic, 0, |_, _| ()).is_some() {
         panic!("nebula-govern: injected panic at {stage}");
     }
 }
@@ -670,11 +569,11 @@ mod tests {
             assert!(inject(FaultSite::IndexProbe).is_some());
         }
         let before = fault_stats();
-        assert_eq!(before.query_errors, 16);
-        assert_eq!(before.index_probe_failures, 16);
-        assert_eq!(before.panics, 0);
+        assert_eq!(before.injected(FaultSite::Query), 16);
+        assert_eq!(before.injected(FaultSite::IndexProbe), 16);
+        assert_eq!(before.injected(FaultSite::Panic), 0);
         stage_boundary("test.stage"); // latency only; must not panic
-        assert_eq!(fault_stats().latency_injections, 1);
+        assert_eq!(fault_stats().injected(FaultSite::Latency), 1);
         set_fault_plan(None);
         assert!(inject(FaultSite::Query).is_none());
     }
@@ -708,31 +607,23 @@ mod tests {
     fn io_faults_fire_with_bounded_parameters() {
         set_fault_plan(Some(
             FaultPlan::new(5)
-                .with_torn_writes(1.0)
-                .with_short_writes(1.0)
-                .with_fsync_failures(1.0)
-                .with_bit_flips(1.0),
+                .with(FaultSite::TornWrite, 1.0)
+                .with(FaultSite::ShortWrite, 1.0)
+                .with(FaultSite::FsyncFail, 1.0)
+                .with(FaultSite::BitFlip, 1.0),
         ));
         for _ in 0..32 {
-            match inject_io(FaultSite::TornWrite, 100) {
-                Some(IoFault::TornWrite { keep }) => assert!(keep < 100),
-                other => panic!("expected a torn write, got {other:?}"),
-            }
-            match inject_io(FaultSite::ShortWrite, 100) {
-                Some(IoFault::ShortWrite { keep }) => assert!(keep < 100),
-                other => panic!("expected a short write, got {other:?}"),
-            }
-            assert_eq!(inject_io(FaultSite::FsyncFail, 100), Some(IoFault::FsyncFail));
-            match inject_io(FaultSite::BitFlip, 100) {
-                Some(IoFault::BitFlip { bit }) => assert!(bit < 800),
-                other => panic!("expected a bit flip, got {other:?}"),
-            }
+            assert!(inject_io(FaultSite::TornWrite, 100).expect("torn write fires") < 100);
+            assert!(inject_io(FaultSite::ShortWrite, 100).expect("short write fires") < 100);
+            assert_eq!(inject_io(FaultSite::FsyncFail, 100), Some(0));
+            assert!(inject_io(FaultSite::BitFlip, 100).expect("bit flip fires") < 800);
         }
         let stats = fault_stats();
-        assert_eq!(stats.torn_writes, 32);
-        assert_eq!(stats.short_writes, 32);
-        assert_eq!(stats.fsync_failures, 32);
-        assert_eq!(stats.bit_flips, 32);
+        for site in
+            [FaultSite::TornWrite, FaultSite::ShortWrite, FaultSite::FsyncFail, FaultSite::BitFlip]
+        {
+            assert_eq!(stats.injected(site), 32, "{site}");
+        }
         assert_eq!(stats.total_injected(), 128);
         set_fault_plan(None);
         assert!(inject_io(FaultSite::TornWrite, 100).is_none());
@@ -746,60 +637,128 @@ mod tests {
         let run = |plan: FaultPlan| {
             set_fault_plan(Some(plan));
             let _ = inject_io(FaultSite::TornWrite, 64);
-            let seq: Vec<bool> = (0..32).map(|_| inject(FaultSite::Query).is_some()).collect();
-            set_fault_plan(None);
-            seq
-        };
-        let without = run(FaultPlan::new(9).with_query(0.5, true));
-        let with = run(FaultPlan::new(9).with_query(0.5, true).with_torn_writes(1.0));
-        assert_eq!(without, with);
-    }
-
-    #[test]
-    fn archive_and_enospc_sites_fire_with_bounded_parameters() {
-        set_fault_plan(Some(
-            FaultPlan::new(11).with_archive_faults(1.0, 1.0, 1.0).with_enospc(1.0),
-        ));
-        for _ in 0..32 {
-            match inject_io(FaultSite::ArchiveWrite, 100) {
-                Some(IoFault::TornWrite { keep }) => assert!(keep < 100),
-                other => panic!("expected a torn archive write, got {other:?}"),
-            }
-            match inject_io(FaultSite::ArchiveRot, 100) {
-                Some(IoFault::BitFlip { bit }) => assert!(bit < 800),
-                other => panic!("expected archive rot, got {other:?}"),
-            }
-            assert_eq!(inject_io(FaultSite::ArchiveFsync, 100), Some(IoFault::FsyncFail));
-            assert_eq!(inject_io(FaultSite::Enospc, 100), Some(IoFault::NoSpace));
-        }
-        let stats = fault_stats();
-        assert_eq!(stats.archive_writes, 32);
-        assert_eq!(stats.archive_rots, 32);
-        assert_eq!(stats.archive_fsyncs, 32);
-        assert_eq!(stats.enospc_faults, 32);
-        assert_eq!(stats.total_injected(), 128);
-        set_fault_plan(None);
-        assert!(inject_io(FaultSite::ArchiveWrite, 100).is_none());
-    }
-
-    #[test]
-    fn archive_sites_consume_fixed_draws() {
-        // Toggling the archive sites must not shift the stream the other
-        // sites see: each inject_io consumes exactly two draws.
-        let run = |plan: FaultPlan| {
-            set_fault_plan(Some(plan));
             let _ = inject_io(FaultSite::ArchiveWrite, 64);
             let _ = inject_io(FaultSite::Enospc, 64);
             let seq: Vec<bool> = (0..32).map(|_| inject(FaultSite::Query).is_some()).collect();
             set_fault_plan(None);
             seq
         };
-        let without = run(FaultPlan::new(13).with_query(0.5, true));
-        let with = run(FaultPlan::new(13)
+        let without = run(FaultPlan::new(9).with_query(0.5, true));
+        let with = run(FaultPlan::new(9)
             .with_query(0.5, true)
-            .with_archive_faults(1.0, 1.0, 1.0)
-            .with_enospc(1.0));
+            .with(FaultSite::TornWrite, 1.0)
+            .with(FaultSite::ArchiveWrite, 1.0)
+            .with(FaultSite::Enospc, 1.0));
         assert_eq!(without, with);
+    }
+
+    #[test]
+    fn archive_and_enospc_sites_fire_with_bounded_parameters() {
+        let sites = [
+            FaultSite::ArchiveWrite,
+            FaultSite::ArchiveRot,
+            FaultSite::ArchiveFsync,
+            FaultSite::Enospc,
+        ];
+        set_fault_plan(Some(sites.iter().fold(FaultPlan::new(11), |p, &s| p.with(s, 1.0))));
+        for _ in 0..32 {
+            assert!(inject_io(FaultSite::ArchiveWrite, 100).expect("archive write fires") < 100);
+            assert!(inject_io(FaultSite::ArchiveRot, 100).expect("archive rot fires") < 800);
+            assert_eq!(inject_io(FaultSite::ArchiveFsync, 100), Some(0));
+            assert_eq!(inject_io(FaultSite::Enospc, 100), Some(0));
+        }
+        let stats = fault_stats();
+        for site in sites {
+            assert_eq!(stats.injected(site), 32, "{site}");
+        }
+        assert_eq!(stats.total_injected(), 128);
+        set_fault_plan(None);
+        assert!(inject_io(FaultSite::ArchiveWrite, 100).is_none());
+    }
+
+    #[test]
+    fn shard_faults_count_toward_the_total() {
+        set_fault_plan(Some(FaultPlan::new(17).with(FaultSite::Shard, 1.0)));
+        assert!(inject(FaultSite::Shard).is_some());
+        let stats = fault_stats();
+        assert_eq!(stats.injected(FaultSite::Shard), 1);
+        assert_eq!(stats.total_injected(), 1);
+        set_fault_plan(None);
+    }
+
+    /// Seed `0x5EED`, every rate 0.5, a fixed 240-roll script over every
+    /// site through the public entry points (the thread plan's `inject`,
+    /// `stage_boundary` and `inject_io`, and an owned plan's `roll`), with
+    /// buffer lengths 0, 1 and 4096. Each roll folds its script position,
+    /// whether it fired, and its parameter into one FNV-1a digest. The
+    /// pinned value is the one the per-family roll paths this table
+    /// replaced produced for the same script.
+    #[test]
+    fn every_site_replays_the_parent_stream() {
+        const LENS: [usize; 3] = [0, 1, 4096];
+        let plan = FaultSite::ALL
+            .into_iter()
+            .fold(FaultPlan::new(0x5EED), |p, site| p.with(site, 0.5))
+            .with_latency(0.5, Duration::ZERO);
+        set_fault_plan(Some(plan.clone()));
+        let mut owned = plan;
+        let mut bytes = Vec::new();
+        let mut rolls = 0;
+        for pass in 0..10usize {
+            let mut tag = 0u8;
+            let mut fold = |fired: Option<usize>| {
+                bytes.push(tag);
+                bytes.push(fired.is_some() as u8);
+                bytes.extend_from_slice(&(fired.unwrap_or(0) as u64).to_le_bytes());
+                tag += 1;
+                rolls += 1;
+            };
+            let len = |step: usize| LENS[(pass + step) % 3];
+            for site in [FaultSite::Query, FaultSite::IndexProbe, FaultSite::Shard] {
+                fold(inject(site).map(|_| 0));
+            }
+            let before = fault_stats().injected(FaultSite::Latency);
+            let panicked = std::panic::catch_unwind(|| stage_boundary("pinned")).is_err();
+            fold((fault_stats().injected(FaultSite::Latency) > before).then_some(0));
+            fold(panicked.then_some(0));
+            let io_sites = [
+                FaultSite::TornWrite,
+                FaultSite::ShortWrite,
+                FaultSite::FsyncFail,
+                FaultSite::BitFlip,
+                FaultSite::WalRot,
+                FaultSite::CheckpointRot,
+                FaultSite::ArchiveWrite,
+                FaultSite::ArchiveRot,
+                FaultSite::ArchiveFsync,
+                FaultSite::Enospc,
+            ];
+            for (i, site) in io_sites.into_iter().enumerate() {
+                fold(inject_io(site, len(i)));
+            }
+            for site in [
+                FaultSite::NetDrop,
+                FaultSite::NetDelay,
+                FaultSite::NetReorder,
+                FaultSite::NetDuplicate,
+            ] {
+                fold(owned.roll(site, 0));
+            }
+            let page_sites = [
+                FaultSite::PageRead,
+                FaultSite::PageWrite,
+                FaultSite::PageFsync,
+                FaultSite::PageRot,
+                FaultSite::Enospc,
+            ];
+            for (i, site) in page_sites.into_iter().enumerate() {
+                fold(owned.roll(site, len(i)));
+            }
+        }
+        set_fault_plan(None);
+        assert_eq!(rolls, 240);
+        assert_eq!(bytes.chunks(10).filter(|roll| roll[1] == 1).count(), 125);
+        assert_eq!(nebula_codec::fnv1a(nebula_codec::fnv1a::OFFSET, &bytes), 0xea28_8c6e_f14f_56fb);
     }
 
     #[test]
@@ -824,7 +783,7 @@ mod tests {
         .expect("migration thread");
         split.extend(rest);
         assert_eq!(split, whole);
-        assert_eq!(ctx_back.stats.query_errors, whole_stats.query_errors);
+        assert_eq!(ctx_back.stats, whole_stats);
         restore_fault_context(FaultContext::default());
     }
 

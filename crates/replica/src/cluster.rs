@@ -900,7 +900,7 @@ mod tests {
     use super::*;
     use crate::transport::SimTransport;
     use annostore::AnnotationId;
-    use nebula_govern::FaultPlan;
+    use nebula_govern::{FaultPlan, FaultSite};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("nebula-cluster-{tag}-{}", std::process::id()));
@@ -946,7 +946,11 @@ mod tests {
 
     #[test]
     fn lossy_transport_converges_under_quorum() {
-        let plan = FaultPlan::new(0xC0FFEE).with_net(0.15, 0.15, 0.1, 0.1);
+        let plan = FaultPlan::new(0xC0FFEE)
+            .with(FaultSite::NetDrop, 0.15)
+            .with(FaultSite::NetDelay, 0.15)
+            .with(FaultSite::NetReorder, 0.1)
+            .with(FaultSite::NetDuplicate, 0.1);
         let mut c = fresh("lossy", 2, Box::new(SimTransport::new(3, plan)), CommitRule::Quorum(1));
         for i in 0..50 {
             c.record(&op(i)).unwrap();
@@ -1118,7 +1122,9 @@ mod tests {
         for i in 0..6 {
             c.record(&op(i)).unwrap();
         }
-        nebula_govern::set_fault_plan(Some(FaultPlan::new(31).with_bit_rot(1.0, 1.0)));
+        nebula_govern::set_fault_plan(Some(
+            FaultPlan::new(31).with(FaultSite::WalRot, 1.0).with(FaultSite::CheckpointRot, 1.0),
+        ));
         let dir = c.primary().wal().dir().to_path_buf();
         let rot = nebula_durable::inject_rot(&dir).unwrap();
         nebula_govern::set_fault_plan(None);

@@ -12,7 +12,7 @@
 //! engine's fault stream (and vice versa) — the same seed replays the
 //! same loss pattern regardless of what the engine is doing.
 
-use nebula_govern::{FaultPlan, FaultSite, NetFault};
+use nebula_govern::{FaultPlan, FaultSite};
 use std::collections::VecDeque;
 use std::time::Duration;
 
@@ -93,7 +93,7 @@ pub struct SimTransport {
 
 impl SimTransport {
     /// A transport over `nodes` nodes with faults drawn from `plan`'s
-    /// `net` rates (see [`FaultPlan::with_net`]).
+    /// `Net*` site rates.
     pub fn new(nodes: usize, plan: FaultPlan) -> SimTransport {
         SimTransport {
             plan,
@@ -158,13 +158,10 @@ impl Transport for SimTransport {
         }
         // Fixed draw order and count per delivered send: whether a fault
         // fires never shifts the stream for later sends.
-        let dropped = self.plan.roll_net(FaultSite::NetDrop).is_some();
-        let hold = match self.plan.roll_net(FaultSite::NetDelay) {
-            Some(NetFault::Delay { ticks }) => ticks,
-            _ => 0,
-        };
-        let reorder = self.plan.roll_net(FaultSite::NetReorder).is_some();
-        let duplicate = self.plan.roll_net(FaultSite::NetDuplicate).is_some();
+        let dropped = self.plan.roll(FaultSite::NetDrop, 0).is_some();
+        let hold = self.plan.roll(FaultSite::NetDelay, 0).unwrap_or(0) as u32;
+        let reorder = self.plan.roll(FaultSite::NetReorder, 0).is_some();
+        let duplicate = self.plan.roll(FaultSite::NetDuplicate, 0).is_some();
 
         if dropped {
             self.stats.dropped += 1;
@@ -251,7 +248,11 @@ mod tests {
     #[test]
     fn same_seed_replays_the_same_delivery_schedule() {
         let run = || {
-            let plan = FaultPlan::new(0xFEED).with_net(0.2, 0.2, 0.2, 0.2);
+            let plan = FaultPlan::new(0xFEED)
+                .with(FaultSite::NetDrop, 0.2)
+                .with(FaultSite::NetDelay, 0.2)
+                .with(FaultSite::NetReorder, 0.2)
+                .with(FaultSite::NetDuplicate, 0.2);
             let mut t = SimTransport::new(2, plan);
             for i in 0..200u8 {
                 t.send(0, 1, vec![i]);
@@ -272,7 +273,7 @@ mod tests {
 
     #[test]
     fn partition_blackholes_without_consuming_draws() {
-        let plan = FaultPlan::new(7).with_net(0.5, 0.0, 0.0, 0.0);
+        let plan = FaultPlan::new(7).with(FaultSite::NetDrop, 0.5);
         let mut faulty = SimTransport::new(2, plan);
         // Reference: the drop pattern with no partition interference.
         let mut pattern = Vec::new();
@@ -283,7 +284,7 @@ mod tests {
             pattern.push(b[0]);
         }
 
-        let plan = FaultPlan::new(7).with_net(0.5, 0.0, 0.0, 0.0);
+        let plan = FaultPlan::new(7).with(FaultSite::NetDrop, 0.5);
         let mut t = SimTransport::new(2, plan);
         t.set_partitioned(1, true);
         for i in 100..110u8 {
@@ -304,7 +305,7 @@ mod tests {
 
     #[test]
     fn delayed_head_takes_ticks_to_arrive() {
-        let plan = FaultPlan::new(3).with_net(0.0, 1.0, 0.0, 0.0);
+        let plan = FaultPlan::new(3).with(FaultSite::NetDelay, 1.0);
         let mut t = SimTransport::new(2, plan);
         t.send(0, 1, vec![9]);
         let mut attempts = 0;

@@ -94,40 +94,6 @@ impl From<NebulaError> for ShardError {
     }
 }
 
-/// A seeded network fault profile for the shard fabric. The transport
-/// owns its own [`FaultPlan`] stream, so network faults never perturb
-/// the engine's fault draws.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetProfile {
-    /// Seed for the transport's fault stream.
-    pub seed: u64,
-    /// Frame drop probability.
-    pub drop: f64,
-    /// Frame delay probability.
-    pub delay: f64,
-    /// Frame reorder probability.
-    pub reorder: f64,
-    /// Frame duplication probability.
-    pub duplicate: f64,
-}
-
-impl NetProfile {
-    /// A loss-free, in-order network (still deterministic).
-    pub fn clean(seed: u64) -> NetProfile {
-        NetProfile { seed, drop: 0.0, delay: 0.0, reorder: 0.0, duplicate: 0.0 }
-    }
-
-    /// A adversarial-but-livable network: some loss, delay, reordering,
-    /// and duplication on every link.
-    pub fn lossy(seed: u64) -> NetProfile {
-        NetProfile { seed, drop: 0.15, delay: 0.2, reorder: 0.1, duplicate: 0.05 }
-    }
-
-    fn plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed).with_net(self.drop, self.delay, self.reorder, self.duplicate)
-    }
-}
-
 /// Scatter deadline, counted in pump rounds; each round advances the
 /// governed clock by one [`TICK`]. A sibling that has not replied when the
 /// rounds are exhausted is a typed partial-result miss. Tight on purpose:
@@ -152,8 +118,10 @@ pub struct ShardConfig {
     /// its **own** budget scope, so one wedged shard cannot charge work
     /// to — or trip the budget of — the home that probed it.
     pub serve_budget: ExecutionBudget,
-    /// Optional seeded network faults; `None` = reliable fabric.
-    pub net: Option<NetProfile>,
+    /// Optional seeded network faults: the transport's own plan, rolled
+    /// at the `Net*` sites, so network faults never perturb the engine's
+    /// fault draws. `None` = reliable fabric.
+    pub net: Option<FaultPlan>,
 }
 
 impl ShardConfig {
@@ -364,7 +332,7 @@ impl Fabric {
         mode: ExecutionMode,
         queries: &[KeywordQuery],
     ) {
-        let reply = if nebula_govern::inject(FaultSite::ShardProbe).is_some() {
+        let reply = if nebula_govern::inject(FaultSite::Shard).is_some() {
             nebula_obs::counter_add(counters::PROBE_SERVE_ERRORS, 1);
             ShardFrame::ProbeReply { probe_id, shard: node.id, ok: false, groups: Vec::new() }
         } else {
@@ -408,7 +376,7 @@ impl Fabric {
             return;
         }
         let refuse = seq > node.applied_seq + 1
-            || nebula_govern::inject(FaultSite::ShardApply).is_some()
+            || nebula_govern::inject(FaultSite::Shard).is_some()
             || replay_batch(&mut node.engine, &mut node.db, &mut node.store, ops, completed)
                 .is_err();
         if refuse {
@@ -666,7 +634,7 @@ impl ShardCluster {
         let router = ShardRouter::new(config.shards);
         let shards = router.shards();
         let transport = match &config.net {
-            Some(profile) => SimTransport::new(shards, profile.plan()),
+            Some(plan) => SimTransport::new(shards, plan.clone()),
             None => SimTransport::reliable(shards),
         };
         let fabric = Arc::new(Mutex::new(Fabric {
@@ -1153,12 +1121,5 @@ mod tests {
         assert_eq!(records.len(), 2);
         assert_eq!(records[0].op, ops[0]);
         assert_eq!(records[1].op, ops[1]);
-    }
-
-    #[test]
-    fn net_profiles_are_deterministic_constructors() {
-        assert_eq!(NetProfile::clean(7), NetProfile::clean(7));
-        let lossy = NetProfile::lossy(7);
-        assert!(lossy.drop > 0.0 && lossy.delay > 0.0);
     }
 }

@@ -214,7 +214,9 @@ proptest! {
         }
         expected_inspected += survivors.map_or(0, |s| s.len());
 
-        for plan in [None, Some(nebula_govern::FaultPlan::new(7).with_index_probe(1.0))] {
+        let probe_faults =
+            nebula_govern::FaultPlan::new(7).with(nebula_govern::FaultSite::IndexProbe, 1.0);
+        for plan in [None, Some(probe_faults)] {
             nebula_govern::set_fault_plan(plan);
             let shared = SharedExecutor::new(&db).execute(&q);
             let reference = q.execute(&db);

@@ -89,7 +89,7 @@ pub mod prelude {
         VerificationBounds, VerificationQueue, VerificationTask,
     };
     pub use nebula_durable::{Durability, DurabilityOptions, Recovered, SyncPolicy};
-    pub use nebula_govern::{Degradation, ExecutionBudget, FaultPlan, FaultStats, RetryPolicy};
+    pub use nebula_govern::{Degradation, ExecutionBudget, FaultPlan, FaultSite, RetryPolicy};
     pub use nebula_ingest::{
         ingest_batch, HealthState, IngestConfig, IngestItem, IngestReport, Priority, ShedReason,
     };
@@ -98,7 +98,7 @@ pub mod prelude {
         Cluster, ClusterConfig, ClusterSink, DivergenceReport, Primary, Replica, ReplicaError,
         SimTransport, Transport, TransportStats,
     };
-    pub use nebula_shard::{NetProfile, ShardCluster, ShardConfig, ShardError};
+    pub use nebula_shard::{ShardCluster, ShardConfig, ShardError};
     pub use nebula_workload::{generate_dataset, DatasetBundle, DatasetSpec, WorkloadSpec};
     pub use relstore::{
         ConjunctiveQuery, DataType, Database, Predicate, TableSchema, Tuple, TupleId, Value,

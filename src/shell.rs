@@ -852,7 +852,14 @@ impl Shell {
                         .and_then(|s| s.parse().ok())
                         .filter(|r| (0.0..=1.0).contains(r))
                         .ok_or_else(|| err("NETFAULTS needs a rate in [0, 1]"))?;
-                    plan = Some(FaultPlan::new(seed).with_net(rate, rate, rate, rate));
+                    let sites = [
+                        FaultSite::NetDrop,
+                        FaultSite::NetDelay,
+                        FaultSite::NetReorder,
+                        FaultSite::NetDuplicate,
+                    ];
+                    plan =
+                        Some(sites.into_iter().fold(FaultPlan::new(seed), |p, s| p.with(s, rate)));
                     i += 3;
                 }
                 _ => return Err(err(USAGE)),
@@ -1003,10 +1010,6 @@ impl Shell {
         ))
     }
 
-    /// `SCRUB` — run one anti-entropy pass now: CRC-check the primary's
-    /// on-disk WAL and checkpoints (healing found rot from the shadow
-    /// state), walk the range-digest ladder against every live replica,
-    /// and repair whatever the pass finds.
     /// Page-file half of SCRUB: a read-only CRC walk over every page.
     /// Single-bit rot (the common at-rest failure) is healed losslessly
     /// in place via CRC linearity; only pages with wider damage force a
@@ -1058,6 +1061,10 @@ impl Shell {
         Ok(out)
     }
 
+    /// `SCRUB` — run one anti-entropy pass now: CRC-check the primary's
+    /// on-disk WAL and checkpoints (healing found rot from the shadow
+    /// state), walk the range-digest ladder against every live replica,
+    /// and repair whatever the pass finds.
     fn scrub(&mut self, args: &[String]) -> Result<String, ShellError> {
         if args.first().map(|s| s.to_uppercase()).as_deref() == Some("BACKUP") {
             let dir = args.get(1).ok_or_else(|| err("usage: SCRUB BACKUP '<dir>'"))?;
@@ -1458,10 +1465,10 @@ impl Shell {
                     Ok(format!(
                         "faults: {desc}\n  injected: {} query, {} index-probe, {} latency, \
                          {} panic\n  recovered: {}   retries: {}",
-                        s.query_errors,
-                        s.index_probe_failures,
-                        s.latency_injections,
-                        s.panics,
+                        s.injected(FaultSite::Query),
+                        s.injected(FaultSite::IndexProbe),
+                        s.injected(FaultSite::Latency),
+                        s.injected(FaultSite::Panic),
                         s.recovered,
                         s.retries,
                     ))
@@ -2301,7 +2308,7 @@ mod tests {
         {
             let store = sh.storage.as_ref().expect("shell operation should succeed");
             store.flush_pages().expect("shell operation should succeed");
-            store.set_fault_plan(Some(FaultPlan::new(0xBAD).with_pages(0.0, 0.0, 0.0, 1.0)));
+            store.set_fault_plan(Some(FaultPlan::new(0xBAD).with(FaultSite::PageRot, 1.0)));
             store.inject_rot().expect("shell operation should succeed").expect("rate 1.0 fires");
             store.set_fault_plan(None);
         }

@@ -91,7 +91,7 @@ fn hostile_ops(min: usize) -> (DatasetBundle, Vec<WalOp>) {
     .expect("fresh durability directory");
     nebula.set_mutation_sink(Some(Box::new(durability)));
     govern::set_fault_plan(Some(
-        govern::FaultPlan::new(fault_seed()).with_query(0.1, true).with_panics(0.02),
+        govern::FaultPlan::new(fault_seed()).with_query(0.1, true).with(FaultSite::Panic, 0.02),
     ));
     let mut rounds = 0;
     let ops = loop {
@@ -221,7 +221,7 @@ fn a_mid_batch_bundle_restores_byte_identical_under_a_fixed_fault_seed() {
     durability.set_archive(&root.join("archive"), 1).expect("arm archiving");
     nebula.set_mutation_sink(Some(Box::new(durability)));
     govern::set_fault_plan(Some(
-        govern::FaultPlan::new(fault_seed()).with_query(0.1, true).with_panics(0.02),
+        govern::FaultPlan::new(fault_seed()).with_query(0.1, true).with(FaultSite::Panic, 0.02),
     ));
 
     with_quiet_panics(|| nebula.process_batch(&bundle.db, &mut store, &items[..30]));
@@ -305,7 +305,7 @@ fn archive_rot_is_fully_detected_with_zero_false_positives() {
         let rotted = root.join(format!("rotted-{round}"));
         copy_bundle(&pristine, &rotted);
         govern::set_fault_plan(Some(
-            govern::FaultPlan::new(fault_seed() ^ (round + 1)).with_archive_faults(0.0, 1.0, 0.0),
+            govern::FaultPlan::new(fault_seed() ^ (round + 1)).with(FaultSite::ArchiveRot, 1.0),
         ));
         let damaged = inject_rot(&rotted).expect("rot injection");
         govern::set_fault_plan(None);

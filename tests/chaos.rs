@@ -166,7 +166,8 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
                     // pool's worker threads.
                     set_fault_plan(Some(
                         FaultPlan::new(seed.wrapping_add(rot_injections as u64))
-                            .with_bit_rot(1.0, 1.0),
+                            .with(FaultSite::WalRot, 1.0)
+                            .with(FaultSite::CheckpointRot, 1.0),
                     ));
                     let rot = inject_rot(&wal_dir).expect("rot injection");
                     set_fault_plan(None);
@@ -672,7 +673,7 @@ fn paged_nemesis_soak_matches_ram_twin_byte_for_byte() {
                 if store.metrics().page_count > 1 {
                     store.set_fault_plan(Some(
                         FaultPlan::new(seed.wrapping_add(rot_injections as u64))
-                            .with_pages(0.0, 0.0, 0.0, 1.0),
+                            .with(FaultSite::PageRot, 1.0),
                     ));
                     let hit = store.inject_rot().expect("rot injection");
                     store.set_fault_plan(None);
@@ -718,7 +719,7 @@ fn paged_nemesis_soak_matches_ram_twin_byte_for_byte() {
                 assert_eq!(a, b);
                 live.push(a);
                 store.set_fault_plan(Some(
-                    FaultPlan::new(seed ^ next_id as u64).with_pages(0.0, 0.0, 1.0, 0.0),
+                    FaultPlan::new(seed ^ next_id as u64).with(FaultSite::PageFsync, 1.0),
                 ));
                 let denied = store.flush_pages();
                 store.set_fault_plan(None);
@@ -910,7 +911,8 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
                     let wal_dir = handle.lock().primary().wal().dir().to_path_buf();
                     set_fault_plan(Some(
                         FaultPlan::new(seed.wrapping_add(rot_injections as u64))
-                            .with_bit_rot(1.0, 1.0),
+                            .with(FaultSite::WalRot, 1.0)
+                            .with(FaultSite::CheckpointRot, 1.0),
                     ));
                     let rot = inject_rot(&wal_dir).expect("rot injection");
                     set_fault_plan(None);
@@ -1021,7 +1023,7 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
                     let scratch = dir.join(format!("rotted-{backups_taken}"));
                     copy_bundle(bdir, &scratch);
                     set_fault_plan(Some(
-                        FaultPlan::new(seed ^ 0xA5C1).with_archive_faults(0.0, 1.0, 0.0),
+                        FaultPlan::new(seed ^ 0xA5C1).with(FaultSite::ArchiveRot, 1.0),
                     ));
                     let damaged = inject_archive_rot(&scratch).expect("archive rot injection");
                     set_fault_plan(None);

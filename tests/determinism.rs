@@ -265,7 +265,11 @@ fn durability_on_and_off_produce_identical_outcomes() {
     let replicated = |rule: CommitRule| {
         let (mut bundle, mut nebula, items) = fixture();
         let _ = std::fs::remove_dir_all(&dir);
-        let plan = FaultPlan::new(0xF00D).with_net(0.15, 0.15, 0.1, 0.1);
+        let plan = FaultPlan::new(0xF00D)
+            .with(FaultSite::NetDrop, 0.15)
+            .with(FaultSite::NetDelay, 0.15)
+            .with(FaultSite::NetReorder, 0.1)
+            .with(FaultSite::NetDuplicate, 0.1);
         let cluster = Cluster::new(
             &dir,
             &bundle.db,

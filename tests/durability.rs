@@ -88,7 +88,7 @@ fn a_500_operation_hostile_batch_survives_every_crash_point() {
     .expect("fresh durability directory");
     nebula.set_mutation_sink(Some(Box::new(durability)));
     govern::set_fault_plan(Some(
-        govern::FaultPlan::new(fault_seed()).with_query(0.1, true).with_panics(0.02),
+        govern::FaultPlan::new(fault_seed()).with_query(0.1, true).with(FaultSite::Panic, 0.02),
     ));
 
     let mut rounds = 0;
@@ -212,14 +212,19 @@ fn torn_writes_mid_batch_lose_nothing_applied() {
     )
     .unwrap();
     nebula.set_mutation_sink(Some(Box::new(durability)));
-    govern::set_fault_plan(Some(govern::FaultPlan::new(fault_seed()).with_torn_writes(0.1)));
+    govern::set_fault_plan(Some(
+        govern::FaultPlan::new(fault_seed()).with(FaultSite::TornWrite, 0.1),
+    ));
     let report = nebula.process_batch(&bundle.db, &mut store, &items);
     let stats = govern::fault_stats();
     govern::set_fault_plan(None);
     drop(nebula.take_mutation_sink());
 
     assert_eq!(report.total(), items.len());
-    assert!(stats.torn_writes >= 1, "the seeded plan never fired — scenario is vacuous");
+    assert!(
+        stats.injected(FaultSite::TornWrite) >= 1,
+        "the seeded plan never fired — scenario is vacuous"
+    );
     let recovered = recover(&dir).expect("a torn tail is repairable");
     assert_eq!(
         state_digest(&recovered.db, &recovered.store),
@@ -245,14 +250,19 @@ fn short_writes_self_repair_and_keep_the_log_clean() {
     )
     .unwrap();
     nebula.set_mutation_sink(Some(Box::new(durability)));
-    govern::set_fault_plan(Some(govern::FaultPlan::new(fault_seed()).with_short_writes(0.1)));
+    govern::set_fault_plan(Some(
+        govern::FaultPlan::new(fault_seed()).with(FaultSite::ShortWrite, 0.1),
+    ));
     let report = nebula.process_batch(&bundle.db, &mut store, &items);
     let stats = govern::fault_stats();
     govern::set_fault_plan(None);
     drop(nebula.take_mutation_sink());
 
     assert_eq!(report.total(), items.len());
-    assert!(stats.short_writes >= 1, "the seeded plan never fired — scenario is vacuous");
+    assert!(
+        stats.injected(FaultSite::ShortWrite) >= 1,
+        "the seeded plan never fired — scenario is vacuous"
+    );
     let bytes = std::fs::read(dir.join(wal::WAL_FILE)).unwrap();
     let (_, tail) = wal::read_wal(&bytes);
     assert!(tail.is_clean(), "short writes must leave no partial bytes behind: {tail:?}");
@@ -278,14 +288,19 @@ fn bit_flipped_checkpoints_fail_without_losing_data() {
     )
     .unwrap();
     nebula.set_mutation_sink(Some(Box::new(durability)));
-    govern::set_fault_plan(Some(govern::FaultPlan::new(fault_seed()).with_bit_flips(1.0)));
+    govern::set_fault_plan(Some(
+        govern::FaultPlan::new(fault_seed()).with(FaultSite::BitFlip, 1.0),
+    ));
     let report = nebula.process_batch(&bundle.db, &mut store, &items);
     let stats = govern::fault_stats();
     govern::set_fault_plan(None);
     drop(nebula.take_mutation_sink());
 
     assert_eq!(report.total(), items.len());
-    assert!(stats.bit_flips >= 1, "no checkpoint was attempted — scenario is vacuous");
+    assert!(
+        stats.injected(FaultSite::BitFlip) >= 1,
+        "no checkpoint was attempted — scenario is vacuous"
+    );
     let ckpts = checkpoint::list_checkpoints(&dir).unwrap();
     assert_eq!(ckpts.len(), 1, "only the (pre-plan) initial checkpoint may exist");
     let recovered = recover(&dir).unwrap();
@@ -311,7 +326,9 @@ fn fsync_failure_loses_at_most_the_unapplied_record() {
     )
     .unwrap();
     nebula.set_mutation_sink(Some(Box::new(durability)));
-    govern::set_fault_plan(Some(govern::FaultPlan::new(fault_seed()).with_fsync_failures(0.05)));
+    govern::set_fault_plan(Some(
+        govern::FaultPlan::new(fault_seed()).with(FaultSite::FsyncFail, 0.05),
+    ));
     let report = nebula.process_batch(&bundle.db, &mut store, &items);
     let stats = govern::fault_stats();
     govern::set_fault_plan(None);
@@ -326,7 +343,7 @@ fn fsync_failure_loses_at_most_the_unapplied_record() {
     let (records, tail) = wal::read_wal(&bytes);
     assert!(tail.is_clean(), "fsync failure leaves whole records: {tail:?}");
     let live = state_digest(&bundle.db, &store);
-    if stats.fsync_failures >= 1 {
+    if stats.injected(FaultSite::FsyncFail) >= 1 {
         // The wedge froze the log after the unapplied record; dropping it
         // yields the applied state.
         let prefix_end = records[records.len() - 1].end_offset;

@@ -82,7 +82,7 @@ fn hostile_500_batch_completes_with_full_accounting() {
 
     nebula::nebula_obs::set_enabled(true);
     let baseline = nebula::nebula_obs::snapshot();
-    govern::set_fault_plan(Some(FaultPlan::hostile(0xF00D).with_panics(0.02)));
+    govern::set_fault_plan(Some(FaultPlan::hostile(0xF00D).with(FaultSite::Panic, 0.02)));
     let report = with_quiet_panics(|| nebula.process_batch(&bundle.db, &mut store, &items));
     let stats = govern::fault_stats();
     govern::set_fault_plan(None);
@@ -104,14 +104,15 @@ fn hostile_500_batch_completes_with_full_accounting() {
     // recorded both thread-locally and in the obs counters.
     assert!(report.quarantined > 0);
     assert!(stats.retries > 0);
-    assert!(stats.query_errors > 0);
+    assert!(stats.injected(FaultSite::Query) > 0);
     assert_eq!(
         diff.counters.get("core.quarantined").copied().unwrap_or(0),
         report.quarantined as u64
     );
     assert_eq!(diff.counters.get("govern.retries").copied().unwrap_or(0), stats.retries);
     assert!(
-        diff.counters.get("govern.faults_injected").copied().unwrap_or(0) >= stats.query_errors
+        diff.counters.get("govern.faults_injected").copied().unwrap_or(0)
+            >= stats.injected(FaultSite::Query)
     );
 }
 
@@ -129,7 +130,7 @@ fn transient_faults_recover_via_bounded_retry() {
     govern::set_fault_plan(None);
 
     assert_eq!(report.total(), 60);
-    assert!(stats.query_errors > 0, "the plan fired");
+    assert!(stats.injected(FaultSite::Query) > 0, "the plan fired");
     assert!(stats.retries > 0, "transient faults were retried");
     assert!(
         report.quarantined < report.total(),
@@ -157,13 +158,17 @@ fn index_probe_failures_degrade_to_identical_candidates() {
 
     let (_, mut nebula_b, _) = batch_fixture(43, 10, NebulaConfig::default());
     let mut store_b = fresh_store(&bundle);
-    govern::set_fault_plan(Some(FaultPlan::new(11).with_index_probe(1.0)));
+    govern::set_fault_plan(Some(FaultPlan::new(11).with(FaultSite::IndexProbe, 1.0)));
     let probed = nebula_b.process_batch(&bundle.db, &mut store_b, &items);
     let stats = govern::fault_stats();
     govern::set_fault_plan(None);
 
-    assert!(stats.index_probe_failures > 0, "the probe site fired");
-    assert_eq!(stats.index_probe_failures, stats.recovered, "every probe failure was absorbed");
+    assert!(stats.injected(FaultSite::IndexProbe) > 0, "the probe site fired");
+    assert_eq!(
+        stats.injected(FaultSite::IndexProbe),
+        stats.recovered,
+        "every probe failure was absorbed"
+    );
     assert_eq!(probed.quarantined, 0);
     for (a, b) in clean.entries.iter().zip(&probed.entries) {
         let ca: Vec<_> =
@@ -183,14 +188,14 @@ fn injected_panics_are_contained_per_annotation() {
     let (bundle, mut nebula, items) = batch_fixture(44, 8, NebulaConfig::default());
     let mut store = fresh_store(&bundle);
 
-    govern::set_fault_plan(Some(FaultPlan::new(3).with_panics(1.0)));
+    govern::set_fault_plan(Some(FaultPlan::new(3).with(FaultSite::Panic, 1.0)));
     let report = with_quiet_panics(|| nebula.process_batch(&bundle.db, &mut store, &items));
     let stats = govern::fault_stats();
     govern::set_fault_plan(None);
 
     assert_eq!(report.total(), 8, "the batch never aborts");
     assert_eq!(report.quarantined, 8, "every annotation hit the injected panic");
-    assert_eq!(stats.panics, 8);
+    assert_eq!(stats.injected(FaultSite::Panic), 8);
     for e in &report.entries {
         match &e.quarantine {
             Some(QuarantineReason::Panic(msg)) => {
@@ -263,7 +268,7 @@ fn enospc_wedges_the_wal_typed_and_a_checkpoint_unwedges_it() {
     mgr.append(&note(0)).expect("append before the disk fills");
     replay_op(&mut db, &mut store, &note(0)).expect("replay");
 
-    govern::set_fault_plan(Some(FaultPlan::new(3).with_enospc(1.0)));
+    govern::set_fault_plan(Some(FaultPlan::new(3).with(FaultSite::Enospc, 1.0)));
     assert!(
         matches!(mgr.append(&note(1)), Err(DurableError::NoSpace(_))),
         "a full disk is a typed error, not a panic"
@@ -299,7 +304,7 @@ fn enospc_aborts_a_page_flush_typed_with_the_old_image_intact() {
     let second = heap.insert(b"caught by the full disk").expect("insert");
 
     // Page I/O rolls an owned plan (not the thread-local one).
-    heap.set_fault_plan(Some(FaultPlan::new(5).with_page_enospc(1.0)));
+    heap.set_fault_plan(Some(FaultPlan::new(5).with(FaultSite::Enospc, 1.0)));
     assert!(
         matches!(heap.flush(2), Err(PageStoreError::NoSpace)),
         "a full disk is a typed error, not a torn shadow"
@@ -349,7 +354,7 @@ fn enospc_aborts_a_backup_capture_typed_with_no_partial_manifest() {
         pages: None,
         created_seq: 1,
     };
-    govern::set_fault_plan(Some(FaultPlan::new(7).with_enospc(1.0)));
+    govern::set_fault_plan(Some(FaultPlan::new(7).with(FaultSite::Enospc, 1.0)));
     assert!(
         matches!(create_bundle(&spec), Err(BackupError::NoSpace(_))),
         "a full disk is a typed error, not a silent half-bundle"
@@ -382,7 +387,7 @@ fn enospc_mid_batch_quarantines_and_a_checkpoint_restores_service() {
         .expect("fresh durability directory");
     nebula.set_mutation_sink(Some(Box::new(durability)));
 
-    govern::set_fault_plan(Some(FaultPlan::new(11).with_enospc(1.0)));
+    govern::set_fault_plan(Some(FaultPlan::new(11).with(FaultSite::Enospc, 1.0)));
     let starved = nebula.process_batch(&bundle.db, &mut store, &items[..12]);
     govern::set_fault_plan(None);
     assert_eq!(starved.total(), 12, "the full disk never aborts the batch");

@@ -65,7 +65,9 @@ fn wedged_ingest_dumps_exactly_one_post_mortem() {
     trace::reset();
     // Every fsync fails: two WAL quarantines trip the breaker
     // (threshold 2), and one trip wedges the engine.
-    nebula::nebula_govern::set_fault_plan(Some(FaultPlan::new(0xF00D).with_fsync_failures(1.0)));
+    nebula::nebula_govern::set_fault_plan(Some(
+        FaultPlan::new(0xF00D).with(FaultSite::FsyncFail, 1.0),
+    ));
     let config = IngestConfig {
         workers: 2,
         breaker: BreakerConfig { failure_threshold: 2, open_shed_count: 8 },

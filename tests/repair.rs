@@ -49,7 +49,9 @@ fn scrub_detects_every_injected_bit_rot_before_the_next_checkpoint() {
         }
         assert!(scrub(&dir).expect("scrub").is_clean(), "seed {seed}: clean before injection");
 
-        set_fault_plan(Some(FaultPlan::new(seed).with_bit_rot(1.0, 1.0)));
+        set_fault_plan(Some(
+            FaultPlan::new(seed).with(FaultSite::WalRot, 1.0).with(FaultSite::CheckpointRot, 1.0),
+        ));
         let rot = inject_rot(&dir).expect("inject");
         set_fault_plan(None);
         assert!(rot.wal_bit.is_some(), "seed {seed}: WAL site fired at rate 1.0");
@@ -114,7 +116,9 @@ fn cluster_scrub_heals_media_rot_and_recovery_agrees_byte_for_byte() {
         }
         let wal_dir = cluster.primary().wal().dir().to_path_buf();
 
-        set_fault_plan(Some(FaultPlan::new(seed).with_bit_rot(1.0, 1.0)));
+        set_fault_plan(Some(
+            FaultPlan::new(seed).with(FaultSite::WalRot, 1.0).with(FaultSite::CheckpointRot, 1.0),
+        ));
         let rot = inject_rot(&wal_dir).expect("inject");
         set_fault_plan(None);
         assert!(rot.any(), "seed {seed:#x}: rot landed");

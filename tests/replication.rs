@@ -103,7 +103,11 @@ fn partition_heal_soak_converges_and_accounts_exactly_once() {
         nebula.bootstrap_acg(&bundle.annotations);
 
         let dir = temp_dir(&format!("soak-{rule}"));
-        let plan = FaultPlan::new(seed).with_net(0.05, 0.1, 0.05, 0.05);
+        let plan = FaultPlan::new(seed)
+            .with(FaultSite::NetDrop, 0.05)
+            .with(FaultSite::NetDelay, 0.1)
+            .with(FaultSite::NetReorder, 0.05)
+            .with(FaultSite::NetDuplicate, 0.05);
         let transport = SimTransport::new(4, plan).with_flap(64);
         let config = ClusterConfig { rule, ..ClusterConfig::default() };
         let cluster =

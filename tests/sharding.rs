@@ -22,7 +22,7 @@ use nebula::nebula_core::{Nebula, NebulaConfig, ProcessOutcome, SearchMode};
 use nebula::nebula_durable::checkpoint;
 use nebula::nebula_govern::{Degradation, ExecutionBudget};
 use nebula::nebula_ingest::BreakerState;
-use nebula::nebula_shard::{NetProfile, ShardCluster, ShardConfig};
+use nebula::nebula_shard::{ShardCluster, ShardConfig};
 use nebula::nebula_workload::{build_workload, WorkloadSpec};
 use nebula::prelude::*;
 
@@ -135,12 +135,17 @@ fn merged_digest_matches_unsharded_at_every_shard_count() {
         // the clean run — but every annotation ingests, every shortfall
         // is a typed partial, and the durable history still replays to
         // the bytes the shards hold.
+        let lossy = FaultPlan::new(NET_SEED)
+            .with(FaultSite::NetDrop, 0.15)
+            .with(FaultSite::NetDelay, 0.2)
+            .with(FaultSite::NetReorder, 0.1)
+            .with(FaultSite::NetDuplicate, 0.05);
         let mut cluster = ShardCluster::new(
             &bundle.db,
             &bundle.annotations,
             &bundle.meta,
             &engine_config(),
-            ShardConfig { net: Some(NetProfile::lossy(NET_SEED)), ..ShardConfig::new(shards) },
+            ShardConfig { net: Some(lossy), ..ShardConfig::new(shards) },
         )
         .expect("lossy cluster boots");
         for (annotation, focal) in &items {
@@ -187,7 +192,7 @@ fn partitioned_shard_degrades_typed_then_heals_byte_identically() {
     // Once on a fault-free cluster, once with the shard-layer fault sites
     // live: a third of all probe servings answer `ok = false` and a third
     // of all boundary-edge applies are nacked and retried.
-    for shard_faults in [None, Some(FaultPlan::new(SHARD_FAULT_SEED).with_shard(0.3))] {
+    for shard_faults in [None, Some(FaultPlan::new(SHARD_FAULT_SEED).with(FaultSite::Shard, 0.3))] {
         partition_scenario(shard_faults);
     }
 }
@@ -270,11 +275,12 @@ fn partition_scenario(shard_faults: Option<FaultPlan>) {
     // every shard fault drawn here is a nacked apply). Then the plan is
     // cleared and one more exchange drains whatever the bounded rounds
     // left behind.
-    let faults_before = nebula::nebula_govern::fault_stats().shard_faults;
+    let faults_before = nebula::nebula_govern::fault_stats().injected(FaultSite::Shard);
     let retries_before = apply_retries();
     cluster.heal_shard(victim);
     if faulty {
-        let nacked = nebula::nebula_govern::fault_stats().shard_faults - faults_before;
+        let nacked =
+            nebula::nebula_govern::fault_stats().injected(FaultSite::Shard) - faults_before;
         assert!(faults_before > 0, "the shard sites must fire while the shard is dark too");
         assert!(nacked > 0, "catch-up applies must actually be nacked");
         assert!(apply_retries() > retries_before, "a nacked apply must be retried");

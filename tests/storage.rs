@@ -246,7 +246,7 @@ fn scrub_detects_every_seeded_rot_with_zero_false_positives_and_heals() {
     for trial in 0..10u64 {
         // Zero false positives: a clean file scrubs clean every time.
         assert!(store.scrub().expect("scrub").is_clean(), "trial {trial}: false positive");
-        store.set_fault_plan(Some(FaultPlan::new(0xBEEF ^ trial).with_pages(0.0, 0.0, 0.0, 1.0)));
+        store.set_fault_plan(Some(FaultPlan::new(0xBEEF ^ trial).with(FaultSite::PageRot, 1.0)));
         let (page, _bit) = store.inject_rot().expect("inject").expect("rate 1.0 fires");
         store.set_fault_plan(None);
         let report = store.scrub().expect("scrub");

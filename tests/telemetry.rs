@@ -310,7 +310,7 @@ fn every_written_metric_is_listed_in_the_registry() {
         nebula::nebula_backup::verify_bundle(&bdir.join("bundle")).expect("verify");
         nebula::nebula_backup::restore(&bdir.join("bundle"), Some(3)).expect("restore");
         nebula::nebula_govern::set_fault_plan(Some(
-            FaultPlan::new(0xB0B).with_archive_faults(0.0, 1.0, 0.0),
+            FaultPlan::new(0xB0B).with(FaultSite::ArchiveRot, 1.0),
         ));
         nebula::nebula_backup::inject_rot(&bdir.join("bundle")).expect("rot injection");
         nebula::nebula_govern::set_fault_plan(None);
