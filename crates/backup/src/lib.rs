@@ -35,7 +35,7 @@ pub mod scrub;
 pub use bundle::{create_bundle, restore, verify_bundle, BundleSpec, Restored, VerifyReport};
 pub use manifest::{BackupManifest, ManifestEntry, MANIFEST_FILE};
 pub use retention::{gc, GcReport};
-pub use scrub::{inject_rot, scrub, BackupScrubReport};
+pub use scrub::{inject_rot, scrub};
 
 use std::fmt;
 

@@ -21,40 +21,9 @@ use nebula_codec::crc32c;
 use nebula_durable::archive::{list_bases, list_segments};
 use nebula_durable::checkpoint;
 use nebula_durable::segment::{decode_checkpoint_frame, decode_segment};
-use nebula_govern::{inject_io, FaultSite};
-use std::io::{Read, Seek, SeekFrom, Write};
+use nebula_govern::scrub::{rot_file, Artifact, ScrubReport};
+use nebula_govern::FaultSite;
 use std::path::{Path, PathBuf};
-
-/// One corrupt file the scrubber found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CorruptFile {
-    /// Path of the damaged file.
-    pub path: PathBuf,
-    /// Why it failed validation.
-    pub reason: String,
-}
-
-/// What a scrub pass found.
-#[derive(Debug, Clone, Default)]
-pub struct BackupScrubReport {
-    /// Base checkpoints validated clean.
-    pub bases_ok: usize,
-    /// Segments validated clean.
-    pub segments_ok: usize,
-    /// Files that failed structural validation or their manifest digest.
-    pub corrupt: Vec<CorruptFile>,
-    /// Whether a manifest was present and its digests were checked too.
-    pub manifest_checked: bool,
-    /// Bytes read and hashed.
-    pub bytes_scrubbed: u64,
-}
-
-impl BackupScrubReport {
-    /// True when every file validated clean.
-    pub fn is_clean(&self) -> bool {
-        self.corrupt.is_empty()
-    }
-}
 
 /// Scrub an archive or bundle directory.
 ///
@@ -62,35 +31,31 @@ impl BackupScrubReport {
 /// is present (a bundle), every listed file is additionally checked
 /// against its signed length and digest, so a flipped bit that happens
 /// to keep a frame decodable is still caught. Corruption is *reported*,
-/// never silently skipped and never repaired.
-pub fn scrub(dir: &Path) -> Result<BackupScrubReport, BackupError> {
-    let mut report = BackupScrubReport::default();
-    for (watermark, path) in list_bases(dir)? {
-        match check_base(watermark, &path, &mut report.bytes_scrubbed) {
-            Ok(()) => report.bases_ok += 1,
-            Err(reason) => report.corrupt.push(CorruptFile { path, reason }),
+/// never silently skipped and never repaired. The report counts the
+/// bases, segments and manifests checked.
+pub fn scrub(dir: &Path) -> Result<ScrubReport, BackupError> {
+    let mut report = ScrubReport::default();
+    let bases = list_bases(dir)?;
+    for (watermark, path) in &bases {
+        if let Err(reason) = check_base(*watermark, path, &mut report.bytes) {
+            report.flag(Artifact::File(path.clone()), reason);
         }
     }
-    for (base_lsn, path) in list_segments(dir)? {
-        match check_segment(base_lsn, &path, &mut report.bytes_scrubbed) {
-            Ok(()) => report.segments_ok += 1,
-            Err(reason) => report.corrupt.push(CorruptFile { path, reason }),
+    let segments = list_segments(dir)?;
+    for (base_lsn, path) in &segments {
+        if let Err(reason) = check_segment(*base_lsn, path, &mut report.bytes) {
+            report.flag(Artifact::File(path.clone()), reason);
         }
     }
     let manifest_path = dir.join(crate::manifest::MANIFEST_FILE);
-    if manifest_path.exists() {
-        report.manifest_checked = true;
-        match check_manifest(dir, &manifest_path, &mut report.bytes_scrubbed) {
-            Ok(extra) => {
-                for c in extra {
-                    if !report.corrupt.iter().any(|k| k.path == c.path) {
-                        report.corrupt.push(c);
-                    }
-                }
-            }
-            Err(reason) => report.corrupt.push(CorruptFile { path: manifest_path, reason }),
+    let manifests = usize::from(manifest_path.exists());
+    if manifests == 1 {
+        if let Err(reason) = check_manifest(dir, &manifest_path, &mut report) {
+            report.flag(Artifact::File(manifest_path), reason);
         }
     }
+    report.checked =
+        vec![("bases", bases.len()), ("segments", segments.len()), ("manifests", manifests)];
     nebula_obs::counter_add(counters::SCRUBS, 1);
     nebula_obs::counter_add(counters::ROT_DETECTED, report.corrupt.len() as u64);
     Ok(report)
@@ -117,15 +82,16 @@ fn check_segment(base_lsn: u64, path: &Path, bytes: &mut u64) -> Result<(), Stri
     Ok(())
 }
 
+/// Check every file the manifest lists against its signed length and
+/// digest, flagging the ones the structural pass has not flagged already.
 fn check_manifest(
     dir: &Path,
     manifest_path: &Path,
-    bytes: &mut u64,
-) -> Result<Vec<CorruptFile>, String> {
+    report: &mut ScrubReport,
+) -> Result<(), String> {
     let data = std::fs::read(manifest_path).map_err(|e| e.to_string())?;
-    *bytes += data.len() as u64;
+    report.bytes += data.len() as u64;
     let m = crate::manifest::decode(&data).map_err(|e| e.to_string())?;
-    let mut corrupt = Vec::new();
     for entry in &m.entries {
         let path = dir.join(&entry.name);
         let reason = match std::fs::read(&path) {
@@ -136,44 +102,31 @@ fn check_manifest(
             Ok(d) if crc32c(&d) != entry.crc => Some("fails its manifest digest".into()),
             Ok(_) => None,
         };
-        if let Some(reason) = reason {
-            corrupt.push(CorruptFile { path, reason });
+        let artifact = Artifact::File(path);
+        let flagged = report.corrupt.iter().any(|k| k.artifact == artifact);
+        if let Some(reason) = reason.filter(|_| !flagged) {
+            report.flag(artifact, reason);
         }
     }
-    Ok(corrupt)
+    Ok(())
 }
 
 /// Chaos hook: roll the `ArchiveRot` fault site once per archive file
-/// and flip the drawn bit on disk where it fires. Returns the paths that
-/// were damaged — the test harness's ground truth for proving the
-/// scrubber finds exactly the rot that was injected.
-pub fn inject_rot(dir: &Path) -> Result<Vec<PathBuf>, BackupError> {
+/// through [`rot_file`]. Returns the files that were damaged — the test
+/// harness's ground truth for proving the scrubber finds exactly the rot
+/// that was injected.
+pub fn inject_rot(dir: &Path) -> Result<Vec<Artifact>, BackupError> {
     let mut rotted = Vec::new();
     let mut files: Vec<PathBuf> =
         list_bases(dir)?.into_iter().chain(list_segments(dir)?).map(|(_, p)| p).collect();
     files.sort();
     for path in files {
-        let len = std::fs::metadata(&path)?.len() as usize;
-        if let Some(bit) = inject_io(FaultSite::ArchiveRot, len) {
-            flip_bit(&path, bit)?;
+        if rot_file(FaultSite::ArchiveRot, &path)?.is_some() {
             nebula_obs::counter_add(counters::ROT_INJECTED, 1);
-            rotted.push(path);
+            rotted.push(Artifact::File(path));
         }
     }
     Ok(rotted)
-}
-
-fn flip_bit(path: &Path, bit: usize) -> Result<(), BackupError> {
-    let mut f = std::fs::OpenOptions::new().read(true).write(true).open(path)?;
-    let offset = (bit / 8) as u64;
-    let mut byte = [0u8; 1];
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(&mut byte)?;
-    byte[0] ^= 1 << (bit % 8);
-    f.seek(SeekFrom::Start(offset))?;
-    f.write_all(&byte)?;
-    f.sync_data()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -215,11 +168,11 @@ mod tests {
         let dir = temp_dir("clean");
         fill(&dir, 3, 4);
         let report = scrub(&dir).unwrap();
-        assert!(report.is_clean(), "{:?}", report.corrupt);
-        assert_eq!(report.bases_ok, 1);
-        assert_eq!(report.segments_ok, 3);
-        assert!(!report.manifest_checked);
-        assert!(report.bytes_scrubbed > 0);
+        assert!(report.is_clean(), "{report}");
+        assert_eq!(report.count("bases"), 1);
+        assert_eq!(report.count("segments"), 3);
+        assert_eq!(report.count("manifests"), 0);
+        assert!(report.bytes > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -237,7 +190,7 @@ mod tests {
         assert!(!rotted.is_empty(), "seed 21 must rot at least one file");
         assert!(rotted.len() < 5, "seed 21 must leave at least one file clean");
         let report = scrub(&dir).unwrap();
-        let mut flagged: Vec<_> = report.corrupt.iter().map(|c| c.path.clone()).collect();
+        let mut flagged = report.corrupt_artifacts();
         flagged.sort();
         assert_eq!(flagged, rotted);
         let _ = std::fs::remove_dir_all(&dir);
@@ -267,9 +220,8 @@ mod tests {
         let b = bundle.join(nebula_durable::archive::segment_file_name(3));
         std::fs::copy(&a, &b).unwrap();
         let report = scrub(&bundle).unwrap();
-        assert!(report.manifest_checked);
-        assert_eq!(report.corrupt.len(), 1);
-        assert_eq!(report.corrupt[0].path, b);
+        assert_eq!(report.count("manifests"), 1);
+        assert_eq!(report.corrupt_artifacts(), vec![Artifact::File(b)]);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&bundle);
     }
@@ -282,9 +234,8 @@ mod tests {
         let bytes = std::fs::read(&base).unwrap();
         std::fs::write(&base, &bytes[..bytes.len() / 2]).unwrap();
         let report = scrub(&dir).unwrap();
-        assert_eq!(report.corrupt.len(), 1);
-        assert_eq!(report.bases_ok, 0);
-        assert_eq!(report.segments_ok, 1);
+        assert_eq!(report.corrupt_artifacts(), vec![Artifact::File(base)]);
+        assert_eq!((report.count("bases"), report.count("segments")), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

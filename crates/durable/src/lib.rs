@@ -44,7 +44,7 @@ pub use archive::{archive_stats, ArchiveStats};
 pub use harness::{crash_points, state_digest, CrashPointReport};
 pub use manager::{ArchiveConfig, Durability, DurabilityOptions, SyncPolicy};
 pub use recover::{recover, recover_from_bytes, replay_op, Recovered};
-pub use scrub::{inject_rot, scrub, RotReport, ScrubReport};
+pub use scrub::{inject_rot, scrub};
 pub use segment::{CheckpointFrame, Segment};
 pub use wal::{TailReport, WalOp, WalRecord};
 

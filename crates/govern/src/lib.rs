@@ -18,12 +18,17 @@
 //!   engine uses to report *how* it survived — focal fallback, truncated
 //!   fan-out, abandoned search, bounded retries.
 //!
+//! Beside them, [`scrub`] holds the one report every at-rest scrubber
+//! returns and [`scrub::rot_file`], the media-rot fault the file-backed
+//! rot sites share.
+//!
 //! The crate deliberately depends only on `nebula-obs` so every layer of
 //! the engine (relstore, textsearch, core) can hook into it without cycles.
 
 mod budget;
 pub mod clock;
 mod fault;
+pub mod scrub;
 
 pub use budget::{BudgetExceeded, ExecutionBudget, Resource};
 pub use fault::{FaultPlan, FaultSite, FaultStats, InjectedFault, RetryPolicy};

@@ -25,6 +25,7 @@
 use crate::page::{self, PageBuf, PAGE_SIZE};
 use crate::{counters, PageStoreError};
 use nebula_codec::crc32c;
+use nebula_govern::scrub::{Artifact, ScrubReport};
 use nebula_govern::{FaultPlan, FaultSite};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -55,24 +56,6 @@ pub enum CrashPoint {
     /// Crash after `n` bytes of the in-place apply reached the page file
     /// (after the rename): the commit must be re-driven on open.
     Apply(usize),
-}
-
-/// Result of a read-only CRC walk over a page file.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PageScrubReport {
-    /// Pages in the file (including the header page).
-    pub pages: u32,
-    /// Page ids whose checksum or structure failed verification.
-    pub corrupt: Vec<u32>,
-    /// Whether a committed shadow image is waiting to be re-applied.
-    pub pending_shadow: bool,
-}
-
-impl PageScrubReport {
-    /// True when every page verified clean.
-    pub fn is_clean(&self) -> bool {
-        self.corrupt.is_empty()
-    }
 }
 
 /// Running tally of injected page faults.
@@ -450,59 +433,33 @@ fn parse_shadow(bytes: &[u8]) -> Option<Vec<(u32, PageBuf)>> {
 /// Read-only CRC walk over the page file in `dir`: every page is
 /// verified against its checksum; the header page additionally against
 /// its magic/version. No faults roll (the scrubber must see the medium
-/// raw) and nothing is modified.
-pub fn scrub_dir(dir: &Path) -> Result<PageScrubReport, PageStoreError> {
-    let path = dir.join(FILE_NAME);
-    let bytes = std::fs::read(&path)?;
-    if bytes.len() % PAGE_SIZE != 0 {
-        return Err(PageStoreError::Corrupt(format!(
-            "page file length {} is not a whole number of pages",
-            bytes.len()
-        )));
-    }
-    let mut report = PageScrubReport {
-        pages: (bytes.len() / PAGE_SIZE) as u32,
-        corrupt: Vec::new(),
-        pending_shadow: dir.join(SHADOW_COMMIT).exists(),
-    };
+/// raw) and nothing is modified. The report counts the pages in the file
+/// (including the header page).
+pub fn scrub_dir(dir: &Path) -> Result<ScrubReport, PageStoreError> {
+    let (bytes, mut report) = read_for_walk(dir)?;
     for (id, chunk) in bytes.chunks_exact(PAGE_SIZE).enumerate() {
         let buf: &[u8; PAGE_SIZE] = chunk.try_into().expect("exact chunk");
         nebula_obs::counter_add(counters::SCRUB_PAGES, 1);
         let clean = if id == 0 { page::decode_header_page(buf).is_ok() } else { page::verify(buf) };
         if !clean {
-            report.corrupt.push(id as u32);
+            let reason = if id == 0 { "bad header page" } else { "checksum mismatch" };
+            report.flag(Artifact::Page(id as u32), reason);
             nebula_obs::counter_add(counters::SCRUB_CORRUPT, 1);
         }
     }
     Ok(report)
 }
 
-/// Outcome of a repair walk over a page file.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PageRepairReport {
-    /// Pages healed in place by single-bit CRC correction.
-    pub repaired: Vec<u32>,
-    /// Pages whose damage exceeds one bit (content unrecoverable from
-    /// the file alone).
-    pub unrecoverable: Vec<u32>,
-}
-
 /// Walk the page file in `dir` and heal single-bit rot **in place**:
 /// every page failing its checksum is run through the CRC-linearity
 /// corrector ([`page::correct_single_bit`]) and, when exactly one bit
-/// was flipped, rewritten byte-identical to its sealed image. Damage
-/// wider than one bit is reported as unrecoverable — the caller decides
-/// whether to rebuild from live state or restore from a checkpoint.
-pub fn repair_dir(dir: &Path) -> Result<PageRepairReport, PageStoreError> {
-    let path = dir.join(FILE_NAME);
-    let bytes = std::fs::read(&path)?;
-    if !bytes.len().is_multiple_of(PAGE_SIZE) {
-        return Err(PageStoreError::Corrupt(format!(
-            "page file length {} is not a whole number of pages",
-            bytes.len()
-        )));
-    }
-    let mut report = PageRepairReport::default();
+/// was flipped, rewritten byte-identical to its sealed image. Repaired
+/// pages are reported `healed`; damage wider than one bit is reported
+/// `corrupt` (content unrecoverable from the file alone) — the caller
+/// decides whether to rebuild from live state or restore from a
+/// checkpoint.
+pub fn repair_dir(dir: &Path) -> Result<ScrubReport, PageStoreError> {
+    let (bytes, mut report) = read_for_walk(dir)?;
     let mut fixed: Vec<(u32, PageBuf)> = Vec::new();
     for (id, chunk) in bytes.chunks_exact(PAGE_SIZE).enumerate() {
         let buf: &[u8; PAGE_SIZE] = chunk.try_into().expect("exact chunk");
@@ -512,14 +469,14 @@ pub fn repair_dir(dir: &Path) -> Result<PageRepairReport, PageStoreError> {
         let mut candidate = page::zeroed();
         candidate.copy_from_slice(buf);
         if page::correct_single_bit(&mut candidate).is_some() && page::verify(&candidate) {
-            report.repaired.push(id as u32);
+            report.healed.push(Artifact::Page(id as u32));
             fixed.push((id as u32, candidate));
         } else {
-            report.unrecoverable.push(id as u32);
+            report.flag(Artifact::Page(id as u32), "damage wider than one bit");
         }
     }
     if !fixed.is_empty() {
-        let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(dir.join(FILE_NAME))?;
         for (id, buf) in &fixed {
             file.seek(SeekFrom::Start(u64::from(*id) * PAGE_SIZE as u64))?;
             file.write_all(&buf[..])?;
@@ -527,6 +484,21 @@ pub fn repair_dir(dir: &Path) -> Result<PageRepairReport, PageStoreError> {
         file.sync_all()?;
     }
     Ok(report)
+}
+
+/// The page file in `dir`, refused unless it is a whole number of pages,
+/// and an empty report over it that counts its pages and bytes.
+fn read_for_walk(dir: &Path) -> Result<(Vec<u8>, ScrubReport), PageStoreError> {
+    let bytes = std::fs::read(dir.join(FILE_NAME))?;
+    if !bytes.len().is_multiple_of(PAGE_SIZE) {
+        return Err(PageStoreError::Corrupt(format!(
+            "page file length {} is not a whole number of pages",
+            bytes.len()
+        )));
+    }
+    let checked = vec![("pages", bytes.len() / PAGE_SIZE)];
+    let report = ScrubReport { checked, bytes: bytes.len() as u64, ..ScrubReport::default() };
+    Ok((bytes, report))
 }
 
 #[cfg(test)]
@@ -643,31 +615,29 @@ mod tests {
             flips.iter().filter(|(_, s)| s.len() == 1).map(|(&p, _)| p).collect();
         let multi_bit: std::collections::BTreeSet<u32> =
             flips.iter().filter(|(_, s)| s.len() >= 2).map(|(&p, _)| p).collect();
+        let pages_of = |artifacts: Vec<Artifact>| -> std::collections::BTreeSet<u32> {
+            artifacts
+                .into_iter()
+                .map(|a| match a {
+                    Artifact::Page(id) => id,
+                    other => panic!("not a page: {other}"),
+                })
+                .collect()
+        };
         let report = scrub_dir(&dir).unwrap();
-        assert_eq!(report.pages, 4);
+        assert_eq!(report.count("pages"), 4);
         assert_eq!(
-            report.corrupt.iter().copied().collect::<std::collections::BTreeSet<_>>(),
+            pages_of(report.corrupt_artifacts()),
             corrupt_expected,
             "scrub finds exactly the rotted pages: no misses, no false positives"
         );
         // Single-bit rot heals in place via CRC linearity; wider damage
         // is reported unrecoverable, never silently "fixed".
         let healed = repair_dir(&dir).unwrap();
+        assert_eq!(pages_of(healed.healed.clone()), one_bit);
+        assert_eq!(pages_of(healed.corrupt_artifacts()), multi_bit);
         assert_eq!(
-            healed.repaired.iter().copied().collect::<std::collections::BTreeSet<_>>(),
-            one_bit
-        );
-        assert_eq!(
-            healed.unrecoverable.iter().copied().collect::<std::collections::BTreeSet<_>>(),
-            multi_bit
-        );
-        assert_eq!(
-            scrub_dir(&dir)
-                .unwrap()
-                .corrupt
-                .iter()
-                .copied()
-                .collect::<std::collections::BTreeSet<_>>(),
+            pages_of(scrub_dir(&dir).unwrap().corrupt_artifacts()),
             multi_bit,
             "after repair only multi-bit pages remain corrupt"
         );

@@ -16,10 +16,11 @@
 //! lands records on the same pages — a prerequisite for the golden page
 //! file and for mem-vs-paged digest identity.
 
-use crate::file::{CrashPoint, FaultTally, PageScrubReport};
+use crate::file::{CrashPoint, FaultTally};
 use crate::page::PAYLOAD_SIZE;
 use crate::pool::{BufferPool, PoolStats};
 use crate::{slotted, PageStoreError};
+use nebula_govern::scrub::ScrubReport;
 use nebula_govern::FaultPlan;
 use std::collections::BTreeMap;
 
@@ -244,7 +245,7 @@ impl RecordHeap {
     }
 
     /// Read-only CRC walk over the (flushed) page file.
-    pub fn scrub(&mut self) -> Result<PageScrubReport, PageStoreError> {
+    pub fn scrub(&mut self) -> Result<ScrubReport, PageStoreError> {
         crate::file::scrub_dir(&self.pool.dir())
     }
 

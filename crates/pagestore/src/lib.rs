@@ -41,7 +41,7 @@ pub mod pool;
 pub mod slotted;
 pub mod store;
 
-pub use file::{PageFile, PageRepairReport, PageScrubReport};
+pub use file::PageFile;
 pub use heap::RecordHeap;
 pub use page::{PAGE_SIZE, PAYLOAD_SIZE};
 pub use pool::{BufferPool, PoolStats};

@@ -13,10 +13,11 @@
 //! it into the header-page watermark as part of the shadow commit, so
 //! "how far did disk get" is always answerable after a crash.
 
-use crate::file::{FaultTally, PageRepairReport, PageScrubReport};
+use crate::file::FaultTally;
 use crate::heap::RecordHeap;
 use crate::pool::PoolStats;
 use crate::PageStoreError;
+use nebula_govern::scrub::ScrubReport;
 use nebula_govern::FaultPlan;
 use relstore::{StorageBackend, StorageError, StorageFactory};
 use std::path::{Path, PathBuf};
@@ -115,7 +116,7 @@ impl PagedStorage {
     }
 
     /// Read-only CRC walk over the flushed page file.
-    pub fn scrub(&self) -> Result<PageScrubReport, PageStoreError> {
+    pub fn scrub(&self) -> Result<ScrubReport, PageStoreError> {
         self.lock().heap.scrub()
     }
 
@@ -124,10 +125,10 @@ impl PagedStorage {
         self.lock().heap.inject_rot()
     }
 
-    /// Heal single-bit rot in place via CRC linearity. Pages with wider
-    /// damage are reported unrecoverable and need a rebuild from live
-    /// state. Holds the store lock so no flush races the in-place writes.
-    pub fn repair(&self) -> Result<PageRepairReport, PageStoreError> {
+    /// Heal single-bit rot in place via CRC linearity: repaired pages are
+    /// `healed`; pages with wider damage stay `corrupt` and need a rebuild
+    /// from live state. Holds the store lock so no flush races the in-place writes.
+    pub fn repair(&self) -> Result<ScrubReport, PageStoreError> {
         let _guard = self.lock();
         crate::file::repair_dir(&self.dir)
     }

@@ -24,11 +24,11 @@
 use annostore::AnnotationStore;
 use nebula_core::{CommitRule, Mutation, MutationSink, ReplicationStatus, SinkError};
 use nebula_durable::wal::WalOp;
-use nebula_durable::{Durability, DurabilityOptions, ScrubReport};
+use nebula_durable::{Durability, DurabilityOptions};
+use nebula_govern::scrub::{Artifact, Finding, ScrubReport};
 use relstore::Database;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
 
 use crate::counters;
 use crate::frame::Frame;
@@ -54,11 +54,6 @@ pub struct ClusterConfig {
     pub lag_budget: u64,
     /// Options for the primary's local WAL.
     pub options: DurabilityOptions,
-    /// Governed-clock cadence for automatic anti-entropy scrubs (and
-    /// repair of whatever they find). `None` leaves scrubbing to the
-    /// operator's `SCRUB`. Measured against the virtual clock when one is
-    /// installed, wall time otherwise.
-    pub scrub_interval: Option<Duration>,
 }
 
 impl Default for ClusterConfig {
@@ -67,33 +62,16 @@ impl Default for ClusterConfig {
             rule: CommitRule::Local,
             lag_budget: 64,
             options: DurabilityOptions::default(),
-            scrub_interval: None,
         }
     }
 }
 
-/// The cluster-level findings of one anti-entropy scrub pass.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ScrubSummary {
-    /// The primary LSN the scrub ran at.
-    pub at_lsn: u64,
-    /// On-disk WAL/checkpoint CRC findings for the primary's directory.
-    pub media: ScrubReport,
-    /// Was found media rot healed by re-checkpointing from the shadow?
-    pub media_healed: bool,
-    /// Replicas whose digest ladder disagreed with the primary's.
-    pub diverged: Vec<usize>,
-    /// Replicas already wedged (fenced) when the scrub ran.
-    pub wedged: Vec<usize>,
-    /// Ladder range-digest probes spent across all replicas.
-    pub probes: u64,
-}
-
-impl ScrubSummary {
-    /// Nothing wrong anywhere?
-    pub fn is_clean(&self) -> bool {
-        self.media.is_clean() && self.diverged.is_empty() && self.wedged.is_empty()
-    }
+/// The replicas a scrub report flags as corrupt (wedged or diverged), in
+/// report order.
+pub fn flagged_replicas(report: &ScrubReport) -> Vec<usize> {
+    let replica =
+        |f: &Finding| if let Artifact::Replica(id) = f.artifact { Some(id) } else { None };
+    report.corrupt.iter().filter_map(replica).collect()
 }
 
 /// One completed replica repair.
@@ -137,10 +115,8 @@ pub struct RejoinOutcome {
 /// Aggregate repair posture for `SHOW REPAIR`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RepairStatus {
-    /// Scrub passes run (manual + cadence).
+    /// Scrub passes run.
     pub scrubs: u64,
-    /// Primary LSN of the most recent scrub.
-    pub last_scrub_lsn: Option<u64>,
     /// Replicas currently needing repair (wedged or ladder-diverged).
     pub pending: Vec<usize>,
     /// Replica repairs completed.
@@ -167,15 +143,12 @@ pub struct Cluster {
     base_dir: PathBuf,
     lag_exceeded: bool,
     /// Repair bookkeeping: completed repairs/rejoins and the most recent
-    /// scrub, surfaced through [`Cluster::repair_status`].
+    /// scrub with the LSN it ran at, surfaced through
+    /// [`Cluster::repair_status`].
     repairs: Vec<RepairOutcome>,
     rejoins: Vec<RejoinOutcome>,
-    last_scrub: Option<ScrubSummary>,
+    last_scrub: Option<(u64, ScrubReport)>,
     scrubs: u64,
-    /// Wall-clock base for the scrub cadence when no virtual clock is
-    /// installed.
-    scrub_base: Instant,
-    last_scrub_ns: u64,
 }
 
 impl Cluster {
@@ -205,8 +178,6 @@ impl Cluster {
             rejoins: Vec::new(),
             last_scrub: None,
             scrubs: 0,
-            scrub_base: Instant::now(),
-            last_scrub_ns: 0,
         };
         for id in 1..=replica_count {
             cluster.primary.attach(id, &mut *cluster.transport);
@@ -258,8 +229,6 @@ impl Cluster {
             rejoins: Vec::new(),
             last_scrub: None,
             scrubs: 0,
-            scrub_base: Instant::now(),
-            last_scrub_ns: 0,
         };
         for id in 1..=replica_count {
             cluster.primary.attach(id, &mut *cluster.transport);
@@ -352,88 +321,58 @@ impl Cluster {
             nebula_obs::counter_add(counters::LAG_BUDGET_EXCEEDED, 1);
         }
         nebula_obs::gauge_set(counters::MAX_LAG, self.primary.max_lag());
-        self.maybe_scrub();
         Ok(lsn)
-    }
-
-    /// Nanoseconds on the governed clock: the virtual clock when one is
-    /// installed (deterministic tests), wall time otherwise.
-    fn clock_ns(&self) -> u64 {
-        if nebula_govern::clock::is_virtual() {
-            nebula_govern::clock::virtual_ns()
-        } else {
-            self.scrub_base.elapsed().as_nanos() as u64
-        }
-    }
-
-    /// Run the scrub cadence: when `scrub_interval` has elapsed on the
-    /// governed clock, scrub and repair whatever the scrub found.
-    fn maybe_scrub(&mut self) {
-        let Some(interval) = self.config.scrub_interval else { return };
-        let now = self.clock_ns();
-        if now.saturating_sub(self.last_scrub_ns) < interval.as_nanos() as u64 {
-            return;
-        }
-        self.last_scrub_ns = now;
-        let summary = self.scrub();
-        for id in summary.wedged.iter().chain(summary.diverged.iter()) {
-            let _ = self.repair_replica(*id);
-        }
     }
 
     /// One anti-entropy scrub pass: CRC-verify the primary's on-disk WAL
     /// and checkpoint (healing found rot by re-checkpointing from the
-    /// shadow), then ladder-compare every live replica's digest chain
-    /// against the primary's. Detection only for replicas — call
-    /// [`Cluster::repair_replica`] (or let the cadence do it) to heal.
-    pub fn scrub(&mut self) -> ScrubSummary {
+    /// shadow, which lists the rotted artifacts as `healed`), then
+    /// ladder-compare every live replica's digest chain against the
+    /// primary's. Wedged replicas, then diverged ones, are reported
+    /// `corrupt` — detection only: call [`Cluster::repair_replica`] to
+    /// heal them.
+    pub fn scrub(&mut self) -> ScrubReport {
         let at_lsn = self.primary.last_lsn();
         let dir = self.primary.wal().dir().to_path_buf();
-        let media = nebula_durable::scrub(&dir).unwrap_or_else(|e| ScrubReport {
-            wal_reason: Some(format!("scrub i/o failure: {e}")),
-            wal_dropped: 1,
-            ..ScrubReport::default()
+        let mut report = nebula_durable::scrub(&dir).unwrap_or_else(|e| {
+            let mut report = ScrubReport::default();
+            report.flag(Artifact::Wal, format!("scrub i/o failure: {e}"));
+            report
         });
-        let mut media_healed = false;
-        if !media.is_clean() {
-            media_healed = self.primary.checkpoint_from_shadow().is_ok();
+        if !report.is_clean() {
+            if self.primary.checkpoint_from_shadow().is_ok() {
+                report.healed = report.corrupt_artifacts();
+            }
             nebula_obs::trace::flight_event(
                 "scrub",
-                format!("media rot at lsn {at_lsn}: {media}; healed={media_healed}"),
+                format!("media rot at lsn {at_lsn}: {report}"),
             );
         }
         let mut diverged = Vec::new();
-        let mut wedged = Vec::new();
         let mut probes = 0u64;
         for r in &self.replicas {
             if r.is_wedged() {
-                wedged.push(r.id());
+                report.flag(Artifact::Replica(r.id()), "wedged (fenced)");
                 continue;
             }
             let out = repair::last_agreed(self.primary.digests(), r.digests(), at_lsn);
             probes += out.probes;
             if out.diverged {
-                diverged.push(r.id());
-                nebula_obs::trace::flight_event(
-                    "scrub",
-                    format!(
-                        "ladder divergence: replica {} agrees only to lsn {}",
-                        r.id(),
-                        out.agreed
-                    ),
-                );
+                let reason = format!("ladder diverged: agrees only to lsn {}", out.agreed);
+                nebula_obs::trace::flight_event("scrub", format!("replica {}: {reason}", r.id()));
+                diverged.push(Finding { artifact: Artifact::Replica(r.id()), reason });
             }
         }
+        report.corrupt.extend(diverged);
+        report
+            .checked
+            .extend([("replicas", self.replicas.len()), ("ladder probes", probes as usize)]);
         nebula_obs::counter_add(counters::LADDER_PROBES, probes);
         nebula_obs::gauge_set(counters::LAST_SCRUB_LSN, at_lsn);
-        let summary = ScrubSummary { at_lsn, media, media_healed, diverged, wedged, probes };
-        nebula_obs::gauge_set(
-            counters::PENDING_REPAIRS,
-            (summary.diverged.len() + summary.wedged.len()) as u64,
-        );
+        nebula_obs::gauge_set(counters::PENDING_REPAIRS, flagged_replicas(&report).len() as u64);
         self.scrubs += 1;
-        self.last_scrub = Some(summary.clone());
-        summary
+        self.last_scrub = Some((at_lsn, report.clone()));
+        report
     }
 
     /// Repair a diverged or fenced replica: binary-search the range-digest
@@ -493,6 +432,13 @@ impl Cluster {
             "repair",
             format!("replica {id}: converged={converged} after {rounds} round(s)"),
         );
+        if converged {
+            if let Some((_, last)) = &mut self.last_scrub {
+                if flagged_replicas(last).contains(&id) {
+                    last.healed.push(Artifact::Replica(id));
+                }
+            }
+        }
         self.repairs.push(outcome);
         Ok(outcome)
     }
@@ -557,15 +503,16 @@ impl Cluster {
         Ok(outcome)
     }
 
-    /// Replicas currently needing repair: wedged now, or flagged as
-    /// diverged by the most recent scrub.
+    /// Replicas currently needing repair: wedged now, or flagged by the
+    /// most recent scrub and not repaired since.
     pub fn pending_repairs(&self) -> Vec<usize> {
         let mut pending: Vec<usize> =
             self.replicas.iter().filter(|r| r.is_wedged()).map(Replica::id).collect();
-        if let Some(s) = &self.last_scrub {
-            for id in &s.diverged {
-                if !pending.contains(id) && self.replica(*id).is_some() {
-                    pending.push(*id);
+        if let Some((_, s)) = &self.last_scrub {
+            for id in flagged_replicas(s) {
+                let healed = s.healed.contains(&Artifact::Replica(id));
+                if !healed && !pending.contains(&id) && self.replica(id).is_some() {
+                    pending.push(id);
                 }
             }
         }
@@ -579,7 +526,6 @@ impl Cluster {
             + self.rejoins.iter().map(|r| r.rewound).sum::<u64>();
         RepairStatus {
             scrubs: self.scrubs,
-            last_scrub_lsn: self.last_scrub.as_ref().map(|s| s.at_lsn),
             pending: self.pending_repairs(),
             repairs: self.repairs.len() as u64,
             rejoins: self.rejoins.len() as u64,
@@ -593,13 +539,14 @@ impl Cluster {
                 .unwrap_or(0),
             ladder_probes: self.repairs.iter().map(|r| r.probes).sum::<u64>()
                 + self.rejoins.iter().map(|r| r.probes).sum::<u64>()
-                + self.last_scrub.as_ref().map_or(0, |s| s.probes),
+                + self.last_scrub.as_ref().map_or(0, |(_, s)| s.count("ladder probes") as u64),
         }
     }
 
-    /// The most recent scrub's findings, if any scrub has run.
-    pub fn last_scrub(&self) -> Option<&ScrubSummary> {
-        self.last_scrub.as_ref()
+    /// The most recent scrub's LSN and report, if any scrub has run;
+    /// replicas repaired since are listed as `healed`.
+    pub fn last_scrub(&self) -> Option<(u64, &ScrubReport)> {
+        self.last_scrub.as_ref().map(|(lsn, s)| (*lsn, s))
     }
 
     /// Node ids of deposed primaries eligible for `REJOIN`.
@@ -929,6 +876,11 @@ mod tests {
         Cluster::new(&temp_dir(tag), &db, &store, replicas, transport, config).unwrap()
     }
 
+    /// The finding a scrub reports for a replica it found wedged.
+    fn wedged(id: usize) -> Finding {
+        Finding { artifact: Artifact::Replica(id), reason: "wedged (fenced)".into() }
+    }
+
     #[test]
     fn quorum_commits_and_replicas_match_primary_digest() {
         let mut c = fresh("quorum", 2, Box::new(SimTransport::reliable(3)), CommitRule::Quorum(2));
@@ -1027,7 +979,7 @@ mod tests {
             assert_eq!(c.primary().wedged_count(), 1, "{tag}");
             assert!(c.replica(1).unwrap().is_wedged(), "{tag}");
             let scrub = c.scrub();
-            assert_eq!(scrub.wedged, vec![1], "{tag}");
+            assert_eq!(scrub.corrupt, vec![wedged(1)], "{tag}");
             assert_eq!(c.pending_repairs(), vec![1], "{tag}");
             // Repair: ladder to the agreed LSN, truncate, resync. The
             // poison lands at the first LSN applied after it, so the agreed
@@ -1079,7 +1031,7 @@ mod tests {
         assert_eq!(d.replica, 1);
         assert_ne!(d.observed.0, d.expected.0, "the database half differs: {d:?}");
         assert_eq!(d.observed.1, d.expected.1, "the store half matches: {d:?}");
-        assert_eq!(c.scrub().wedged, vec![1]);
+        assert_eq!(c.scrub().corrupt, vec![wedged(1)]);
         let outcome = c.repair_replica(1).unwrap();
         assert!(outcome.converged, "{outcome:?}");
         assert_eq!(c.replica(1).unwrap().digest(), c.primary().shadow_digest());
@@ -1128,41 +1080,12 @@ mod tests {
         let dir = c.primary().wal().dir().to_path_buf();
         let rot = nebula_durable::inject_rot(&dir).unwrap();
         nebula_govern::set_fault_plan(None);
-        assert!(rot.any(), "bit rot must fire at rate 1.0");
-        let summary = c.scrub();
-        assert!(!summary.media.is_clean(), "scrub must find the rot");
-        assert!(summary.media_healed, "re-checkpoint from shadow must heal it");
+        assert!(!rot.is_empty(), "bit rot must fire at rate 1.0");
+        let report = c.scrub();
+        assert_eq!(report.corrupt_artifacts(), rot, "scrub must find the rot");
+        assert_eq!(report.healed, rot, "re-checkpoint from shadow must heal it");
         // A second scrub over the rewritten artifacts is clean.
-        assert!(c.scrub().media.is_clean());
-    }
-
-    #[test]
-    fn scrub_cadence_fires_on_the_virtual_clock() {
-        nebula_govern::clock::set_virtual(true);
-        let config = ClusterConfig {
-            scrub_interval: Some(std::time::Duration::from_millis(1)),
-            ..ClusterConfig::default()
-        };
-        let db = Database::new();
-        let store = AnnotationStore::new();
-        let mut c = Cluster::new(
-            &temp_dir("cadence"),
-            &db,
-            &store,
-            1,
-            Box::new(SimTransport::reliable(2)),
-            config,
-        )
-        .unwrap();
-        assert_eq!(c.repair_status().scrubs, 0);
-        nebula_govern::clock::sleep(std::time::Duration::from_millis(2));
-        c.record(&op(0)).unwrap();
-        let after_first = c.repair_status().scrubs;
-        assert!(after_first >= 1, "cadence scrub must fire after the interval elapses");
-        // No further virtual time passes: no further scrubs.
-        c.record(&op(1)).unwrap();
-        assert_eq!(c.repair_status().scrubs, after_first);
-        nebula_govern::clock::set_virtual(false);
+        assert!(c.scrub().is_clean());
     }
 
     /// An `n`-record archived history (stamped `epoch`) + bundle under

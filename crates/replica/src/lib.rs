@@ -49,7 +49,8 @@ pub mod replica;
 pub mod transport;
 
 pub use cluster::{
-    Cluster, ClusterConfig, ClusterSink, RejoinOutcome, RepairOutcome, RepairStatus, ScrubSummary,
+    flagged_replicas, Cluster, ClusterConfig, ClusterSink, RejoinOutcome, RepairOutcome,
+    RepairStatus,
 };
 pub use frame::Frame;
 pub use nemesis::{

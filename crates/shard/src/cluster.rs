@@ -40,6 +40,7 @@ use nebula_core::{
 };
 use nebula_durable::wal::{encode_record, read_wal};
 use nebula_durable::{checkpoint, WalOp};
+use nebula_govern::scrub::{Artifact, ScrubReport};
 use nebula_govern::{clock, Degradation, ExecutionBudget, FaultPlan, FaultSite};
 use nebula_ingest::{BreakerConfig, BreakerState, CircuitBreaker, ShardHealth, ShardRouter};
 use nebula_replica::{SimTransport, Transport, TransportStats};
@@ -554,17 +555,6 @@ fn build_node(
     ShardNode { id, epoch, applied_seq, failed: false, engine, db, store, serve_budget, options }
 }
 
-/// What one anti-entropy scrub pass found and fixed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScrubOutcome {
-    /// Live shards whose digests were checked.
-    pub checked: usize,
-    /// Shards whose replica disagreed with the durable history.
-    pub divergent: Vec<usize>,
-    /// Shards rebuilt from the durable history.
-    pub repaired: Vec<usize>,
-}
-
 /// An unsharded engine rebuilt from a cluster's durable history — the
 /// reference the byte-identity tests compare against.
 #[derive(Debug)]
@@ -906,8 +896,10 @@ impl ShardCluster {
 
     /// Anti-entropy scrub: compare every live shard's store digest
     /// against the durable history replayed to that shard's own applied
-    /// watermark; rebuild any replica that disagrees.
-    pub fn scrub(&mut self) -> Result<ScrubOutcome, ShardError> {
+    /// watermark; rebuild any replica that disagrees. The report counts
+    /// the live shards checked; a disagreeing shard is `corrupt`, and
+    /// `healed` once rebuilt.
+    pub fn scrub(&mut self) -> Result<ScrubReport, ShardError> {
         let watermarks: BTreeSet<u64> = {
             let f = self.lock();
             f.nodes.iter().flatten().filter(|n| !n.failed).map(|n| n.applied_seq).collect()
@@ -920,7 +912,8 @@ impl ShardCluster {
                 reference.insert(seq, store.digest());
             }
         })?;
-        let mut outcome = ScrubOutcome::default();
+        let mut report = ScrubReport::default();
+        let mut checked = 0;
         let shards = self.shards();
         for s in 0..shards {
             let (applied, epoch, digest) = {
@@ -930,21 +923,25 @@ impl ShardCluster {
                     _ => continue,
                 }
             };
-            outcome.checked += 1;
+            checked += 1;
             let expected = reference.get(&applied).copied();
             if expected == Some(digest) {
                 continue;
             }
             nebula_obs::counter_add(counters::DIGEST_DIVERGENCES, 1);
-            outcome.divergent.push(s);
+            report.flag(
+                Artifact::Shard(s),
+                format!("digest disagrees with the history at seq {applied}"),
+            );
             // Repair at the shard's own watermark and epoch; a lagging
             // shard still catches up through the normal exchange later.
             let node = self.rebuild_node(s, epoch, applied as usize)?;
             self.lock().nodes[s] = Some(node);
             nebula_obs::counter_add(counters::REPAIRS, 1);
-            outcome.repaired.push(s);
+            report.healed.push(Artifact::Shard(s));
         }
-        Ok(outcome)
+        report.checked.push(("shards", checked));
+        Ok(report)
     }
 
     /// Each shard's digest slice: the canonical partition slice covering

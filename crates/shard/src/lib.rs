@@ -37,7 +37,7 @@
 pub mod cluster;
 pub mod frame;
 
-pub use cluster::{ScrubOutcome, ShardCluster, ShardConfig, ShardError, TwinEngine};
+pub use cluster::{ShardCluster, ShardConfig, ShardError, TwinEngine};
 pub use frame::{FrameError, ShardFrame};
 
 /// Counter and gauge names this crate publishes to `nebula-obs`.

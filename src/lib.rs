@@ -89,11 +89,12 @@ pub mod prelude {
         VerificationBounds, VerificationQueue, VerificationTask,
     };
     pub use nebula_durable::{Durability, DurabilityOptions, Recovered, SyncPolicy};
+    pub use nebula_govern::scrub::{Artifact, ScrubReport};
     pub use nebula_govern::{Degradation, ExecutionBudget, FaultPlan, FaultSite, RetryPolicy};
     pub use nebula_ingest::{
         ingest_batch, HealthState, IngestConfig, IngestItem, IngestReport, Priority, ShedReason,
     };
-    pub use nebula_pagestore::{PageScrubReport, PagedStorage, StorageMetrics};
+    pub use nebula_pagestore::{PagedStorage, StorageMetrics};
     pub use nebula_replica::{
         Cluster, ClusterConfig, ClusterSink, DivergenceReport, Primary, Replica, ReplicaError,
         SimTransport, Transport, TransportStats,

@@ -1021,31 +1021,15 @@ impl Shell {
         let store = self.storage.clone().ok_or_else(|| err("storage is mem"))?;
         store.flush_pages().map_err(|e| err(e.to_string()))?;
         let report = store.scrub().map_err(|e| err(e.to_string()))?;
+        let mut out = vec![format!("pages: {report}")];
         if report.is_clean() {
-            return Ok(vec![format!("pages: {} scanned, all checksums clean", report.pages)]);
-        }
-        let mut out = vec![format!(
-            "pages: {} scanned, {} corrupt ({})",
-            report.pages,
-            report.corrupt.len(),
-            report.corrupt.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
-        )];
-        let healed = store.repair().map_err(|e| err(e.to_string()))?;
-        if !healed.repaired.is_empty() {
-            out.push(format!(
-                "pages: repaired {} in place (single-bit rot healed via CRC linearity: {})",
-                healed.repaired.len(),
-                healed.repaired.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
-            ));
-        }
-        if healed.unrecoverable.is_empty() {
             return Ok(out);
         }
-        out.push(format!(
-            "pages: {} unrecoverable ({}) — rebuilding from live state",
-            healed.unrecoverable.len(),
-            healed.unrecoverable.iter().map(u32::to_string).collect::<Vec<_>>().join(", ")
-        ));
+        let repair = store.repair().map_err(|e| err(e.to_string()))?;
+        out.push(format!("pages repaired in place: {repair}"));
+        if repair.is_clean() {
+            return Ok(out);
+        }
         let frames = store.pool_frames();
         let dir = store.dir().to_path_buf();
         let bytes = relstore::snapshot::save(&self.db);
@@ -1055,83 +1039,54 @@ impl Shell {
             .map_err(|e| err(e.to_string()))?;
         let m = self.load_onto_pages(&dir, frames, &bytes)?;
         out.push(format!(
-            "pages: repaired — rebuilt a clean file ({} pages at watermark {})",
+            "pages: rebuilt a clean file from live state ({} pages at watermark {})",
             m.page_count, m.watermark
         ));
         Ok(out)
     }
 
-    /// `SCRUB` — run one anti-entropy pass now: CRC-check the primary's
-    /// on-disk WAL and checkpoints (healing found rot from the shadow
-    /// state), walk the range-digest ladder against every live replica,
-    /// and repair whatever the pass finds.
+    /// `SCRUB` — run one anti-entropy pass now over the page file (when
+    /// storage is on disk) and then the shard cluster or the replicated
+    /// cluster. A replicated scrub CRC-checks the primary's on-disk WAL and
+    /// checkpoints (healing found rot from the shadow state), walks the
+    /// range-digest ladder against every live replica, and repairs
+    /// whatever the pass finds; a sharded scrub rebuilds every shard whose
+    /// digest disagrees with the durable history. `SCRUB BACKUP '<dir>'`
+    /// instead walks an archive or bundle re-deriving every CRC (and the
+    /// manifest digests when one is present), so torn or rotten files
+    /// surface before a restore needs them.
     fn scrub(&mut self, args: &[String]) -> Result<String, ShellError> {
         if args.first().map(|s| s.to_uppercase()).as_deref() == Some("BACKUP") {
             let dir = args.get(1).ok_or_else(|| err("usage: SCRUB BACKUP '<dir>'"))?;
-            return self.scrub_backup(dir);
+            let report =
+                nebula_backup::scrub(std::path::Path::new(dir)).map_err(|e| err(e.to_string()))?;
+            return Ok(format!("backup scrub '{dir}': {report}"));
         }
-        let mut out = Vec::new();
-        if self.storage.is_some() {
-            out.extend(self.scrub_pages()?);
-            if self.repl.is_none() {
-                return Ok(out.join("\n"));
+        let mut out = if self.storage.is_some() { self.scrub_pages()? } else { Vec::new() };
+        if let Some(cluster) = &mut self.shards {
+            let report = cluster.scrub().map_err(|e| err(e.to_string()))?;
+            out.push(format!("shards: {report}"));
+        } else if let Some(sink) = &self.repl {
+            let handle = sink.handle();
+            let mut cluster = handle.lock();
+            let at_lsn = cluster.primary().last_lsn();
+            let report = cluster.scrub();
+            out.push(format!("scrub at lsn {at_lsn}: {report}"));
+            let mut to_repair = nebula_replica::flagged_replicas(&report);
+            to_repair.sort_unstable();
+            for id in to_repair {
+                match cluster.repair_replica(id) {
+                    Ok(r) => out.push(format!(
+                        "  repaired replica {}: rewound {} lsn(s) past agreed lsn {} \
+                         ({} probes, {} resynced, converged = {})",
+                        r.replica, r.rewound, r.agreed, r.probes, r.resynced, r.converged,
+                    )),
+                    Err(e) => out.push(format!("  replica {id}: repair failed ({e})")),
+                }
             }
-        }
-        let sink = self
-            .repl
-            .as_ref()
-            .ok_or_else(|| {
-                err("replication is off — SET REPLICAS <n> '<dir>' first \
-                 (or SET STORAGE DISK for a page-file scrub)")
-            })?
-            .handle();
-        let mut cluster = sink.lock();
-        let summary = cluster.scrub();
-        out.push(format!(
-            "scrub at lsn {}: media {}{}",
-            summary.at_lsn,
-            summary.media,
-            if summary.media_healed { " — healed from shadow state" } else { "" },
-        ));
-        let mut to_repair = summary.wedged.clone();
-        to_repair.extend(summary.diverged.iter().copied());
-        to_repair.sort_unstable();
-        to_repair.dedup();
-        if to_repair.is_empty() {
-            out.push("  replicas: all ladders agree".into());
-        }
-        for id in to_repair {
-            match cluster.repair_replica(id) {
-                Ok(r) => out.push(format!(
-                    "  repaired replica {}: rewound {} lsn(s) past agreed lsn {} \
-                     ({} probes, {} resynced, converged = {})",
-                    r.replica, r.rewound, r.agreed, r.probes, r.resynced, r.converged,
-                )),
-                Err(e) => out.push(format!("  replica {id}: repair failed ({e})")),
-            }
-        }
-        Ok(out.join("\n"))
-    }
-
-    /// `SCRUB BACKUP '<dir>'` — walk an archive or bundle re-deriving
-    /// every CRC (and the manifest digests when one is present), so torn
-    /// or rotten files surface before a restore needs them.
-    fn scrub_backup(&mut self, dir: &str) -> Result<String, ShellError> {
-        let report =
-            nebula_backup::scrub(std::path::Path::new(dir)).map_err(|e| err(e.to_string()))?;
-        let mut out = vec![format!(
-            "backup scrub '{dir}': {} base(s) ok, {} segment(s) ok, {} bytes checked, \
-             manifest {}",
-            report.bases_ok,
-            report.segments_ok,
-            report.bytes_scrubbed,
-            if report.manifest_checked { "verified" } else { "absent" },
-        )];
-        if report.is_clean() {
-            out.push("  all files clean".into());
-        }
-        for c in &report.corrupt {
-            out.push(format!("  CORRUPT {}: {}", c.path.display(), c.reason));
+        } else if out.is_empty() {
+            return Err(err("replication is off — SET REPLICAS <n> '<dir>' first \
+                 (or SET SHARDS <n>, or SET STORAGE DISK for a page-file scrub)"));
         }
         Ok(out.join("\n"))
     }
@@ -1183,7 +1138,7 @@ impl Shell {
         Ok("ingest recovered: wedged -> degraded (the window must prove itself clean)".into())
     }
 
-    /// `SHOW REPAIR` — the repair posture: scrub cadence results, pending
+    /// `SHOW REPAIR` — the repair posture: the last scrub's report, pending
     /// repairs, completed repairs/rejoins, and divergence depths.
     fn show_repair(&self) -> Result<String, ShellError> {
         let Some(sink) = &self.repl else {
@@ -1195,18 +1150,9 @@ impl Shell {
             "repair: {} scrub(s), {} repair(s), {} rejoin(s)",
             st.scrubs, st.repairs, st.rejoins
         )];
-        match st.last_scrub_lsn {
-            Some(lsn) => out.push(format!("  last scrub: lsn {lsn}")),
+        match cluster.last_scrub() {
+            Some((lsn, report)) => out.push(format!("  last scrub at lsn {lsn}: {report}")),
             None => out.push("  last scrub: never".into()),
-        }
-        if let Some(s) = cluster.last_scrub() {
-            out.push(format!(
-                "    media {}; {} diverged, {} wedged, {} probes",
-                s.media,
-                s.diverged.len(),
-                s.wedged.len(),
-                s.probes
-            ));
         }
         if st.pending.is_empty() {
             out.push("  pending repairs: none".into());
@@ -2129,8 +2075,8 @@ mod tests {
 
         // A clean cluster scrubs clean.
         let clean = sh.exec("SCRUB").expect("shell operation should succeed");
-        assert!(clean.contains("media clean"), "{clean}");
-        assert!(clean.contains("all ladders agree"), "{clean}");
+        assert!(clean.contains(": clean (") && clean.contains("2 replicas"), "{clean}");
+        assert!(!clean.contains("repaired replica"), "{clean}");
 
         // Poison a replica, then let SCRUB find and repair it.
         sh.repl
@@ -2269,6 +2215,23 @@ mod tests {
     }
 
     #[test]
+    fn scrub_with_shards_on_names_the_corrupted_shard_corrupt_and_healed() {
+        let mut sh = shell();
+        sh.exec("SET SHARDS 2").expect("shell operation should succeed");
+        sh.exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
+            .expect("shell operation should succeed");
+        let clean = sh.exec("SCRUB").expect("SCRUB scrubs the shard cluster");
+        assert!(clean.starts_with("shards: clean (2 shards)"), "{clean}");
+
+        sh.shards.as_mut().expect("shards are on").corrupt_shard(1).expect("shard 1 is live");
+        let found = sh.exec("SCRUB").expect("shell operation should succeed");
+        assert!(found.starts_with("shards: 1 corrupt (2 shards); shard 1: "), "{found}");
+        assert!(found.ends_with("; healed shard 1"), "{found}");
+        let again = sh.exec("SCRUB").expect("shell operation should succeed");
+        assert!(again.starts_with("shards: clean (2 shards)"), "{again}");
+    }
+
+    #[test]
     fn storage_session_pages_to_disk_and_back() {
         let dir = std::env::temp_dir().join(format!("nebula-shell-storage-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -2301,7 +2264,7 @@ mod tests {
 
         // SCRUB walks the page file (replication off).
         let scrubbed = sh.exec("SCRUB").expect("shell operation should succeed");
-        assert!(scrubbed.contains("all checksums clean"), "{scrubbed}");
+        assert!(scrubbed.starts_with("pages: clean ("), "{scrubbed}");
 
         // Seed at-rest rot, then SCRUB must find it and repair.
         let fp_paged = relstore::snapshot::fingerprint(&sh.db);
@@ -2316,7 +2279,7 @@ mod tests {
         assert!(repaired.contains("corrupt"), "{repaired}");
         assert!(repaired.contains("repaired"), "{repaired}");
         let again = sh.exec("SCRUB").expect("shell operation should succeed");
-        assert!(again.contains("all checksums clean"), "{again}");
+        assert!(again.starts_with("pages: clean ("), "{again}");
 
         // Back to RAM: content survives the round trip.
         let off = sh.exec("SET STORAGE MEM").expect("shell operation should succeed");
@@ -2388,8 +2351,8 @@ mod tests {
         let scrubbed = sh
             .exec(&format!("SCRUB BACKUP '{}'", bundle.display()))
             .expect("shell operation should succeed");
-        assert!(scrubbed.contains("all files clean"), "{scrubbed}");
-        assert!(scrubbed.contains("manifest verified"), "{scrubbed}");
+        assert!(scrubbed.contains("': clean ("), "{scrubbed}");
+        assert!(scrubbed.contains("1 manifests"), "{scrubbed}");
 
         // Full restore: byte-equivalent state, sink detached.
         let restored =

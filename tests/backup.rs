@@ -298,8 +298,9 @@ fn archive_rot_is_fully_detected_with_zero_false_positives() {
 
     // A clean bundle scrubs clean: the detector has no false positives.
     let clean = scrub(&pristine).expect("scrub runs");
-    assert!(clean.corrupt.is_empty(), "false positives on a pristine bundle: {:?}", clean.corrupt);
-    assert!(clean.manifest_checked && clean.bases_ok > 0 && clean.segments_ok > 0);
+    assert!(clean.corrupt.is_empty(), "false positives on a pristine bundle: {clean}");
+    assert!(clean.count("manifests") == 1 && clean.count("bases") > 0);
+    assert!(clean.count("segments") > 0);
 
     for round in 0..5u64 {
         let rotted = root.join(format!("rotted-{round}"));
@@ -312,8 +313,8 @@ fn archive_rot_is_fully_detected_with_zero_false_positives() {
         assert!(!damaged.is_empty(), "round {round}: the plan rots every archive file");
 
         let report = scrub(&rotted).expect("scrub survives rot");
-        let found: BTreeSet<PathBuf> = report.corrupt.iter().map(|c| c.path.clone()).collect();
-        let want: BTreeSet<PathBuf> = damaged.iter().cloned().collect();
+        let found: BTreeSet<Artifact> = report.corrupt_artifacts().into_iter().collect();
+        let want: BTreeSet<Artifact> = damaged.iter().cloned().collect();
         assert_eq!(found, want, "round {round}: scrub must find exactly the damaged set");
         assert!(
             verify_bundle(&rotted).is_err(),
@@ -403,8 +404,8 @@ fn clusters_and_shards_seed_from_one_bundle_and_converge() {
         .expect("workload annotation");
     shards.ingest(&wa.annotation, &[wa.ideal[0]]).expect("seeded shards ingest");
     let outcome = shards.scrub().expect("scrub");
-    assert_eq!(outcome.checked, 3);
-    assert!(outcome.divergent.is_empty(), "seeded shards diverged: {outcome:?}");
+    assert_eq!(outcome.count("shards"), 3);
+    assert!(outcome.is_clean(), "seeded shards diverged: {outcome}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

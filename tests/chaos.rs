@@ -29,7 +29,7 @@ use nebula::nebula_durable::{checkpoint, inject_rot, Durability};
 use nebula::nebula_govern::set_fault_plan;
 use nebula::nebula_replica::{
     compose_schedule, compose_schedule_with_backup, compose_schedule_with_disk,
-    compose_schedule_with_shards, NemesisEvent,
+    compose_schedule_with_shards, flagged_replicas, NemesisEvent,
 };
 use nebula::nebula_workload::{build_workload, WorkloadSpec};
 use nebula::prelude::*;
@@ -38,6 +38,13 @@ use std::path::{Path, PathBuf};
 const REPLICAS: usize = 2;
 const OPS: u64 = 500;
 const SEEDS: [u64; 3] = [0xF00D, 0xBAD5EED, 12345];
+
+/// The primary's media artifacts (WAL and checkpoints) a cluster scrub
+/// found corrupt.
+fn media(report: &ScrubReport) -> Vec<Artifact> {
+    let all = report.corrupt_artifacts().into_iter();
+    all.filter(|a| matches!(a, Artifact::Wal | Artifact::Checkpoint(_))).collect()
+}
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nebula-chaos-it-{tag}-{}", std::process::id()));
@@ -171,7 +178,7 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
                     ));
                     let rot = inject_rot(&wal_dir).expect("rot injection");
                     set_fault_plan(None);
-                    if rot.any() {
+                    if !rot.is_empty() {
                         rot_injections += 1;
                         rot_pending = true;
                     }
@@ -184,20 +191,18 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
                         // every rot — no checkpoint runs in between, so
                         // this is the "before the next checkpoint" gate.
                         assert!(
-                            !summary.media.is_clean(),
+                            !media(&summary).is_empty(),
                             "seed {seed:#x}: injected rot detected before the next checkpoint"
                         );
-                        assert!(summary.media_healed, "seed {seed:#x}: rot healed from shadow");
+                        assert_eq!(
+                            summary.healed,
+                            media(&summary),
+                            "seed {seed:#x}: rot healed from shadow"
+                        );
                         rot_detections += 1;
                         rot_pending = false;
                     }
-                    let mut targets = summary.wedged.clone();
-                    for id in &summary.diverged {
-                        if !targets.contains(id) {
-                            targets.push(*id);
-                        }
-                    }
-                    for id in targets {
+                    for id in flagged_replicas(&summary) {
                         let out = cluster.repair_replica(id).expect("repair");
                         if partitioned != Some(id) {
                             assert!(out.converged, "seed {seed:#x}: repair of replica {id}");
@@ -281,11 +286,8 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
 
         // At rest everything is clean: media, ladders, membership.
         let final_scrub = cluster.scrub();
-        assert!(final_scrub.media.is_clean(), "seed {seed:#x}: media clean at rest");
-        assert!(
-            final_scrub.diverged.is_empty() && final_scrub.wedged.is_empty(),
-            "seed {seed:#x}: no divergence at rest"
-        );
+        assert!(media(&final_scrub).is_empty(), "seed {seed:#x}: media clean at rest");
+        assert!(flagged_replicas(&final_scrub).is_empty(), "seed {seed:#x}: no divergence at rest");
         assert!(cluster.pending_repairs().is_empty(), "seed {seed:#x}: nothing pending");
         assert_eq!(
             cluster.deposed_nodes(),
@@ -492,19 +494,19 @@ fn sharded_nemesis_soak_reconverges_byte_identically() {
                     // The composer schedules the scrub adjacent to the
                     // rot: detection is before the rot can spread.
                     assert_eq!(
-                        outcome.divergent,
-                        vec![shard],
+                        outcome.corrupt_artifacts(),
+                        vec![Artifact::Shard(shard)],
                         "seed {seed:#x}: scrub localizes the rot"
                     );
                     assert_eq!(
-                        outcome.repaired,
-                        vec![shard],
+                        outcome.healed,
+                        vec![Artifact::Shard(shard)],
                         "seed {seed:#x}: scrub repairs the rot"
                     );
                 } else {
                     assert!(
-                        outcome.divergent.is_empty(),
-                        "seed {seed:#x}: spontaneous divergence: {outcome:?}"
+                        outcome.is_clean(),
+                        "seed {seed:#x}: spontaneous divergence: {outcome}"
                     );
                 }
             }
@@ -541,7 +543,7 @@ fn sharded_nemesis_soak_reconverges_byte_identically() {
     assert!(cluster.lagging().is_empty(), "seed {seed:#x}: nothing lagging at rest");
     assert!(cluster.divergent().is_empty(), "seed {seed:#x}: nothing divergent at rest");
     let final_scrub = cluster.scrub().expect("final scrub");
-    assert!(final_scrub.divergent.is_empty(), "seed {seed:#x}: clean at rest");
+    assert!(final_scrub.is_clean(), "seed {seed:#x}: clean at rest");
     for h in cluster.health() {
         assert!(h.healthy(), "seed {seed:#x}: unhealthy at rest: {h}");
         assert_eq!(h.epoch, failovers_run, "seed {seed:#x}: every shard on the final epoch");
@@ -691,10 +693,7 @@ fn paged_nemesis_soak_matches_ram_twin_byte_for_byte() {
                         "seed {seed:#x}: injected page rot detected by the very next scrub"
                     );
                     let healed = store.repair().expect("repair");
-                    assert!(
-                        healed.unrecoverable.is_empty(),
-                        "seed {seed:#x}: single-bit rot heals in place"
-                    );
+                    assert!(healed.is_clean(), "seed {seed:#x}: single-bit rot heals in place");
                     assert!(store.scrub().expect("re-scrub").is_clean());
                     rot_detections += 1;
                     rot_pending = false;
@@ -876,7 +875,7 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
         let mut captured: Option<(PathBuf, u64, Vec<u8>)> = None;
         let mut backups_taken = 0u64;
         // Sacrificial rotted copy awaiting its scrub: (dir, damaged files).
-        let mut rotted_copy: Option<(PathBuf, Vec<PathBuf>)> = None;
+        let mut rotted_copy: Option<(PathBuf, Vec<Artifact>)> = None;
         let mut restores_proven = 0usize;
 
         for event in &plan.events {
@@ -916,7 +915,7 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
                     ));
                     let rot = inject_rot(&wal_dir).expect("rot injection");
                     set_fault_plan(None);
-                    if rot.any() {
+                    if !rot.is_empty() {
                         rot_injections += 1;
                         rot_pending = true;
                     }
@@ -926,20 +925,18 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
                     let summary = cluster.scrub();
                     if rot_pending {
                         assert!(
-                            !summary.media.is_clean(),
+                            !media(&summary).is_empty(),
                             "seed {seed:#x}: injected rot detected before the next checkpoint"
                         );
-                        assert!(summary.media_healed, "seed {seed:#x}: rot healed from shadow");
+                        assert_eq!(
+                            summary.healed,
+                            media(&summary),
+                            "seed {seed:#x}: rot healed from shadow"
+                        );
                         rot_detections += 1;
                         rot_pending = false;
                     }
-                    let mut targets = summary.wedged.clone();
-                    for id in &summary.diverged {
-                        if !targets.contains(id) {
-                            targets.push(*id);
-                        }
-                    }
-                    for id in targets {
+                    for id in flagged_replicas(&summary) {
                         let out = cluster.repair_replica(id).expect("repair");
                         if partitioned != Some(id) && !out.converged {
                             let r = cluster.replicas().iter().find(|r| r.id() == id);
@@ -1034,7 +1031,7 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
                     if let Some((scratch, damaged)) = rotted_copy.take() {
                         let report = scrub_bundle(&scratch).expect("scrub the damaged copy");
                         let found: std::collections::BTreeSet<_> =
-                            report.corrupt.iter().map(|c| c.path.clone()).collect();
+                            report.corrupt_artifacts().into_iter().collect();
                         let want: std::collections::BTreeSet<_> = damaged.into_iter().collect();
                         assert_eq!(
                             found, want,
@@ -1099,7 +1096,7 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
         }
         assert!(cluster.primary().min_acked() >= last, "seed {seed:#x}: final drain");
         let final_scrub = cluster.scrub();
-        assert!(final_scrub.media.is_clean(), "seed {seed:#x}: media clean at rest");
+        assert!(media(&final_scrub).is_empty(), "seed {seed:#x}: media clean at rest");
 
         // One last capture at rest equals the live engine exactly.
         cluster.checkpoint(&bundle.db, &bundle.annotations).expect("final checkpoint");

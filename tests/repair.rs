@@ -54,16 +54,15 @@ fn scrub_detects_every_injected_bit_rot_before_the_next_checkpoint() {
         ));
         let rot = inject_rot(&dir).expect("inject");
         set_fault_plan(None);
-        assert!(rot.wal_bit.is_some(), "seed {seed}: WAL site fired at rate 1.0");
-        assert!(rot.checkpoint_bit.is_some(), "seed {seed}: checkpoint site fired at rate 1.0");
+        assert_eq!(rot.len(), 2, "seed {seed}: both sites fired at rate 1.0");
+        assert_eq!(rot[0], Artifact::Wal, "seed {seed}: WAL site fired at rate 1.0");
+        assert!(matches!(rot[1], Artifact::Checkpoint(_)), "seed {seed}: checkpoint site fired");
         injected += 2;
 
         let report = scrub(&dir).expect("scrub");
         assert!(!report.is_clean(), "seed {seed}: rot went undetected: {report}");
-        if report.wal_dropped > 0 || report.wal_reason.is_some() {
-            detected += 1;
-        }
-        detected += report.corrupt_checkpoints.len().min(1);
+        let found = report.corrupt_artifacts();
+        detected += rot.iter().filter(|a| found.contains(a)).count();
         drop(wal);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -83,11 +82,11 @@ fn scrub_has_no_false_positives() {
         wal.append(&op(i)).expect("append");
     }
     let rot = inject_rot(&dir).expect("inject without a plan");
-    assert!(!rot.any(), "no plan, no rot");
+    assert!(rot.is_empty(), "no plan, no rot");
     for _ in 0..3 {
         let report = scrub(&dir).expect("scrub");
         assert!(report.is_clean(), "{report}");
-        assert_eq!(report.wal_records, 16);
+        assert_eq!(report.count("wal records"), 16);
     }
     drop(wal);
     let _ = std::fs::remove_dir_all(&dir);
@@ -121,12 +120,12 @@ fn cluster_scrub_heals_media_rot_and_recovery_agrees_byte_for_byte() {
         ));
         let rot = inject_rot(&wal_dir).expect("inject");
         set_fault_plan(None);
-        assert!(rot.any(), "seed {seed:#x}: rot landed");
+        assert!(!rot.is_empty(), "seed {seed:#x}: rot landed");
 
-        let summary = cluster.scrub();
-        assert!(!summary.media.is_clean(), "seed {seed:#x}: scrub saw the rot");
-        assert!(summary.media_healed, "seed {seed:#x}: scrub healed from shadow");
-        assert!(cluster.scrub().media.is_clean(), "seed {seed:#x}: healed media scrubs clean");
+        let report = cluster.scrub();
+        assert_eq!(report.corrupt_artifacts(), rot, "seed {seed:#x}: scrub saw the rot");
+        assert_eq!(report.healed, rot, "seed {seed:#x}: scrub healed from shadow");
+        assert!(cluster.scrub().is_clean(), "seed {seed:#x}: healed media scrubs clean");
 
         // Recovery from the healed directory agrees with the live state.
         let (pdb, pstore) = cluster.primary().shadow();

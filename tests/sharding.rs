@@ -127,8 +127,8 @@ fn merged_digest_matches_unsharded_at_every_shard_count() {
         assert_eq!(digests.len(), shards);
         // Scrub of a healthy cluster finds nothing to repair.
         let scrub = cluster.scrub().expect("scrub");
-        assert_eq!(scrub.checked, shards);
-        assert!(scrub.divergent.is_empty(), "healthy cluster must scrub clean");
+        assert_eq!(scrub.count("shards"), shards);
+        assert!(scrub.is_clean(), "healthy cluster must scrub clean");
 
         // The same workload over a lossy fabric: probes may time out and
         // applies are nacked and retried, so decisions may differ from
@@ -291,7 +291,7 @@ fn partition_scenario(shard_faults: Option<FaultPlan>) {
     }
     assert!(cluster.lagging().is_empty(), "healed shard must catch up");
     let scrub = cluster.scrub().expect("scrub");
-    assert!(scrub.divergent.is_empty(), "catch-up must reconverge without repair");
+    assert!(scrub.is_clean(), "catch-up must reconverge without repair");
 
     // Byte-identity with the unsharded twin replayed from the cluster's
     // own durable history — and the next annotation decides identically
@@ -359,7 +359,7 @@ fn wedged_shard_trips_its_own_breaker_and_rearms() {
     // Replication kept flowing the whole time (applies are not probes):
     // the wedged phase must not have forked the replicas.
     let scrub = cluster.scrub().expect("scrub");
-    assert!(scrub.divergent.is_empty());
+    assert!(scrub.is_clean());
     let twin = cluster.rebuild_twin().expect("twin");
     assert_eq!(cluster.merged_checkpoint().expect("merged"), twin.checkpoint());
 }
@@ -418,9 +418,9 @@ fn failover_rebuilds_under_new_epoch_and_bitrot_is_scrubbed() {
     // from the durable history, and invisible afterwards.
     cluster.corrupt_shard(2).expect("corrupt");
     let scrub = cluster.scrub().expect("scrub");
-    assert_eq!(scrub.divergent, vec![2], "scrub must localize the rot");
-    assert_eq!(scrub.repaired, vec![2]);
+    assert_eq!(scrub.corrupt_artifacts(), vec![Artifact::Shard(2)], "scrub must localize the rot");
+    assert_eq!(scrub.healed, vec![Artifact::Shard(2)]);
     let scrub2 = cluster.scrub().expect("second scrub");
-    assert!(scrub2.divergent.is_empty(), "repair must stick");
+    assert!(scrub2.is_clean(), "repair must stick");
     assert_eq!(cluster.merged_checkpoint().expect("merged"), twin.checkpoint());
 }

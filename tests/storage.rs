@@ -250,10 +250,15 @@ fn scrub_detects_every_seeded_rot_with_zero_false_positives_and_heals() {
         let (page, _bit) = store.inject_rot().expect("inject").expect("rate 1.0 fires");
         store.set_fault_plan(None);
         let report = store.scrub().expect("scrub");
-        assert_eq!(report.corrupt, vec![page], "trial {trial}: exactly the rotted page");
+        let page = Artifact::Page(page);
+        assert_eq!(
+            report.corrupt_artifacts(),
+            vec![page.clone()],
+            "trial {trial}: exactly the rotted page"
+        );
         let healed = store.repair().expect("repair");
-        assert_eq!(healed.repaired, vec![page], "trial {trial}: healed in place");
-        assert!(healed.unrecoverable.is_empty(), "trial {trial}");
+        assert_eq!(healed.healed, vec![page], "trial {trial}: healed in place");
+        assert!(healed.is_clean(), "trial {trial}");
         assert!(store.scrub().expect("re-scrub").is_clean(), "trial {trial}: clean after heal");
     }
     // The healed store still serves every row byte-correct.
