@@ -19,13 +19,16 @@
 //!
 //! Commands are case-insensitive; the trailing semicolon is optional.
 //! [`Shell::exec`] returns the rendered response, so the REPL example is a
-//! thin stdin loop and tests drive the shell directly.
+//! thin stdin loop and tests drive the shell directly. [`VERBS`] is the
+//! one command table; [`Mode`], [`Shell::enter`] and [`Shell::swap`] are
+//! the one state machine over the engine.
 
 use crate::prelude::*;
 use nebula_core::{CommitRule, MutationSink, StabilityConfig};
 use nebula_replica::{Cluster, ClusterConfig, ClusterSink, SimTransport};
 use relstore::{ConjunctiveQuery, Predicate};
 use std::fmt;
+use std::path::Path;
 
 /// Errors surfaced to the shell user.
 #[derive(Debug)]
@@ -43,6 +46,50 @@ fn err(msg: impl Into<String>) -> ShellError {
     ShellError(msg.into())
 }
 
+fn fail(e: impl ToString) -> ShellError {
+    err(e.to_string())
+}
+
+/// A malformed call. [`Shell::exec`] replaces it with the verb's usage
+/// line from [`VERBS`], so no handler spells its own usage.
+fn usage() -> ShellError {
+    err("")
+}
+
+/// `tok` parsed as a `T` that `ok` accepts, or the error `why`.
+fn parsed<T: std::str::FromStr>(
+    tok: Option<&String>,
+    ok: impl Fn(&T) -> bool,
+    why: impl Into<String>,
+) -> Result<T, ShellError> {
+    tok.and_then(|s| s.parse().ok()).filter(ok).ok_or_else(|| err(why))
+}
+
+/// The arguments of a verb that takes exactly `N`.
+fn exactly<const N: usize>(args: &[String]) -> Result<&[String; N], ShellError> {
+    args.try_into().map_err(|_| usage())
+}
+
+/// What the engine commits through. The engine holds a sink exactly in
+/// the `Wal` and `Replicas` states; [`Shell::enter`] keeps it so.
+enum Mode {
+    /// One engine, no sink.
+    Plain,
+    /// One engine logging to a write-ahead log (the sink is the engine's).
+    Wal,
+    /// One engine shipping to a replica cluster; a second handle on the
+    /// cluster backs PROMOTE, SCRUB, REJOIN and the replication SHOWs.
+    Replicas(ClusterSink),
+    /// The sharded scatter-gather cluster: ANNOTATE routes through it.
+    Shards(Box<ShardCluster>),
+}
+
+impl Mode {
+    fn has_sink(&self) -> bool {
+        matches!(self, Mode::Wal | Mode::Replicas(_))
+    }
+}
+
 /// The shell: owns the database, the annotation store, and the engine.
 pub struct Shell {
     /// The relational database.
@@ -51,36 +98,101 @@ pub struct Shell {
     pub store: AnnotationStore,
     /// The proactive engine.
     pub nebula: Nebula,
-    /// Worker-pool configuration used by ANNOTATE (see `SET WORKERS`).
-    ingest: IngestConfig,
-    /// The most recent ingest report, backing `SHOW HEALTH`.
-    last_ingest: Option<IngestReport>,
-    /// A second handle on the replication cluster while `SET REPLICAS`
-    /// has one installed as the mutation sink (backs PROMOTE and
-    /// SHOW REPLICATION / SHOW REPLICA).
-    repl: Option<ClusterSink>,
-    /// The sharded scatter-gather cluster while `SET SHARDS` is active
-    /// (ANNOTATE routes through it; backs SHOW SHARDS).
-    shards: Option<ShardCluster>,
+    /// What the engine commits through.
+    mode: Mode,
     /// The paged storage backend while `SET STORAGE DISK` is active
     /// (rows and posting blocks page to disk; backs SHOW STORAGE).
-    storage: Option<nebula_pagestore::PagedStorage>,
-    /// Bundles captured by BACKUP this session (backs SHOW BACKUPS).
-    backups: Vec<BackupRecord>,
-    /// When the most recent BACKUP completed (backs the last-backup age
-    /// in SHOW DURABILITY).
-    last_backup: Option<std::time::Instant>,
+    storage: Option<PagedStorage>,
+    /// Bundles captured by BACKUP this session, with their directories
+    /// and completion times (backs SHOW BACKUPS and the last-backup age in
+    /// SHOW DURABILITY).
+    backups: Vec<(String, BackupManifest, std::time::Instant)>,
 }
 
-/// One bundle captured by `BACKUP TO`, as `SHOW BACKUPS` reports it.
-#[derive(Debug, Clone)]
-struct BackupRecord {
-    seq: u64,
-    dir: String,
-    oldest_lsn: u64,
-    head_lsn: u64,
-    files: usize,
-    bytes: u64,
+/// A command: its words, the arguments it takes (empty: none), and its
+/// handler, which gets the shell and the arguments after the words.
+type Verb = (&'static str, &'static str, fn(&mut Shell, &[String]) -> Result<String, ShellError>);
+
+/// Every command, in the order HELP lists them.
+static VERBS: &[Verb] = &[
+    ("TABLES", "", |sh, _| Ok(sh.tables())),
+    (
+        "SELECT",
+        "<table> [COLUMNS a,b,...] [WHERE <col> (=|CONTAINS) <val>]... \
+         [ORDER BY <col> [ASC|DESC]] [LIMIT n]",
+        |sh, a| sh.select(a),
+    ),
+    ("ANNOTATE", "<table> '<pk>' '<text>'", Shell::annotate),
+    ("DELETE", "<table> '<pk>'", Shell::delete),
+    ("ANNOTATIONS", "<table> '<pk>'", |sh, a| sh.annotations(a)),
+    ("PENDING", "", |sh, _| Ok(sh.pending())),
+    ("VERIFY ATTACHMENT", "<vid>", |sh, a| sh.resolve("VERIFY", a)),
+    ("REJECT ATTACHMENT", "<vid>", |sh, a| sh.resolve("REJECT", a)),
+    ("ACG", "", |sh, _| Ok(sh.acg())),
+    ("PROFILE", "", |sh, _| Ok(sh.profile())),
+    ("EXPLAIN ANNOTATION", "<id>", |_, a| explain(a)),
+    ("TRACE ANNOTATION", "<id>", |_, a| trace(a)),
+    (
+        "SET BUDGET",
+        "DEADLINE <ms> | TUPLES <n> | CONFIGS <n> | CANDIDATES <n> | OFF",
+        Shell::set_budget,
+    ),
+    ("SET FAULTS", "<seed> [RATE <r>] | HOSTILE <seed> | OFF", |_, a| set_faults(a)),
+    (
+        "SET DURABILITY",
+        "'<dir>' [EVERY <n>] [SYNC BATCH|EVERY] [ARCHIVE '<adir>'] | OFF",
+        Shell::set_durability,
+    ),
+    ("SET ARCHIVE", "'<dir>'", Shell::set_archive),
+    (
+        "SET REPLICAS",
+        "<n> '<dir>' [QUORUM <q>] [NETFAULTS <seed> <rate>] | OFF",
+        Shell::set_replicas,
+    ),
+    ("SET SHARDS", "<n> | OFF", Shell::set_shards),
+    ("SET STORAGE", "DISK '<dir>' [POOL <frames>] | MEM", Shell::set_storage),
+    ("CHECKPOINT", "", |sh, _| sh.checkpoint()),
+    ("RECOVER", "'<dir>'", Shell::recover),
+    ("PROMOTE", "[<id>]", Shell::promote),
+    ("SCRUB", "", |sh, _| sh.scrub()),
+    ("REJOIN", "[<node>]", |sh, a| sh.rejoin(a)),
+    ("BACKUP TO", "'<dir>'", Shell::backup),
+    ("RESTORE FROM", "'<dir>' [AS OF LSN <n>]", Shell::restore),
+    ("SCRUB BACKUP", "'<dir>'", |_, a| scrub_backup(a)),
+    ("SAVE", "'<path>'", |sh, a| sh.save(a)),
+    ("LOAD", "'<path>'", Shell::load),
+    ("SHOW METRICS", "", |_, _| Ok(nebula_obs::snapshot().render_text())),
+    ("SHOW BUDGET", "", |sh, _| Ok(format!("budget: {}", sh.nebula.config().budget))),
+    ("SHOW FAULTS", "", |_, _| Ok(show_faults())),
+    ("SHOW DURABILITY", "", |sh, _| Ok(sh.show_durability())),
+    ("SHOW BACKUPS", "", |sh, _| Ok(sh.show_backups())),
+    ("SHOW REPLICATION", "", |sh, _| Ok(sh.show_replication())),
+    ("SHOW REPLICA", "<id> [STALENESS <n>]", |sh, a| sh.show_replica(a)),
+    ("SHOW REPAIR", "", |sh, _| Ok(sh.show_repair())),
+    ("SHOW SHARDS", "", |sh, _| Ok(sh.show_shards())),
+    ("SHOW STORAGE", "", |sh, _| Ok(sh.show_storage())),
+    ("SHOW CRITICAL PATH", "", |_, _| Ok(show_critical_path())),
+    ("SHOW FLIGHT", "", |_, _| Ok(show_flight())),
+    ("HELP", "", |_, _| Ok(help())),
+];
+
+/// One table entry's usage line: its words, then its arguments.
+fn usage_line(&(name, args, _): &Verb) -> String {
+    format!("{name} {args}").trim_end().to_string()
+}
+
+/// The [`VERBS`] entry whose words lead `tokens`, the longest if several
+/// do (`SCRUB BACKUP` over `SCRUB`).
+fn lookup(tokens: &[String]) -> Option<&'static Verb> {
+    let words = |name: &str| name.split(' ').count();
+    let leads =
+        |name: &str| tokens.iter().map(|t| t.to_uppercase()).take(words(name)).eq(name.split(' '));
+    VERBS.iter().filter(|(name, ..)| leads(name)).max_by_key(|(name, ..)| words(name))
+}
+
+fn help() -> String {
+    let lines: Vec<String> = VERBS.iter().map(|v| format!("  {};", usage_line(v))).collect();
+    format!("commands:\n{}", lines.join("\n"))
 }
 
 impl Shell {
@@ -89,21 +201,7 @@ impl Shell {
     pub fn new(db: Database, store: AnnotationStore, nebula: Nebula) -> Shell {
         nebula_obs::set_enabled(true);
         nebula_obs::trace::set_enabled(true);
-        // One worker by default: the shell is interactive, and `SET
-        // WORKERS <n>` raises the pool when a session wants concurrency.
-        let ingest = IngestConfig { workers: 1, ..IngestConfig::default() };
-        Shell {
-            db,
-            store,
-            nebula,
-            ingest,
-            last_ingest: None,
-            repl: None,
-            shards: None,
-            storage: None,
-            backups: Vec::new(),
-            last_backup: None,
-        }
+        Shell { db, store, nebula, mode: Mode::Plain, storage: None, backups: Vec::new() }
     }
 
     /// Shell over a freshly generated synthetic dataset.
@@ -121,59 +219,96 @@ impl Shell {
         Shell::new(bundle.db, bundle.annotations, nebula)
     }
 
-    /// Execute one command line, returning the rendered response.
+    /// Execute one command line, returning the rendered response. A line
+    /// whose first word starts entries but matches none gets their usage
+    /// lines.
     pub fn exec(&mut self, line: &str) -> Result<String, ShellError> {
         let cleaned = line.trim().trim_end_matches(';').trim();
         if cleaned.is_empty() {
             return Ok(String::new());
         }
         let tokens = lex(cleaned)?;
-        let verb = tokens.first().ok_or_else(|| err("empty command"))?.to_uppercase();
-        match verb.as_str() {
-            "HELP" => Ok(HELP.to_string()),
-            "TABLES" => self.tables(),
-            "SELECT" => self.select(&tokens[1..]),
-            "DELETE" => self.delete(&tokens[1..]),
-            "ANNOTATE" => self.annotate(&tokens[1..]),
-            "ANNOTATIONS" => self.annotations(&tokens[1..]),
-            "PENDING" => self.pending(),
-            "VERIFY" | "REJECT" => self.resolve(cleaned),
-            "ACG" => Ok(format!(
-                "ACG: {} nodes, {} edges, stable = {}",
-                self.nebula.acg().node_count(),
-                self.nebula.acg().edge_count(),
-                self.nebula.acg().is_stable()
-            )),
-            "PROFILE" => {
-                let p = self.nebula.profile();
-                let rows: Vec<String> = p
-                    .iter()
-                    .map(|(h, c)| format!("  {h} hops: {c} ({:.0}%)", p.coverage(h) * 100.0))
-                    .collect();
-                Ok(if rows.is_empty() {
-                    "profile: empty".into()
-                } else {
-                    format!("profile ({} points):\n{}", p.total(), rows.join("\n"))
-                })
-            }
-            "SAVE" => self.save(&tokens[1..]),
-            "LOAD" => self.load(&tokens[1..]),
-            "CHECKPOINT" => self.checkpoint(),
-            "RECOVER" => self.recover(&tokens[1..]),
-            "BACKUP" => self.backup(&tokens[1..]),
-            "RESTORE" => self.restore(&tokens[1..]),
-            "PROMOTE" => self.promote(&tokens[1..]),
-            "SCRUB" => self.scrub(&tokens[1..]),
-            "REJOIN" => self.rejoin(&tokens[1..]),
-            "SET" => self.set(&tokens[1..]),
-            "SHOW" => self.show(&tokens[1..]),
-            "EXPLAIN" => self.explain(&tokens[1..]),
-            "TRACE" => self.trace(&tokens[1..]),
-            other => Err(err(format!("unknown command `{other}` — try HELP"))),
+        let Some(verb) = lookup(&tokens) else {
+            let first = tokens[0].to_uppercase();
+            let family: Vec<String> = VERBS
+                .iter()
+                .filter(|v| v.0.starts_with(&format!("{first} ")))
+                .map(usage_line)
+                .collect();
+            return Err(err(if family.is_empty() {
+                format!("unknown command `{first}` — try HELP")
+            } else {
+                format!("usage: {}", family.join(" | "))
+            }));
+        };
+        let (name, params, run) = *verb;
+        let args = &tokens[name.split(' ').count()..];
+        let result =
+            if params.is_empty() && !args.is_empty() { Err(usage()) } else { run(self, args) };
+        result.map_err(
+            |e| if e.0.is_empty() { err(format!("usage: {}", usage_line(verb))) } else { e },
+        )
+    }
+
+    /// The one mode transition: install `sink` on the engine (dropping the
+    /// old one) and move to `next`, returning the mode left. `sink` is
+    /// `Some` exactly when `next` is `Wal` or `Replicas`.
+    fn enter(&mut self, next: Mode, sink: Option<Box<dyn MutationSink>>) -> Mode {
+        debug_assert_eq!(sink.is_some(), next.has_sink());
+        self.nebula.set_mutation_sink(sink);
+        std::mem::replace(&mut self.mode, next)
+    }
+
+    /// Refuse `verb` while sharded: it writes the single engine's state,
+    /// which the shard cluster's merged store would overwrite on the next
+    /// ANNOTATE (or it installs a sink the shards never commit through).
+    fn unsharded(&self, verb: &str) -> Result<(), ShellError> {
+        match self.mode {
+            Mode::Shards(_) => Err(err(format!("{verb} needs SET SHARDS OFF first"))),
+            _ => Ok(()),
         }
     }
 
-    fn tables(&self) -> Result<String, ShellError> {
+    /// The one state swap behind RESTORE, PROMOTE, RECOVER, LOAD and SET
+    /// SHARDS OFF: refuse while sharded, else `load` the new database
+    /// (`None` keeps it), store and verb result, re-home the database onto
+    /// the page file under `SET STORAGE DISK`, and rebuild the ACG. The
+    /// verb then keeps, detaches or replaces the sink with [`Shell::enter`].
+    /// The queue, hop profile and stability flag stay the engine's own.
+    fn swap<T>(
+        &mut self,
+        verb: &str,
+        load: impl FnOnce() -> Result<(Option<Database>, AnnotationStore, T), ShellError>,
+    ) -> Result<T, ShellError> {
+        self.unsharded(verb)?;
+        let (db, store, out) = load()?;
+        if let Some(db) = db {
+            match self.storage.clone() {
+                Some(pages) => {
+                    let snapshot = relstore::snapshot::save(&db);
+                    self.load_onto_pages(pages.dir(), pages.pool_frames(), &snapshot)?;
+                }
+                None => self.db = db,
+            }
+        }
+        self.store = store;
+        self.nebula.bootstrap_acg(&self.store);
+        Ok(out)
+    }
+
+    /// Detach any sink after RESTORE or LOAD, saying so after `out`: logging
+    /// the swapped-in state over the old history would replay to neither.
+    fn detach(&mut self, out: String) -> String {
+        if !self.enter(Mode::Plain, None).has_sink() {
+            return out;
+        }
+        format!(
+            "{out}\n  durability sink detached — SET DURABILITY into a fresh directory \
+             to resume logging"
+        )
+    }
+
+    fn tables(&self) -> String {
         let mut out = Vec::new();
         for (tid, name) in self.db.catalog().iter() {
             let table = self.db.table(tid).expect("catalog consistent");
@@ -181,14 +316,14 @@ impl Shell {
                 table.schema().iter_columns().map(|(_, d)| d.name.as_str()).collect();
             out.push(format!("{name} ({} rows): {}", table.len(), cols.join(", ")));
         }
-        Ok(out.join("\n"))
+        out.join("\n")
     }
 
     /// `SELECT <table> [COLUMNS a,b,...] [WHERE <col> (=|CONTAINS) <val>]*
     /// [ORDER BY <col> [ASC|DESC]] [LIMIT n]`
     fn select(&self, args: &[String]) -> Result<String, ShellError> {
         use relstore::{Order, SelectStatement};
-        let table_name = args.first().ok_or_else(|| err("SELECT needs a table"))?;
+        let table_name = args.first().ok_or_else(usage)?;
         let tid = self
             .db
             .catalog()
@@ -243,17 +378,13 @@ impl Shell {
                     i += skip;
                 }
                 "LIMIT" => {
-                    let n = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| err("LIMIT needs a number"))?;
-                    stmt = stmt.limit(n);
+                    stmt = stmt.limit(parsed(args.get(i + 1), |_| true, "LIMIT needs a number")?);
                     i += 2;
                 }
                 other => return Err(err(format!("unexpected token `{other}`"))),
             }
         }
-        let result = stmt.execute(&self.db).map_err(|e| err(e.to_string()))?;
+        let result = stmt.execute(&self.db).map_err(fail)?;
         let mut out = vec![result.columns.join(" | ")];
         for row in &result.rows {
             // Cell-level annotations respect the projection, exactly as
@@ -273,19 +404,12 @@ impl Shell {
     /// `DELETE <table> '<pk>'` — delete the row and clean every annotation
     /// layer (edges, ACG, pending tasks).
     fn delete(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let [table, key] = args else {
-            return Err(err("usage: DELETE <table> '<pk>'"));
-        };
-        if self.shards.is_some() {
-            return Err(err(
-                "DELETE is unavailable while SET SHARDS is active — SET SHARDS OFF first",
-            ));
-        }
+        let [table, key] = exactly(args)?;
+        self.unsharded("DELETE")?;
         let tuple = self.resolve_key(table, key)?;
         // Log before apply: the deletion reaches the WAL (when durability
         // is on) before either store mutates.
-        let affected =
-            self.nebula.on_tuple_deleted(&mut self.store, tuple).map_err(|e| err(e.to_string()))?;
+        let affected = self.nebula.on_tuple_deleted(&mut self.store, tuple).map_err(fail)?;
         self.db.delete(tuple);
         Ok(format!("deleted {table} '{key}'; {} annotation(s) lost an attachment", affected.len()))
     }
@@ -310,78 +434,38 @@ impl Shell {
     }
 
     /// `ANNOTATE <table> '<pk>' '<text>'` — attach a new annotation and run
-    /// the proactive pipeline through the ingest worker pool (sized by
-    /// `SET WORKERS`; `SHOW HEALTH` reports on the run afterwards).
+    /// the proactive pipeline on it: through the engine's contained batch
+    /// path (a quarantine surfaces as a shell error; the session survives),
+    /// or through the shard cluster while `SET SHARDS` is on.
     fn annotate(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let [table, key, text] = args else {
-            return Err(err("usage: ANNOTATE <table> '<pk>' '<text>'"));
-        };
+        let [table, key, text] = exactly(args)?;
         let focal = self.resolve_key(table, key)?;
-
-        if let Some(cluster) = &mut self.shards {
-            let annotation = Annotation::new(text.clone());
-            let outcome = cluster.ingest(&annotation, &[focal]).map_err(|e| err(e.to_string()))?;
+        let annotation = Annotation::new(text.clone());
+        let target = format!("{table} '{key}'");
+        if let Mode::Shards(cluster) = &mut self.mode {
+            let outcome = cluster.ingest(&annotation, &[focal]).map_err(fail)?;
+            let shard = cluster.router().route(&[focal]);
             // Mirror the merged shard state back into the shell's store so
             // ANNOTATIONS / SELECT keep reading the single source of truth.
-            self.store = cluster.merged_store().map_err(|e| err(e.to_string()))?;
-            let mut out = vec![format!(
-                "annotation {} attached to {table} '{key}' via shard {}; {} queries generated",
-                outcome.annotation,
-                cluster.router().route(&[focal]),
-                outcome.queries.len()
-            )];
-            for (t, conf) in &outcome.accepted {
-                out.push(format!(
-                    "  auto-accepted (conf {conf:.2}): {}",
-                    self.db.get(*t).expect("live").render()
-                ));
-            }
-            if !outcome.pending.is_empty() {
-                out.push(format!(
-                    "  {} candidates pending expert verification on their home shard",
-                    outcome.pending.len()
-                ));
-            }
-            if !outcome.rejected.is_empty() {
-                out.push(format!(
-                    "  {} low-confidence candidates auto-rejected",
-                    outcome.rejected.len()
-                ));
-            }
-            for d in &outcome.degradations {
-                out.push(format!("  degraded: {d}"));
-            }
-            return Ok(out.join("\n"));
+            self.store = cluster.merged_store().map_err(fail)?;
+            return Ok(self.render_annotate(&outcome, &target, Some(shard)));
         }
-
-        let item = IngestItem::new(Annotation::new(text.clone()), vec![focal]);
-        let report =
-            ingest_batch(&mut self.nebula, &self.db, &mut self.store, &[item], &self.ingest);
-        let result = self.render_annotate(&report, table, key);
-        self.last_ingest = Some(report);
-        result
+        let mut report =
+            self.nebula.process_batch(&self.db, &mut self.store, &[(annotation, vec![focal])]);
+        let entry = report.entries.pop().expect("one entry per item");
+        match (entry.outcome, entry.quarantine) {
+            (Some(outcome), _) => Ok(self.render_annotate(&outcome, &target, None)),
+            (None, reason) => Err(fail(reason.expect("no outcome means quarantined"))),
+        }
     }
 
-    /// Render the single-item ingest report behind ANNOTATE. Sheds and
-    /// quarantines surface as shell errors (the session survives either
-    /// way); clean commits render the familiar outcome summary.
-    fn render_annotate(
-        &self,
-        report: &IngestReport,
-        table: &str,
-        key: &str,
-    ) -> Result<String, ShellError> {
-        if let Some(shed) = report.sheds.first() {
-            return Err(err(format!("annotation shed ({})", shed.reason)));
-        }
-        let entry = report.batch.entries.first().ok_or_else(|| err("ingest produced no result"))?;
-        if let Some(reason) = &entry.quarantine {
-            return Err(err(reason.to_string()));
-        }
-        let outcome =
-            entry.outcome.as_ref().ok_or_else(|| err("ingest entry carries no outcome"))?;
+    /// Render one ANNOTATE outcome. A sharded outcome names its home
+    /// shard; its pending tasks sit on that shard's queue, so they print
+    /// as a count rather than from the engine's queue.
+    fn render_annotate(&self, outcome: &ProcessOutcome, on: &str, shard: Option<usize>) -> String {
+        let via = shard.map(|s| format!(" via shard {s}")).unwrap_or_default();
         let mut out = vec![format!(
-            "annotation {} attached to {table} '{key}'; {} queries generated",
+            "annotation {} attached to {on}{via}; {} queries generated",
             outcome.annotation,
             outcome.queries.len()
         )];
@@ -391,12 +475,19 @@ impl Shell {
                 self.db.get(*t).expect("live").render()
             ));
         }
-        for vid in &outcome.pending {
-            let task = self.nebula.queue().get(*vid).expect("queued");
+        if shard.is_none() {
+            for vid in &outcome.pending {
+                let task = self.nebula.queue().get(*vid).expect("queued");
+                out.push(format!(
+                    "  pending task {vid} (conf {:.2}): {}",
+                    task.confidence,
+                    self.db.get(task.tuple).expect("live").render()
+                ));
+            }
+        } else if !outcome.pending.is_empty() {
             out.push(format!(
-                "  pending task {vid} (conf {:.2}): {}",
-                task.confidence,
-                self.db.get(task.tuple).expect("live").render()
+                "  {} candidates pending expert verification on their home shard",
+                outcome.pending.len()
             ));
         }
         if !outcome.rejected.is_empty() {
@@ -408,14 +499,12 @@ impl Shell {
         for d in &outcome.degradations {
             out.push(format!("  degraded: {d}"));
         }
-        Ok(out.join("\n"))
+        out.join("\n")
     }
 
     /// `ANNOTATIONS <table> '<pk>'`
     fn annotations(&self, args: &[String]) -> Result<String, ShellError> {
-        let [table, key] = args else {
-            return Err(err("usage: ANNOTATIONS <table> '<pk>'"));
-        };
+        let [table, key] = exactly(args)?;
         let tuple = self.resolve_key(table, key)?;
         let notes = self.store.annotations_of(tuple);
         if notes.is_empty() {
@@ -432,12 +521,11 @@ impl Shell {
             .join("\n"))
     }
 
-    fn pending(&self) -> Result<String, ShellError> {
+    fn pending(&self) -> String {
         if self.nebula.queue().is_empty() {
-            return Ok("(no pending verification tasks)".into());
+            return "(no pending verification tasks)".into();
         }
-        Ok(self
-            .nebula
+        self.nebula
             .queue()
             .iter()
             .map(|task| {
@@ -455,51 +543,58 @@ impl Shell {
                 )
             })
             .collect::<Vec<_>>()
-            .join("\n"))
+            .join("\n")
     }
 
-    fn resolve(&mut self, line: &str) -> Result<String, ShellError> {
-        let task =
-            self.nebula.execute_command(&mut self.store, line).map_err(|e| err(e.to_string()))?;
+    /// `VERIFY ATTACHMENT <vid>` / `REJECT ATTACHMENT <vid>` — §7's expert
+    /// commands, parsed by the engine.
+    fn resolve(&mut self, verb: &str, args: &[String]) -> Result<String, ShellError> {
+        let [vid] = exactly(args)?;
+        let line = format!("{verb} ATTACHMENT {vid}");
+        let task = self.nebula.execute_command(&mut self.store, &line).map_err(fail)?;
         Ok(format!("task {} resolved ({} ↔ {})", task.vid, task.annotation, task.tuple))
     }
 
-    /// `SET BUDGET ... | SET FAULTS ... | SET DURABILITY ... |
-    /// SET REPLICAS ... | SET WORKERS <n>` — configure the execution
-    /// budget on the engine, the fault plan on this thread, write-ahead
-    /// durability or WAL-shipping replication on the engine, or the
-    /// ingest worker-pool size.
-    fn set(&mut self, args: &[String]) -> Result<String, ShellError> {
-        match args.first().map(|s| s.to_uppercase()).as_deref() {
-            Some("BUDGET") => self.set_budget(&args[1..]),
-            Some("FAULTS") => self.set_faults(&args[1..]),
-            Some("DURABILITY") => self.set_durability(&args[1..]),
-            Some("REPLICAS") => self.set_replicas(&args[1..]),
-            Some("WORKERS") => self.set_workers(&args[1..]),
-            Some("SHARDS") => self.set_shards(&args[1..]),
-            Some("STORAGE") => self.set_storage(&args[1..]),
-            Some("ARCHIVE") => self.set_archive(&args[1..]),
-            _ => Err(err("usage: SET BUDGET ... | SET FAULTS ... | SET DURABILITY ... | \
-                 SET REPLICAS ... | SET WORKERS <n> | SET SHARDS <n> | OFF | \
-                 SET STORAGE DISK '<dir>' [POOL <frames>] | MEM | SET ARCHIVE '<dir>'")),
+    fn acg(&self) -> String {
+        let acg = self.nebula.acg();
+        format!(
+            "ACG: {} nodes, {} edges, stable = {}",
+            acg.node_count(),
+            acg.edge_count(),
+            acg.is_stable()
+        )
+    }
+
+    fn profile(&self) -> String {
+        let p = self.nebula.profile();
+        let rows: Vec<String> = p
+            .iter()
+            .map(|(h, c)| format!("  {h} hops: {c} ({:.0}%)", p.coverage(h) * 100.0))
+            .collect();
+        if rows.is_empty() {
+            "profile: empty".into()
+        } else {
+            format!("profile ({} points):\n{}", p.total(), rows.join("\n"))
         }
     }
 
-    /// Open the page file in `dir` behind a pool of `frames`, rebuild the
-    /// database from `snapshot` onto it, and flush. The caller takes the
-    /// snapshot: `scrub_pages` must read the live state before it deletes
-    /// the file this opens afresh.
+    /// Rebuild the database from `snapshot` onto a fresh page file in `dir`
+    /// behind a pool of `frames`, and flush. The caller takes the snapshot
+    /// first: any page file already in `dir` goes.
     fn load_onto_pages(
         &mut self,
-        dir: &std::path::Path,
+        dir: &Path,
         frames: usize,
         snapshot: &[u8],
-    ) -> Result<nebula_pagestore::StorageMetrics, ShellError> {
-        let store =
-            nebula_pagestore::PagedStorage::open(dir, frames).map_err(|e| err(e.to_string()))?;
+    ) -> Result<StorageMetrics, ShellError> {
+        match std::fs::remove_file(dir.join(nebula_pagestore::file::FILE_NAME)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(fail(e)),
+            _ => {}
+        }
+        let store = PagedStorage::open(dir, frames).map_err(fail)?;
         self.db = relstore::snapshot::load_with(snapshot, Some(std::sync::Arc::new(store.clone())))
-            .map_err(|e| err(e.to_string()))?;
-        store.flush_pages().map_err(|e| err(e.to_string()))?;
+            .map_err(fail)?;
+        store.flush_pages().map_err(fail)?;
         let m = store.metrics();
         self.storage = Some(store);
         Ok(m)
@@ -512,76 +607,63 @@ impl Shell {
     /// RAM. The logical content is identical either way: the snapshot
     /// fingerprint cannot tell the backends apart.
     fn set_storage(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str = "usage: SET STORAGE DISK '<dir>' [POOL <frames>] | MEM";
         match args.first().map(|s| s.to_uppercase()).as_deref() {
             Some("MEM") => {
                 let Some(old) = self.storage.take() else {
                     return Ok("storage: already mem".into());
                 };
-                old.flush_pages().map_err(|e| err(e.to_string()))?;
+                old.flush_pages().map_err(fail)?;
                 let bytes = relstore::snapshot::save(&self.db);
-                self.db = relstore::snapshot::load(&bytes).map_err(|e| err(e.to_string()))?;
+                self.db = relstore::snapshot::load(&bytes).map_err(fail)?;
                 Ok("storage: mem (rows and postings rebuilt in RAM; \
                     page file keeps its last flushed state)"
                     .into())
             }
             Some("DISK") => {
-                if self.shards.is_some() {
-                    return Err(err("SET STORAGE needs SET SHARDS OFF first"));
-                }
-                let dir = args.get(1).ok_or_else(|| err(USAGE))?;
-                let mut frames = nebula_pagestore::pool::DEFAULT_FRAMES;
-                if let Some(tok) = args.get(2) {
-                    if tok.to_uppercase() != "POOL" {
-                        return Err(err(USAGE));
+                self.unsharded("SET STORAGE")?;
+                let min = nebula_pagestore::pool::MIN_FRAMES;
+                let why = format!("POOL needs a frame count >= {min}");
+                let (dir, frames) = match &args[1..] {
+                    [dir] => (dir, nebula_pagestore::pool::DEFAULT_FRAMES),
+                    [dir, kw, n] if kw.eq_ignore_ascii_case("POOL") => {
+                        (dir, parsed(Some(n), |n| *n >= min, why)?)
                     }
-                    frames = args
-                        .get(3)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|n: &usize| *n >= nebula_pagestore::pool::MIN_FRAMES)
-                        .ok_or_else(|| {
-                            err(format!(
-                                "POOL needs a frame count >= {}",
-                                nebula_pagestore::pool::MIN_FRAMES
-                            ))
-                        })?;
-                }
+                    _ => return Err(usage()),
+                };
                 let bytes = relstore::snapshot::save(&self.db);
-                let m = self.load_onto_pages(std::path::Path::new(dir), frames, &bytes)?;
+                let m = self.load_onto_pages(Path::new(dir), frames, &bytes)?;
                 Ok(format!(
                     "storage: disk ({dir}, pool {frames} frames); \
                      {} pages flushed at watermark {}",
                     m.page_count, m.watermark
                 ))
             }
-            _ => Err(err(USAGE)),
+            _ => Err(usage()),
         }
     }
 
     /// `SET SHARDS <n> | OFF` — partition the engine into `n` shards
     /// behind the deterministic focal-hash router (ANNOTATE then
-    /// scatter-gathers keyword search across them), or collapse the
-    /// merged shard state back onto the single-engine path.
+    /// scatter-gathers keyword search across them), or swap the merged
+    /// shard state back onto the single-engine path.
     fn set_shards(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str = "usage: SET SHARDS <n>  (n >= 1) | OFF";
         match args.first().map(|s| s.to_uppercase()).as_deref() {
-            Some("OFF") => match self.shards.take() {
-                Some(cluster) => {
-                    self.store = cluster.merged_store().map_err(|e| err(e.to_string()))?;
-                    Ok(format!(
-                        "shards: off ({} shard slices merged back into one store)",
-                        cluster.shards()
-                    ))
-                }
-                None => Ok("shards: already off".into()),
-            },
+            Some("OFF") => {
+                let Mode::Shards(cluster) = &self.mode else {
+                    return Ok("shards: already off".into());
+                };
+                let store = cluster.merged_store().map_err(fail)?;
+                let shards = cluster.shards();
+                self.enter(Mode::Plain, None);
+                self.swap("SET SHARDS OFF", || Ok((None, store, ())))?;
+                Ok(format!("shards: off ({shards} shard slices merged back into one store)"))
+            }
             Some(tok) => {
-                if self.nebula.mutation_sink().is_some() {
+                let n: usize = tok.parse().ok().filter(|n: &usize| *n >= 1).ok_or_else(usage)?;
+                if self.mode.has_sink() {
                     return Err(err("SET SHARDS needs the single-engine sink detached first — \
                          run SET DURABILITY OFF / SET REPLICAS OFF"));
                 }
-                let n: usize =
-                    tok.parse().ok().filter(|n: &usize| *n >= 1).ok_or_else(|| err(USAGE))?;
                 let cluster = ShardCluster::new(
                     &self.db,
                     &self.store,
@@ -589,50 +671,41 @@ impl Shell {
                     self.nebula.config(),
                     ShardConfig::new(n),
                 )
-                .map_err(|e| err(e.to_string()))?;
+                .map_err(fail)?;
                 let shards = cluster.shards();
-                self.shards = Some(cluster);
+                self.enter(Mode::Shards(Box::new(cluster)), None);
                 Ok(format!(
                     "shards: {shards} (focal-hash router over {} slots; \
                      ANNOTATE now scatter-gathers)",
                     nebula_ingest::SLOTS
                 ))
             }
-            None => Err(err(USAGE)),
+            None => Err(usage()),
         }
     }
 
-    /// `SET WORKERS <n>` — size the worker pool ANNOTATE runs through.
-    /// Any positive count gives byte-identical results for a fixed fault
-    /// seed; more workers only change how overload is absorbed.
-    fn set_workers(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let n: usize = args
-            .first()
-            .and_then(|s| s.parse().ok())
-            .filter(|n| *n > 0)
-            .ok_or_else(|| err("usage: SET WORKERS <n>  (n >= 1)"))?;
-        self.ingest.workers = n;
-        Ok(format!("workers: {n}"))
+    /// The OFF half of SET DURABILITY and SET REPLICAS: detach whichever
+    /// sink is installed. Sharding has none, so it stays.
+    fn sink_off(&mut self, off: &str, already: &str) -> String {
+        let had_sink =
+            !matches!(self.mode, Mode::Shards(_)) && self.enter(Mode::Plain, None).has_sink();
+        if had_sink { off } else { already }.to_string()
     }
 
-    /// `SET DURABILITY '<dir>' [EVERY <n>] [SYNC BATCH] [ARCHIVE '<adir>']
-    /// | OFF` — start logging every pipeline mutation to a write-ahead
-    /// log in `<dir>` (checkpointing every `<n>` records, archiving
-    /// sealed segments into `<adir>` for BACKUP), or detach the log.
+    /// `SET DURABILITY '<dir>' [EVERY <n>] [SYNC BATCH|EVERY] [ARCHIVE
+    /// '<adir>'] | OFF` — start logging every pipeline mutation to a
+    /// write-ahead log in `<dir>` (checkpointing every `<n>` records,
+    /// archiving sealed segments into `<adir>` for BACKUP), or detach the
+    /// log.
     fn set_durability(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str =
-            "usage: SET DURABILITY '<dir>' [EVERY <n>] [SYNC BATCH] [ARCHIVE '<adir>'] | OFF";
-        let first = args.first().ok_or_else(|| err(USAGE))?;
+        let first = args.first().ok_or_else(usage)?;
         if first.to_uppercase() == "OFF" {
-            self.repl = None;
-            return match self.nebula.take_mutation_sink() {
-                Some(_) => Ok("durability: off (log closed; directory keeps its state)".into()),
-                None => Ok("durability: already off".into()),
-            };
+            return Ok(self.sink_off(
+                "durability: off (log closed; directory keeps its state)",
+                "durability: already off",
+            ));
         }
-        if self.shards.is_some() {
-            return Err(err("SET DURABILITY needs SET SHARDS OFF first"));
-        }
+        self.unsharded("SET DURABILITY")?;
         let mut options = DurabilityOptions::default();
         let mut archive: Option<String> = None;
         let mut i = 1;
@@ -644,11 +717,7 @@ impl Shell {
                     i += 2;
                 }
                 "EVERY" => {
-                    let n: usize = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|n| *n > 0)
-                        .ok_or_else(|| err("EVERY needs a positive number"))?;
+                    let n = parsed(args.get(i + 1), |n| *n > 0, "EVERY needs a positive number")?;
                     options.checkpoint_every = Some(n);
                     i += 2;
                 }
@@ -656,25 +725,21 @@ impl Shell {
                     match args.get(i + 1).map(|s| s.to_uppercase()).as_deref() {
                         Some("BATCH") => options.sync = SyncPolicy::Batch,
                         Some("EVERY") => options.sync = SyncPolicy::EveryRecord,
-                        _ => return Err(err("usage: SYNC BATCH | SYNC EVERY")),
+                        _ => return Err(usage()),
                     }
                     i += 2;
                 }
-                _ => return Err(err(USAGE)),
+                _ => return Err(usage()),
             }
         }
         let mut durability =
-            Durability::begin(std::path::Path::new(first), &self.db, &self.store, options)
-                .map_err(|e| err(e.to_string()))?;
+            Durability::begin(Path::new(first), &self.db, &self.store, options).map_err(fail)?;
         if let Some(adir) = &archive {
-            durability
-                .set_archive(std::path::Path::new(adir), 1)
-                .map_err(|e| err(e.to_string()))?;
+            durability.set_archive(Path::new(adir), 1).map_err(fail)?;
         }
         let summary =
             format!("durability: on ({}); initial checkpoint written", durability.describe());
-        self.repl = None;
-        self.nebula.set_mutation_sink(Some(Box::new(durability)));
+        self.enter(Mode::Wal, Some(Box::new(durability)));
         Ok(summary)
     }
 
@@ -683,11 +748,11 @@ impl Shell {
     /// both the single-log sink and the replicated cluster; BACKUP needs
     /// this on so a restorable history exists to bundle.
     fn set_archive(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let dir = args.first().ok_or_else(|| err("usage: SET ARCHIVE '<dir>'"))?;
+        let [dir] = exactly(args)?;
         let sink = self.nebula.mutation_sink_mut().ok_or_else(|| {
             err("durability is off — SET DURABILITY '<dir>' or SET REPLICAS first")
         })?;
-        sink.set_archive(std::path::Path::new(dir)).map_err(|e| err(e.to_string()))?;
+        sink.set_archive(Path::new(dir)).map_err(fail)?;
         Ok(format!(
             "archive: on ('{dir}'); every checkpoint seals its WAL run there before truncating"
         ))
@@ -698,87 +763,58 @@ impl Shell {
     /// checkpoints, archived segments, and a signed manifest of per-file
     /// digests. The bundle restores on a machine that never saw this one.
     fn backup(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str = "usage: BACKUP TO '<dir>'";
-        if args.first().map(|s| s.to_uppercase()).as_deref() != Some("TO") {
-            return Err(err(USAGE));
-        }
-        let dir = args.get(1).ok_or_else(|| err(USAGE))?.clone();
+        let [dir] = exactly(args)?;
         let sink = self.nebula.mutation_sink_mut().ok_or_else(|| {
             err("durability is off — SET DURABILITY '<dir>' ARCHIVE '<adir>' first")
         })?;
         let archive_dir = sink.archive_dir().ok_or_else(|| {
             err("archiving is off — SET ARCHIVE '<dir>' first (BACKUP bundles the archive)")
         })?;
-        sink.checkpoint(&self.db, &self.store).map_err(|e| err(e.to_string()))?;
+        sink.checkpoint(&self.db, &self.store).map_err(fail)?;
         let seq = self.backups.len() as u64 + 1;
         let spec = BundleSpec {
             archive_dir,
-            bundle_dir: std::path::PathBuf::from(&dir),
+            bundle_dir: std::path::PathBuf::from(dir),
             pages: None,
             created_seq: seq,
         };
-        let manifest = nebula_backup::create_bundle(&spec).map_err(|e| err(e.to_string()))?;
-        let bytes: u64 = manifest.entries.iter().map(|e| e.len).sum();
-        let record = BackupRecord {
-            seq,
-            dir,
-            oldest_lsn: manifest.oldest_lsn,
-            head_lsn: manifest.head_lsn,
-            files: manifest.entries.len(),
-            bytes,
-        };
+        let manifest = nebula_backup::create_bundle(&spec).map_err(fail)?;
         let summary = format!(
-            "backup: captured '{}' — restorable lsn range [{}, {}], {} file(s), {} bytes (seq {})",
-            record.dir, record.oldest_lsn, record.head_lsn, record.files, record.bytes, record.seq
+            "backup: captured '{dir}' — restorable lsn range [{}, {}], {} file(s), {} bytes (seq {seq})",
+            manifest.oldest_lsn,
+            manifest.head_lsn,
+            manifest.entries.len(),
+            manifest.bytes(),
         );
-        self.backups.push(record);
-        self.last_backup = Some(std::time::Instant::now());
+        self.backups.push((dir.clone(), manifest, std::time::Instant::now()));
         Ok(summary)
     }
 
     /// `RESTORE FROM '<dir>' [AS OF LSN <n>]` — verify the bundle against
     /// its signed manifest, rebuild the state from the newest bundled
     /// checkpoint at or below the target, and replay archived WAL to the
-    /// target LSN (the bundle's head when no AS OF is given). Replaces
-    /// the live db/store and rebuilds the ACG; any installed sink is
-    /// detached so the restored state is not logged over the old history.
+    /// target LSN (the bundle's head when no AS OF is given). Swaps the
+    /// restored state in and detaches any sink, so the restored state is
+    /// not logged over the old history.
     fn restore(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str = "usage: RESTORE FROM '<dir>' [AS OF LSN <n>]";
-        if args.first().map(|s| s.to_uppercase()).as_deref() != Some("FROM") {
-            return Err(err(USAGE));
-        }
-        let dir = args.get(1).ok_or_else(|| err(USAGE))?;
-        let as_of = match args.get(2) {
-            None => None,
-            Some(tok)
-                if tok.to_uppercase() == "AS"
-                    && args.get(3).map(|s| s.to_uppercase()).as_deref() == Some("OF")
-                    && args.get(4).map(|s| s.to_uppercase()).as_deref() == Some("LSN") =>
-            {
-                let n: u64 = args
-                    .get(5)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("AS OF LSN needs a number"))?;
-                Some(n)
+        let (dir, as_of) = match args {
+            [dir] => (dir, None),
+            [dir, kws @ .., n] if kws.iter().map(|k| k.to_uppercase()).eq(["AS", "OF", "LSN"]) => {
+                (dir, Some(parsed(Some(n), |_| true, "AS OF LSN needs a number")?))
             }
-            _ => return Err(err(USAGE)),
+            _ => return Err(usage()),
         };
-        if self.shards.is_some() {
-            return Err(err("RESTORE needs SET SHARDS OFF first"));
-        }
-        let restored = nebula_backup::restore(std::path::Path::new(dir), as_of)
-            .map_err(|e| err(e.to_string()))?;
-        self.repl = None;
-        let detached = self.nebula.take_mutation_sink().is_some();
-        self.db = restored.db;
-        self.store = restored.store;
-        self.nebula.bootstrap_acg(&self.store);
+        let restored = self.swap("RESTORE", || {
+            let mut r = nebula_backup::restore(Path::new(dir), as_of).map_err(fail)?;
+            let store = std::mem::take(&mut r.store);
+            Ok((Some(std::mem::take(&mut r.db)), store, r))
+        })?;
         let fenced = if restored.fenced > 0 {
             format!(", {} fenced (deposed-epoch records refused)", restored.fenced)
         } else {
             String::new()
         };
-        let mut out = vec![format!(
+        let out = format!(
             "restored to lsn {} from '{dir}' (manifest verified; base watermark {}, \
              {} replayed, {} skipped{fenced}); {} tuples, {} annotations; ACG rebuilt",
             restored.applied,
@@ -787,15 +823,8 @@ impl Shell {
             restored.skipped,
             self.db.total_tuples(),
             self.store.annotation_count(),
-        )];
-        if detached {
-            out.push(
-                "  durability sink detached — SET DURABILITY into a fresh directory to \
-                 resume logging"
-                    .into(),
-            );
-        }
-        Ok(out.join("\n"))
+        );
+        Ok(self.detach(out))
     }
 
     /// `SET REPLICAS <n> '<dir>' [QUORUM <q>] [NETFAULTS <seed> <rate>]
@@ -805,53 +834,31 @@ impl Shell {
     /// (ack-quorum) and injecting seeded transport faults. OFF detaches
     /// the cluster.
     fn set_replicas(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str =
-            "usage: SET REPLICAS <n> '<dir>' [QUORUM <q>] [NETFAULTS <seed> <rate>] | OFF";
-        let first = args.first().ok_or_else(|| err(USAGE))?;
+        let first = args.first().ok_or_else(usage)?;
         if first.to_uppercase() == "OFF" {
-            self.repl = None;
-            return match self.nebula.take_mutation_sink() {
-                Some(_) => {
-                    Ok("replication: off (cluster detached; directories keep their state)".into())
-                }
-                None => Ok("replication: already off".into()),
-            };
+            return Ok(self.sink_off(
+                "replication: off (cluster detached; directories keep their state)",
+                "replication: already off",
+            ));
         }
-        if self.shards.is_some() {
-            return Err(err("SET REPLICAS needs SET SHARDS OFF first"));
-        }
-        let n: usize = first
-            .parse()
-            .ok()
-            .filter(|n| *n > 0)
-            .ok_or_else(|| err("SET REPLICAS needs a replica count >= 1"))?;
-        let dir = args.get(1).ok_or_else(|| err(USAGE))?;
+        self.unsharded("SET REPLICAS")?;
+        let n: usize = parsed(Some(first), |n| *n > 0, "SET REPLICAS needs a replica count >= 1")?;
+        let dir = args.get(1).ok_or_else(usage)?;
         let mut config = ClusterConfig::default();
         let mut plan: Option<FaultPlan> = None;
         let mut i = 2;
         while i < args.len() {
             match args[i].to_uppercase().as_str() {
                 "QUORUM" => {
-                    let q: usize = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|q| (1..=n).contains(q))
-                        .ok_or_else(|| {
-                            err("QUORUM needs a count between 1 and the replica count")
-                        })?;
+                    let why = "QUORUM needs a count between 1 and the replica count";
+                    let q = parsed(args.get(i + 1), |q| (1..=n).contains(q), why)?;
                     config.rule = CommitRule::Quorum(q);
                     i += 2;
                 }
                 "NETFAULTS" => {
-                    let seed: u64 = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| err("NETFAULTS needs a seed"))?;
-                    let rate: f64 = args
-                        .get(i + 2)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| err("NETFAULTS needs a rate in [0, 1]"))?;
+                    let seed: u64 = parsed(args.get(i + 1), |_| true, "NETFAULTS needs a seed")?;
+                    let why = "NETFAULTS needs a rate in [0, 1]";
+                    let rate: f64 = parsed(args.get(i + 2), |r| (0.0..=1.0).contains(r), why)?;
                     let sites = [
                         FaultSite::NetDrop,
                         FaultSite::NetDelay,
@@ -862,7 +869,7 @@ impl Shell {
                         Some(sites.into_iter().fold(FaultPlan::new(seed), |p, s| p.with(s, rate)));
                     i += 3;
                 }
-                _ => return Err(err(USAGE)),
+                _ => return Err(usage()),
             }
         }
         // Node 0 is the primary; replicas are nodes 1..=n.
@@ -870,57 +877,54 @@ impl Shell {
             Some(p) => Box::new(SimTransport::new(n + 1, p)),
             None => Box::new(SimTransport::reliable(n + 1)),
         };
-        let cluster =
-            Cluster::new(std::path::Path::new(dir), &self.db, &self.store, n, transport, config)
-                .map_err(|e| err(e.to_string()))?;
+        let cluster = Cluster::new(Path::new(dir), &self.db, &self.store, n, transport, config)
+            .map_err(fail)?;
         let st = cluster.status();
         let summary = format!(
             "replication: on (epoch {} rule {} replicas {}); bootstrap checkpoints shipped",
             st.epoch, st.rule, st.replicas
         );
         let sink = ClusterSink::new(cluster);
-        self.repl = Some(sink.handle());
-        self.nebula.set_mutation_sink(Some(Box::new(sink)));
+        self.enter(Mode::Replicas(sink.handle()), Some(Box::new(sink)));
         Ok(summary)
+    }
+
+    /// A handle on the replication cluster, or the error every
+    /// replication verb gives while it is off.
+    fn replicas(&self) -> Result<ClusterSink, ShellError> {
+        match &self.mode {
+            Mode::Replicas(sink) => Ok(sink.handle()),
+            _ => Err(err("replication is off — SET REPLICAS <n> '<dir>' first")),
+        }
     }
 
     /// `PROMOTE [<id>]` — deterministic failover: promote replica `id`
     /// (or the best live candidate) to primary under a bumped epoch, then
-    /// rebase the shell's live state onto the new primary. Any suffix the
-    /// old primary held beyond the promoted replica's applied LSN is
-    /// discarded — that is the failover contract — and the deposed
-    /// primary's future writes are fenced.
+    /// swap the new primary's state in, keeping the cluster as the sink.
+    /// Any suffix the old primary held beyond the promoted replica's
+    /// applied LSN is discarded — that is the failover contract — and the
+    /// deposed primary's future writes are fenced.
     fn promote(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let sink = self
-            .repl
-            .as_ref()
-            .ok_or_else(|| err("replication is off — SET REPLICAS <n> '<dir>' first"))?
-            .handle();
-        let image;
-        let id;
-        let epoch;
-        let applied;
-        {
+        let id: Option<usize> = match args {
+            [] => None,
+            [tok] => Some(tok.parse().map_err(|_| usage())?),
+            _ => return Err(usage()),
+        };
+        let sink = self.replicas()?;
+        let (id, epoch, applied) = self.swap("PROMOTE", || {
             let mut cluster = sink.lock();
-            id = match args.first() {
-                Some(tok) => {
-                    tok.parse().map_err(|_| err(format!("`{tok}` is not a replica id")))?
-                }
+            let id = match id {
+                Some(id) => id,
                 None => cluster
                     .best_failover_candidate()
                     .ok_or_else(|| err("no live replica to promote"))?,
             };
-            cluster.promote(id).map_err(|e| err(e.to_string()))?;
+            cluster.promote(id).map_err(fail)?;
             let (db, store) = cluster.primary().shadow();
-            image = nebula_durable::checkpoint::encode(0, db, store);
-            epoch = cluster.primary().epoch();
-            applied = cluster.primary().last_lsn();
-        }
-        let (_, db, store) =
-            nebula_durable::checkpoint::decode(&image).map_err(|e| err(e.to_string()))?;
-        self.db = db;
-        self.store = store;
-        self.nebula.bootstrap_acg(&self.store);
+            let image = nebula_durable::checkpoint::encode(0, db, store);
+            let (_, db, store) = nebula_durable::checkpoint::decode(&image).map_err(fail)?;
+            Ok((Some(db), store, (id, cluster.primary().epoch(), cluster.primary().last_lsn())))
+        })?;
         Ok(format!(
             "promoted replica {id} to primary (epoch {epoch}, lsn {applied}); \
              shell state rebased onto the new primary; ACG rebuilt"
@@ -929,9 +933,9 @@ impl Shell {
 
     /// `SHOW REPLICATION` — the cluster posture: epoch, commit rule,
     /// per-replica ack/ship positions, divergences, deposed primaries.
-    fn show_replication(&self) -> Result<String, ShellError> {
-        let Some(sink) = &self.repl else {
-            return Ok("replication: off".into());
+    fn show_replication(&self) -> String {
+        let Ok(sink) = self.replicas() else {
+            return "replication: off".into();
         };
         let cluster = sink.lock();
         let st = cluster.status();
@@ -970,27 +974,22 @@ impl Shell {
                 cluster.deposed().iter().map(|p| format!("epoch {}", p.epoch())).collect();
             out.push(format!("  deposed primaries: {}", epochs.join(", ")));
         }
-        Ok(out.join("\n"))
+        out.join("\n")
     }
 
     /// `SHOW REPLICA <id> [STALENESS <n>]` — a bounded-staleness read
     /// against one replica: succeeds only if the replica is live and
     /// within `n` LSNs of the primary (unbounded without STALENESS).
     fn show_replica(&self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str = "usage: SHOW REPLICA <id> [STALENESS <n>]";
-        let sink = self
-            .repl
-            .as_ref()
-            .ok_or_else(|| err("replication is off — SET REPLICAS <n> '<dir>' first"))?;
-        let id: usize = args.first().and_then(|s| s.parse().ok()).ok_or_else(|| err(USAGE))?;
-        let bound = match args.get(1).map(|s| s.to_uppercase()).as_deref() {
-            Some("STALENESS") => args
-                .get(2)
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| err("STALENESS needs a number"))?,
-            Some(_) => return Err(err(USAGE)),
-            None => u64::MAX,
+        let (id, bound) = match args {
+            [id] => (id, u64::MAX),
+            [id, kw, n] if kw.eq_ignore_ascii_case("STALENESS") => {
+                (id, parsed(Some(n), |_| true, "STALENESS needs a number")?)
+            }
+            _ => return Err(usage()),
         };
+        let id: usize = id.parse().map_err(|_| usage())?;
+        let sink = self.replicas()?;
         let cluster = sink.lock();
         let r = cluster
             .replica(id)
@@ -998,7 +997,7 @@ impl Shell {
         let lag = cluster.primary().last_lsn().saturating_sub(r.applied());
         let (tuples, notes) = cluster
             .read_replica(id, bound, |db, store| (db.total_tuples(), store.annotation_count()))
-            .map_err(|e| err(e.to_string()))?;
+            .map_err(fail)?;
         Ok(format!(
             "replica {id}: epoch {} applied lsn {} (lag {lag}) — {tuples} tuples, \
              {notes} annotations ({} replayed, {} skipped, {} via checkpoint)",
@@ -1017,27 +1016,21 @@ impl Shell {
     /// In that last resort, rows whose only copy sat on an unrecoverable
     /// page degrade to NULL (counted in `relstore.storage_errors`)
     /// rather than poisoning the rebuild.
-    fn scrub_pages(&mut self) -> Result<Vec<String>, ShellError> {
-        let store = self.storage.clone().ok_or_else(|| err("storage is mem"))?;
-        store.flush_pages().map_err(|e| err(e.to_string()))?;
-        let report = store.scrub().map_err(|e| err(e.to_string()))?;
+    fn scrub_pages(&mut self, store: &PagedStorage) -> Result<Vec<String>, ShellError> {
+        store.flush_pages().map_err(fail)?;
+        let report = store.scrub().map_err(fail)?;
         let mut out = vec![format!("pages: {report}")];
         if report.is_clean() {
             return Ok(out);
         }
-        let repair = store.repair().map_err(|e| err(e.to_string()))?;
+        let repair = store.repair().map_err(fail)?;
         out.push(format!("pages repaired in place: {repair}"));
         if repair.is_clean() {
             return Ok(out);
         }
-        let frames = store.pool_frames();
-        let dir = store.dir().to_path_buf();
-        let bytes = relstore::snapshot::save(&self.db);
-        drop(store);
-        self.storage = None;
-        std::fs::remove_file(dir.join(nebula_pagestore::file::FILE_NAME))
-            .map_err(|e| err(e.to_string()))?;
-        let m = self.load_onto_pages(&dir, frames, &bytes)?;
+        // The snapshot must read the live state before the file goes.
+        let snapshot = relstore::snapshot::save(&self.db);
+        let m = self.load_onto_pages(store.dir(), store.pool_frames(), &snapshot)?;
         out.push(format!(
             "pages: rebuilt a clean file from live state ({} pages at watermark {})",
             m.page_count, m.watermark
@@ -1051,64 +1044,63 @@ impl Shell {
     /// checkpoints (healing found rot from the shadow state), walks the
     /// range-digest ladder against every live replica, and repairs
     /// whatever the pass finds; a sharded scrub rebuilds every shard whose
-    /// digest disagrees with the durable history. `SCRUB BACKUP '<dir>'`
-    /// instead walks an archive or bundle re-deriving every CRC (and the
-    /// manifest digests when one is present), so torn or rotten files
-    /// surface before a restore needs them.
-    fn scrub(&mut self, args: &[String]) -> Result<String, ShellError> {
-        if args.first().map(|s| s.to_uppercase()).as_deref() == Some("BACKUP") {
-            let dir = args.get(1).ok_or_else(|| err("usage: SCRUB BACKUP '<dir>'"))?;
-            let report =
-                nebula_backup::scrub(std::path::Path::new(dir)).map_err(|e| err(e.to_string()))?;
-            return Ok(format!("backup scrub '{dir}': {report}"));
-        }
-        let mut out = if self.storage.is_some() { self.scrub_pages()? } else { Vec::new() };
-        if let Some(cluster) = &mut self.shards {
-            let report = cluster.scrub().map_err(|e| err(e.to_string()))?;
-            out.push(format!("shards: {report}"));
-        } else if let Some(sink) = &self.repl {
-            let handle = sink.handle();
-            let mut cluster = handle.lock();
-            let at_lsn = cluster.primary().last_lsn();
-            let report = cluster.scrub();
-            out.push(format!("scrub at lsn {at_lsn}: {report}"));
-            let mut to_repair = nebula_replica::flagged_replicas(&report);
-            to_repair.sort_unstable();
-            for id in to_repair {
-                match cluster.repair_replica(id) {
-                    Ok(r) => out.push(format!(
-                        "  repaired replica {}: rewound {} lsn(s) past agreed lsn {} \
-                         ({} probes, {} resynced, converged = {})",
-                        r.replica, r.rewound, r.agreed, r.probes, r.resynced, r.converged,
-                    )),
-                    Err(e) => out.push(format!("  replica {id}: repair failed ({e})")),
+    /// digest disagrees with the durable history.
+    fn scrub(&mut self) -> Result<String, ShellError> {
+        let mut out = match self.storage.clone() {
+            Some(store) => self.scrub_pages(&store)?,
+            None => Vec::new(),
+        };
+        match &mut self.mode {
+            Mode::Shards(cluster) => {
+                let report = cluster.scrub().map_err(fail)?;
+                out.push(format!("shards: {report}"));
+            }
+            Mode::Replicas(sink) => {
+                let mut cluster = sink.lock();
+                let at_lsn = cluster.primary().last_lsn();
+                let report = cluster.scrub();
+                out.push(format!("scrub at lsn {at_lsn}: {report}"));
+                let mut to_repair = nebula_replica::flagged_replicas(&report);
+                to_repair.sort_unstable();
+                for id in to_repair {
+                    match cluster.repair_replica(id) {
+                        Ok(r) => out.push(format!(
+                            "  repaired replica {}: rewound {} lsn(s) past agreed lsn {} \
+                             ({} probes, {} resynced, converged = {})",
+                            r.replica, r.rewound, r.agreed, r.probes, r.resynced, r.converged,
+                        )),
+                        Err(e) => out.push(format!("  replica {id}: repair failed ({e})")),
+                    }
                 }
             }
-        } else if out.is_empty() {
-            return Err(err("replication is off — SET REPLICAS <n> '<dir>' first \
-                 (or SET SHARDS <n>, or SET STORAGE DISK for a page-file scrub)"));
+            _ if out.is_empty() => {
+                return Err(err("replication is off — SET REPLICAS <n> '<dir>' first \
+                     (or SET SHARDS <n>, or SET STORAGE DISK for a page-file scrub)"));
+            }
+            _ => {}
         }
         Ok(out.join("\n"))
     }
 
-    /// `REJOIN <node>` — demote the deposed primary `node` to a replica of
-    /// the current epoch: rewind its un-acked (fenced) suffix and re-sync
-    /// it through the checkpoint catch-up path.
-    fn rejoin(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let sink = self
-            .repl
-            .as_ref()
-            .ok_or_else(|| err("replication is off — SET REPLICAS <n> '<dir>' first"))?
-            .handle();
+    /// `REJOIN [<node>]` — demote the deposed primary `node` to a replica
+    /// of the current epoch: rewind its un-acked (fenced) suffix and
+    /// re-sync it through the checkpoint catch-up path.
+    fn rejoin(&self, args: &[String]) -> Result<String, ShellError> {
+        let node: Option<usize> = match args {
+            [] => None,
+            [tok] => Some(tok.parse().map_err(|_| usage())?),
+            _ => return Err(usage()),
+        };
+        let sink = self.replicas()?;
         let mut cluster = sink.lock();
-        let node: usize = match args.first() {
-            Some(tok) => tok.parse().map_err(|_| err(format!("`{tok}` is not a node id")))?,
+        let node = match node {
+            Some(node) => node,
             None => *cluster
                 .deposed_nodes()
                 .first()
                 .ok_or_else(|| err("no deposed primary to rejoin — PROMOTE creates one"))?,
         };
-        let r = cluster.rejoin(node).map_err(|e| err(e.to_string()))?;
+        let r = cluster.rejoin(node).map_err(fail)?;
         Ok(format!(
             "node {} rejoined epoch {} as a replica: rewound {} fenced lsn(s) \
              ({} ladder probes, converged = {})",
@@ -1116,33 +1108,11 @@ impl Shell {
         ))
     }
 
-    /// `RECOVER INGEST` — the operator half of the guarded Wedged exit:
-    /// if the durability sink reports writable again, clear the wedged
-    /// verdict so the next ANNOTATE dispatches instead of shedding.
-    fn recover_ingest(&mut self) -> Result<String, ShellError> {
-        let wedged = self.last_ingest.as_ref().is_some_and(|r| r.health == HealthState::Wedged);
-        if !wedged {
-            return Ok("ingest is not wedged — nothing to recover".into());
-        }
-        let sink_ok = self.nebula.mutation_sink().is_none_or(|sink| sink.healthy());
-        if !sink_ok {
-            return Err(err(
-                "the durability layer is still wedged — CHECKPOINT rebuilds the log first",
-            ));
-        }
-        if let Some(r) = &mut self.last_ingest {
-            r.health = HealthState::Degraded;
-        }
-        nebula_obs::counter_add(nebula_ingest::counters::RECOVERED, 1);
-        nebula_obs::trace::flight_event("health", "wedged -> degraded (operator)".to_string());
-        Ok("ingest recovered: wedged -> degraded (the window must prove itself clean)".into())
-    }
-
     /// `SHOW REPAIR` — the repair posture: the last scrub's report, pending
     /// repairs, completed repairs/rejoins, and divergence depths.
-    fn show_repair(&self) -> Result<String, ShellError> {
-        let Some(sink) = &self.repl else {
-            return Ok("replication: off — no repair surface".into());
+    fn show_repair(&self) -> String {
+        let Ok(sink) = self.replicas() else {
+            return "replication: off — no repair surface".into();
         };
         let cluster = sink.lock();
         let st = cluster.repair_status();
@@ -1169,7 +1139,7 @@ impl Shell {
             let ids: Vec<String> = deposed.iter().map(|n| format!("node {n}")).collect();
             out.push(format!("  deposed primaries awaiting REJOIN: {}", ids.join(", ")));
         }
-        Ok(out.join("\n"))
+        out.join("\n")
     }
 
     /// `CHECKPOINT` — persist the full state now and truncate the log.
@@ -1178,26 +1148,24 @@ impl Shell {
             .nebula
             .mutation_sink_mut()
             .ok_or_else(|| err("durability is off — SET DURABILITY '<dir>' first"))?;
-        let watermark = sink.checkpoint(&self.db, &self.store).map_err(|e| err(e.to_string()))?;
+        let watermark = sink.checkpoint(&self.db, &self.store).map_err(fail)?;
         Ok(format!("checkpoint committed (watermark lsn {watermark}); log truncated"))
     }
 
-    /// `RECOVER '<dir>'` — replace the live state with the recovered
-    /// checkpoint + log replay from `<dir>` and continue logging into it.
-    /// `RECOVER INGEST` — clear a wedged ingest verdict instead.
+    /// `RECOVER '<dir>'` — swap in the recovered checkpoint + log replay
+    /// from `<dir>` and continue logging into it.
     fn recover(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let path = args.first().ok_or_else(|| err("usage: RECOVER '<dir>' | RECOVER INGEST"))?;
-        if path.to_uppercase() == "INGEST" {
-            return self.recover_ingest();
+        let [path] = exactly(args)?;
+        if !Path::new(path).is_dir() {
+            return Err(usage());
         }
-        let (durability, recovered) =
-            Durability::resume(std::path::Path::new(path), DurabilityOptions::default())
-                .map_err(|e| err(e.to_string()))?;
-        self.db = recovered.db;
-        self.store = recovered.store;
-        self.nebula.bootstrap_acg(&self.store);
-        self.repl = None;
-        self.nebula.set_mutation_sink(Some(Box::new(durability)));
+        let (durability, recovered) = self.swap("RECOVER", || {
+            let (durability, mut r) =
+                Durability::resume(Path::new(path), DurabilityOptions::default()).map_err(fail)?;
+            let store = std::mem::take(&mut r.store);
+            Ok((Some(std::mem::take(&mut r.db)), store, (durability, r)))
+        })?;
+        self.enter(Mode::Wal, Some(Box::new(durability)));
         let mut out = vec![format!(
             "recovered {} tuples, {} annotations from '{path}' \
              (watermark lsn {}, {} replayed, {} skipped); ACG rebuilt",
@@ -1222,8 +1190,6 @@ impl Shell {
     /// CANDIDATES <n> | OFF` — limits accumulate across calls; OFF resets
     /// to unbounded.
     fn set_budget(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str =
-            "usage: SET BUDGET DEADLINE <ms> | TUPLES <n> | CONFIGS <n> | CANDIDATES <n> | OFF";
         let budget = &mut self.nebula.config_mut().budget;
         match args.first().map(|s| s.to_uppercase()).as_deref() {
             Some("OFF") => {
@@ -1231,10 +1197,8 @@ impl Shell {
                 return Ok("budget: unbounded".into());
             }
             Some(dim @ ("DEADLINE" | "TUPLES" | "CONFIGS" | "CANDIDATES")) => {
-                let n: u64 = args
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err(format!("SET BUDGET {dim} needs a number")))?;
+                let n: u64 =
+                    parsed(args.get(1), |_| true, format!("SET BUDGET {dim} needs a number"))?;
                 match dim {
                     "DEADLINE" => {
                         budget.deadline = Some(std::time::Duration::from_millis(n));
@@ -1244,272 +1208,107 @@ impl Shell {
                     _ => budget.max_candidates = n as usize,
                 }
             }
-            _ => return Err(err(USAGE)),
+            _ => return Err(usage()),
         }
         Ok(format!("budget: {}", self.nebula.config().budget))
     }
 
-    /// `SET FAULTS <seed> [RATE <r>] | HOSTILE <seed> | OFF` — install a
-    /// deterministic fault plan on this thread (uniform at RATE, default
-    /// 0.1), the always-firing hostile plan, or clear it.
-    fn set_faults(&mut self, args: &[String]) -> Result<String, ShellError> {
-        const USAGE: &str = "usage: SET FAULTS <seed> [RATE <r>] | HOSTILE <seed> | OFF";
-        match args.first().map(|s| s.to_uppercase()).as_deref() {
-            Some("OFF") => {
-                nebula_govern::set_fault_plan(None);
-                Ok("faults: off".into())
-            }
-            Some("HOSTILE") => {
-                let seed: u64 = args
-                    .get(1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| err("SET FAULTS HOSTILE needs a seed"))?;
-                let plan = FaultPlan::hostile(seed);
-                let desc = plan.describe();
-                nebula_govern::set_fault_plan(Some(plan));
-                Ok(format!("faults: {desc}"))
-            }
-            Some(_) => {
-                let seed: u64 =
-                    args[0].parse().map_err(|_| err(format!("`{}` is not a seed", args[0])))?;
-                let rate = match args.get(1).map(|s| s.to_uppercase()).as_deref() {
-                    Some("RATE") => args
-                        .get(2)
-                        .and_then(|s| s.parse::<f64>().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .ok_or_else(|| err("RATE needs a number in [0, 1]"))?,
-                    Some(_) => return Err(err(USAGE)),
-                    None => 0.1,
-                };
-                let plan = FaultPlan::uniform(seed, rate);
-                let desc = plan.describe();
-                nebula_govern::set_fault_plan(Some(plan));
-                Ok(format!("faults: {desc}"))
-            }
-            None => Err(err(USAGE)),
+    fn show_shards(&self) -> String {
+        match &self.mode {
+            Mode::Shards(c) => format!("shards: on\n{}", c.describe().trim_end()),
+            _ => "shards: off (single-engine path)".to_string(),
         }
     }
 
-    /// `SHOW METRICS | BUDGET | FAULTS | DURABILITY | HEALTH |
-    /// REPLICATION | REPLICA <id>` — the telemetry snapshot, the
-    /// configured execution budget, the installed fault plan and its
-    /// injection tallies, the durability manager's state, the ingest
-    /// health report, or the replication cluster posture.
-    fn show(&self, args: &[String]) -> Result<String, ShellError> {
-        match args.first().map(|s| s.to_uppercase()).as_deref() {
-            Some("METRICS") => Ok(nebula_obs::snapshot().render_text()),
-            Some("REPLICATION") => self.show_replication(),
-            Some("REPLICA") => self.show_replica(&args[1..]),
-            Some("REPAIR") => self.show_repair(),
-            Some("SHARDS") => Ok(match &self.shards {
-                None => "shards: off (single-engine path)".to_string(),
-                Some(c) => format!("shards: on\n{}", c.describe().trim_end()),
-            }),
-            Some("STORAGE") => Ok(match &self.storage {
-                None => {
-                    format!("storage: {} (all rows and postings in RAM)", self.db.storage_label())
-                }
-                Some(s) => {
-                    let m = s.metrics();
-                    format!(
-                        "storage: {}\n  pages: {} ({} resident, {} dirty)   \
-                         watermark lsn: {} (in-memory lsn {})\n  \
-                         pool: {} hits, {} misses, {} evictions\n  \
-                         flushes: {} ({} pages written back)   \
-                         faults injected: {} ({} read retries)",
-                        self.db.storage_label(),
-                        m.page_count,
-                        m.resident_pages,
-                        m.dirty_pages,
-                        m.watermark,
-                        m.lsn,
-                        m.pool.hits,
-                        m.pool.misses,
-                        m.pool.evictions,
-                        m.pool.flushes,
-                        m.pool.write_backs,
-                        m.faults.injected,
-                        m.faults.retries,
-                    )
-                }
-            }),
-            Some("HEALTH") => Ok(match &self.last_ingest {
-                None => format!(
-                    "health: healthy (no ingest yet)\n  workers: {}   queue capacity: {}",
-                    self.ingest.workers, self.ingest.queue_capacity
-                ),
-                Some(r) => format!(
-                    "health: {}\n  workers: {}   queue capacity: {}   peak depth: {}\n  \
-                     last ingest: {} committed, {} shed ({:.0}% shed rate), \
-                     p99 latency {:.2}ms",
-                    r.health,
-                    r.workers,
-                    self.ingest.queue_capacity,
-                    r.queue_depth_peak,
-                    r.batch.total(),
-                    r.sheds.len(),
-                    r.shed_rate() * 100.0,
-                    r.p99_latency_ns() as f64 / 1e6,
-                ),
-            }),
-            Some("BUDGET") => Ok(format!("budget: {}", self.nebula.config().budget)),
-            Some("DURABILITY") => Ok(match self.nebula.mutation_sink() {
-                Some(sink) => {
-                    let mut out = vec![format!("durability: on ({})", sink.describe())];
-                    if let Some(adir) = sink.archive_dir() {
-                        match nebula_durable::archive_stats(&adir) {
-                            Ok(s) => out.push(format!(
-                                "  archive: '{}' — {} segment(s), {} base(s), \
-                                 oldest restorable lsn {}, newest lsn {}, {} bytes",
-                                adir.display(),
-                                s.segments,
-                                s.bases,
-                                s.oldest_restorable_lsn,
-                                s.newest_lsn,
-                                s.bytes,
-                            )),
-                            Err(e) => out
-                                .push(format!("  archive: '{}' unreadable ({e})", adir.display())),
-                        }
-                        out.push(match (&self.last_backup, self.backups.last()) {
-                            (Some(at), Some(b)) => format!(
-                                "  last backup: seq {} to '{}' (head lsn {}), {}s ago",
-                                b.seq,
-                                b.dir,
-                                b.head_lsn,
-                                at.elapsed().as_secs(),
-                            ),
-                            _ => "  last backup: never (BACKUP TO '<dir>' captures one)".into(),
-                        });
-                    }
-                    out.join("\n")
-                }
-                None => "durability: off".to_string(),
-            }),
-            Some("BACKUPS") => {
-                if self.backups.is_empty() {
-                    return Ok("backups: none this session (BACKUP TO '<dir>' captures one)".into());
-                }
-                let mut out =
-                    vec![format!("backups: {} captured this session", self.backups.len())];
-                for b in &self.backups {
-                    let verdict = match nebula_backup::verify_bundle(std::path::Path::new(&b.dir)) {
-                        Ok(v) => format!("verified ({} file(s))", v.files_verified),
-                        Err(e) => format!("FAILED VERIFICATION: {e}"),
-                    };
-                    out.push(format!(
-                        "  seq {}: '{}' lsn [{}, {}] — {} file(s), {} bytes — {verdict}",
-                        b.seq, b.dir, b.oldest_lsn, b.head_lsn, b.files, b.bytes,
-                    ));
-                }
-                Ok(out.join("\n"))
-            }
-            Some("FAULTS") => match nebula_govern::describe_fault_plan() {
-                None => Ok("faults: off".into()),
-                Some(desc) => {
-                    let s = nebula_govern::fault_stats();
-                    Ok(format!(
-                        "faults: {desc}\n  injected: {} query, {} index-probe, {} latency, \
-                         {} panic\n  recovered: {}   retries: {}",
-                        s.injected(FaultSite::Query),
-                        s.injected(FaultSite::IndexProbe),
-                        s.injected(FaultSite::Latency),
-                        s.injected(FaultSite::Panic),
-                        s.recovered,
-                        s.retries,
-                    ))
-                }
-            },
-            Some("CRITICAL") => {
-                if args.get(1).map(|s| s.to_uppercase()).as_deref() != Some("PATH") {
-                    return Err(err("usage: SHOW CRITICAL PATH"));
-                }
-                let traces = nebula_obs::trace::traces();
-                Ok(nebula_obs::trace::attribution(&traces).render_text().trim_end().to_string())
-            }
-            Some("FLIGHT") => Ok(self.show_flight()),
-            _ => Err(err("usage: SHOW METRICS | BUDGET | FAULTS | DURABILITY | BACKUPS | \
-                 HEALTH | REPLICATION | REPLICA <id> | REPAIR | SHARDS | CRITICAL PATH | \
-                 FLIGHT")),
-        }
+    fn show_storage(&self) -> String {
+        let Some(s) = &self.storage else {
+            return format!("storage: {} (all rows and postings in RAM)", self.db.storage_label());
+        };
+        let m = s.metrics();
+        format!(
+            "storage: {}\n  pages: {} ({} resident, {} dirty)   \
+             watermark lsn: {} (in-memory lsn {})\n  \
+             pool: {} hits, {} misses, {} evictions\n  \
+             flushes: {} ({} pages written back)   \
+             faults injected: {} ({} read retries)",
+            self.db.storage_label(),
+            m.page_count,
+            m.resident_pages,
+            m.dirty_pages,
+            m.watermark,
+            m.lsn,
+            m.pool.hits,
+            m.pool.misses,
+            m.pool.evictions,
+            m.pool.flushes,
+            m.pool.write_backs,
+            m.faults.injected,
+            m.faults.retries,
+        )
     }
 
-    /// `SHOW FLIGHT` — the flight recorder: recent operational events and
-    /// any post-mortem dumps captured by a terminal condition.
-    fn show_flight(&self) -> String {
-        let events = nebula_obs::trace::flight_events();
-        let dumps = nebula_obs::trace::flight_dumps();
-        if events.is_empty() && dumps.is_empty() {
-            return "flight recorder: empty".to_string();
-        }
-        let mut out = vec![format!("flight recorder: {} event(s) retained", events.len())];
-        out.extend(events.iter().map(|e| format!("  #{} {} {}", e.seq, e.kind, e.detail)));
-        if !dumps.is_empty() {
-            out.push(format!("post-mortem dumps: {}", dumps.len()));
-            out.extend(dumps.iter().map(|d| {
-                format!("  trigger {} ({} event(s) captured)", d.trigger, d.events.len())
-            }));
+    /// `SHOW DURABILITY` — the installed sink's state, its archive, and
+    /// the last backup.
+    fn show_durability(&self) -> String {
+        let Some(sink) = self.nebula.mutation_sink() else {
+            return "durability: off".to_string();
+        };
+        let mut out = vec![format!("durability: on ({})", sink.describe())];
+        if let Some(adir) = sink.archive_dir() {
+            match nebula_durable::archive_stats(&adir) {
+                Ok(s) => out.push(format!(
+                    "  archive: '{}' — {} segment(s), {} base(s), \
+                     oldest restorable lsn {}, newest lsn {}, {} bytes",
+                    adir.display(),
+                    s.segments,
+                    s.bases,
+                    s.oldest_restorable_lsn,
+                    s.newest_lsn,
+                    s.bytes,
+                )),
+                Err(e) => out.push(format!("  archive: '{}' unreadable ({e})", adir.display())),
+            }
+            out.push(match self.backups.last() {
+                Some((dir, m, at)) => format!(
+                    "  last backup: seq {} to '{dir}' (head lsn {}), {}s ago",
+                    m.created_seq,
+                    m.head_lsn,
+                    at.elapsed().as_secs(),
+                ),
+                None => "  last backup: never (BACKUP TO '<dir>' captures one)".into(),
+            });
         }
         out.join("\n")
     }
 
-    /// `TRACE ANNOTATION <id>` — the committed annotation's span tree,
-    /// with the critical path marked.
-    fn trace(&self, args: &[String]) -> Result<String, ShellError> {
-        let [kind, id] = args else {
-            return Err(err("usage: TRACE ANNOTATION <id>"));
-        };
-        if kind.to_uppercase() != "ANNOTATION" {
-            return Err(err("usage: TRACE ANNOTATION <id>"));
+    fn show_backups(&self) -> String {
+        if self.backups.is_empty() {
+            return "backups: none this session (BACKUP TO '<dir>' captures one)".into();
         }
-        let id: u64 = id
-            .trim_start_matches(['A', 'a'])
-            .parse()
-            .map_err(|_| err(format!("`{id}` is not an annotation id")))?;
-        match nebula_obs::trace::for_annotation(id) {
-            Some(trace) => Ok(trace.render_tree().trim_end().to_string()),
-            None => Ok(format!(
-                "no trace recorded for annotation A{id} \
-                 (the ring keeps the last {} commits)",
-                nebula_obs::trace::TRACE_CAPACITY
-            )),
-        }
-    }
-
-    /// `EXPLAIN ANNOTATION <id>` — replay the recorded pipeline events for
-    /// one annotation: per-stage wall time, candidate counts, decisions.
-    fn explain(&self, args: &[String]) -> Result<String, ShellError> {
-        let [kind, id] = args else {
-            return Err(err("usage: EXPLAIN ANNOTATION <id>"));
-        };
-        if kind.to_uppercase() != "ANNOTATION" {
-            return Err(err("usage: EXPLAIN ANNOTATION <id>"));
-        }
-        // Accept both the display form `A7` and the bare number `7`.
-        let id: u64 = id
-            .trim_start_matches(['A', 'a'])
-            .parse()
-            .map_err(|_| err(format!("`{id}` is not an annotation id")))?;
-        let snapshot = nebula_obs::snapshot();
-        let events = snapshot.events_for(id);
-        if events.is_empty() {
-            return Ok(format!(
-                "no recorded pipeline events for annotation A{id} \
-                 (telemetry keeps the last {} events)",
-                nebula_obs::EVENT_CAPACITY
+        let mut out = vec![format!("backups: {} captured this session", self.backups.len())];
+        for (dir, m, _) in &self.backups {
+            let verdict = match nebula_backup::verify_bundle(Path::new(dir)) {
+                Ok(v) => format!("verified ({} file(s))", v.files_verified),
+                Err(e) => format!("FAILED VERIFICATION: {e}"),
+            };
+            out.push(format!(
+                "  seq {}: '{dir}' lsn [{}, {}] — {} file(s), {} bytes — {verdict}",
+                m.created_seq,
+                m.oldest_lsn,
+                m.head_lsn,
+                m.entries.len(),
+                m.bytes(),
             ));
         }
-        let mut out = vec![format!("annotation A{id}:")];
-        out.extend(events.iter().map(|e| format!("  {}", e.render_line())));
-        Ok(out.join("\n"))
+        out.join("\n")
     }
 
     fn save(&self, args: &[String]) -> Result<String, ShellError> {
-        let path = args.first().ok_or_else(|| err("usage: SAVE '<path>'"))?;
+        let [path] = exactly(args)?;
         let db_bytes = relstore::snapshot::save(&self.db);
         let ann_bytes = annostore::snapshot::save(&self.store);
-        std::fs::write(format!("{path}.reldb"), &db_bytes).map_err(|e| err(e.to_string()))?;
-        std::fs::write(format!("{path}.anndb"), &ann_bytes).map_err(|e| err(e.to_string()))?;
+        std::fs::write(format!("{path}.reldb"), &db_bytes).map_err(fail)?;
+        std::fs::write(format!("{path}.anndb"), &ann_bytes).map_err(fail)?;
         Ok(format!(
             "saved {} + {} bytes to {path}.reldb / {path}.anndb",
             db_bytes.len(),
@@ -1517,51 +1316,149 @@ impl Shell {
         ))
     }
 
+    /// `LOAD '<path>'` — swap in a SAVEd snapshot and detach any sink, as
+    /// RESTORE does.
     fn load(&mut self, args: &[String]) -> Result<String, ShellError> {
-        let path = args.first().ok_or_else(|| err("usage: LOAD '<path>'"))?;
-        let db_bytes = std::fs::read(format!("{path}.reldb")).map_err(|e| err(e.to_string()))?;
-        let ann_bytes = std::fs::read(format!("{path}.anndb")).map_err(|e| err(e.to_string()))?;
-        self.db = relstore::snapshot::load(&db_bytes).map_err(|e| err(e.to_string()))?;
-        self.store = annostore::snapshot::load(&ann_bytes).map_err(|e| err(e.to_string()))?;
-        self.nebula.bootstrap_acg(&self.store);
-        Ok(format!(
+        let [path] = exactly(args)?;
+        self.swap("LOAD", || {
+            let db_bytes = std::fs::read(format!("{path}.reldb")).map_err(fail)?;
+            let ann_bytes = std::fs::read(format!("{path}.anndb")).map_err(fail)?;
+            let db = relstore::snapshot::load(&db_bytes).map_err(fail)?;
+            Ok((Some(db), annostore::snapshot::load(&ann_bytes).map_err(fail)?, ()))
+        })?;
+        let out = format!(
             "loaded {} tuples, {} annotations; ACG rebuilt ({} edges)",
             self.db.total_tuples(),
             self.store.annotation_count(),
             self.nebula.acg().edge_count()
-        ))
+        );
+        Ok(self.detach(out))
     }
 }
 
-const HELP: &str = "commands:
-  TABLES;
-  SELECT <table> [WHERE <col> (=|CONTAINS) <val>]... [LIMIT n];
-  ANNOTATE <table> '<pk>' '<text>';
-  DELETE <table> '<pk>';
-  ANNOTATIONS <table> '<pk>';
-  PENDING;
-  VERIFY ATTACHMENT <vid>;   REJECT ATTACHMENT <vid>;
-  ACG;   PROFILE;
-  SHOW METRICS;   EXPLAIN ANNOTATION <id>;
-  TRACE ANNOTATION <id>;   SHOW CRITICAL PATH;   SHOW FLIGHT;
-  SET BUDGET DEADLINE <ms> | TUPLES <n> | CONFIGS <n> | CANDIDATES <n> | OFF;
-  SET FAULTS <seed> [RATE <r>] | HOSTILE <seed> | OFF;
-  SET DURABILITY '<dir>' [EVERY <n>] [SYNC BATCH] [ARCHIVE '<adir>'] | OFF;
-  SET ARCHIVE '<dir>';
-  SET REPLICAS <n> '<dir>' [QUORUM <q>] [NETFAULTS <seed> <rate>] | OFF;
-  SET SHARDS <n> | OFF;
-  SET STORAGE DISK '<dir>' [POOL <frames>] | MEM;
-  PROMOTE [<id>];
-  SCRUB;   REJOIN [<node>];   RECOVER INGEST;
-  SET WORKERS <n>;
-  CHECKPOINT;   RECOVER '<dir>';
-  BACKUP TO '<dir>';   RESTORE FROM '<dir>' [AS OF LSN <n>];
-  SCRUB BACKUP '<dir>';   SHOW BACKUPS;
-  SHOW BUDGET;   SHOW FAULTS;   SHOW DURABILITY;   SHOW HEALTH;
-  SHOW REPLICATION;   SHOW REPLICA <id> [STALENESS <n>];   SHOW REPAIR;
-  SHOW SHARDS;   SHOW STORAGE;
-  SAVE '<path>';   LOAD '<path>';
-  HELP;   EXIT;";
+/// `SET FAULTS <seed> [RATE <r>] | HOSTILE <seed> | OFF` — install a
+/// deterministic fault plan on this thread (uniform at RATE, default
+/// 0.1), the always-firing hostile plan, or clear it.
+fn set_faults(args: &[String]) -> Result<String, ShellError> {
+    let plan = match args.first().map(|s| s.to_uppercase()).as_deref() {
+        Some("OFF") => {
+            nebula_govern::set_fault_plan(None);
+            return Ok("faults: off".into());
+        }
+        Some("HOSTILE") => {
+            FaultPlan::hostile(parsed(args.get(1), |_| true, "SET FAULTS HOSTILE needs a seed")?)
+        }
+        Some(_) => {
+            let seed: u64 =
+                args[0].parse().map_err(|_| err(format!("`{}` is not a seed", args[0])))?;
+            let rate = match args.get(1).map(|s| s.to_uppercase()).as_deref() {
+                Some("RATE") => parsed(
+                    args.get(2),
+                    |r| (0.0..=1.0).contains(r),
+                    "RATE needs a number in [0, 1]",
+                )?,
+                Some(_) => return Err(usage()),
+                None => 0.1,
+            };
+            FaultPlan::uniform(seed, rate)
+        }
+        None => return Err(usage()),
+    };
+    let desc = plan.describe();
+    nebula_govern::set_fault_plan(Some(plan));
+    Ok(format!("faults: {desc}"))
+}
+
+fn show_faults() -> String {
+    let Some(desc) = nebula_govern::describe_fault_plan() else {
+        return "faults: off".into();
+    };
+    let s = nebula_govern::fault_stats();
+    format!(
+        "faults: {desc}\n  injected: {} query, {} index-probe, {} latency, \
+         {} panic\n  recovered: {}   retries: {}",
+        s.injected(FaultSite::Query),
+        s.injected(FaultSite::IndexProbe),
+        s.injected(FaultSite::Latency),
+        s.injected(FaultSite::Panic),
+        s.recovered,
+        s.retries,
+    )
+}
+
+/// `SCRUB BACKUP '<dir>'` — walk an archive or bundle re-deriving every
+/// CRC (and the manifest digests when one is present), so torn or rotten
+/// files surface before a restore needs them.
+fn scrub_backup(args: &[String]) -> Result<String, ShellError> {
+    let [dir] = exactly(args)?;
+    let report = nebula_backup::scrub(Path::new(dir)).map_err(fail)?;
+    Ok(format!("backup scrub '{dir}': {report}"))
+}
+
+fn show_critical_path() -> String {
+    let traces = nebula_obs::trace::traces();
+    nebula_obs::trace::attribution(&traces).render_text().trim_end().to_string()
+}
+
+/// `SHOW FLIGHT` — the flight recorder: recent operational events and
+/// any post-mortem dumps captured by a terminal condition.
+fn show_flight() -> String {
+    let events = nebula_obs::trace::flight_events();
+    let dumps = nebula_obs::trace::flight_dumps();
+    if events.is_empty() && dumps.is_empty() {
+        return "flight recorder: empty".to_string();
+    }
+    let mut out = vec![format!("flight recorder: {} event(s) retained", events.len())];
+    out.extend(events.iter().map(|e| format!("  #{} {} {}", e.seq, e.kind, e.detail)));
+    if !dumps.is_empty() {
+        out.push(format!("post-mortem dumps: {}", dumps.len()));
+        out.extend(
+            dumps
+                .iter()
+                .map(|d| format!("  trigger {} ({} event(s) captured)", d.trigger, d.events.len())),
+        );
+    }
+    out.join("\n")
+}
+
+/// The `<id>` of TRACE and EXPLAIN: the display form `A7` or the bare `7`.
+fn annotation_id(args: &[String]) -> Result<u64, ShellError> {
+    let [id] = exactly(args)?;
+    id.trim_start_matches(['A', 'a'])
+        .parse()
+        .map_err(|_| err(format!("`{id}` is not an annotation id")))
+}
+
+/// `TRACE ANNOTATION <id>` — the committed annotation's span tree,
+/// with the critical path marked.
+fn trace(args: &[String]) -> Result<String, ShellError> {
+    let id = annotation_id(args)?;
+    Ok(match nebula_obs::trace::for_annotation(id) {
+        Some(trace) => trace.render_tree().trim_end().to_string(),
+        None => format!(
+            "no trace recorded for annotation A{id} (the ring keeps the last {} commits)",
+            nebula_obs::trace::TRACE_CAPACITY
+        ),
+    })
+}
+
+/// `EXPLAIN ANNOTATION <id>` — replay the recorded pipeline events for
+/// one annotation: per-stage wall time, candidate counts, decisions.
+fn explain(args: &[String]) -> Result<String, ShellError> {
+    let id = annotation_id(args)?;
+    let snapshot = nebula_obs::snapshot();
+    let events = snapshot.events_for(id);
+    if events.is_empty() {
+        return Ok(format!(
+            "no recorded pipeline events for annotation A{id} \
+             (telemetry keeps the last {} events)",
+            nebula_obs::EVENT_CAPACITY
+        ));
+    }
+    let mut out = vec![format!("annotation A{id}:")];
+    out.extend(events.iter().map(|e| format!("  {}", e.render_line())));
+    Ok(out.join("\n"))
+}
 
 /// Split a command into tokens, honoring single-quoted strings.
 fn lex(input: &str) -> Result<Vec<String>, ShellError> {
@@ -1732,7 +1629,8 @@ mod tests {
         let id = sh.store.annotation_count() as u64 - 1;
         let out =
             sh.exec(&format!("TRACE ANNOTATION A{id}")).expect("shell operation should succeed");
-        assert!(out.contains("ingest.item"), "{out}");
+        let root = nebula_obs::trace::for_annotation(id).expect("traced").root().label;
+        assert_eq!(root, "core.process_annotation", "{out}");
         assert!(out.contains("core.process_annotation"), "{out}");
         assert!(out.contains("stage0.register"), "{out}");
         assert!(out.contains("critical path ends at"), "{out}");
@@ -1740,7 +1638,7 @@ mod tests {
         assert!(sh
             .exec(&format!("TRACE ANNOTATION {id}"))
             .expect("shell operation should succeed")
-            .contains("ingest.item"));
+            .contains("core.process_annotation"));
         assert!(sh
             .exec("TRACE ANNOTATION 999999")
             .expect("shell operation should succeed")
@@ -2079,8 +1977,7 @@ mod tests {
         assert!(!clean.contains("repaired replica"), "{clean}");
 
         // Poison a replica, then let SCRUB find and repair it.
-        sh.repl
-            .as_ref()
+        sh.replicas()
             .expect("shell operation should succeed")
             .lock()
             .chaos_corrupt_replica(1)
@@ -2105,68 +2002,6 @@ mod tests {
         assert!(status.contains("pending repairs: none"), "{status}");
         assert!(sh.exec("REJOIN abc").is_err());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recover_ingest_clears_a_wedged_verdict() {
-        let mut sh = shell();
-        assert!(sh
-            .exec("RECOVER INGEST")
-            .expect("shell operation should succeed")
-            .contains("not wedged"));
-        // Manufacture a wedged last-ingest verdict (the pool owns the real
-        // machine per batch; the shell records its final state).
-        sh.exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
-            .expect("shell operation should succeed");
-        sh.last_ingest.as_mut().expect("shell operation should succeed").health =
-            HealthState::Wedged;
-        let out = sh.exec("RECOVER INGEST").expect("shell operation should succeed");
-        assert!(out.contains("wedged -> degraded"), "{out}");
-        assert_eq!(
-            sh.last_ingest.as_ref().expect("shell operation should succeed").health,
-            HealthState::Degraded
-        );
-        let health = sh.exec("SHOW HEALTH").expect("shell operation should succeed");
-        assert!(health.contains("health: degraded"), "{health}");
-    }
-
-    #[test]
-    fn set_workers_and_show_health() {
-        let mut sh = shell();
-        let fresh = sh.exec("SHOW HEALTH").expect("shell operation should succeed");
-        assert!(fresh.contains("no ingest yet"), "{fresh}");
-        assert_eq!(sh.exec("SET WORKERS 4").expect("shell operation should succeed"), "workers: 4");
-        assert!(sh.exec("SET WORKERS 0").is_err());
-        assert!(sh.exec("SET WORKERS abc").is_err());
-        sh.exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
-            .expect("shell operation should succeed");
-        let health = sh.exec("SHOW HEALTH").expect("shell operation should succeed");
-        assert!(health.contains("health: healthy"), "{health}");
-        assert!(health.contains("workers: 4"), "{health}");
-        assert!(health.contains("1 committed, 0 shed"), "{health}");
-    }
-
-    #[test]
-    fn worker_count_does_not_change_annotate_output() {
-        let mut a = shell();
-        let mut b = shell();
-        b.exec("SET WORKERS 8").expect("shell operation should succeed");
-        let cmd = "ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'";
-        assert_eq!(
-            a.exec(cmd).expect("shell operation should succeed"),
-            b.exec(cmd).expect("shell operation should succeed")
-        );
-    }
-
-    #[test]
-    fn hostile_faults_degrade_health() {
-        let mut sh = shell();
-        sh.exec("SET FAULTS HOSTILE 11").expect("shell operation should succeed");
-        let res = sh.exec("ANNOTATE gene 'JW0006' 'paired with gene JW0007'");
-        assert!(res.is_err(), "quarantined");
-        let health = sh.exec("SHOW HEALTH").expect("shell operation should succeed");
-        assert!(health.contains("health: degraded"), "{health}");
-        sh.exec("SET FAULTS OFF").expect("shell operation should succeed");
     }
 
     #[test]
@@ -2223,7 +2058,8 @@ mod tests {
         let clean = sh.exec("SCRUB").expect("SCRUB scrubs the shard cluster");
         assert!(clean.starts_with("shards: clean (2 shards)"), "{clean}");
 
-        sh.shards.as_mut().expect("shards are on").corrupt_shard(1).expect("shard 1 is live");
+        let Mode::Shards(cluster) = &mut sh.mode else { panic!("shards are on") };
+        cluster.corrupt_shard(1).expect("shard 1 is live");
         let found = sh.exec("SCRUB").expect("shell operation should succeed");
         assert!(found.starts_with("shards: 1 corrupt (2 shards); shard 1: "), "{found}");
         assert!(found.ends_with("; healed shard 1"), "{found}");
@@ -2382,5 +2218,236 @@ mod tests {
         assert!(sh.exec("SHOW BACKUPS").expect("still works").contains("seq 1"));
 
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Six ANNOTATEs covering accepted, rejected, pending and empty
+    /// outcomes, pinned in five modes below.
+    const PINNED_SCRIPT: [&str; 6] = [
+        "ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'",
+        "ANNOTATE gene 'JW0014' 'protein enzyme Actin binds gene JW0002'",
+        "ANNOTATE protein 'P00002' 'this protein A-Ligase interacts with gene JW0009'",
+        "ANNOTATE gene 'JW0013' 'this gene encodes protein Kinase'",
+        "ANNOTATE gene 'JW0017' 'gene with receptor protein'",
+        "ANNOTATE gene 'JW0002' 'note about gene JW0003'",
+    ];
+
+    /// What the pinned script prints, then the store fingerprint and the
+    /// verification queue: captured from a one-item `ingest_batch`, which
+    /// ANNOTATE's direct engine call must match byte for byte.
+    const PINNED_PLAIN: &str = r#"annotation A80 attached to gene 'JW0005'; 1 queries generated
+  auto-accepted (conf 1.00): gene(gid=JW0001, name=baaA, family=F2, length=1049, seq=GTTGTTGTGCACTAGACTGCAAGT)
+annotation A81 attached to gene 'JW0014'; 2 queries generated
+  auto-accepted (conf 1.00): gene(gid=JW0002, name=caaA, family=F3, length=1294, seq=AACATGGTACTGACGTCTTTGATT)
+  12 low-confidence candidates auto-rejected
+annotation A82 attached to protein 'P00002'; 2 queries generated
+  auto-accepted (conf 1.00): gene(gid=JW0009, name=jaaA, family=F2, length=2011, seq=GGTTCCAACTACTAAGTTGGGTTT)
+  pending task 0 (conf 0.50): protein(pid=P00014, pname=A-Cyclase, ptype=structural, gene_id=JW0009, mass=83438)
+annotation A83 attached to gene 'JW0013'; 0 queries generated
+annotation A84 attached to gene 'JW0017'; 1 queries generated
+  10 low-confidence candidates auto-rejected
+annotation A85 attached to gene 'JW0002'; 1 queries generated
+  auto-accepted (conf 1.00): gene(gid=JW0003, name=daaA, family=F4, length=2505, seq=ATCCAGACGATGTGTCAGGAGAGA)
+store 7052dba03e0ada64
+task 0 A82 T1:14 0.500000
+"#;
+    const PINNED_FAULTS: &str = r#"error: injected transient fault at query site (after 3 attempt(s))
+error: injected transient fault at query site (after 3 attempt(s))
+error: injected transient fault at query site (after 3 attempt(s))
+annotation A83 attached to gene 'JW0013'; 0 queries generated
+error: injected transient fault at query site (after 3 attempt(s))
+annotation A85 attached to gene 'JW0002'; 1 queries generated
+  auto-accepted (conf 1.00): gene(gid=JW0003, name=daaA, family=F4, length=2505, seq=ATCCAGACGATGTGTCAGGAGAGA)
+store d91d2e3eeb4c8918
+"#;
+    const PINNED_HOSTILE: &str = r#"error: injected transient fault at query site (after 3 attempt(s))
+error: injected transient fault at query site (after 3 attempt(s))
+error: injected transient fault at query site (after 3 attempt(s))
+annotation A83 attached to gene 'JW0013'; 0 queries generated
+error: injected transient fault at query site (after 3 attempt(s))
+error: injected transient fault at query site (after 3 attempt(s))
+store 878b964d680af943
+"#;
+
+    /// Run `setup` (`{dir}` names a fresh directory), then the pinned
+    /// script, and render what a session prints, the store fingerprint
+    /// and the verification queue.
+    fn run_pinned_script(tag: &str, setup: &str) -> String {
+        let dir =
+            std::env::temp_dir().join(format!("nebula-shell-pin-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sh = shell();
+        if !setup.is_empty() {
+            sh.exec(&setup.replace("{dir}", &dir.display().to_string())).expect("mode setup");
+        }
+        let mut out = String::new();
+        for cmd in PINNED_SCRIPT {
+            match sh.exec(cmd) {
+                Ok(s) => out.push_str(&s),
+                Err(e) => out.push_str(&format!("error: {e}")),
+            }
+            out.push('\n');
+        }
+        out.push_str(&format!("store {:016x}\n", annostore::snapshot::fingerprint(&sh.store)));
+        for t in sh.nebula.queue().iter() {
+            let line = format!("task {} {} {} {:.6}\n", t.vid, t.annotation, t.tuple, t.confidence);
+            out.push_str(&line);
+        }
+        nebula_govern::set_fault_plan(None);
+        drop(sh);
+        let _ = std::fs::remove_dir_all(&dir);
+        out
+    }
+
+    #[test]
+    fn annotate_output_is_pinned_in_five_modes() {
+        for (tag, setup, expected) in [
+            ("plain", "", PINNED_PLAIN),
+            ("faults", "SET FAULTS 42 RATE 0.3", PINNED_FAULTS),
+            ("hostile", "SET FAULTS HOSTILE 7", PINNED_HOSTILE),
+            // A sink never changes what ANNOTATE prints or commits.
+            ("wal", "SET DURABILITY '{dir}' EVERY 3", PINNED_PLAIN),
+            ("replicas", "SET REPLICAS 2 '{dir}' QUORUM 1 NETFAULTS 5 0.2", PINNED_PLAIN),
+        ] {
+            assert_eq!(run_pinned_script(tag, setup), expected, "mode {tag}");
+        }
+    }
+
+    /// A fresh directory under the system temp dir for one test.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("nebula-shell-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    #[test]
+    fn load_under_a_wal_detaches_it_and_the_log_keeps_the_pre_load_state() {
+        let root = scratch("load-wal");
+        let (snap, wal) =
+            (root.join("s").display().to_string(), root.join("d").display().to_string());
+        let mut sh = shell();
+        sh.exec(&format!("SAVE '{snap}'")).expect("save");
+        sh.exec(&format!("SET DURABILITY '{wal}'")).expect("durability on");
+        sh.exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
+            .expect("annotate");
+        let before_load = annostore::snapshot::fingerprint(&sh.store);
+        let loaded = sh.exec(&format!("LOAD '{snap}'")).expect("load");
+        assert!(loaded.contains("durability sink detached"), "{loaded}");
+        sh.exec("ANNOTATE gene 'JW0002' 'note about gene JW0003'").expect("annotate");
+        assert_eq!(sh.exec("SHOW DURABILITY").expect("show"), "durability: off");
+
+        let mut fresh = shell();
+        fresh.exec(&format!("RECOVER '{wal}'")).expect("recover");
+        assert_eq!(annostore::snapshot::fingerprint(&fresh.store), before_load);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn load_and_recover_refuse_while_sharded() {
+        let root = scratch("sharded-swap");
+        let (snap, wal) =
+            (root.join("s").display().to_string(), root.join("d").display().to_string());
+        let mut sh = shell();
+        sh.exec(&format!("SAVE '{snap}'")).expect("save");
+        sh.exec(&format!("SET DURABILITY '{wal}'")).expect("durability on");
+        sh.exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
+            .expect("annotate");
+        sh.exec("SET DURABILITY OFF").expect("durability off");
+        sh.exec("SET SHARDS 2").expect("shards on");
+        sh.exec("ANNOTATE gene 'JW0002' 'note about gene JW0003'").expect("annotate");
+        let sharded = annostore::snapshot::fingerprint(&sh.store);
+
+        let e = sh.exec(&format!("LOAD '{snap}'")).unwrap_err();
+        assert_eq!(e.0, "LOAD needs SET SHARDS OFF first");
+        let e = sh.exec(&format!("RECOVER '{wal}'")).unwrap_err();
+        assert_eq!(e.0, "RECOVER needs SET SHARDS OFF first");
+        assert_eq!(annostore::snapshot::fingerprint(&sh.store), sharded);
+        assert_eq!(sh.exec("SHOW DURABILITY").expect("show"), "durability: off");
+        sh.exec("ANNOTATE gene 'JW0011' 'linked with gene JW0012'").expect("annotate");
+        let notes = sh.exec("ANNOTATIONS gene 'JW0002'").expect("annotations");
+        assert!(notes.contains("note about gene JW0003"), "the sharded state survives: {notes}");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn swaps_under_disk_storage_stay_on_the_page_file() {
+        let root = scratch("disk-swap");
+        let path = |p: &str| root.join(p).display().to_string();
+        let mut sh = shell();
+        sh.exec(&format!("SET DURABILITY '{}' ARCHIVE '{}'", path("wal"), path("arch")))
+            .expect("durability on");
+        sh.exec("ANNOTATE gene 'JW0005' 'this gene correlates with JW0001 under stress'")
+            .expect("annotate");
+        sh.exec(&format!("SAVE '{}'", path("snap"))).expect("save");
+        sh.exec("ANNOTATE gene 'JW0002' 'note about gene JW0003'").expect("annotate");
+        sh.exec(&format!("BACKUP TO '{}'", path("bundle"))).expect("backup");
+        sh.exec("SET DURABILITY OFF").expect("durability off");
+        sh.exec(&format!("SET STORAGE DISK '{}' POOL 8", path("pages"))).expect("disk");
+
+        let mut twin = shell();
+        for cmd in [
+            format!("LOAD '{}'", path("snap")),
+            format!("RECOVER '{}'", path("wal")),
+            format!("RESTORE FROM '{}'", path("bundle")),
+        ] {
+            sh.exec(&cmd).expect("swap on disk");
+            twin.exec(&cmd).expect("swap in RAM");
+            let label = sh.db.storage_label();
+            assert!(label.contains(&path("pages")), "{cmd}: storage is {label}");
+            let scrub = sh.exec("SCRUB").expect("scrub");
+            assert!(scrub.starts_with("pages: clean ("), "{cmd}: {scrub}");
+            for select in ["SELECT gene LIMIT 100", "SELECT protein LIMIT 100"] {
+                assert_eq!(
+                    sh.exec(select).expect("disk"),
+                    twin.exec(select).expect("RAM"),
+                    "{cmd}"
+                );
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn shards_off_rebuilds_the_acg_over_the_merged_store() {
+        let root = scratch("shards-acg");
+        let snap = root.join("s").display().to_string();
+        let mut sh = shell();
+        sh.exec("SET SHARDS 2").expect("shards on");
+        for cmd in &PINNED_SCRIPT[..3] {
+            sh.exec(cmd).expect("annotate");
+        }
+        sh.exec("SET SHARDS OFF").expect("shards off");
+        sh.exec(&format!("SAVE '{snap}'")).expect("save");
+        let mut fresh = shell();
+        fresh.exec(&format!("LOAD '{snap}'")).expect("load");
+        assert_eq!(sh.exec("ACG").expect("acg"), fresh.exec("ACG").expect("acg"));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn verb_table_drives_help_usage_errors_and_the_readme() {
+        let mut sh = shell();
+        let help = sh.exec("HELP").expect("help");
+        for verb @ (name, params, _) in VERBS {
+            let usage = usage_line(verb);
+            assert!(help.contains(&format!("  {usage};")), "HELP lacks {usage}");
+            // No parameters: a stray one is malformed. Only optional ones:
+            // an unparsable one is. Otherwise the bare verb is.
+            let bad = if params.is_empty() || params.starts_with('[') {
+                format!("{name} %")
+            } else {
+                name.to_string()
+            };
+            assert_eq!(sh.exec(&bad).unwrap_err().0, format!("usage: {usage}"), "{bad}");
+        }
+        for gone in ["SET WORKERS 4", "SHOW HEALTH", "RECOVER INGEST", "EXIT"] {
+            let e = sh.exec(gone).unwrap_err().0;
+            assert!(e.starts_with("usage: ") || e.starts_with("unknown command"), "{gone}: {e}");
+        }
+        for line in include_str!("../README.md").lines() {
+            let Some((_, cmd)) = line.split_once("nebula> ") else { continue };
+            let tokens = lex(cmd.split(';').next().unwrap_or_default()).expect("lexes");
+            assert!(lookup(&tokens).is_some(), "README command not in the verb table: {line}");
+        }
     }
 }
