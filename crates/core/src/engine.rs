@@ -29,6 +29,7 @@ use annostore::{Annotation, AnnotationId, AnnotationStore};
 use nebula_govern::{Degradation, ExecutionBudget, RetryPolicy};
 use nebula_obs::{names, PipelineEvent};
 use relstore::{Database, TupleId};
+use std::sync::{Mutex, PoisonError};
 use textsearch::{KeywordSearch, SearchBackend, SearchError, SearchOptions, SearchStats};
 
 /// Where Stage 2 searches.
@@ -125,6 +126,10 @@ pub struct Nebula {
     queue: VerificationQueue,
     sink: Option<Box<dyn MutationSink>>,
     searcher: Option<Box<dyn SearchBackend>>,
+    /// The local full search and the database epoch its vocabulary was
+    /// resolved in, kept across annotations so its shared-mode mapping
+    /// cache serves every annotation over one database state.
+    local: Mutex<Option<(u64, KeywordSearch)>>,
 }
 
 impl Nebula {
@@ -139,6 +144,7 @@ impl Nebula {
             queue: VerificationQueue::new(),
             sink: None,
             searcher: None,
+            local: Mutex::default(),
         }
     }
 
@@ -156,6 +162,14 @@ impl Nebula {
     /// The metadata repository.
     pub fn meta(&self) -> &NebulaMeta {
         &self.meta
+    }
+
+    /// Mutable access to the metadata repository (a curator declaring a
+    /// synonym, a pattern or a sample while the engine runs). The local
+    /// search's vocabulary is resolved again on the next annotation.
+    pub fn meta_mut(&mut self) -> &mut NebulaMeta {
+        *self.local.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
+        &mut self.meta
     }
 
     /// The Annotations Connectivity Graph.
@@ -581,12 +595,14 @@ impl Nebula {
         queries: &[GeneratedQuery],
         focal: &[TupleId],
     ) -> Result<(Vec<Candidate>, SearchStats), SearchError> {
-        let local;
+        let mut local = self.local.lock().unwrap_or_else(PoisonError::into_inner);
         let backend: &dyn SearchBackend = match self.searcher.as_deref() {
             Some(searcher) => searcher,
             None => {
-                local = self.search_engine(db);
-                &local
+                if local.as_ref().is_none_or(|(epoch, _)| *epoch != db.epoch()) {
+                    *local = Some((db.epoch(), self.search_engine(db)));
+                }
+                &local.as_ref().expect("built above").1
             }
         };
         identify_related_tuples(

@@ -23,7 +23,7 @@ use crate::patterns::Pattern;
 use relstore::schema::{ColumnId, TableId};
 use relstore::{DataType, Database};
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Match strengths for `p(w, c)` — concept (schema) matching. Exact and
 /// equivalent-name matches rank above synonym matches (§5.2.1).
@@ -119,6 +119,8 @@ pub struct NebulaMeta {
     column_aliases: HashMap<String, Vec<(String, String, f64)>>,
     /// `(table lower, column lower)` → domain knowledge.
     domains: HashMap<(String, String), ColumnDomain>,
+    /// Stage 1's memo of everything above; every mutator starts a new one.
+    lexicon: LexiconSlot,
 }
 
 impl NebulaMeta {
@@ -129,6 +131,7 @@ impl NebulaMeta {
 
     /// Register a concept (a `ConceptRefs` row).
     pub fn add_concept(&mut self, concept: ConceptRef) {
+        self.lexicon.clear();
         self.concept_refs.push(concept);
     }
 
@@ -140,6 +143,7 @@ impl NebulaMeta {
     /// Declare a curator equivalent name for a table
     /// (e.g. `"locus table"` for `gene`).
     pub fn add_table_equivalent(&mut self, alias: &str, table: &str) {
+        self.lexicon.clear();
         self.table_aliases
             .entry(alias.to_lowercase())
             .or_default()
@@ -148,6 +152,7 @@ impl NebulaMeta {
 
     /// Declare a lexicon synonym for a table (the WordNet role).
     pub fn add_table_synonym(&mut self, alias: &str, table: &str) {
+        self.lexicon.clear();
         self.table_aliases
             .entry(alias.to_lowercase())
             .or_default()
@@ -157,6 +162,7 @@ impl NebulaMeta {
     /// Declare a curator equivalent name for a column
     /// (e.g. `"id"` for `gene.gid`).
     pub fn add_column_equivalent(&mut self, alias: &str, table: &str, column: &str) {
+        self.lexicon.clear();
         self.column_aliases.entry(alias.to_lowercase()).or_default().push((
             table.to_string(),
             column.to_string(),
@@ -166,6 +172,7 @@ impl NebulaMeta {
 
     /// Declare a lexicon synonym for a column.
     pub fn add_column_synonym(&mut self, alias: &str, table: &str, column: &str) {
+        self.lexicon.clear();
         self.column_aliases.entry(alias.to_lowercase()).or_default().push((
             table.to_string(),
             column.to_string(),
@@ -179,12 +186,14 @@ impl NebulaMeta {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        self.lexicon.clear();
         self.domain_mut(table, column).ontology =
             Some(terms.into_iter().map(|t| t.as_ref().to_lowercase()).collect());
     }
 
     /// Attach a syntactic pattern to a column.
     pub fn set_pattern(&mut self, table: &str, column: &str, pattern: Pattern) {
+        self.lexicon.clear();
         self.domain_mut(table, column).pattern = Some(pattern);
     }
 
@@ -194,6 +203,7 @@ impl NebulaMeta {
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        self.lexicon.clear();
         let mut evidence = SampleEvidence::default();
         for v in values {
             evidence.shapes.insert(shape_signature(v.as_ref()));
@@ -231,16 +241,18 @@ impl NebulaMeta {
         out
     }
 
-    /// The names `ConceptRefs` gives the schema objects of `db`, resolved
+    /// `p(w, c)` over the schema of `db`: the names `ConceptRefs` gives its
+    /// objects and every curator equivalent and lexicon synonym, resolved
     /// once so a whole annotation's words are matched against them
-    /// (`p(w, c)`, §5.2.1 Step 1). Only tables/columns appearing in
-    /// `ConceptRefs` participate.
-    pub fn concept_matcher<'a>(&'a self, db: &'a Database) -> ConceptMatcher<'a> {
+    /// (§5.2.1 Step 1). Only tables/columns appearing in `ConceptRefs`
+    /// participate as exact names.
+    pub fn concept_matcher(&self, db: &Database) -> ConceptMatcher {
         // Tables and columns named in ConceptRefs match exactly; the
         // concept's own display name is an equivalent of its table.
         let mut names = Vec::new();
-        let mut name = |raw: &'a str, target, weight| {
-            names.push(ConceptName { raw, lower: raw.to_lowercase(), target, weight });
+        let mut name = |raw: &str, target, weight| {
+            let (raw, lower) = (raw.to_string(), raw.to_lowercase());
+            names.push(ConceptName { raw, lower, target, weight });
         };
         for cr in &self.concept_refs {
             let Some(tid) = db.catalog().resolve(&cr.table) else { continue };
@@ -253,7 +265,32 @@ impl NebulaMeta {
                 }
             }
         }
-        ConceptMatcher { meta: self, db, names }
+        // Each alias lists its tables before its columns, the order
+        // `match_word` adds them in.
+        let mut aliases: HashMap<String, Vec<(ConceptTarget, f64)>> = HashMap::new();
+        for (alias, targets) in &self.table_aliases {
+            for (tname, weight) in targets {
+                if let Some(tid) = db.catalog().resolve(tname) {
+                    if self.table_in_concepts(tname) {
+                        aliases
+                            .entry(alias.clone())
+                            .or_default()
+                            .push((ConceptTarget::Table(tid), *weight));
+                    }
+                }
+            }
+        }
+        for (alias, targets) in &self.column_aliases {
+            for (tname, cname, weight) in targets {
+                if let Some(tid) = db.catalog().resolve(tname) {
+                    if let Some(cid) = db.table(tid).and_then(|t| t.schema().column_id(cname)) {
+                        let target = ConceptTarget::Column(tid, cid);
+                        aliases.entry(alias.clone()).or_default().push((target, *weight));
+                    }
+                }
+            }
+        }
+        ConceptMatcher { names, aliases }
     }
 
     fn table_in_concepts(&self, table: &str) -> bool {
@@ -291,16 +328,35 @@ impl NebulaMeta {
 
     /// The target columns of `db` with their types and declared domains,
     /// resolved once so a whole annotation's words are scored against them.
-    pub fn domain_matcher(&self, db: &Database) -> DomainMatcher<'_> {
+    pub fn domain_matcher(&self, db: &Database) -> DomainMatcher {
         let columns = self
             .target_columns(db)
             .into_iter()
             .filter_map(|(t, c)| {
                 let (ty, domain) = self.column_domain(db, t, c)?;
-                Some((t, c, ty, domain))
+                Some((t, c, ty, domain.cloned()))
             })
             .collect();
         DomainMatcher { columns }
+    }
+
+    /// Run `f` over the compiled lexicon of this repository and `db`'s
+    /// current state, compiling it first when either changed since the
+    /// last call.
+    pub(crate) fn with_lexicon<R>(&self, db: &Database, f: impl FnOnce(&mut Lexicon) -> R) -> R {
+        let epoch = db.epoch();
+        let cell = self.lexicon.cell(epoch);
+        let mut lexicon = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        if lexicon.as_ref().is_none_or(|lexicon| lexicon.epoch != epoch) {
+            *lexicon = Some(Lexicon {
+                epoch,
+                concept: self.concept_matcher(db),
+                domain: self.domain_matcher(db),
+                concepts: HashMap::new(),
+                values: HashMap::new(),
+            });
+        }
+        f(lexicon.as_mut().expect("compiled above"))
     }
 
     /// Export the schema vocabulary for the keyword-search engine, so its
@@ -337,22 +393,22 @@ impl NebulaMeta {
 
 /// One name a `ConceptRefs` row gives a schema object.
 #[derive(Debug)]
-struct ConceptName<'a> {
-    raw: &'a str,
+struct ConceptName {
+    raw: String,
     lower: String,
     target: ConceptTarget,
     weight: f64,
 }
 
-/// `p(w, c)` over one database; see [`NebulaMeta::concept_matcher`].
+/// `p(w, c)` over one schema; see [`NebulaMeta::concept_matcher`].
 #[derive(Debug)]
-pub struct ConceptMatcher<'a> {
-    meta: &'a NebulaMeta,
-    db: &'a Database,
-    names: Vec<ConceptName<'a>>,
+pub struct ConceptMatcher {
+    names: Vec<ConceptName>,
+    /// Lower-cased alias → the schema objects it names.
+    aliases: HashMap<String, Vec<(ConceptTarget, f64)>>,
 }
 
-impl ConceptMatcher<'_> {
+impl ConceptMatcher {
     /// Schema objects the word may reference, each with its best weight,
     /// sorted by descending weight.
     pub fn match_word(&self, word: &str) -> Vec<(ConceptTarget, f64)> {
@@ -377,21 +433,9 @@ impl ConceptMatcher<'_> {
             }
         }
         // Curator equivalents and lexicon synonyms (singular form too).
-        let (meta, db) = (self.meta, self.db);
         for key in std::iter::once(w.as_str()).chain(singular.as_deref()) {
-            for (tname, weight) in meta.table_aliases.get(key).into_iter().flatten() {
-                if let Some(tid) = db.catalog().resolve(tname) {
-                    if meta.table_in_concepts(tname) {
-                        add(ConceptTarget::Table(tid), *weight);
-                    }
-                }
-            }
-            for (tname, cname, weight) in meta.column_aliases.get(key).into_iter().flatten() {
-                if let Some(tid) = db.catalog().resolve(tname) {
-                    if let Some(cid) = db.table(tid).and_then(|t| t.schema().column_id(cname)) {
-                        add(ConceptTarget::Column(tid, cid), *weight);
-                    }
-                }
+            for &(target, weight) in self.aliases.get(key).into_iter().flatten() {
+                add(target, weight);
             }
         }
         best.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -399,13 +443,13 @@ impl ConceptMatcher<'_> {
     }
 }
 
-/// `d(w, c)` over one database; see [`NebulaMeta::domain_matcher`].
+/// `d(w, c)` over one schema; see [`NebulaMeta::domain_matcher`].
 #[derive(Debug)]
-pub struct DomainMatcher<'a> {
-    columns: Vec<(TableId, ColumnId, DataType, Option<&'a ColumnDomain>)>,
+pub struct DomainMatcher {
+    columns: Vec<(TableId, ColumnId, DataType, Option<ColumnDomain>)>,
 }
 
-impl DomainMatcher<'_> {
+impl DomainMatcher {
     /// `d(w, c)` across **all** target columns: every column for which the
     /// word scores above zero, sorted by descending weight.
     pub fn match_word(&self, word: &str) -> Vec<(TableId, ColumnId, f64)> {
@@ -413,13 +457,115 @@ impl DomainMatcher<'_> {
         let mut out: Vec<(TableId, ColumnId, f64)> = self
             .columns
             .iter()
-            .filter_map(|&(t, c, ty, domain)| {
-                let w = domain_score(&forms, ty, domain);
-                (w > 0.0).then_some((t, c, w))
+            .filter_map(|(t, c, ty, domain)| {
+                let w = domain_score(&forms, *ty, domain.as_ref());
+                (w > 0.0).then_some((*t, *c, w))
             })
             .collect();
         out.sort_by(|a, b| b.2.total_cmp(&a.2));
         out
+    }
+}
+
+/// Words a lexicon remembers per map before it starts over, so a stream
+/// of ever-new words cannot grow it without bound.
+const LEXICON_WORDS: usize = 1 << 16;
+
+/// Stage 1's compiled lexicon: both matchers of one database state and
+/// every word they have scored in it. What a word maps to is a pure
+/// function of the repository, the schema and the word, so a word that
+/// recurs — in the same annotation or a later one — is scored once.
+/// [`NebulaMeta`]'s mutators drop it; a database mutation moves the epoch
+/// it is keyed by.
+#[derive(Debug)]
+pub(crate) struct Lexicon {
+    epoch: u64,
+    concept: ConceptMatcher,
+    domain: DomainMatcher,
+    /// Matching form → [`ConceptMatcher::match_word`].
+    concepts: HashMap<String, Vec<(ConceptTarget, f64)>>,
+    /// Matching form → its value mappings (none for a stopword).
+    values: HashMap<String, Vec<(TableId, ColumnId, f64)>>,
+}
+
+impl Lexicon {
+    /// `read` over the schema objects a word in its matching form (see
+    /// `Word::raw_for_matching`) may reference, by descending weight.
+    pub(crate) fn concepts<R>(
+        &mut self,
+        form: &str,
+        read: impl FnOnce(&[(ConceptTarget, f64)]) -> R,
+    ) -> R {
+        read_through(&mut self.concepts, form, || self.concept.match_word(form), read)
+    }
+
+    /// `read` over the columns a word in its matching form may be a value
+    /// of, by descending weight. Stopwords are never value candidates.
+    pub(crate) fn values<R>(
+        &mut self,
+        form: &str,
+        read: impl FnOnce(&[(TableId, ColumnId, f64)]) -> R,
+    ) -> R {
+        let score = || {
+            if textsearch::is_stopword(form) {
+                Vec::new()
+            } else {
+                self.domain.match_word(form)
+            }
+        };
+        read_through(&mut self.values, form, score, read)
+    }
+}
+
+/// `read` over `memo[key]`, computing and keeping it first on a miss.
+fn read_through<V, R>(
+    memo: &mut HashMap<String, Vec<V>>,
+    key: &str,
+    compute: impl FnOnce() -> Vec<V>,
+    read: impl FnOnce(&[V]) -> R,
+) -> R {
+    if let Some(hits) = memo.get(key) {
+        return read(hits);
+    }
+    if memo.len() >= LEXICON_WORDS {
+        memo.clear();
+    }
+    read(memo.entry(key.to_string()).or_insert(compute()))
+}
+
+/// Where a [`NebulaMeta`] keeps its [`Lexicon`]: in a cell it shares
+/// with its clones — engines cloned from one repository compile it once
+/// per database state — until one of them is mutated or asks about
+/// another database state and takes a cell of its own, so clones serving
+/// different databases (shard nodes) never evict each other's. Locks
+/// because stage 1 holds the repository by `&`; every update leaves the
+/// lexicon whole, so a poisoned lock is taken over as it is.
+#[derive(Debug, Default)]
+struct LexiconSlot(Mutex<LexiconCell>);
+
+type LexiconCell = Arc<Mutex<Option<Lexicon>>>;
+
+impl LexiconSlot {
+    /// The cell to compile or read `epoch`'s lexicon in.
+    fn cell(&self, epoch: u64) -> LexiconCell {
+        let mut cell = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let compiled =
+            cell.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map(|l| l.epoch);
+        if compiled.is_some_and(|other| other != epoch) {
+            *cell = LexiconCell::default();
+        }
+        Arc::clone(&cell)
+    }
+
+    /// The repository changed: leave the shared cell to the clones.
+    fn clear(&mut self) {
+        *self = LexiconSlot::default();
+    }
+}
+
+impl Clone for LexiconSlot {
+    fn clone(&self) -> Self {
+        LexiconSlot(Mutex::new(Arc::clone(&self.0.lock().unwrap_or_else(PoisonError::into_inner))))
     }
 }
 
@@ -637,6 +783,26 @@ mod tests {
         let gene_t = db.catalog().resolve("gene").unwrap();
         let gid = db.table(gene_t).unwrap().schema().column_id("gid").unwrap();
         assert_eq!((hits[0].0, hits[0].1), (gene_t, gid));
+    }
+
+    #[test]
+    fn clones_share_a_lexicon_until_they_diverge() {
+        let (db, other) = (bio_db(), bio_db());
+        let m = meta();
+        let mut clone = m.clone();
+        m.with_lexicon(&db, |_| ());
+        let shared = |a: &NebulaMeta, b: &NebulaMeta, epoch| {
+            Arc::ptr_eq(&a.lexicon.cell(epoch), &b.lexicon.cell(epoch))
+        };
+        assert!(shared(&m, &clone, db.epoch()), "a clone reads the lexicon compiled before");
+        clone.with_lexicon(&other, |_| ());
+        assert!(!shared(&m, &clone, db.epoch()), "another database takes a cell of its own");
+        let mut again = m.clone();
+        again.add_table_synonym("loci", "gene");
+        assert!(!shared(&m, &again, db.epoch()), "a mutation takes a cell of its own");
+        assert_eq!(m.lexicon.cell(db.epoch()).lock().unwrap().as_ref().unwrap().epoch, db.epoch());
+        clone = m.clone();
+        assert!(shared(&m, &clone, db.epoch()));
     }
 
     #[test]

@@ -21,8 +21,6 @@ use relstore::Database;
 /// One word of the annotation with its position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Word {
-    /// Normalized form (lower-cased, outer punctuation stripped).
-    pub text: String,
     /// The raw token as it appeared.
     pub raw: String,
     /// Word index within the annotation.
@@ -106,80 +104,79 @@ impl ContextMap {
 /// positions; stopword-like words are *kept* because positions matter for
 /// influence ranges — the ε cutoff is what suppresses them).
 pub fn split_annotation(text: &str) -> Vec<Word> {
-    text.split_whitespace()
-        .enumerate()
-        .filter_map(|(position, raw)| {
-            let text = textsearch::normalize(raw);
-            if text.is_empty() {
-                None
-            } else {
-                Some(Word { text, raw: raw.to_string(), position })
-            }
-        })
-        .enumerate()
-        .map(|(i, mut w)| {
-            // Re-number densely after dropping pure-punctuation tokens.
-            w.position = i;
-            w
-        })
-        .collect()
+    let mut words = Vec::new();
+    // Pure-punctuation tokens are dropped; positions stay dense.
+    for raw in text.split_whitespace().filter(|raw| raw.contains(char::is_alphanumeric)) {
+        words.push(Word { raw: raw.to_string(), position: words.len() });
+    }
+    words
 }
 
 /// Step 1: the Concept-Map — per word, the schema mappings with
-/// `p(w, c) ≥ ε`.
+/// `p(w, c) ≥ ε`. Each distinct word is scored once per database state
+/// and repository (see [`NebulaMeta`]'s compiled lexicon).
 pub fn generate_concept_map(
     db: &Database,
     meta: &NebulaMeta,
     words: &[Word],
     epsilon: f64,
 ) -> Vec<Vec<ConceptMapping>> {
-    let matcher = meta.concept_matcher(db);
-    words
-        .iter()
-        .map(|w| {
-            matcher
-                .match_word(&w.text)
-                .into_iter()
-                .filter(|(_, weight)| *weight >= epsilon)
-                .map(|(target, weight)| ConceptMapping { target, weight })
-                .collect()
-        })
-        .collect()
+    meta.with_lexicon(db, |lexicon| {
+        words
+            .iter()
+            .map(|w| {
+                lexicon.concepts(w.matching_form(), |hits| {
+                    hits.iter()
+                        .filter(|(_, weight)| *weight >= epsilon)
+                        .map(|&(target, weight)| ConceptMapping { target, weight })
+                        .collect()
+                })
+            })
+            .collect()
+    })
 }
 
 /// Step 2: the Value-Map — per word, the domain mappings with
 /// `d(w, c) ≥ ε`. Stopwords are never value candidates; everything else
 /// is scored by the NebulaMeta domain knowledge (which is what makes the
-/// low ε = 0.4 threshold noisy, exactly as the paper reports).
+/// low ε = 0.4 threshold noisy, exactly as the paper reports). Memoised
+/// like the Concept-Map.
 pub fn generate_value_map(
     db: &Database,
     meta: &NebulaMeta,
     words: &[Word],
     epsilon: f64,
 ) -> Vec<Vec<ValueMapping>> {
-    let matcher = meta.domain_matcher(db);
-    words
-        .iter()
-        .map(|w| {
-            if textsearch::is_stopword(&w.text) {
-                return Vec::new();
-            }
-            matcher
-                .match_word(&w.raw_for_matching())
-                .into_iter()
-                .filter(|(_, _, weight)| *weight >= epsilon)
-                .map(|(table, column, weight)| ValueMapping { table, column, weight })
-                .collect()
-        })
-        .collect()
+    meta.with_lexicon(db, |lexicon| {
+        words
+            .iter()
+            .map(|w| {
+                lexicon.values(w.matching_form(), |hits| {
+                    hits.iter()
+                        .filter(|(_, _, weight)| *weight >= epsilon)
+                        .map(|&(table, column, weight)| ValueMapping { table, column, weight })
+                        .collect()
+                })
+            })
+            .collect()
+    })
 }
 
 impl Word {
+    /// Normalized form (lower-cased, outer punctuation stripped).
+    pub fn text(&self) -> String {
+        textsearch::normalize(&self.raw)
+    }
+
     /// The form used for domain matching: the raw token with outer
     /// punctuation stripped but **case preserved**, because syntactic
     /// patterns are case-sensitive (`JW0013` vs `jw0013`).
     pub fn raw_for_matching(&self) -> String {
-        self.raw.trim_matches(|c: char| !c.is_alphanumeric()).to_string()
+        self.matching_form().to_string()
+    }
+
+    fn matching_form(&self) -> &str {
+        self.raw.trim_matches(|c: char| !c.is_alphanumeric())
     }
 }
 
@@ -233,7 +230,7 @@ mod tests {
     #[test]
     fn split_annotation_normalizes_and_renumbers() {
         let words = split_annotation("From the exp, it seems  ... gene JW0014!");
-        let texts: Vec<&str> = words.iter().map(|w| w.text.as_str()).collect();
+        let texts: Vec<String> = words.iter().map(Word::text).collect();
         assert_eq!(texts, vec!["from", "the", "exp", "it", "seems", "gene", "jw0014"]);
         assert_eq!(words.last().unwrap().position, 6);
         assert_eq!(words.last().unwrap().raw, "JW0014!");

@@ -345,19 +345,31 @@ mod follower {
 
     /// An owned copy of one logged mutation (core only has the borrowed
     /// form; the WAL's owned one lives in `nebula-durable`).
-    enum Logged {
+    pub(super) enum Logged {
         Add(AnnotationId, Annotation),
         Other(Mutation<'static>),
     }
 
     #[derive(Debug)]
-    struct Capture(Arc<Mutex<Vec<Logged>>>);
+    pub(super) struct Capture(pub(super) Arc<Mutex<Vec<Logged>>>);
 
     impl std::fmt::Debug for Logged {
         fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
             match self {
                 Logged::Add(id, a) => write!(f, "Add({id:?}, {:?})", a.text),
                 Logged::Other(m) => write!(f, "{m:?}"),
+            }
+        }
+    }
+
+    impl Logged {
+        /// The borrowed form [`Nebula::apply`] takes.
+        pub(super) fn mutation(&self) -> Mutation<'_> {
+            match self {
+                Logged::Add(expected, annotation) => {
+                    Mutation::AddAnnotation { expected: *expected, annotation }
+                }
+                Logged::Other(m) => *m,
             }
         }
     }
@@ -456,12 +468,7 @@ mod follower {
                     }
                 };
                 for logged in log.lock().unwrap().drain(..) {
-                    let m = match &logged {
-                        Logged::Add(expected, annotation) => {
-                            Mutation::AddAnnotation { expected: *expected, annotation }
-                        }
-                        Logged::Other(m) => *m,
-                    };
+                    let m = logged.mutation();
                     // An expert's accept measures from the annotation's
                     // focal set in the store, on both sides.
                     let focal = match (&focal, m) {
@@ -489,6 +496,265 @@ mod follower {
                 }
                 prop_assert_eq!(follower.profile(), origin.profile());
                 prop_assert_eq!(queue_of(&follower), queue_of(&origin));
+            }
+        }
+    }
+}
+
+/// Caches against a cold start: stage 1's compiled lexicon (per meta and
+/// database epoch) and the engine's keyword-mapping cache (per database
+/// epoch) must never answer from a state that has moved. Random scripts
+/// interleave annotations with relational inserts, updates, deletes,
+/// `create_table` / `add_foreign_key` and meta mutations; before every
+/// annotation a fresh engine is rebuilt from the warm one's mutation log
+/// (through [`Nebula::apply`], which runs no search) and must produce the
+/// very same outcome — queries, candidates, confidences, evidence,
+/// routing and work counters.
+mod cold_oracle {
+    use super::follower::{Capture, Logged};
+    use annostore::{Annotation, AnnotationStore};
+    use nebula_core::{
+        ConceptRef, Nebula, NebulaConfig, NebulaMeta, Pattern, SearchMode, VerificationBounds,
+    };
+    use nebula_govern::ExecutionBudget;
+    use proptest::prelude::*;
+    use relstore::{DataType, Database, TableSchema, TupleId, Value};
+    use std::sync::{Arc, Mutex};
+    use textsearch::config::MappingCache;
+    use textsearch::ConfigurationGenerator;
+
+    const GIDS: [&str; 6] = ["JW0012", "JW0013", "JW0014", "JW0019", "JW0021", "JW0035"];
+    const NAMES: [&str; 6] = ["yaaI", "grpC", "groP", "yaaB", "dnaK", "grpC"];
+    /// Names inserts and updates give genes: `zapA` and `ftsZ` match the
+    /// name pattern but are in no row at first, so a write makes them
+    /// appear; the rest move document frequencies.
+    const NEW_NAMES: [&str; 4] = ["zapA", "ftsZ", "grpC", "yaaI"];
+    const PIDS: [&str; 4] = ["P0001", "P0002", "P0003", "P0004"];
+    const PNAMES: [&str; 3] = ["actin", "kinase", "grpC"];
+
+    /// `gene` only; `protein` is the script's to create.
+    fn setup() -> (Database, Vec<TupleId>) {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::builder("gene")
+                .column("gid", DataType::Text)
+                .column("name", DataType::Text)
+                .primary_key("gid")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let ids = GIDS
+            .iter()
+            .zip(NAMES)
+            .map(|(gid, name)| {
+                db.insert("gene", vec![Value::text(*gid), Value::text(name)]).unwrap()
+            })
+            .collect();
+        (db, ids)
+    }
+
+    /// The repository before any mutation, built afresh: a clone would
+    /// share the warm engine's lexicon. It already knows both concepts, so
+    /// creating the `protein` table is what makes `protein` and the
+    /// sampled protein ids meaningful.
+    fn initial_meta() -> NebulaMeta {
+        let mut meta = NebulaMeta::new();
+        meta.add_concept(ConceptRef {
+            concept: "Gene".into(),
+            table: "gene".into(),
+            referenced_by: vec![vec!["gid".into()], vec!["name".into()]],
+        });
+        meta.add_concept(ConceptRef {
+            concept: "Protein".into(),
+            table: "protein".into(),
+            referenced_by: vec![vec!["pid".into()], vec!["pname".into()]],
+        });
+        meta.set_pattern("gene", "gid", Pattern::compile("JW[0-9]{4}").unwrap());
+        meta.set_pattern("gene", "name", Pattern::compile("[a-z]{3}[A-Z]").unwrap());
+        meta.set_sample("protein", "pid", PIDS);
+        meta
+    }
+
+    /// One of the eight meta mutators, each changing what some word of
+    /// [`text`] maps to.
+    fn mutate_meta(meta: &mut NebulaMeta, which: usize) {
+        match which {
+            0 => meta.add_concept(ConceptRef {
+                concept: "Strain".into(),
+                table: "gene".into(),
+                referenced_by: vec![vec!["gid".into()]],
+            }),
+            1 => meta.add_table_equivalent("locus", "gene"),
+            2 => meta.add_table_synonym("loci", "gene"),
+            3 => meta.add_column_equivalent("id", "gene", "gid"),
+            4 => meta.add_column_synonym("label", "gene", "name"),
+            // `tufB2` and `hsp70` fail the name pattern.
+            5 => meta.set_ontology("gene", "name", ["tufb2"]),
+            6 => meta.set_pattern("gene", "gid", Pattern::compile("XX[0-9]{4}").unwrap()),
+            _ => meta.set_sample("gene", "name", ["hsp70"]),
+        }
+    }
+
+    /// An annotation naming genes, names and proteins next to every word a
+    /// meta mutation, a schema change or a write can make meaningful.
+    fn text(a: usize, b: usize, c: usize) -> String {
+        format!(
+            "the locus {} looks like {}. loci {} and id {} differ. this label {} matches \
+             hsp70 and tufB2 in strain {}. protein {} of {} binds gene {} near zapA or ftsZ. \
+             genes {}",
+            GIDS[a],
+            NAMES[b],
+            GIDS[b],
+            GIDS[c],
+            NAMES[a],
+            GIDS[c],
+            PIDS[a % PIDS.len()],
+            PNAMES[b % PNAMES.len()],
+            GIDS[(a + c) % GIDS.len()],
+            GIDS.join(" "),
+        )
+    }
+
+    /// One committed stretch of the warm engine's log: a pipeline run
+    /// (with the focal its accepts measured from) or a deletion.
+    struct Stretch {
+        log: Vec<Logged>,
+        run: Option<Vec<TupleId>>,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn every_outcome_equals_a_cold_engines(
+            upper in prop_oneof![Just(0.6f64), Just(0.9), Just(1.0)],
+            spread in any::<bool>(),
+            // A configuration cap makes stage 2 keep the heaviest
+            // configurations, so a stale mapping weight changes which.
+            max_configurations in prop_oneof![Just(usize::MAX), Just(6), Just(16)],
+            // (kind, a, b, c): 0..=4 annotate, 5 insert a gene, 6 update a
+            // gene, 7 delete a gene, 8 create `protein`, 9 its foreign key,
+            // 10..=11 insert a protein, 12..=15 mutate the meta.
+            steps in proptest::collection::vec((0u8..16, 0usize..6, 0usize..6, 0usize..6), 1..40),
+        ) {
+            let (mut db, mut ids) = setup();
+            let config = NebulaConfig {
+                bounds: VerificationBounds::new(0.0, upper),
+                search_mode: if spread { SearchMode::FocalSpread { k: 2 } } else { SearchMode::Full },
+                require_stable: false,
+                budget: ExecutionBudget::unbounded().with_max_configurations(max_configurations),
+                ..Default::default()
+            };
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mut warm = Nebula::new(config.clone(), initial_meta());
+            warm.set_mutation_sink(Some(Box::new(Capture(log.clone()))));
+            let mut meta_log = Vec::new();
+            let mut warm_store = AnnotationStore::new();
+            let mut history: Vec<Stretch> = Vec::new();
+            let mut next_gene = 100;
+            // The engine's mapping cache, also driven directly: a mapping
+            // weight only orders configurations, which an outcome shows
+            // only when a cap cuts them.
+            let generator = ConfigurationGenerator::default();
+            let mut mappings = MappingCache::default();
+
+            for &(kind, a, b, c) in &steps {
+                let mut run = None;
+                match kind {
+                    0..=4 => {
+                        let annotation = Annotation::new(text(a, b, c));
+                        let live: Vec<TupleId> =
+                            ids.iter().copied().filter(|t| db.get(*t).is_some()).collect();
+                        let focal: Vec<TupleId> = live.iter().copied().take(c % 3).collect();
+                        let mut meta = initial_meta();
+                        for &which in &meta_log {
+                            mutate_meta(&mut meta, which);
+                        }
+                        let mut cold = Nebula::new(config.clone(), meta);
+                        let mut cold_store = AnnotationStore::new();
+                        for stretch in &history {
+                            let focal = stretch.run.as_deref().unwrap_or(&[]);
+                            for logged in &stretch.log {
+                                cold.apply(&mut cold_store, &logged.mutation(), focal).unwrap();
+                            }
+                            if stretch.run.is_some() {
+                                cold.acg_mut().record_annotation();
+                            }
+                        }
+                        let want = cold
+                            .process_annotation(&db, &mut cold_store, &annotation, &focal)
+                            .unwrap();
+                        let got = warm
+                            .process_annotation(&db, &mut warm_store, &annotation, &focal)
+                            .unwrap();
+                        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                        let vocab = warm.meta().to_vocabulary(&db);
+                        for q in &got.queries {
+                            prop_assert_eq!(
+                                generator.generate_cached(&db, &vocab, &q.keywords, &mut mappings),
+                                generator.generate(&db, &vocab, &q.keywords)
+                            );
+                        }
+                        run = Some(focal);
+                    }
+                    5 => {
+                        let gid = format!("JW0{next_gene}");
+                        next_gene += 1;
+                        let row = vec![Value::text(gid), Value::text(NEW_NAMES[b % 4])];
+                        ids.push(db.insert("gene", row).unwrap());
+                    }
+                    6 => {
+                        let tid = ids[a % ids.len()];
+                        if let Some(tuple) = db.get(tid) {
+                            let gid = tuple.values[0].clone();
+                            db.update(tid, vec![gid, Value::text(NEW_NAMES[b % 4])]).unwrap();
+                        }
+                    }
+                    7 => {
+                        let tid = ids[a % ids.len()];
+                        if db.get(tid).is_some() {
+                            warm.on_tuple_deleted(&mut warm_store, tid).unwrap();
+                            db.delete(tid);
+                        }
+                    }
+                    8 => {
+                        let _ = db.create_table(
+                            TableSchema::builder("protein")
+                                .column("pid", DataType::Text)
+                                .column("pname", DataType::Text)
+                                .column("gene_id", DataType::Text)
+                                .primary_key("pid")
+                                .build()
+                                .unwrap(),
+                        );
+                    }
+                    9 => {
+                        let fresh = db.catalog().foreign_keys().is_empty();
+                        if fresh && db.table_by_name("protein").is_some() {
+                            db.add_foreign_key("protein", "gene_id", "gene").unwrap();
+                        }
+                    }
+                    10 | 11 => {
+                        if db.table_by_name("protein").is_some() {
+                            let row = vec![
+                                Value::text(format!("P{:04}", 1 + (a + 6 * b) % 12)),
+                                Value::text(PNAMES[b % PNAMES.len()]),
+                                Value::text(GIDS[c]),
+                            ];
+                            let _ = db.insert("protein", row);
+                        }
+                    }
+                    _ => {
+                        let which = (a + 6 * (kind as usize - 12)) % 8;
+                        mutate_meta(warm.meta_mut(), which);
+                        meta_log.push(which);
+                    }
+                }
+                let drained: Vec<Logged> = log.lock().unwrap().drain(..).collect();
+                if run.is_some() || !drained.is_empty() {
+                    history.push(Stretch { log: drained, run });
+                }
             }
         }
     }

@@ -237,6 +237,49 @@ mod tests {
     }
 
     #[test]
+    fn paged_database_epoch_moves_on_every_mutation() {
+        let dir = tmpdir("epoch");
+        let store = PagedStorage::open(&dir, 4).unwrap();
+        let mut db = Database::with_storage(Arc::new(store));
+        let mut seen = vec![db.epoch()];
+        let mut moved = |db: &Database| {
+            assert!(!seen.contains(&db.epoch()), "a mutation left the epoch where it was");
+            seen.push(db.epoch());
+        };
+        let tids = seed_db(&mut db);
+        moved(&db);
+        db.create_table(
+            TableSchema::builder("links")
+                .column("id", DataType::Int)
+                .column("note", DataType::Int)
+                .primary_key("id")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        moved(&db);
+        db.add_foreign_key("links", "note", "notes").unwrap();
+        moved(&db);
+        db.insert("links", vec![Value::Int(0), Value::Int(3)]).unwrap();
+        moved(&db);
+        db.update(tids[0], vec![Value::Int(0), Value::text("rewritten")]).unwrap();
+        moved(&db);
+        assert!(db.delete(tids[1]));
+        moved(&db);
+        let at = db.epoch();
+        assert!(db.get(tids[0]).is_some());
+        assert_eq!(db.inverted_index().lookup("rewritten").len(), 1);
+        db.digest();
+        assert_eq!(db.epoch(), at, "a read moved the epoch");
+        let copy = tmpdir("epoch-load");
+        let bytes = relstore::snapshot::save(&db);
+        let target = Arc::new(PagedStorage::open(&copy, 4).unwrap());
+        moved(&relstore::snapshot::load_with(&bytes, Some(target)).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&copy).unwrap();
+    }
+
+    #[test]
     fn paged_database_matches_mem_database() {
         let dir = tmpdir("parity");
         let store = PagedStorage::open(&dir, 4).unwrap();

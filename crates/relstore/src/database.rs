@@ -11,6 +11,7 @@ use crate::tuple::{Tuple, TupleId};
 use crate::value::Value;
 use nebula_codec::MultisetHash;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// A relational database, RAM-resident or disk-paged.
@@ -23,7 +24,8 @@ use std::sync::{Arc, OnceLock};
 /// index); otherwise everything stays in RAM.
 ///
 /// Once [`Database::digest`] has been read, every mutator keeps that
-/// running state digest current, in O(size of the change).
+/// running state digest current, in O(size of the change). Every mutator
+/// also moves the [`Database::epoch`].
 #[derive(Debug, Default)]
 pub struct Database {
     catalog: Catalog,
@@ -34,6 +36,30 @@ pub struct Database {
     /// nobody compares (a bulk load, an engine's own RAM copy) hashes
     /// nothing.
     digest: OnceLock<MultisetHash>,
+    epoch: Epoch,
+}
+
+/// Source of every [`Database::epoch`] in the process: each draw is a
+/// value no database state has carried before.
+static EPOCHS: AtomicU64 = AtomicU64::new(1);
+
+/// One database state's name, drawn at construction and again by every
+/// mutator.
+#[derive(Debug)]
+struct Epoch(u64);
+
+impl Epoch {
+    fn advance(&mut self) {
+        *self = Epoch::default();
+    }
+}
+
+impl Default for Epoch {
+    fn default() -> Self {
+        // A draw only has to be unique, which any ordering gives; it
+        // publishes nothing else.
+        Epoch(EPOCHS.fetch_add(1, Ordering::Relaxed))
+    }
 }
 
 impl Database {
@@ -51,7 +77,18 @@ impl Database {
             inverted: InvertedIndex::with_backend(factory.open(POSTINGS_NAMESPACE)),
             storage: Some(factory),
             digest: OnceLock::new(),
+            epoch: Epoch::default(),
         }
+    }
+
+    /// The state's epoch: drawn from one process-wide counter when the
+    /// database is built and again by every mutator, so two states —
+    /// of this database or of any other — never share one. Unlike the
+    /// [`Database::digest`] it is exact and costs nothing to read, which
+    /// makes it the key for anything computed from the database's
+    /// content.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.0
     }
 
     /// The state digest: the multiset hash of every table header, row
@@ -82,6 +119,7 @@ impl Database {
     /// Register a table from a schema. Fails if the name is taken.
     pub fn create_table(&mut self, schema: TableSchema) -> Result<TableId> {
         let id = self.catalog.register(&schema.name)?;
+        self.epoch.advance();
         if let Some(h) = self.digest.get_mut() {
             h.insert(&table_element(id, &schema));
         }
@@ -114,6 +152,7 @@ impl Database {
     }
 
     fn push_foreign_key(&mut self, fk: ForeignKey) {
+        self.epoch.advance();
         if let (true, Some(h)) = (self.catalog.add_foreign_key(fk), self.digest.get_mut()) {
             h.insert(&fk_element(&fk));
         }
@@ -158,6 +197,7 @@ impl Database {
             .collect();
         let element = self.digest.get().map(|_| slot_element(t.next_tid(), true, &values));
         let tid = t.insert(values)?;
+        self.epoch.advance();
         if let (Some(h), Some(element)) = (self.digest.get_mut(), element) {
             h.insert(&element);
         }
@@ -188,6 +228,7 @@ impl Database {
         };
         let element = self.digest.get().map(|_| slot_element(t.next_tid(), live, &values));
         let tid = t.restore_slot(live, values)?;
+        self.epoch.advance();
         if let (Some(h), Some(element)) = (self.digest.get_mut(), element) {
             h.insert(&element);
         }
@@ -233,6 +274,7 @@ impl Database {
             .collect();
         let element = self.digest.get().map(|_| slot_element(tid, true, &values));
         let old = t.replace(tid, values)?;
+        self.epoch.advance();
         if let (Some(h), Some(element)) = (self.digest.get_mut(), element) {
             h.remove(&slot_element(tid, true, &old));
             h.insert(&element);
@@ -248,6 +290,7 @@ impl Database {
     pub fn delete(&mut self, tid: TupleId) -> bool {
         let Some(t) = self.tables.get_mut(&tid.table) else { return false };
         let Some(old) = t.tombstone(tid) else { return false };
+        self.epoch.advance();
         self.inverted.remove_tuple(tid);
         if let Some(h) = self.digest.get_mut() {
             h.remove(&slot_element(tid, true, &old));
@@ -414,6 +457,65 @@ mod tests {
         )
         .unwrap();
         assert!(db.add_foreign_key("src", "r", "nopk").is_err());
+    }
+
+    #[test]
+    fn epoch_moves_on_every_mutation_and_only_then() {
+        let mut db = Database::new();
+        let mut seen = vec![db.epoch()];
+        let mut moved = |db: &Database, step: &str| {
+            assert!(!seen.contains(&db.epoch()), "{step} left the epoch where it was");
+            seen.push(db.epoch());
+        };
+        db.create_table(
+            TableSchema::builder("gene")
+                .column("gid", DataType::Text)
+                .column("name", DataType::Text)
+                .primary_key("gid")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        moved(&db, "create_table");
+        db.create_table(
+            TableSchema::builder("protein")
+                .column("pid", DataType::Text)
+                .column("gene_id", DataType::Text)
+                .primary_key("pid")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        moved(&db, "create_table");
+        db.add_foreign_key("protein", "gene_id", "gene").unwrap();
+        moved(&db, "add_foreign_key");
+        let g = db.insert("gene", vec![Value::text("JW0013"), Value::text("grpC")]).unwrap();
+        moved(&db, "insert");
+        db.update(g, vec![Value::text("JW0013"), Value::text("groP")]).unwrap();
+        moved(&db, "update");
+        let p = db.insert("protein", vec![Value::text("P1"), Value::text("JW0013")]).unwrap();
+        moved(&db, "insert");
+        assert!(db.delete(p));
+        moved(&db, "delete");
+
+        // Reads leave it alone, a failed delete too.
+        let at = db.epoch();
+        let gene = db.catalog().resolve("gene").unwrap();
+        let name = db.table(gene).unwrap().schema().column_id("name").unwrap();
+        assert!(db.get(g).is_some());
+        assert_eq!(db.inverted_index().pair_tuples("grop", gene, name).len(), 1);
+        db.digest();
+        assert!(!db.delete(p));
+        assert_eq!(db.epoch(), at, "a read moved the epoch");
+
+        // A loaded copy has the same content and its own epoch; so has a
+        // database built by the same calls.
+        let loaded = snapshot::load(&snapshot::save(&db)).unwrap();
+        assert_eq!(loaded.digest(), db.digest());
+        moved(&loaded, "snapshot load");
+        let (twin, _) = db.materialize_subset(&[g]);
+        moved(&twin, "materialize_subset");
+        assert_ne!(Database::new().epoch(), Database::new().epoch());
     }
 
     #[test]

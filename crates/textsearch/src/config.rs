@@ -15,11 +15,19 @@ use relstore::Database;
 /// Weight contributed by a keyword no mapping could be found for.
 const UNMAPPED_PENALTY: f64 = 0.05;
 
-/// Cache of per-keyword mapping candidates, shared across the compilation
-/// of a whole query *group*. Keyed by the normalized keyword; the stored
-/// mappings carry `keyword = 0` and are re-indexed on retrieval.
+/// Keywords a [`MappingCache`] remembers before it starts over, so a
+/// stream of ever-new keywords cannot grow it without bound.
+const CACHED_KEYWORDS: usize = 1 << 16;
+
+/// Cache of per-keyword mapping candidates for one generator and
+/// vocabulary. What a keyword maps to is a pure function of the keyword
+/// and the database state, so entries are kept until the database's
+/// epoch moves. Keyed by the normalized keyword; the stored mappings carry
+/// `keyword = 0` and are re-indexed on retrieval.
 #[derive(Debug, Default)]
 pub struct MappingCache {
+    /// The [`Database::epoch`] the entries were computed in.
+    epoch: u64,
     entries: std::collections::HashMap<String, Vec<Mapping>>,
     /// Cache hits (for tests and work accounting).
     pub hits: usize,
@@ -29,7 +37,7 @@ pub struct MappingCache {
 
 impl MappingCache {
     /// Candidates for `keyword` at position `index`, computed once per
-    /// distinct normalized keyword.
+    /// distinct normalized keyword and database state.
     pub fn candidates(
         &mut self,
         gen: &ConfigurationGenerator,
@@ -38,6 +46,10 @@ impl MappingCache {
         index: usize,
         keyword: &str,
     ) -> Vec<Mapping> {
+        if self.epoch != db.epoch() || self.entries.len() >= CACHED_KEYWORDS {
+            self.epoch = db.epoch();
+            self.entries.clear();
+        }
         let word = normalize(keyword);
         if let Some(cached) = self.entries.get(&word) {
             self.hits += 1;
@@ -114,11 +126,11 @@ impl ConfigurationGenerator {
         self.generate_cached(db, vocab, keywords, &mut MappingCache::default())
     }
 
-    /// [`ConfigurationGenerator::generate`] with a per-*group* mapping
-    /// cache: when many keyword queries generated from one annotation are
-    /// compiled together, shared keywords (concept words like `gene`
-    /// recur in every query) are mapped once — part of the shared
-    /// multi-query execution of the paper's §6.
+    /// [`ConfigurationGenerator::generate`] through a mapping cache: when
+    /// many keyword queries are compiled against one database state,
+    /// shared keywords (concept words like `gene` recur in every query of
+    /// an annotation, and across annotations) are mapped once — part of
+    /// the shared multi-query execution of the paper's §6.
     pub fn generate_cached(
         &self,
         db: &Database,
@@ -277,6 +289,21 @@ mod tests {
         // Cached results are identical to uncached ones.
         let fresh = gen.generate(&db, &vocab, &q2);
         assert_eq!(c2, fresh);
+    }
+
+    #[test]
+    fn mapping_cache_starts_over_when_the_database_moves() {
+        let mut db = db();
+        let vocab = SchemaVocabulary::new();
+        let gen = ConfigurationGenerator::default();
+        let mut cache = MappingCache::default();
+        let q = vec!["grpc".to_string()];
+        let before = gen.generate_cached(&db, &vocab, &q, &mut cache);
+        db.insert("gene", vec![Value::text("JW0015"), Value::text("grpC")]).unwrap();
+        let after = gen.generate_cached(&db, &vocab, &q, &mut cache);
+        assert_eq!(cache.misses, 2, "the insert moved the epoch");
+        assert_eq!(after, gen.generate(&db, &vocab, &q));
+        assert_ne!(after, before, "a second holder changes the value weight");
     }
 
     #[test]

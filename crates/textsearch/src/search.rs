@@ -1,12 +1,13 @@
 //! The keyword-search facade: keywords in, `(tuple, confidence)` out.
 
 use crate::compile::{compile_configuration, CompiledQuery};
-use crate::config::ConfigurationGenerator;
+use crate::config::{ConfigurationGenerator, MappingCache};
 use crate::error::SearchError;
 use crate::mapping::SchemaVocabulary;
 use crate::shared::{ExecutionMode, SharedExecutor};
 use relstore::{Database, TupleId};
 use std::collections::HashMap;
+use std::sync::{Mutex, PoisonError};
 
 /// A keyword query: an ordered bag of keywords, optionally carrying the
 /// weight Nebula's query-generation phase assigned to it.
@@ -102,17 +103,28 @@ impl SearchStats {
     }
 }
 
-/// The keyword-search engine (stateless between calls; all state lives in
-/// the database's indexes).
-#[derive(Debug, Clone, Default)]
+/// The keyword-search engine. Between calls it keeps only what shared
+/// execution has mapped: the keyword mappings of the database state it
+/// last searched, which every later shared group over that same state
+/// reads instead of probing the index again.
+#[derive(Debug, Default)]
 pub struct KeywordSearch {
     options: SearchOptions,
+    /// Shared mode's mapping cache, kept across groups.
+    mappings: Mutex<MappingCache>,
+}
+
+impl Clone for KeywordSearch {
+    /// The same options with a cold mapping cache.
+    fn clone(&self) -> Self {
+        KeywordSearch::new(self.options.clone())
+    }
 }
 
 impl KeywordSearch {
     /// Engine with the given options.
     pub fn new(options: SearchOptions) -> Self {
-        KeywordSearch { options }
+        KeywordSearch { options, mappings: Mutex::default() }
     }
 
     /// Access the engine's options.
@@ -135,8 +147,8 @@ impl KeywordSearch {
         query: &KeywordQuery,
         db: &Database,
     ) -> Result<(Vec<SearchHit>, SearchStats), SearchError> {
-        let mut cache = crate::config::MappingCache::default();
-        let (compiled, configurations) = self.compile_cached(query, db, &mut cache);
+        let (compiled, configurations) =
+            self.compile_cached(query, db, &mut MappingCache::default());
         let mut stats =
             SearchStats { configurations, compiled_queries: compiled.len(), tuples_inspected: 0 };
         let mut exec = SharedExecutor::new(db);
@@ -147,16 +159,16 @@ impl KeywordSearch {
 
     /// Compile a keyword query into its conjunctive queries.
     pub fn compile(&self, query: &KeywordQuery, db: &Database) -> Vec<CompiledQuery> {
-        self.compile_cached(query, db, &mut crate::config::MappingCache::default()).0
+        self.compile_cached(query, db, &mut MappingCache::default()).0
     }
 
-    /// Compile through a shared per-group mapping cache. Returns the
-    /// compiled queries and the number of configurations generated.
+    /// Compile through a mapping cache. Returns the compiled queries and
+    /// the number of configurations generated.
     fn compile_cached(
         &self,
         query: &KeywordQuery,
         db: &Database,
-        cache: &mut crate::config::MappingCache,
+        cache: &mut MappingCache,
     ) -> (Vec<CompiledQuery>, usize) {
         let mut configs =
             self.options.generator.generate_cached(db, &self.options.vocab, &query.keywords, cache);
@@ -214,6 +226,12 @@ impl KeywordSearch {
     /// Execute a *group* of keyword queries under the given execution mode
     /// (paper §6 shared-execution optimization; Figure 13). Returns one hit
     /// list per query, in order.
+    ///
+    /// Shared mode shares compilation (the engine's mapping cache —
+    /// concept words recur in every query of the group, and in the next
+    /// group over the same database state) and execution (one
+    /// [`SharedExecutor`] for the group). Isolated mode gives every query
+    /// a cold cache and a cold executor.
     pub fn search_group(
         &self,
         queries: &[KeywordQuery],
@@ -222,38 +240,28 @@ impl KeywordSearch {
     ) -> Result<(Vec<Vec<SearchHit>>, SearchStats), SearchError> {
         let mut stats = SearchStats::default();
         let mut results = Vec::with_capacity(queries.len());
-        match mode {
+        let mut shared_cache = match mode {
             ExecutionMode::Shared => {
-                // Sharing spans both compilation (per-keyword mapping
-                // cache — concept words recur in every query of the
-                // group) and execution (predicate memo).
-                let mut cache = crate::config::MappingCache::default();
-                let mut exec = SharedExecutor::new(db);
-                for q in queries {
-                    let (compiled, configs) = self.compile_cached(q, db, &mut cache);
-                    let mut q_stats = SearchStats {
-                        configurations: configs,
-                        compiled_queries: compiled.len(),
-                        tuples_inspected: 0,
-                    };
-                    results.push(self.run_compiled(&compiled, &mut exec, &mut q_stats)?);
-                    stats.merge(q_stats);
-                }
+                Some(self.mappings.lock().unwrap_or_else(PoisonError::into_inner))
             }
-            ExecutionMode::Isolated => {
-                for q in queries {
-                    let mut cache = crate::config::MappingCache::default();
-                    let mut exec = SharedExecutor::new(db);
-                    let (compiled, configs) = self.compile_cached(q, db, &mut cache);
-                    let mut q_stats = SearchStats {
-                        configurations: configs,
-                        compiled_queries: compiled.len(),
-                        tuples_inspected: 0,
-                    };
-                    results.push(self.run_compiled(&compiled, &mut exec, &mut q_stats)?);
-                    stats.merge(q_stats);
-                }
-            }
+            ExecutionMode::Isolated => None,
+        };
+        let mut shared_exec = SharedExecutor::new(db);
+        for q in queries {
+            let (mut cold_cache, mut cold_exec) =
+                (MappingCache::default(), SharedExecutor::new(db));
+            let (cache, exec) = match shared_cache.as_deref_mut() {
+                Some(cache) => (cache, &mut shared_exec),
+                None => (&mut cold_cache, &mut cold_exec),
+            };
+            let (compiled, configs) = self.compile_cached(q, db, cache);
+            let mut q_stats = SearchStats {
+                configurations: configs,
+                compiled_queries: compiled.len(),
+                tuples_inspected: 0,
+            };
+            results.push(self.run_compiled(&compiled, exec, &mut q_stats)?);
+            stats.merge(q_stats);
         }
         stats.publish();
         Ok((results, stats))

@@ -3,9 +3,11 @@
 //! A single annotation generates *many* keyword queries at once, and their
 //! compiled conjunctive queries overlap heavily — the same concept tokens
 //! and value predicates recur across the group. [`SharedExecutor`]
-//! exploits this by memoizing table-wide predicate evaluations, so a
-//! predicate shared by `n` queries is evaluated once instead of `n` times
-//! (the optimization the Nebula paper evaluates in Figure 13).
+//! exploits this at two levels: it memoizes table-wide predicate
+//! evaluations, so a predicate shared by `n` queries is evaluated once
+//! instead of `n` times, and it memoizes their intersections, so a
+//! predicate prefix shared by several queries is intersected once (the
+//! optimization the Nebula paper evaluates in Figure 13).
 //!
 //! [`ExecutionMode::Isolated`] runs every query with a cold memo —
 //! the baseline each experiment compares against.
@@ -13,6 +15,7 @@
 use relstore::schema::{ColumnId, TableId};
 use relstore::{ConjunctiveQuery, Database, JoinStep, Predicate, QueryResult, TupleId, Value};
 use std::borrow::Cow;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -47,32 +50,69 @@ impl PredKey {
 #[derive(Debug)]
 pub struct SharedExecutor<'a> {
     db: &'a Database,
-    memo: HashMap<PredKey, IdSet<'a>>,
+    /// Each distinct predicate's answer set and dense id.
+    memo: HashMap<PredKey, (SetId, IdSet<'a>)>,
+    /// `(prefix, predicate)` → the conjunction's id and answer set. A
+    /// prefix is a predicate's id or an earlier conjunction's, drawn from
+    /// the same counter, so an id names one conjunction.
+    conjunctions: HashMap<(SetId, SetId), (SetId, IdSet<'a>)>,
+    next_id: SetId,
     /// Predicate evaluations actually performed (cache misses).
     pub evaluations: usize,
     /// Predicate evaluations answered from the memo.
     pub cache_hits: usize,
 }
 
+/// Dense id of a predicate or conjunction within one executor.
+type SetId = u32;
+
 impl<'a> SharedExecutor<'a> {
     /// New executor over `db` with an empty memo.
     pub fn new(db: &'a Database) -> Self {
-        SharedExecutor { db, memo: HashMap::new(), evaluations: 0, cache_hits: 0 }
+        SharedExecutor {
+            db,
+            memo: HashMap::new(),
+            conjunctions: HashMap::new(),
+            next_id: 0,
+            evaluations: 0,
+            cache_hits: 0,
+        }
     }
 
-    /// Evaluate one predicate table-wide, memoized. Returns the sorted
-    /// tuple ids satisfying it.
-    fn eval_predicate(&mut self, table: TableId, p: &Predicate) -> IdSet<'a> {
+    fn fresh_id(&mut self) -> SetId {
+        self.next_id += 1;
+        self.next_id
+    }
+
+    /// Evaluate one predicate table-wide, memoized. Returns its id and the
+    /// sorted tuple ids satisfying it.
+    fn eval_predicate(&mut self, table: TableId, p: &Predicate) -> (SetId, IdSet<'a>) {
         let key = PredKey::new(table, p);
-        if let Some(hit) = self.memo.get(&key) {
+        if let Some((id, hit)) = self.memo.get(&key) {
             self.cache_hits += 1;
-            return Rc::clone(hit);
+            return (*id, Rc::clone(hit));
         }
         self.evaluations += 1;
-        let ids = self.eval_uncached(table, p);
-        let rc = Rc::new(ids);
-        self.memo.insert(key, Rc::clone(&rc));
-        rc
+        let ids = Rc::new(self.eval_uncached(table, p));
+        let id = self.fresh_id();
+        self.memo.insert(key, (id, Rc::clone(&ids)));
+        (id, ids)
+    }
+
+    /// Narrow `prefix` by predicate `pred`, memoized: a conjunction the
+    /// group has already formed is read back, not intersected again.
+    fn conjoin(
+        &mut self,
+        (prefix, prev): (SetId, IdSet<'a>),
+        (pred, ids): (SetId, IdSet<'a>),
+    ) -> (SetId, IdSet<'a>) {
+        if let Some((id, hit)) = self.conjunctions.get(&(prefix, pred)) {
+            return (*id, Rc::clone(hit));
+        }
+        let narrowed: IdSet<'a> = Rc::new(Cow::Owned(intersect_sorted(&prev, &ids)));
+        let id = self.fresh_id();
+        self.conjunctions.insert((prefix, pred), (id, Rc::clone(&narrowed)));
+        (id, narrowed)
     }
 
     fn eval_uncached(&self, table: TableId, p: &Predicate) -> Cow<'a, [TupleId]> {
@@ -109,18 +149,20 @@ impl<'a> SharedExecutor<'a> {
             return Err(fault.into());
         }
         let mut inspected = 0usize;
-        // Intersect per-predicate result sets, in query order; the first
-        // predicate's memoized set is shared, not copied.
-        let mut candidates: Option<IdSet<'a>> = None;
+        // Intersect per-predicate result sets, in query order, each
+        // predicate counted and charged whether its set or the
+        // intersection is memoized or not; memoized sets are shared, not
+        // copied.
+        let mut candidates: Option<(SetId, IdSet<'a>)> = None;
         for p in &q.predicates {
-            let ids = self.eval_predicate(q.base, p);
-            inspected += ids.len();
-            nebula_govern::charge(nebula_govern::Resource::TuplesInspected, ids.len())?;
+            let evaluated = self.eval_predicate(q.base, p);
+            inspected += evaluated.1.len();
+            nebula_govern::charge(nebula_govern::Resource::TuplesInspected, evaluated.1.len())?;
             let narrowed = match candidates.take() {
-                None => ids,
-                Some(prev) => Rc::new(Cow::Owned(intersect_sorted(&prev, &ids))),
+                None => evaluated,
+                Some(prefix) => self.conjoin(prefix, evaluated),
             };
-            if candidates.insert(narrowed).is_empty() {
+            if candidates.insert(narrowed).1.is_empty() {
                 break;
             }
         }
@@ -128,7 +170,7 @@ impl<'a> SharedExecutor<'a> {
             return Ok(QueryResult { tuples: Vec::new(), inspected });
         };
         let base_ids: IdSet<'a> = match candidates {
-            Some(ids) => ids,
+            Some((_, ids)) => ids,
             None => Rc::new(Cow::Owned(table.scan().map(|tuple| tuple.id).collect())),
         };
         // Apply join steps: a base tuple qualifies if every join step has a
@@ -166,15 +208,15 @@ impl<'a> SharedExecutor<'a> {
     /// from memoized per-predicate sets (`None`: the step has no predicate,
     /// every partner qualifies).
     fn qualifying_set(&mut self, step: &JoinStep) -> Option<IdSet<'a>> {
-        let mut acc: Option<IdSet<'a>> = None;
+        let mut acc: Option<(SetId, IdSet<'a>)> = None;
         for p in &step.predicates {
-            let ids = self.eval_predicate(step.table, p);
+            let evaluated = self.eval_predicate(step.table, p);
             acc = Some(match acc {
-                None => ids,
-                Some(prev) => Rc::new(Cow::Owned(intersect_sorted(&prev, &ids))),
+                None => evaluated,
+                Some(prefix) => self.conjoin(prefix, evaluated),
             });
         }
-        acc
+        acc.map(|(_, ids)| ids)
     }
 
     /// Whether `tuple` has a partner in `step.table` within the step's
@@ -238,19 +280,48 @@ impl<'a> SharedExecutor<'a> {
 /// directory when the index holds the group in RAM, owned otherwise.
 type IdSet<'a> = Rc<Cow<'a, [TupleId]>>;
 
-/// Intersection of two strictly ascending id lists: walk the shorter and
-/// gallop through the longer, so the cost follows the shorter list.
-fn intersect_sorted(a: &[TupleId], b: &[TupleId]) -> Vec<TupleId> {
+/// Above this length ratio [`intersect_sorted`] gallops through the longer
+/// list; within it a linear merge is cheaper than the searches.
+const GALLOP_RATIO: usize = 2;
+
+/// Intersection of two strictly ascending id lists. Lists of similar
+/// length are merged; otherwise it walks the shorter and gallops through
+/// the longer, so the cost follows the shorter list.
+pub fn intersect_sorted(a: &[TupleId], b: &[TupleId]) -> Vec<TupleId> {
     let (short, mut long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut out = Vec::new();
+    if long.len() <= short.len().saturating_mul(GALLOP_RATIO) {
+        let (mut i, mut j) = (0, 0);
+        while i < short.len() && j < long.len() {
+            match short[i].cmp(&long[j]) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    out.push(short[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        return out;
+    }
     for id in short {
-        // Double the window until it holds the first element >= id.
+        // Double the window until it holds the first element >= id ...
         let mut bound = 1;
         while bound < long.len() && long[bound] < *id {
             bound *= 2;
         }
-        let window = &long[bound / 2..long.len().min(bound + 1)];
-        long = &long[bound / 2 + window.partition_point(|x| x < id)..];
+        // ... then halve it, a select rather than a branch per step.
+        let (mut at, mut size) = (bound / 2, long.len().min(bound + 1) - bound / 2);
+        while size > 1 {
+            let half = size / 2;
+            at = if long[at + half] < *id { at + half } else { at };
+            size -= half;
+        }
+        if long.get(at).is_some_and(|x| x < id) {
+            at += 1;
+        }
+        long = &long[at..];
         match long.first() {
             None => break,
             Some(hit) if hit == id => out.push(*id),

@@ -22,8 +22,13 @@ const STOPWORDS: &[&str] = &[
 
 /// Is this (already normalized or raw) word an English stopword?
 pub fn is_stopword(word: &str) -> bool {
-    let w = normalize(word);
-    STOPWORDS.contains(&w.as_str())
+    let trimmed = word.trim_matches(|c: char| !c.is_alphanumeric());
+    // ASCII lower-cases to ASCII, so no allocation is needed to compare
+    // it with the (ASCII) list; other text takes the full normalization.
+    if trimmed.is_ascii() {
+        return STOPWORDS.iter().any(|s| s.eq_ignore_ascii_case(trimmed));
+    }
+    STOPWORDS.contains(&normalize(word).as_str())
 }
 
 /// Split free text into normalized, non-empty words (stopwords retained —

@@ -144,6 +144,30 @@ fn build_joined_db(genes: &[(String, String)], proteins: &[(String, usize)]) -> 
     db
 }
 
+/// What the executor must report as `inspected` for `q`, by brute force
+/// over the live rows: the size of each evaluated predicate's answer set
+/// (evaluation stops at the first empty prefix) plus the live base ids
+/// that survive them all (every live row when there is no predicate).
+fn brute_force_inspected(db: &Database, q: &relstore::ConjunctiveQuery) -> usize {
+    let table = db.table(q.base).unwrap();
+    let mut inspected = 0usize;
+    let mut survivors: Option<Vec<relstore::TupleId>> = None;
+    for p in &q.predicates {
+        let answer: Vec<_> = table.scan().filter(|t| p.matches(t)).map(|t| t.id).collect();
+        inspected += answer.len();
+        let kept: Vec<_> = match &survivors {
+            None => answer,
+            Some(prev) => prev.iter().copied().filter(|t| answer.contains(t)).collect(),
+        };
+        let exhausted = kept.is_empty();
+        survivors = Some(kept);
+        if exhausted {
+            break;
+        }
+    }
+    inspected + survivors.map_or(table.len(), |s| s.len())
+}
+
 proptest! {
     /// The memoizing executor against the reference executor, on random
     /// conjunctive queries (1–3 token predicates, 0–1 join step) over a
@@ -195,24 +219,7 @@ proptest! {
             });
         }
 
-        // Answer sets by brute force over the live rows.
-        let mut expected_inspected = 0usize;
-        let mut survivors: Option<Vec<TupleId>> = None;
-        for p in &q.predicates {
-            let answer: Vec<TupleId> =
-                db.table(base).unwrap().scan().filter(|t| p.matches(t)).map(|t| t.id).collect();
-            expected_inspected += answer.len();
-            let kept: Vec<TupleId> = match &survivors {
-                None => answer,
-                Some(prev) => prev.iter().copied().filter(|t| answer.contains(t)).collect(),
-            };
-            let exhausted = kept.is_empty();
-            survivors = Some(kept);
-            if exhausted {
-                break;
-            }
-        }
-        expected_inspected += survivors.map_or(0, |s| s.len());
+        let expected_inspected = brute_force_inspected(&db, &q);
 
         let probe_faults =
             nebula_govern::FaultPlan::new(7).with(nebula_govern::FaultSite::IndexProbe, 1.0);
@@ -225,5 +232,122 @@ proptest! {
             prop_assert_eq!(&shared.tuples, &reference.tuples);
             prop_assert_eq!(shared.inspected, expected_inspected);
         }
+    }
+}
+
+proptest! {
+    /// One executor running a group of queries that share predicate
+    /// prefixes — so later queries read both memoized predicates and
+    /// memoized conjunctions — answers every query as the reference does,
+    /// and counts exactly what a cold executor counts for it, with the
+    /// index answering and with every probe failing over to a scan.
+    #[test]
+    fn the_conjunction_memo_changes_neither_answers_nor_counts(
+        genes in proptest::collection::vec(("[a-c]{1,2}( [a-c]{1,2}){0,2}", "[a-c]{1,2}"), 1..12),
+        proteins in proptest::collection::vec(("[a-c]{1,2}( [a-c]{1,2}){0,2}", 0usize..12), 0..16),
+        shared_prefix in proptest::collection::vec((0u32..2, "[a-c]{1,2}"), 1..4),
+        // Per query: how much of the shared prefix it takes, its own
+        // predicates, and whether it joins the protein table.
+        queries in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec((0u32..2, "[a-c]{1,2}"), 0..3), any::<bool>()),
+            2..8,
+        ),
+    ) {
+        use relstore::{ColumnId, ConjunctiveQuery, JoinStep, Predicate};
+        use textsearch::SharedExecutor;
+
+        let db = build_joined_db(&genes, &proteins);
+        let gene = db.catalog().resolve("gene").unwrap();
+        let protein = db.catalog().resolve("protein").unwrap();
+        let predicate = |(pick, token): &(u32, String)| {
+            Predicate::ContainsToken(ColumnId(1 + pick), token.clone())
+        };
+        let group: Vec<ConjunctiveQuery> = queries
+            .iter()
+            .map(|(take, own, join)| {
+                let mut q = ConjunctiveQuery::scan(gene);
+                for p in shared_prefix.iter().take(*take).chain(own) {
+                    q = q.with_predicate(predicate(p));
+                }
+                if *join {
+                    q = q.with_join(JoinStep {
+                        table: protein,
+                        predicates: vec![predicate(&(0, own.first().map_or("a".into(), |p| p.1.clone())))],
+                    });
+                }
+                q
+            })
+            .collect();
+
+        let probe_faults =
+            nebula_govern::FaultPlan::new(7).with(nebula_govern::FaultSite::IndexProbe, 1.0);
+        for plan in [None, Some(probe_faults)] {
+            nebula_govern::set_fault_plan(plan);
+            let mut warm = SharedExecutor::new(&db);
+            for q in &group {
+                let shared = warm.execute(q).unwrap();
+                let cold = SharedExecutor::new(&db).execute(q).unwrap();
+                let reference = q.execute(&db).unwrap();
+                prop_assert_eq!(&shared.tuples, &reference.tuples);
+                prop_assert_eq!(shared.inspected, cold.inspected);
+                prop_assert_eq!(shared.inspected, brute_force_inspected(&db, q));
+            }
+            nebula_govern::set_fault_plan(None);
+        }
+    }
+
+    /// `intersect_sorted` against a naive set intersection, on both sides
+    /// of its merge/gallop switch: length ratios from 1:1 to 1:10 000,
+    /// empty, disjoint and identical lists, ids spread over two tables.
+    #[test]
+    fn intersect_sorted_equals_a_naive_intersection(
+        short_len in 0usize..40,
+        ratio in prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(17), Just(100), Just(10_000)],
+        shape in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        use relstore::{TableId, TupleId};
+        use std::collections::BTreeSet;
+        use textsearch::shared::intersect_sorted;
+
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let long_len = (short_len * ratio).min(200_000);
+        let universe = (long_len as u64 * 2).max(64);
+        let mut draw = |n: usize, parity: Option<u64>| -> Vec<TupleId> {
+            let ids: BTreeSet<TupleId> = (0..n)
+                .map(|_| {
+                    let r = next();
+                    let row = r % universe;
+                    let row = parity.map_or(row, |p| row & !1 | p);
+                    TupleId::new(TableId((r >> 60) as u32 % 2), row)
+                })
+                .collect();
+            ids.into_iter().collect()
+        };
+        let (a, b) = match shape {
+            // Random overlap.
+            0 => (draw(short_len, None), draw(long_len, None)),
+            // Disjoint: even rows against odd rows.
+            1 => (draw(short_len, Some(0)), draw(long_len, Some(1))),
+            // Identical.
+            2 => {
+                let a = draw(long_len.max(short_len), None);
+                (a.clone(), a)
+            }
+            // One side empty.
+            _ => (Vec::new(), draw(long_len, None)),
+        };
+        let naive: Vec<TupleId> = {
+            let set: BTreeSet<_> = b.iter().collect();
+            a.iter().filter(|id| set.contains(id)).copied().collect()
+        };
+        prop_assert_eq!(intersect_sorted(&a, &b), naive.clone());
+        prop_assert_eq!(intersect_sorted(&b, &a), naive);
     }
 }
