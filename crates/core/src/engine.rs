@@ -164,14 +164,6 @@ impl Nebula {
         &self.meta
     }
 
-    /// Mutable access to the metadata repository (a curator declaring a
-    /// synonym, a pattern or a sample while the engine runs). The local
-    /// search's vocabulary is resolved again on the next annotation.
-    pub fn meta_mut(&mut self) -> &mut NebulaMeta {
-        *self.local.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
-        &mut self.meta
-    }
-
     /// The Annotations Connectivity Graph.
     pub fn acg(&self) -> &Acg {
         &self.acg

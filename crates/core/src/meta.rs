@@ -119,7 +119,7 @@ pub struct NebulaMeta {
     column_aliases: HashMap<String, Vec<(String, String, f64)>>,
     /// `(table lower, column lower)` → domain knowledge.
     domains: HashMap<(String, String), ColumnDomain>,
-    /// Stage 1's memo of everything above; every mutator starts a new one.
+    /// Stage 1's memo of everything above; every mutator drops it.
     lexicon: LexiconSlot,
 }
 
@@ -345,8 +345,7 @@ impl NebulaMeta {
     /// last call.
     pub(crate) fn with_lexicon<R>(&self, db: &Database, f: impl FnOnce(&mut Lexicon) -> R) -> R {
         let epoch = db.epoch();
-        let cell = self.lexicon.cell(epoch);
-        let mut lexicon = cell.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut lexicon = self.lexicon.0.lock().unwrap_or_else(PoisonError::into_inner);
         if lexicon.as_ref().is_none_or(|lexicon| lexicon.epoch != epoch) {
             *lexicon = Some(Lexicon {
                 epoch,
@@ -533,39 +532,22 @@ fn read_through<V, R>(
     read(memo.entry(key.to_string()).or_insert(compute()))
 }
 
-/// Where a [`NebulaMeta`] keeps its [`Lexicon`]: in a cell it shares
-/// with its clones — engines cloned from one repository compile it once
-/// per database state — until one of them is mutated or asks about
-/// another database state and takes a cell of its own, so clones serving
-/// different databases (shard nodes) never evict each other's. Locks
-/// because stage 1 holds the repository by `&`; every update leaves the
-/// lexicon whole, so a poisoned lock is taken over as it is.
+/// Where a [`NebulaMeta`] keeps its [`Lexicon`]. Locks because stage 1
+/// holds the repository by `&`; every update leaves the lexicon whole, so
+/// a poisoned lock is taken over as it is. A clone starts without one.
 #[derive(Debug, Default)]
-struct LexiconSlot(Mutex<LexiconCell>);
-
-type LexiconCell = Arc<Mutex<Option<Lexicon>>>;
+struct LexiconSlot(Mutex<Option<Lexicon>>);
 
 impl LexiconSlot {
-    /// The cell to compile or read `epoch`'s lexicon in.
-    fn cell(&self, epoch: u64) -> LexiconCell {
-        let mut cell = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        let compiled =
-            cell.lock().unwrap_or_else(PoisonError::into_inner).as_ref().map(|l| l.epoch);
-        if compiled.is_some_and(|other| other != epoch) {
-            *cell = LexiconCell::default();
-        }
-        Arc::clone(&cell)
-    }
-
-    /// The repository changed: leave the shared cell to the clones.
+    /// The repository changed.
     fn clear(&mut self) {
-        *self = LexiconSlot::default();
+        *self.0.get_mut().unwrap_or_else(PoisonError::into_inner) = None;
     }
 }
 
 impl Clone for LexiconSlot {
     fn clone(&self) -> Self {
-        LexiconSlot(Mutex::new(Arc::clone(&self.0.lock().unwrap_or_else(PoisonError::into_inner))))
+        LexiconSlot::default()
     }
 }
 
@@ -783,26 +765,6 @@ mod tests {
         let gene_t = db.catalog().resolve("gene").unwrap();
         let gid = db.table(gene_t).unwrap().schema().column_id("gid").unwrap();
         assert_eq!((hits[0].0, hits[0].1), (gene_t, gid));
-    }
-
-    #[test]
-    fn clones_share_a_lexicon_until_they_diverge() {
-        let (db, other) = (bio_db(), bio_db());
-        let m = meta();
-        let mut clone = m.clone();
-        m.with_lexicon(&db, |_| ());
-        let shared = |a: &NebulaMeta, b: &NebulaMeta, epoch| {
-            Arc::ptr_eq(&a.lexicon.cell(epoch), &b.lexicon.cell(epoch))
-        };
-        assert!(shared(&m, &clone, db.epoch()), "a clone reads the lexicon compiled before");
-        clone.with_lexicon(&other, |_| ());
-        assert!(!shared(&m, &clone, db.epoch()), "another database takes a cell of its own");
-        let mut again = m.clone();
-        again.add_table_synonym("loci", "gene");
-        assert!(!shared(&m, &again, db.epoch()), "a mutation takes a cell of its own");
-        assert_eq!(m.lexicon.cell(db.epoch()).lock().unwrap().as_ref().unwrap().epoch, db.epoch());
-        clone = m.clone();
-        assert!(shared(&m, &clone, db.epoch()));
     }
 
     #[test]

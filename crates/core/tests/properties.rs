@@ -509,10 +509,14 @@ mod follower {
 /// annotation a fresh engine is rebuilt from the warm one's mutation log
 /// (through [`Nebula::apply`], which runs no search) and must produce the
 /// very same outcome — queries, candidates, confidences, evidence,
-/// routing and work counters.
+/// routing and work counters. An engine's meta cannot change, so a meta
+/// mutation moves the mutated meta into a new warm engine; one long-lived
+/// meta, mutated in place, must map every word as a fresh one does before
+/// and after each mutation.
 mod cold_oracle {
     use super::follower::{Capture, Logged};
     use annostore::{Annotation, AnnotationStore};
+    use nebula_core::sigmap::{generate_concept_map, generate_value_map, split_annotation};
     use nebula_core::{
         ConceptRef, Nebula, NebulaConfig, NebulaMeta, Pattern, SearchMode, VerificationBounds,
     };
@@ -554,10 +558,9 @@ mod cold_oracle {
         (db, ids)
     }
 
-    /// The repository before any mutation, built afresh: a clone would
-    /// share the warm engine's lexicon. It already knows both concepts, so
-    /// creating the `protein` table is what makes `protein` and the
-    /// sampled protein ids meaningful.
+    /// The repository before any mutation. It already knows both
+    /// concepts, so creating the `protein` table is what makes `protein`
+    /// and the sampled protein ids meaningful.
     fn initial_meta() -> NebulaMeta {
         let mut meta = NebulaMeta::new();
         meta.add_concept(ConceptRef {
@@ -623,6 +626,43 @@ mod cold_oracle {
         run: Option<Vec<TupleId>>,
     }
 
+    /// An engine over `meta` holding what `history` committed, rebuilt
+    /// from the log without a search.
+    fn replay(
+        config: &NebulaConfig,
+        meta: NebulaMeta,
+        history: &[Stretch],
+    ) -> (Nebula, AnnotationStore) {
+        let mut engine = Nebula::new(config.clone(), meta);
+        let mut store = AnnotationStore::new();
+        for stretch in history {
+            let focal = stretch.run.as_deref().unwrap_or(&[]);
+            for logged in &stretch.log {
+                engine.apply(&mut store, &logged.mutation(), focal).unwrap();
+            }
+            if stretch.run.is_some() {
+                engine.acg_mut().record_annotation();
+            }
+        }
+        (engine, store)
+    }
+
+    /// The repository `meta_log` leaves, built afresh.
+    fn fresh_meta(meta_log: &[usize]) -> NebulaMeta {
+        let mut meta = initial_meta();
+        for &which in meta_log {
+            mutate_meta(&mut meta, which);
+        }
+        meta
+    }
+
+    /// Both of stage 1's maps of every word of [`text`], unfiltered.
+    fn stage1(db: &Database, meta: &NebulaMeta) -> String {
+        let words = split_annotation(&text(0, 1, 2));
+        let concepts = generate_concept_map(db, meta, &words, 0.0);
+        format!("{concepts:?} {:?}", generate_value_map(db, meta, &words, 0.0))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -650,6 +690,7 @@ mod cold_oracle {
             let mut warm = Nebula::new(config.clone(), initial_meta());
             warm.set_mutation_sink(Some(Box::new(Capture(log.clone()))));
             let mut meta_log = Vec::new();
+            let mut lived = initial_meta();
             let mut warm_store = AnnotationStore::new();
             let mut history: Vec<Stretch> = Vec::new();
             let mut next_gene = 100;
@@ -667,21 +708,8 @@ mod cold_oracle {
                         let live: Vec<TupleId> =
                             ids.iter().copied().filter(|t| db.get(*t).is_some()).collect();
                         let focal: Vec<TupleId> = live.iter().copied().take(c % 3).collect();
-                        let mut meta = initial_meta();
-                        for &which in &meta_log {
-                            mutate_meta(&mut meta, which);
-                        }
-                        let mut cold = Nebula::new(config.clone(), meta);
-                        let mut cold_store = AnnotationStore::new();
-                        for stretch in &history {
-                            let focal = stretch.run.as_deref().unwrap_or(&[]);
-                            for logged in &stretch.log {
-                                cold.apply(&mut cold_store, &logged.mutation(), focal).unwrap();
-                            }
-                            if stretch.run.is_some() {
-                                cold.acg_mut().record_annotation();
-                            }
-                        }
+                        let (mut cold, mut cold_store) =
+                            replay(&config, fresh_meta(&meta_log), &history);
                         let want = cold
                             .process_annotation(&db, &mut cold_store, &annotation, &focal)
                             .unwrap();
@@ -747,8 +775,17 @@ mod cold_oracle {
                     }
                     _ => {
                         let which = (a + 6 * (kind as usize - 12)) % 8;
-                        mutate_meta(warm.meta_mut(), which);
+                        // The lexicon compiled just before must not
+                        // survive the mutation.
+                        prop_assert_eq!(stage1(&db, &lived), stage1(&db, &fresh_meta(&meta_log)));
+                        mutate_meta(&mut lived, which);
                         meta_log.push(which);
+                        prop_assert_eq!(stage1(&db, &lived), stage1(&db, &fresh_meta(&meta_log)));
+                        let mut meta = warm.meta().clone();
+                        mutate_meta(&mut meta, which);
+                        (warm, warm_store) = replay(&config, meta, &history);
+                        warm.set_mutation_sink(Some(Box::new(Capture(log.clone()))));
+                        mappings = MappingCache::default();
                     }
                 }
                 let drained: Vec<Logged> = log.lock().unwrap().drain(..).collect();

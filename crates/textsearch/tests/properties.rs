@@ -295,59 +295,4 @@ proptest! {
             nebula_govern::set_fault_plan(None);
         }
     }
-
-    /// `intersect_sorted` against a naive set intersection, on both sides
-    /// of its merge/gallop switch: length ratios from 1:1 to 1:10 000,
-    /// empty, disjoint and identical lists, ids spread over two tables.
-    #[test]
-    fn intersect_sorted_equals_a_naive_intersection(
-        short_len in 0usize..40,
-        ratio in prop_oneof![Just(1usize), Just(2), Just(3), Just(5), Just(17), Just(100), Just(10_000)],
-        shape in 0u8..4,
-        seed in any::<u64>(),
-    ) {
-        use relstore::{TableId, TupleId};
-        use std::collections::BTreeSet;
-        use textsearch::shared::intersect_sorted;
-
-        let mut state = seed | 1;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let long_len = (short_len * ratio).min(200_000);
-        let universe = (long_len as u64 * 2).max(64);
-        let mut draw = |n: usize, parity: Option<u64>| -> Vec<TupleId> {
-            let ids: BTreeSet<TupleId> = (0..n)
-                .map(|_| {
-                    let r = next();
-                    let row = r % universe;
-                    let row = parity.map_or(row, |p| row & !1 | p);
-                    TupleId::new(TableId((r >> 60) as u32 % 2), row)
-                })
-                .collect();
-            ids.into_iter().collect()
-        };
-        let (a, b) = match shape {
-            // Random overlap.
-            0 => (draw(short_len, None), draw(long_len, None)),
-            // Disjoint: even rows against odd rows.
-            1 => (draw(short_len, Some(0)), draw(long_len, Some(1))),
-            // Identical.
-            2 => {
-                let a = draw(long_len.max(short_len), None);
-                (a.clone(), a)
-            }
-            // One side empty.
-            _ => (Vec::new(), draw(long_len, None)),
-        };
-        let naive: Vec<TupleId> = {
-            let set: BTreeSet<_> = b.iter().collect();
-            a.iter().filter(|id| set.contains(id)).copied().collect()
-        };
-        prop_assert_eq!(intersect_sorted(&a, &b), naive.clone());
-        prop_assert_eq!(intersect_sorted(&b, &a), naive);
-    }
 }
