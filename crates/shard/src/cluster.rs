@@ -12,17 +12,30 @@
 //! database and annotation store, and **ownership** — which shard
 //! answers for which tuples, and which shard's digest slice covers which
 //! annotations — is partitioned by the deterministic
-//! [`ShardRouter`](nebula_ingest::ShardRouter). Search work is then
-//! genuinely distributed (each shard reports only its owned slots; the
-//! home merges disjoint lists), while correctness never depends on more
-//! than one shard being reachable.
+//! [`ShardRouter`](nebula_ingest::ShardRouter).
+//!
+//! Search work is *not* divided: every shard evaluates the whole query
+//! set over its full replica and then keeps only the hits in the slots
+//! it owns, and the home merges those disjoint lists. What the scatter
+//! buys is that correctness never depends on more than one shard being
+//! reachable, not a smaller search per shard. Each shard searches
+//! through one [`KeywordSearch`] it keeps for life, shared by its local
+//! pass as home and by every probe it serves, so keyword mappings
+//! computed once over a database state are read back by both.
 //!
 //! ## Determinism
 //!
 //! Everything is single-threaded and cooperative: "the network" is a
 //! [`SimTransport`] pumped in bounded rounds, deadlines are counted in
-//! governed-clock ticks, and fault injection draws from seeded streams.
-//! The same seed replays the same partition/heal/failover history.
+//! rounds, and fault injection draws from seeded streams. The same seed
+//! replays the same partition/heal/failover history.
+//!
+//! Time advances only while something is outstanding. A scatter or an
+//! exchange pumps at once; only a round that starts with replies or
+//! acks still missing first advances the governed clock by one tick. On
+//! a clean fabric every reply lands in the first pump, so the clock
+//! never moves; under held, dropped or partitioned frames it advances
+//! once per round that really waits.
 //!
 //! ## Degradation, not failure
 //!
@@ -49,8 +62,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use textsearch::{
-    ExecutionMode, KeywordQuery, KeywordSearch, SearchBackend, SearchError, SearchHit,
-    SearchOptions, SearchStats,
+    ExecutionMode, KeywordQuery, KeywordSearch, SearchBackend, SearchError, SearchHit, SearchStats,
 };
 
 use crate::counters;
@@ -95,13 +107,15 @@ impl From<NebulaError> for ShardError {
     }
 }
 
-/// Scatter deadline, counted in pump rounds; each round advances the
-/// governed clock by one [`TICK`]. A sibling that has not replied when the
-/// rounds are exhausted is a typed partial-result miss. Tight on purpose:
-/// the deadline is virtual time, identical on every run.
+/// Scatter deadline, counted in pump rounds. A sibling that has not
+/// replied when the rounds are exhausted is a typed partial-result miss.
+/// Tight on purpose: counted in rounds, not time, the deadline is
+/// identical on every run.
 const DEADLINE_ROUNDS: u32 = 6;
 
-/// Governed-clock advance per pump round.
+/// Governed-clock advance before each pump round that starts with
+/// something still outstanding (every round but the first). A round that
+/// has nothing to wait for never ticks.
 const TICK: Duration = Duration::from_millis(1);
 
 /// Rounds the boundary-edge exchange retries unacked batches before
@@ -186,7 +200,9 @@ struct ShardNode {
     db: Database,
     store: AnnotationStore,
     serve_budget: ExecutionBudget,
-    options: SearchOptions,
+    /// The node's one search engine: its local pass as home and every
+    /// probe it serves read back the same mapping cache.
+    search: Arc<KeywordSearch>,
 }
 
 /// Replay one batch — the records one `process_annotation` run committed —
@@ -339,8 +355,10 @@ impl Fabric {
         } else {
             let outcome = {
                 let _scope = nebula_govern::begin_budget(&node.serve_budget);
-                KeywordSearch::new(node.options.clone()).search_group(queries, &node.db, mode)
+                node.search.search_group(queries, &node.db, mode)
             };
+            #[cfg(test)]
+            tests::compare_with_cold("probe", &node.search, queries, &node.db, mode, &outcome);
             match outcome {
                 Ok((mut groups, _stats)) => {
                     for g in &mut groups {
@@ -441,13 +459,15 @@ impl Fabric {
             nebula_obs::counter_add(counters::PROBES_SENT, 1);
         }
         let mut replies: BTreeMap<usize, Vec<Vec<SearchHit>>> = BTreeMap::new();
-        for _round in 0..DEADLINE_ROUNDS {
+        for round in 0..DEADLINE_ROUNDS {
             if outstanding.is_empty() {
                 break;
             }
-            // One governed-clock tick per round: the deadline is virtual
-            // time, not wall time, so it is identical on every run.
-            clock::sleep(TICK);
+            // Pump at once; wait one tick only before a round that the
+            // previous one left with replies outstanding.
+            if round > 0 {
+                clock::sleep(TICK);
+            }
             self.pump(me);
             while let Some((_from, bytes)) = self.transport.recv(me) {
                 let Ok(frame) = ShardFrame::decode(&bytes) else { continue };
@@ -483,7 +503,7 @@ impl Fabric {
 struct ScatterBackend {
     fabric: Arc<Mutex<Fabric>>,
     me: usize,
-    options: SearchOptions,
+    search: Arc<KeywordSearch>,
 }
 
 impl SearchBackend for ScatterBackend {
@@ -495,8 +515,10 @@ impl SearchBackend for ScatterBackend {
     ) -> Result<(Vec<Vec<SearchHit>>, SearchStats), SearchError> {
         // Local pass first — charged to the *home's* budget, identical to
         // the unsharded engine's work profile.
-        let (mut groups, stats) =
-            KeywordSearch::new(self.options.clone()).search_group(queries, db, mode)?;
+        let local = self.search.search_group(queries, db, mode);
+        #[cfg(test)]
+        tests::compare_with_cold("home", &self.search, queries, db, mode, &local);
+        let (mut groups, stats) = local?;
         let mut fabric = self.fabric.lock().expect("shard fabric poisoned");
         let total = fabric.router.shards();
         if total == 1 {
@@ -535,24 +557,23 @@ impl SearchBackend for ScatterBackend {
 }
 
 /// Turn a replayed engine into shard `id`: install the scatter override
-/// and the probe-serving options.
+/// over the node's one search engine.
 fn build_node(
     id: usize,
     epoch: u64,
     applied_seq: u64,
     twin: TwinEngine,
-    meta: &NebulaMeta,
     serve_budget: ExecutionBudget,
     fabric: &Arc<Mutex<Fabric>>,
 ) -> ShardNode {
     let TwinEngine { mut engine, db, store } = twin;
-    let options = SearchOptions { vocab: meta.to_vocabulary(&db), ..Default::default() };
+    let search = Arc::new(engine.search_engine(&db));
     engine.set_group_search(Some(Box::new(ScatterBackend {
         fabric: fabric.clone(),
         me: id,
-        options: options.clone(),
+        search: search.clone(),
     })));
-    ShardNode { id, epoch, applied_seq, failed: false, engine, db, store, serve_budget, options }
+    ShardNode { id, epoch, applied_seq, failed: false, engine, db, store, serve_budget, search }
 }
 
 /// An unsharded engine rebuilt from a cluster's durable history — the
@@ -640,7 +661,7 @@ impl ShardCluster {
         }));
         for id in 0..shards {
             let twin = replay_history(&genesis, meta, engine_config, &[], |_, _| {})?;
-            let node = build_node(id, 0, 0, twin, meta, config.serve_budget.clone(), &fabric);
+            let node = build_node(id, 0, 0, twin, config.serve_budget.clone(), &fabric);
             fabric.lock().expect("shard fabric poisoned").nodes[id] = Some(node);
         }
         nebula_obs::gauge_set(counters::SHARDS_GAUGE, shards as u64);
@@ -771,8 +792,11 @@ impl ShardCluster {
                 still_behind = pending;
                 break;
             }
+            // A retry round waits one tick for the acks the previous round
+            // did not bring; the first round sends and pumps at once.
             if round > 0 {
                 nebula_obs::counter_add(counters::APPLY_RETRIES, 1);
+                clock::sleep(TICK);
             }
             for &s in &pending {
                 let from = f.nodes[s].as_ref().map_or(head, |n| n.applied_seq);
@@ -789,7 +813,6 @@ impl ShardCluster {
                     nebula_obs::counter_add(counters::APPLIES_SENT, 1);
                 }
             }
-            clock::sleep(TICK);
             f.pump(usize::MAX);
             round += 1;
         }
@@ -878,7 +901,7 @@ impl ShardCluster {
     fn rebuild_node(&self, s: usize, epoch: u64, upto: usize) -> Result<ShardNode, ShardError> {
         let twin = self.replay(upto, |_, _| {})?;
         let budget = self.config.serve_budget.clone();
-        Ok(build_node(s, epoch, upto as u64, twin, &self.meta, budget, &self.fabric))
+        Ok(build_node(s, epoch, upto as u64, twin, budget, &self.fabric))
     }
 
     /// Flip bits on shard `s`'s replica (simulated silent corruption);
@@ -1083,6 +1106,140 @@ impl ShardCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nebula_core::SearchMode;
+    use nebula_workload::{build_workload, generate_dataset, DatasetSpec, WorkloadSpec};
+    use std::cell::RefCell;
+
+    /// The governed clock is process-global: every test here that drives
+    /// a cluster runs alone, so one test's ticks never land in another's
+    /// reading.
+    static CLOCK: Mutex<()> = Mutex::new(());
+
+    thread_local! {
+        /// `(role, warm result equals cold)` for every node search while a
+        /// test records; `None` when no test does.
+        static WARM_CHECKS: RefCell<Option<Vec<(&'static str, bool)>>> =
+            const { RefCell::new(None) };
+    }
+
+    /// Hits in order, each with its confidence's exact bits.
+    fn exact(groups: &[Vec<SearchHit>]) -> Vec<Vec<(TupleId, u64)>> {
+        groups
+            .iter()
+            .map(|g| g.iter().map(|h| (h.tuple, h.confidence.to_bits())).collect())
+            .collect()
+    }
+
+    /// Called by both node search sites: while a test records, run the
+    /// same group on a cold `KeywordSearch` with the same options and note
+    /// whether the kept engine's answer equals it.
+    pub(super) fn compare_with_cold(
+        role: &'static str,
+        warm: &KeywordSearch,
+        queries: &[KeywordQuery],
+        db: &Database,
+        mode: ExecutionMode,
+        result: &Result<(Vec<Vec<SearchHit>>, SearchStats), SearchError>,
+    ) {
+        WARM_CHECKS.with(|checks| {
+            let mut checks = checks.borrow_mut();
+            let Some(checks) = checks.as_mut() else { return };
+            let cold = KeywordSearch::new(warm.options().clone()).search_group(queries, db, mode);
+            let same = match (result, &cold) {
+                (Ok((w, ws)), Ok((c, cs))) => exact(w) == exact(c) && ws == cs,
+                (Err(_), Err(_)) => true,
+                _ => false,
+            };
+            checks.push((role, same));
+        });
+    }
+
+    /// A 2-shard cluster over the tiny dataset on a reliable fabric, and
+    /// `n` annotations each focal on its first ideal tuple.
+    fn two_shards(n: usize) -> (ShardCluster, Vec<(Annotation, Vec<TupleId>)>) {
+        let bundle = generate_dataset(&DatasetSpec::tiny(), 0x5E_AC);
+        let workload = build_workload(&bundle, &WorkloadSpec::default(), 21);
+        let source: Vec<_> = workload
+            .iter()
+            .flat_map(|s| &s.annotations)
+            .filter(|wa| !wa.ideal.is_empty())
+            .collect();
+        let items = (0..n)
+            .map(|i| {
+                let wa = source[i % source.len()];
+                (wa.annotation.clone(), vec![wa.ideal[0]])
+            })
+            .collect();
+        // Full search, so stage 2 always scatters (focal spreading stays
+        // home-local).
+        let engine = NebulaConfig { search_mode: SearchMode::Full, ..NebulaConfig::default() };
+        let cluster = ShardCluster::new(
+            &bundle.db,
+            &bundle.annotations,
+            &bundle.meta,
+            &engine,
+            ShardConfig::new(2),
+        )
+        .expect("cluster boots");
+        (cluster, items)
+    }
+
+    #[test]
+    fn the_clock_ticks_only_on_rounds_that_wait() {
+        let _serial = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+        clock::set_virtual(true);
+        clock::reset_virtual();
+
+        // Reliable fabric: every reply and ack lands in the first pump.
+        let (mut cluster, items) = two_shards(12);
+        let before = cluster.transport_stats().delivered;
+        for (annotation, focal) in &items {
+            let outcome = cluster.ingest(annotation, focal).expect("ingest");
+            assert!(outcome.degradations.is_empty(), "{:?}", outcome.degradations);
+        }
+        assert!(cluster.transport_stats().delivered > before + 2 * items.len() as u64);
+        assert_eq!(clock::virtual_ns(), 0, "a clean fabric never waits");
+
+        // Cut shard 1: the next annotation homes on shard 0, waits out
+        // the scatter deadline and the exchange's retry rounds, and ticks
+        // once before every round but the first of each.
+        cluster.partition_shard(1);
+        let (annotation, focal) = &items[0];
+        let outcome = cluster.ingest(annotation, focal).expect("ingest");
+        assert!(outcome.degradations.contains(&Degradation::PartialShards {
+            answered: 1,
+            total: 2,
+            missing: vec![1],
+        }));
+        assert_eq!(cluster.lagging(), vec![1]);
+        let ticks = u64::from(DEADLINE_ROUNDS - 1 + REPLICATE_ROUNDS - 1);
+        assert_eq!(clock::virtual_ns(), ticks * TICK.as_nanos() as u64);
+
+        cluster.heal_shard(1);
+        assert!(cluster.lagging().is_empty());
+        clock::reset_virtual();
+        clock::set_virtual(false);
+    }
+
+    #[test]
+    fn every_node_search_equals_a_cold_one() {
+        let _serial = CLOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let (mut cluster, items) = two_shards(40);
+        WARM_CHECKS.with(|c| *c.borrow_mut() = Some(Vec::new()));
+        for (annotation, focal) in &items {
+            cluster.ingest(annotation, focal).expect("ingest");
+        }
+        let checks = WARM_CHECKS.with(|c| c.borrow_mut().take()).expect("recording");
+        for role in ["home", "probe"] {
+            let of_role: Vec<bool> =
+                checks.iter().filter(|(r, _)| *r == role).map(|&(_, same)| same).collect();
+            assert!(of_role.len() >= items.len() / 2, "{role}: only {} searches", of_role.len());
+            assert!(
+                of_role.iter().all(|&same| same),
+                "a warm {role} search differs from a cold one"
+            );
+        }
+    }
 
     /// Acks carry this digest between shards; a build that computed it
     /// differently would read every healthy peer as diverged.

@@ -14,8 +14,8 @@
 //!   its owned slots, siblings answer probes for theirs, and the merged
 //!   hit list is byte-identical to the unsharded engine's at any shard
 //!   count (proved by `tests/sharding.rs`).
-//! - **Typed partial results.** A probe that misses its governed-clock
-//!   deadline (partitioned or wedged sibling) degrades the answer
+//! - **Typed partial results.** A probe that misses its deadline, counted
+//!   in pump rounds (partitioned or wedged sibling), degrades the answer
 //!   instead of hanging: the merged result carries a
 //!   [`Degradation::PartialShards`](nebula_govern::Degradation) note
 //!   naming exactly which shards are missing, surfaced through

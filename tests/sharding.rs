@@ -6,7 +6,7 @@
 //!   every per-annotation outcome (accepted / pending / rejected) is
 //!   identical too.
 //! - **Typed partial results.** A partitioned shard past its
-//!   governed-clock deadline yields a `Degradation::PartialShards` note
+//!   deadline (counted in pump rounds) yields a `Degradation::PartialShards` note
 //!   naming it — never a hang, panic, or silently complete answer — and
 //!   trips only its own breaker. After heal + catch-up + scrub the
 //!   cluster is byte-identical with an unsharded twin replayed from its

@@ -53,44 +53,48 @@ fn latest_trajectory(root: &Path) -> PathBuf {
     numbered.max().map(|(_, name)| root.join(name)).expect("a checked-in BENCH_pr*.json")
 }
 
-/// The work counts of `ram-seq` are machine-independent and repeat
-/// exactly: a change to the index or the executor that alters how many
-/// configurations, queries, probes, tuples or edges an annotation costs
-/// is a change of behaviour, not of speed. Every `BENCH_pr*.json` records
-/// them for its parent commit and its change; this run must reproduce the
-/// latest file's to the digit.
+/// The work counts of `ram-seq` and `sharded` are machine-independent
+/// and repeat exactly: a change to the index, the executor or the shard
+/// fabric that alters how many configurations, queries, probes, tuples or
+/// edges an annotation costs is a change of behaviour, not of speed.
+/// Every `BENCH_pr*.json` records them for its parent commit and its
+/// change; these runs must reproduce the latest file's to the digit.
 #[test]
-#[ignore = "generates D_large and runs a traced round (~10 s); the CI `spine` job runs it"]
-fn ram_seq_work_counts_match_the_checked_in_trajectory() {
+#[ignore = "generates D_large and D_small and runs two traced rounds (~15 s); the CI `spine` job runs it"]
+fn work_counts_match_the_checked_in_trajectory() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let spine = root.join("spine");
-    let output = Command::new(env!("CARGO"))
-        .args(["run", "--release", "--quiet", "--offline", "--manifest-path"])
-        .arg(spine.join("Cargo.toml"))
-        .args(["--", "--workload", "ram-seq", "--trace", "1", "--seconds", "1"])
-        .env("CARGO_TARGET_DIR", spine.join("target"))
-        .output()
-        .expect("cargo starts");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(output.status.success(), "spine failed:\n{stdout}");
-    let result = stdout.lines().last().expect("a result line");
-
     let bench = std::fs::read_to_string(latest_trajectory(root)).expect("checked-in file");
     let counts = bench.find("\"exact_counts\"").expect("exact_counts section");
-    let ram_seq = counts + bench[counts..].find("\"ram-seq\"").expect("ram-seq counts");
-    for metric in [
-        "textsearch.tuples_inspected_per_annotation",
-        "relstore.index_probes_per_annotation",
-        "textsearch.compiled_per_annotation",
-        "textsearch.configurations_per_annotation",
-        "core.queries_per_annotation",
-        "core.candidates_per_annotation",
-        "annostore.edges_added_per_annotation",
-    ] {
-        assert_eq!(
-            number_after(result, 0, metric),
-            number_after(&bench, ram_seq, metric),
-            "{metric} moved"
-        );
+    for workload in ["ram-seq", "sharded"] {
+        let output = Command::new(env!("CARGO"))
+            .args(["run", "--release", "--quiet", "--offline", "--manifest-path"])
+            .arg(spine.join("Cargo.toml"))
+            .args(["--", "--workload", workload, "--trace", "1", "--seconds", "1"])
+            .env("CARGO_TARGET_DIR", spine.join("target"))
+            .output()
+            .expect("cargo starts");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(output.status.success(), "spine {workload} failed:\n{stdout}");
+        let result = stdout.lines().last().expect("a result line");
+
+        let key = format!("\"{workload}\"");
+        let row =
+            counts + bench[counts..].find(&key).unwrap_or_else(|| panic!("{workload} counts"));
+        for metric in [
+            "textsearch.tuples_inspected_per_annotation",
+            "relstore.index_probes_per_annotation",
+            "textsearch.compiled_per_annotation",
+            "textsearch.configurations_per_annotation",
+            "core.queries_per_annotation",
+            "core.candidates_per_annotation",
+            "annostore.edges_added_per_annotation",
+        ] {
+            assert_eq!(
+                number_after(result, 0, metric),
+                number_after(&bench, row, metric),
+                "{workload}: {metric} moved"
+            );
+        }
     }
 }
