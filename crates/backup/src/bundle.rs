@@ -23,9 +23,10 @@ use nebula_codec::crc32c;
 use nebula_durable::archive::{list_bases, list_segments, parse_base_watermark, parse_segment_lsn};
 use nebula_durable::segment::{decode_checkpoint_frame, decode_segment, Segment};
 use nebula_durable::{checkpoint, replay_op};
-use nebula_govern::{inject_io, FaultSite};
+use nebula_govern::inject_io;
+use nebula_govern::scrub::{atomic_replace, WriteFaults};
 use relstore::Database;
-use std::io::Write;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 /// What to capture into a bundle.
@@ -90,18 +91,18 @@ fn epoch_cutoff(starts: &[(u64, u64)], epoch: u64) -> u64 {
     starts.iter().filter(|(e, _)| *e > epoch).map(|(_, s)| *s).min().unwrap_or(u64::MAX)
 }
 
-/// Copy one file into the bundle, rolling the `Enospc` fault site so a
-/// full disk surfaces as a typed error with nothing half-written kept as
-/// a complete capture (the manifest is written last). The bytes are on
-/// stable storage when this returns, so every data file is durable
-/// before the manifest that vouches for it is written.
+/// Write one file into the bundle through [`atomic_replace`], rolling the
+/// `Enospc` fault site so a full disk surfaces as a typed error with
+/// nothing half-written kept as a complete capture (the manifest is
+/// written last). The file and its directory entry are on stable storage
+/// when this returns, so every data file is durable before the manifest
+/// that vouches for it is written.
 fn write_bundle_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), BackupError> {
-    if inject_io(FaultSite::Enospc, bytes.len()).is_some() {
-        return Err(BackupError::NoSpace(format!("writing {name} into the bundle")));
-    }
-    let mut file = std::fs::File::create(dir.join(name))?;
-    file.write_all(bytes)?;
-    file.sync_data()?;
+    let faults = WriteFaults { enospc: true, ..WriteFaults::default() };
+    atomic_replace(&dir.join(name), bytes, faults, inject_io).map_err(|e| match e.kind() {
+        ErrorKind::StorageFull => BackupError::NoSpace(format!("writing {name} into the bundle")),
+        _ => e.into(),
+    })?;
     nebula_obs::counter_add(counters::BUNDLE_BYTES, bytes.len() as u64);
     Ok(())
 }
@@ -110,11 +111,10 @@ fn write_bundle_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), BackupE
 ///
 /// Every archive file is structurally decoded **before** it is copied —
 /// a torn or rotten archive file fails the capture with
-/// [`BackupError::Corrupt`] (run [`crate::scrub`] to find them all)
-/// rather than poisoning the bundle. Each file is fsynced as it is
-/// written and the signed manifest is written last, then the directory
-/// is fsynced, so an interrupted capture is detectable: no manifest, no
-/// bundle.
+/// [`BackupError::Corrupt`] (run [`crate::scrub()`] to find them all)
+/// rather than poisoning the bundle. Each file, directory entry included,
+/// is durable as it is written and the signed manifest is written last,
+/// so an interrupted capture is detectable: no manifest, no bundle.
 pub fn create_bundle(spec: &BundleSpec) -> Result<BackupManifest, BackupError> {
     let bases = list_bases(&spec.archive_dir)?;
     let segments = list_segments(&spec.archive_dir)?;
@@ -207,9 +207,6 @@ pub fn create_bundle(spec: &BundleSpec) -> Result<BackupManifest, BackupError> {
     entries.sort_by(|a, b| a.name.cmp(&b.name));
     let m = BackupManifest { head_lsn, oldest_lsn, epoch, created_seq: spec.created_seq, entries };
     write_bundle_file(&spec.bundle_dir, MANIFEST_FILE, &manifest::encode(&m))?;
-    // The new directory entries — the manifest's above all — must survive
-    // a crash before the capture is reported complete.
-    std::fs::File::open(&spec.bundle_dir)?.sync_all()?;
     nebula_obs::counter_add(counters::BUNDLES_CREATED, 1);
     Ok(m)
 }
@@ -417,6 +414,7 @@ mod tests {
     use super::*;
     use nebula_durable::state_digest;
     use nebula_durable::{Durability, DurabilityOptions, WalOp};
+    use nebula_govern::FaultSite;
     use relstore::{DataType, TableSchema, Value};
 
     fn temp_dir(tag: &str) -> PathBuf {

@@ -10,12 +10,12 @@
 //!   bundle (base checkpoints + sealed WAL segments from the archive the
 //!   durability manager feeds, optional page file, and a signed manifest
 //!   of per-file digests).
-//! - [`restore`](bundle::restore) — `RESTORE FROM '<dir>' [AS OF LSN n]`:
+//! - [`restore`] — `RESTORE FROM '<dir>' [AS OF LSN n]`:
 //!   verify every byte against the manifest, load the newest base at or
 //!   below the target, and replay archived WAL through the same
 //!   idempotent `replay_op` path crash recovery uses — true
 //!   point-in-time recovery to any record boundary the archive covers.
-//! - [`scrub`] — walk an archive or bundle re-deriving every CRC, so
+//! - [`scrub()`] — walk an archive or bundle re-deriving every CRC, so
 //!   torn or rotten archive files are found *before* a restore needs
 //!   them (`ArchiveRot` is the seeded fault site).
 //! - [`retention`] — GC that only ever deletes what a newer base makes

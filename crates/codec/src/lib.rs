@@ -1,8 +1,8 @@
 //! # nebula-codec — the byte-level substrate
 //!
 //! What the on-disk and on-wire formats of this workspace share, said
-//! once and depending on nothing: the [`crc32c`] checksum (with the two
-//! linear helpers page repair walks with), the [`fnv1a`] hash behind slot
+//! once and depending on nothing: the [`mod@crc32c`] checksum (with the two
+//! linear helpers page repair walks with), the [`mod@fnv1a`] hash behind slot
 //! routing and span ids, the additive [`MultisetHash`] the two stores keep
 //! as their running state digests, the `magic | crc32c(body) | body`
 //! [`envelope`], and the bounds-checked little-endian [`Reader`] /

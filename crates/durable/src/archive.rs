@@ -16,15 +16,17 @@
 //! - `segment-<base_lsn>.seg` — a sealed WAL run (`NEBSEG01` frame),
 //! - `base-<watermark>.ckpt` — a checkpoint image (`NEBSCP01` frame).
 //!
-//! All writes roll the `ArchiveWrite` / `ArchiveFsync` / `Enospc` fault
-//! sites; a failed archive write aborts the enclosing checkpoint, so the
+//! All writes go through `atomic_replace` and roll the `ArchiveWrite` /
+//! `ArchiveFsync` / `Enospc` fault sites; a failed archive write leaves
+//! nothing under its final name and aborts the enclosing checkpoint, so the
 //! live WAL keeps the records the archive failed to take.
 
 use crate::segment::{decode_checkpoint_frame, decode_segment, encode_checkpoint_frame};
 use crate::wal::read_wal;
 use crate::{checkpoint, segment, DurableError};
+use nebula_govern::scrub::{atomic_replace, WriteFaults};
 use nebula_govern::{inject_io, FaultSite};
-use std::io::Write;
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 /// Counter names this module publishes to `nebula-obs`.
@@ -59,34 +61,23 @@ pub fn parse_base_watermark(name: &str) -> Option<u64> {
     name.strip_prefix("base-")?.strip_suffix(".ckpt")?.parse().ok()
 }
 
-/// Write one archive file with the full fault-site discipline: `Enospc`
-/// before any byte lands, `ArchiveWrite` may tear the file mid-write
-/// (the torn file *stays*, for the scrubber to find), `ArchiveFsync`
-/// fails after the bytes were handed to the OS.
+/// Write one archive file through [`atomic_replace`], rolling `Enospc`
+/// before any byte lands, `ArchiveWrite` (which tears the temp file) and
+/// `ArchiveFsync`. A failed write leaves nothing under the final name.
 fn write_archive_file(dir: &Path, name: &str, bytes: &[u8]) -> Result<PathBuf, DurableError> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(name);
-    if inject_io(FaultSite::Enospc, bytes.len()).is_some() {
+    let (write, fsync) = (Some(FaultSite::ArchiveWrite), Some(FaultSite::ArchiveFsync));
+    let faults = WriteFaults { enospc: true, write, fsync, crash: None };
+    atomic_replace(&path, bytes, faults, inject_io).map_err(|e| {
         nebula_obs::counter_add(counters::ARCHIVE_FAILURES, 1);
-        return Err(DurableError::NoSpace(format!("archiving {}", path.display())));
-    }
-    let mut f = std::fs::File::create(&path)?;
-    if let Some(keep) = inject_io(FaultSite::ArchiveWrite, bytes.len()) {
-        f.write_all(&bytes[..keep])?;
-        let _ = f.sync_data();
-        nebula_obs::counter_add(counters::ARCHIVE_FAILURES, 1);
-        return Err(DurableError::Archive(format!(
-            "torn archive write: {keep} of {} bytes reached {}",
-            bytes.len(),
-            path.display()
-        )));
-    }
-    f.write_all(bytes)?;
-    if inject_io(FaultSite::ArchiveFsync, bytes.len()).is_some() {
-        nebula_obs::counter_add(counters::ARCHIVE_FAILURES, 1);
-        return Err(DurableError::Archive(format!("fsync failed archiving {}", path.display())));
-    }
-    f.sync_data()?;
+        match e.kind() {
+            ErrorKind::StorageFull => {
+                DurableError::NoSpace(format!("archiving {}", path.display()))
+            }
+            _ => DurableError::Archive(format!("{e} archiving {}", path.display())),
+        }
+    })?;
     nebula_obs::counter_add(counters::BYTES_ARCHIVED, bytes.len() as u64);
     Ok(path)
 }
@@ -276,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_archive_write_fails_and_leaves_the_torn_file() {
+    fn torn_archive_write_fails_and_leaves_nothing_under_its_name() {
         let dir = temp_dir("torn");
         nebula_govern::set_fault_plan(Some(
             nebula_govern::FaultPlan::new(3).with(FaultSite::ArchiveWrite, 1.0),
@@ -284,12 +275,11 @@ mod tests {
         let err = archive_segment(&dir, 1, 1, &wal_bytes(1, 4)).unwrap_err();
         nebula_govern::set_fault_plan(None);
         assert!(matches!(err, DurableError::Archive(_)), "{err}");
-        let listed = list_segments(&dir).unwrap();
-        assert_eq!(listed.len(), 1, "the torn file stays for the scrubber");
-        assert!(decode_segment(&std::fs::read(&listed[0].1).unwrap()).is_err());
-        // A clean retry overwrites it in place.
-        archive_segment(&dir, 1, 1, &wal_bytes(1, 4)).unwrap();
-        assert!(decode_segment(&std::fs::read(&listed[0].1).unwrap()).is_ok());
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "neither the segment nor its temp file: {left:?}");
+        // A clean retry writes a decodable segment.
+        let path = archive_segment(&dir, 1, 1, &wal_bytes(1, 4)).unwrap().unwrap();
+        assert_eq!(decode_segment(&std::fs::read(path).unwrap()).unwrap().records.len(), 4);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

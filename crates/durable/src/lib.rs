@@ -12,7 +12,7 @@
 //!   log. A checkpoint is read back and verified **before** the old
 //!   checkpoint is replaced or the WAL is truncated, so a corrupted image
 //!   (e.g. an injected bit flip) never costs data.
-//! - [`recover`] — loads the newest valid checkpoint and **replays** the
+//! - [`recover()`] — loads the newest valid checkpoint and **replays** the
 //!   WAL on top of it. A torn or truncated tail is tolerated: replay stops
 //!   at the first record that fails its checksum and the [`TailReport`]
 //!   states exactly how many records were dropped. Records at or below the

@@ -24,12 +24,13 @@
 //!
 //! ## Checkpoint path
 //!
-//! [`Durability::checkpoint`] writes the framed image to `checkpoint.tmp`,
-//! fsyncs it, then **reads it back and fully decodes it** before renaming
-//! it into place and truncating the WAL. An injected bit flip (or any real
-//! corruption) therefore fails the checkpoint cleanly — the previous
-//! checkpoint and the complete WAL still hold every mutation, so nothing
-//! is lost.
+//! [`Durability::checkpoint`] **fully decodes** the framed image in memory,
+//! archives it (when archiving is on), and commits it through
+//! [`atomic_replace`] (temp write, fsync, byte-for-byte read-back, rename,
+//! directory fsync) before it truncates the WAL. An injected bit flip (or
+//! any real corruption) therefore fails the checkpoint cleanly — the
+//! previous checkpoint and the complete WAL still hold every mutation, so
+//! nothing is lost.
 
 use crate::archive;
 use crate::checkpoint;
@@ -38,6 +39,7 @@ use crate::wal::{encode_record, WalOp, WAL_FILE};
 use crate::{counters, DurableError};
 use annostore::AnnotationStore;
 use nebula_core::{Mutation, MutationSink, SinkError};
+use nebula_govern::scrub::{atomic_replace, WriteFaults};
 use nebula_govern::{inject_io, FaultSite};
 use relstore::Database;
 use std::fs::{File, OpenOptions};
@@ -287,60 +289,19 @@ impl Durability {
         if let Some(bit) = inject_io(FaultSite::BitFlip, image.len()) {
             image[bit / 8] ^= 1 << (bit % 8);
         }
-
-        let tmp_path = self.dir.join("checkpoint.tmp");
-        let commit = (|| -> Result<(), DurableError> {
-            let mut tmp = File::create(&tmp_path)?;
-            tmp.write_all(&image)?;
-            tmp.sync_data()?;
-            drop(tmp);
-            // Read back and fully decode before committing: a corrupt
-            // image (injected bit flip, real disk fault) must never
-            // replace a good checkpoint or cost WAL records.
-            let reread = std::fs::read(&tmp_path)?;
-            checkpoint::decode(&reread)?;
-            Ok(())
-        })();
-        if let Err(e) = commit {
-            let _ = std::fs::remove_file(&tmp_path);
+        let final_path = self.dir.join(checkpoint::file_name(self.ckpt_seq));
+        // Decode before any byte lands: a corrupt image (an injected bit
+        // flip) must never reach the archive, replace a good checkpoint or
+        // cost WAL records.
+        let committed = checkpoint::decode(&image)
+            .and_then(|_| self.archive_sealed(watermark, &image))
+            .and_then(|()| {
+                Ok(atomic_replace(&final_path, &image, WriteFaults::default(), inject_io)?)
+            });
+        if let Err(e) = committed {
             nebula_obs::counter_add(counters::CHECKPOINT_FAILURES, 1);
             return Err(e);
         }
-        // Archive before truncating: no WAL byte may be discarded until
-        // its sealed archived copy (and the covering base image) is
-        // durable. A failed archive write aborts the whole checkpoint —
-        // the live WAL and the previous checkpoint still hold everything.
-        if let Some(cfg) = self.archive.clone() {
-            let sealed = (|| -> Result<(), DurableError> {
-                if self.wal_len > 0 {
-                    let wal_bytes = std::fs::read(self.dir.join(WAL_FILE))?;
-                    let valid = &wal_bytes[..(self.wal_len as usize).min(wal_bytes.len())];
-                    // At-rest rot (or a torn write awaiting this very
-                    // checkpoint's repair) can damage record bytes inside
-                    // the prefix. The base image below carries every
-                    // record's effects, so seal only the clean decodable
-                    // prefix: restores inside the damaged span come from
-                    // the base, and no corrupt bytes enter the archive.
-                    let (_, tail) = crate::wal::read_wal(valid);
-                    archive::archive_segment(
-                        &cfg.dir,
-                        cfg.epoch,
-                        self.watermark + 1,
-                        &valid[..tail.valid_bytes],
-                    )?;
-                }
-                archive::archive_base(&cfg.dir, cfg.epoch, watermark, &image)?;
-                Ok(())
-            })();
-            if let Err(e) = sealed {
-                let _ = std::fs::remove_file(&tmp_path);
-                nebula_obs::counter_add(counters::CHECKPOINT_FAILURES, 1);
-                return Err(e);
-            }
-        }
-
-        let final_path = self.dir.join(checkpoint::file_name(self.ckpt_seq));
-        std::fs::rename(&tmp_path, &final_path)?;
 
         // The image is durable: the log before the watermark is redundant.
         self.wal.set_len(0)?;
@@ -358,6 +319,32 @@ impl Durability {
         self.ckpt_seq += 1;
         nebula_obs::counter_add(counters::CHECKPOINTS, 1);
         Ok(watermark)
+    }
+
+    /// Archive before truncating: no WAL byte may be discarded until its
+    /// sealed archived copy (and the covering base image) is durable. A
+    /// failed archive write aborts the whole checkpoint — the live WAL and
+    /// the previous checkpoint still hold everything.
+    fn archive_sealed(&self, watermark: u64, image: &[u8]) -> Result<(), DurableError> {
+        let Some(cfg) = &self.archive else { return Ok(()) };
+        if self.wal_len > 0 {
+            let wal_bytes = std::fs::read(self.dir.join(WAL_FILE))?;
+            let valid = &wal_bytes[..(self.wal_len as usize).min(wal_bytes.len())];
+            // At-rest rot (or a torn write awaiting this very checkpoint's
+            // repair) can damage record bytes inside the prefix. The base
+            // image below carries every record's effects, so seal only the
+            // clean decodable prefix: restores inside the damaged span come
+            // from the base, and no corrupt bytes enter the archive.
+            let (_, tail) = crate::wal::read_wal(valid);
+            archive::archive_segment(
+                &cfg.dir,
+                cfg.epoch,
+                self.watermark + 1,
+                &valid[..tail.valid_bytes],
+            )?;
+        }
+        archive::archive_base(&cfg.dir, cfg.epoch, watermark, image)?;
+        Ok(())
     }
 
     /// Enable WAL archiving into `dir`, stamping frames with `epoch`.
@@ -709,9 +696,11 @@ mod tests {
         let err = d.checkpoint(&db, &store).unwrap_err();
         nebula_govern::set_fault_plan(None);
         assert!(matches!(err, DurableError::Corrupt(_)), "{err}");
-        // WAL untouched, old checkpoint still valid, no tmp file left.
+        // WAL untouched, old checkpoint still valid, no temp file left.
         assert!(d.wal_bytes() > 0);
-        assert!(!dir.join("checkpoint.tmp").exists());
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert!(names.iter().all(|n| !n.to_string_lossy().ends_with(".tmp")), "{names:?}");
         let r = recover(&dir).unwrap();
         assert_eq!(r.store.annotation_count(), 3);
         // And a clean checkpoint succeeds afterwards.

@@ -1,6 +1,6 @@
 //! Anti-entropy media scrub: find at-rest corruption *between* checkpoints.
 //!
-//! Recovery ([`crate::recover`]) only validates durable state when it is
+//! Recovery ([`crate::recover()`]) only validates durable state when it is
 //! read back after a crash; a bit that rots on disk while the engine is
 //! healthy stays invisible until the worst possible moment. The scrubber
 //! closes that gap:

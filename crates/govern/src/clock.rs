@@ -1,19 +1,18 @@
-//! Injectable sleeper: real `thread::sleep` in production, a virtual
-//! accumulator in tests.
+//! Injectable sleeper: real `thread::sleep` by default, a virtual
+//! accumulator where a test turns it on.
 //!
-//! The engine's retry backoff and the fault plan's latency injection both
-//! park the calling thread. Under test (and under the virtual mode the
-//! ingest worker pool enables for deterministic runs) that wall-clock time
-//! is pure waste — the *amount* slept is what matters, not the elapsed
-//! time. `sleep` therefore consults a process-global mode flag: real mode
-//! forwards to `std::thread::sleep`, virtual mode adds the duration to a
-//! monotonic nanosecond accumulator that tests can read back via
-//! [`virtual_ns`].
+//! The engine's retry backoff, the fault plan's latency injection, the
+//! ingest pool's admission gap, the shard fabric's ticks and
+//! `SimTransport::send`'s 50 µs-per-hold delay all park the calling thread
+//! through [`sleep`]. Real mode forwards to `std::thread::sleep`; virtual
+//! mode adds the duration to a nanosecond accumulator tests read back via
+//! [`virtual_ns`]. Only unit tests call [`set_virtual`] (this module's and
+//! the shard fabric's tick test); the engine, the ingest pool, every suite
+//! under `tests/` and spine run on the real clock, so every backoff and
+//! every held frame really sleeps.
 //!
-//! The mode is process-global (not thread-local) on purpose: a worker pool
-//! enables it once and every worker thread — including ones spawned after
-//! the flag was set — observes it without per-thread plumbing. Correctness
-//! never depends on actually sleeping, so a concurrently-running real-mode
+//! The mode is process-global, so threads spawned after it was set observe
+//! it too. Correctness never depends on actually sleeping, so a real-mode
 //! test that momentarily observes virtual mode only runs faster.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

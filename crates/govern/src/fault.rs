@@ -66,9 +66,9 @@ pub enum FaultSite {
     /// One bit of an at-rest page flips on disk (silent media rot, found
     /// by the page scrubber's CRC walk rather than at read time).
     PageRot,
-    /// An archive-segment write is cut short mid-write, leaving a torn
-    /// file in the backup directory (detected by the backup scrubber and
-    /// by checkpoint refusing to truncate the WAL).
+    /// An archive-file write is cut short mid-write. The torn temp file is
+    /// removed, nothing lands under the final name, and the checkpoint
+    /// that needed the file refuses to truncate the WAL.
     ArchiveWrite,
     /// One bit of an at-rest archive file flips on disk (silent media
     /// rot in the backup directory, found by the backup scrubber).

@@ -19,8 +19,9 @@
 //!   fan-out, abandoned search, bounded retries.
 //!
 //! Beside them, [`scrub`] holds the one report every at-rest scrubber
-//! returns and [`scrub::rot_file`], the media-rot fault the file-backed
-//! rot sites share.
+//! returns, [`scrub::rot_file`], the media-rot fault the file-backed rot
+//! sites share, and [`scrub::atomic_replace`], the one durable-write
+//! protocol every authoritative file goes through.
 //!
 //! The crate deliberately depends only on `nebula-obs` so every layer of
 //! the engine (relstore, textsearch, core) can hook into it without cycles.

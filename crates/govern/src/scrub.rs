@@ -1,14 +1,17 @@
-//! One scrub report for every at-rest medium, and one way to rot a file.
+//! One scrub report for every at-rest medium, and one way to rot, or
+//! write, a file.
 //!
 //! The WAL, checkpoints, page file, archive and replicas each have a
 //! scrubber; every one of them returns a [`ScrubReport`]: labelled counts
 //! of what it checked, the [`Finding`]s that failed validation, and the
 //! [`Artifact`]s it healed. [`rot_file`] is the fault half the WAL,
-//! checkpoint and archive rot sites share.
+//! checkpoint and archive rot sites share; [`atomic_replace`] is the one
+//! durable-write protocol every authoritative file goes through.
 
 use crate::FaultSite;
 use std::fmt;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// One thing a scrubber validates.
@@ -130,6 +133,71 @@ pub fn rot_file(site: FaultSite, path: &Path) -> io::Result<Option<usize>> {
     Ok(Some(bit))
 }
 
+/// The fault sites one [`atomic_replace`] rolls, and where a simulated
+/// crash cuts it. A site left unnamed is not rolled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WriteFaults {
+    /// Roll [`FaultSite::Enospc`] before any byte is written.
+    pub enospc: bool,
+    /// The site that tears the temp file at the byte count it draws.
+    pub write: Option<FaultSite>,
+    /// The site that fails the temp file's fsync.
+    pub fsync: Option<FaultSite>,
+    /// Stop after this many bytes of the temp file, as a power cut would.
+    pub crash: Option<usize>,
+}
+
+/// The temp file [`atomic_replace`] writes: `path` with `.tmp` appended.
+pub fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Make `bytes` the content of `path`, or leave `path` as it was: roll
+/// `Enospc` if `faults` names it; write [`temp_path`] (the write site may
+/// tear it, the crash cut stop it); fsync it (the fsync site may fail it);
+/// read it back and compare byte for byte; rename it over `path`; fsync
+/// the parent directory, so the rename survives a power loss. Every draw
+/// goes through `roll(site, bytes.len())`. On every error the temp file is
+/// removed. An injected `Enospc` fails as a full disk does (`StorageFull`),
+/// a read-back mismatch as `InvalidData`, other injected faults as `Other`.
+pub fn atomic_replace(
+    path: &Path,
+    bytes: &[u8],
+    faults: WriteFaults,
+    mut roll: impl FnMut(FaultSite, usize) -> Option<usize>,
+) -> io::Result<()> {
+    if faults.enospc && roll(FaultSite::Enospc, bytes.len()).is_some() {
+        return Err(io::ErrorKind::StorageFull.into());
+    }
+    let tmp = temp_path(path);
+    let written = (|| {
+        let mut file = File::create(&tmp)?;
+        let torn = faults.write.and_then(|site| roll(site, bytes.len()));
+        let kept = torn.or(faults.crash).map_or(bytes.len(), |n| n.min(bytes.len()));
+        file.write_all(&bytes[..kept])?;
+        if torn.is_some() || faults.crash.is_some() {
+            let what = if torn.is_some() { "torn write" } else { "simulated crash" };
+            return Err(io::Error::other(format!("{what} after {kept} of {} bytes", bytes.len())));
+        }
+        if faults.fsync.is_some_and(|site| roll(site, bytes.len()).is_some()) {
+            return Err(io::Error::other("fsync failed"));
+        }
+        file.sync_all()?;
+        if std::fs::read(&tmp)? != bytes {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, "read-back mismatch"));
+        }
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +258,65 @@ mod tests {
             .filter(|b| (old[b / 8] ^ new[b / 8]) & (1 << (b % 8)) != 0)
             .collect();
         assert_eq!(diff, vec![bit], "exactly the returned bit differs");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn atomic_replace_leaves_the_old_bytes_or_the_new_ones() {
+        let dir = std::env::temp_dir().join(format!("nebula-replace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("target");
+        let old: Vec<u8> = (0..64u8).collect();
+        let new: Vec<u8> = (0..97u32).map(|i| (i * 13 % 251) as u8).collect();
+        let holds = |bytes: &[u8]| {
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+            assert!(!temp_path(&path).exists(), "no temp file is left");
+        };
+        std::fs::write(&path, &old).unwrap();
+        let faults = [
+            (WriteFaults { enospc: true, ..WriteFaults::default() }, FaultSite::Enospc),
+            (
+                WriteFaults { write: Some(FaultSite::ArchiveWrite), ..WriteFaults::default() },
+                FaultSite::ArchiveWrite,
+            ),
+            (
+                WriteFaults { write: Some(FaultSite::PageWrite), ..WriteFaults::default() },
+                FaultSite::PageWrite,
+            ),
+            (
+                WriteFaults { fsync: Some(FaultSite::PageFsync), ..WriteFaults::default() },
+                FaultSite::PageFsync,
+            ),
+        ];
+        for (faults, site) in faults {
+            let mut plan = FaultPlan::new(7).with(site, 1.0);
+            let err = atomic_replace(&path, &new, faults, |s, len| plan.roll(s, len)).unwrap_err();
+            let expected = match site {
+                FaultSite::Enospc => io::ErrorKind::StorageFull,
+                _ => io::ErrorKind::Other,
+            };
+            assert_eq!(err.kind(), expected, "{site}: {err}");
+            holds(&old);
+            atomic_replace(&path, &new, faults, |_, _| None).unwrap();
+            holds(&new);
+            std::fs::write(&path, &old).unwrap();
+        }
+        // No site named, so nothing is rolled.
+        let unrolled = |_: FaultSite, _: usize| -> Option<usize> { panic!("rolled") };
+        for cut in 0..new.len() {
+            let faults = WriteFaults { crash: Some(cut), ..WriteFaults::default() };
+            let err = atomic_replace(&path, &new, faults, unrolled).unwrap_err();
+            assert!(err.to_string().starts_with(&format!("simulated crash after {cut} of")));
+            holds(&old);
+        }
+        atomic_replace(&path, &new, WriteFaults::default(), unrolled).unwrap();
+        holds(&new);
+        // A failed first write leaves no file at all under the final name.
+        let fresh = dir.join("fresh");
+        let faults = WriteFaults { crash: Some(3), ..WriteFaults::default() };
+        assert!(atomic_replace(&fresh, &new, faults, unrolled).is_err());
+        assert!(!fresh.exists() && !temp_path(&fresh).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

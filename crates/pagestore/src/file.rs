@@ -1,20 +1,18 @@
 //! The on-disk page file and its torn-page-safe commit discipline.
 //!
 //! A [`PageFile`] never overwrites pages in place directly. Every flush
-//! goes through a **shadow commit** (the same discipline the durability
-//! layer's checkpoints established):
+//! goes through a **shadow commit**:
 //!
-//! 1. the batch of dirty pages is serialized into `pages.shadow.tmp`
-//!    (magic + CRC32C over the whole body),
-//! 2. the shadow is fsynced, read back, and byte-verified,
-//! 3. `pages.shadow.tmp` is renamed to `pages.shadow.commit` — the
-//!    commit point,
-//! 4. each page is written in place into `pages.neb` and the file is
+//! 1. the batch of dirty pages is serialized (magic + CRC32C over the
+//!    whole body) and committed to `pages.shadow.commit` through
+//!    [`atomic_replace`] — temp write, fsync, read-back, rename, directory
+//!    fsync; the rename is the commit point,
+//! 2. each page is written in place into `pages.neb` and the file is
 //!    fsynced,
-//! 5. `pages.shadow.commit` is deleted.
+//! 3. `pages.shadow.commit` is deleted.
 //!
-//! A crash before step 3 loses nothing (the old image is intact); a
-//! crash after step 3 — including a torn in-place write — is repaired by
+//! A crash before the rename loses nothing (the old image is intact); a
+//! crash after it — including a torn in-place write — is repaired by
 //! [`PageFile::open`], which idempotently re-applies a valid
 //! `pages.shadow.commit`. The [`CrashPoint`] API tears the sequence at
 //! any byte for the crash-point harness.
@@ -25,17 +23,14 @@
 use crate::page::{self, PageBuf, PAGE_SIZE};
 use crate::{counters, PageStoreError};
 use nebula_codec::crc32c;
-use nebula_govern::scrub::{Artifact, ScrubReport};
+use nebula_govern::scrub::{atomic_replace, temp_path, Artifact, ScrubReport, WriteFaults};
 use nebula_govern::{FaultPlan, FaultSite};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Base name of the page file inside its directory.
 pub const FILE_NAME: &str = "pages.neb";
-
-/// Shadow image mid-write (not yet committed; discardable).
-pub const SHADOW_TMP: &str = "pages.shadow.tmp";
 
 /// Committed shadow image (must be re-applied on open).
 pub const SHADOW_COMMIT: &str = "pages.shadow.commit";
@@ -50,8 +45,9 @@ const READ_ATTEMPTS: u32 = 3;
 /// crash-point harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashPoint {
-    /// Crash after `n` bytes of the shadow image reached `pages.shadow.tmp`
-    /// (before the rename): the commit never happened.
+    /// Crash after `n` bytes of the shadow image reached its temp file
+    /// (before the rename): the commit never happened, and the temp file
+    /// is gone as recovery would leave it.
     Shadow(usize),
     /// Crash after `n` bytes of the in-place apply reached the page file
     /// (after the rename): the commit must be re-driven on open.
@@ -88,7 +84,7 @@ impl PageFile {
         // Stale shadow state from a previous file in this directory must
         // not outlive it — a later open would re-apply it onto the new
         // file's pages.
-        let _ = std::fs::remove_file(dir.join(SHADOW_TMP));
+        let _ = std::fs::remove_file(temp_path(&dir.join(SHADOW_COMMIT)));
         let _ = std::fs::remove_file(dir.join(SHADOW_COMMIT));
         let mut file = OpenOptions::new().read(true).write(true).create_new(true).open(&path)?;
         let header = page::encode_header_page(1, 0);
@@ -215,70 +211,18 @@ impl PageFile {
         for (id, buf) in pages {
             debug_assert!(page::verify(buf), "page {id} committed unsealed");
         }
-        // Disk-full is checked before any byte moves: an ENOSPC flush
-        // must degrade to a typed error with the old image untouched,
-        // never a half-written shadow.
-        if self.roll(FaultSite::Enospc).is_some() {
-            return Err(PageStoreError::NoSpace);
-        }
+        // Phase 1: the shadow commit. Disk-full is checked before any byte
+        // moves, and any failure here leaves the old image untouched.
         let shadow = Self::shadow_bytes(pages);
-        let tmp = self.dir.join(SHADOW_TMP);
         let commit = self.dir.join(SHADOW_COMMIT);
-
-        // Phase 1: shadow write. Any failure here aborts cleanly.
-        let abort = |e: PageStoreError, tmp: &Path| {
-            let _ = std::fs::remove_file(tmp);
-            Err(e)
-        };
-        {
-            let mut f = match File::create(&tmp) {
-                Ok(f) => f,
-                Err(e) => return abort(e.into(), &tmp),
-            };
-            let keep = match crash {
-                Some(CrashPoint::Shadow(n)) => n.min(shadow.len()),
-                _ => shadow.len(),
-            };
-            if self.roll(FaultSite::PageWrite).is_some() {
-                return abort(
-                    PageStoreError::Io("injected write fault on shadow image".into()),
-                    &tmp,
-                );
-            }
-            if let Err(e) = f.write_all(&shadow[..keep]) {
-                return abort(e.into(), &tmp);
-            }
-            if matches!(crash, Some(CrashPoint::Shadow(_))) {
-                let _ = f.sync_all();
-                return Err(PageStoreError::Io("simulated crash during shadow write".into()));
-            }
-            if self.roll(FaultSite::PageFsync).is_some() {
-                return abort(
-                    PageStoreError::Io("injected fsync fault on shadow image".into()),
-                    &tmp,
-                );
-            }
-            if let Err(e) = f.sync_all() {
-                return abort(e.into(), &tmp);
-            }
-        }
-        // Read back and verify before the rename makes it authoritative.
-        {
-            let mut back = Vec::new();
-            let read_ok = File::open(&tmp).and_then(|mut f| f.read_to_end(&mut back));
-            if let Err(e) = read_ok {
-                return abort(e.into(), &tmp);
-            }
-            if back != shadow {
-                return abort(
-                    PageStoreError::Corrupt("shadow image failed read-back verification".into()),
-                    &tmp,
-                );
-            }
-        }
-        if let Err(e) = std::fs::rename(&tmp, &commit) {
-            return abort(e.into(), &tmp);
-        }
+        let cut = if let Some(CrashPoint::Shadow(n)) = crash { Some(n) } else { None };
+        let (write, fsync) = (Some(FaultSite::PageWrite), Some(FaultSite::PageFsync));
+        let faults = WriteFaults { enospc: true, write, fsync, crash: cut };
+        let committed = atomic_replace(&commit, &shadow, faults, |site, _| self.roll(site));
+        committed.map_err(|e| match e.kind() {
+            ErrorKind::StorageFull => PageStoreError::NoSpace,
+            _ => PageStoreError::Io(format!("shadow image: {e}")),
+        })?;
 
         // Phase 2: in-place apply. Failures leave the committed shadow
         // for recovery to re-drive.
@@ -370,9 +314,9 @@ impl PageFile {
 /// [`PageFile`]. A valid `pages.shadow.commit` is re-applied page by
 /// page and deleted; an invalid one (torn before it was renamed — which
 /// cannot happen — or rotted at rest) is deleted; a stray
-/// `pages.shadow.tmp` is always deleted.
+/// `pages.shadow.commit.tmp` is always deleted.
 pub fn recover_dir(dir: &Path) -> Result<(), PageStoreError> {
-    let tmp = dir.join(SHADOW_TMP);
+    let tmp = temp_path(&dir.join(SHADOW_COMMIT));
     if tmp.exists() {
         std::fs::remove_file(&tmp)?;
     }
@@ -690,7 +634,7 @@ mod tests {
         }
         assert!(pf.fault_tally().injected >= 4);
         // Nothing reached disk: no shadow debris, old image byte-intact.
-        assert!(!dir.join(SHADOW_TMP).exists());
+        assert!(!temp_path(&dir.join(SHADOW_COMMIT)).exists());
         assert!(!dir.join(SHADOW_COMMIT).exists());
         drop(pf);
         let (mut pf, _, watermark) = PageFile::open(&dir).unwrap();

@@ -9,15 +9,15 @@
 //!   watermark, 4 KiB pages,
 //! - a [`slotted`] record layout inside each page (stable slot indices,
 //!   dead-slot reuse, in-page compaction),
-//! - a [`PageFile`](file::PageFile) with torn-page defense: every flush
-//!   is a shadow-write + fsync + read-back-verify + rename commit, and
-//!   recovery idempotently re-applies a valid shadow image (the same
-//!   commit discipline the durability layer's checkpoints use),
-//! - a [`BufferPool`](pool::BufferPool) with pin/unpin and deterministic
+//! - a [`PageFile`] with torn-page defense: every flush
+//!   commits a shadow image through the one durable-write protocol,
+//!   [`nebula_govern::scrub::atomic_replace`], before it writes pages in
+//!   place, and recovery idempotently re-applies a valid shadow image,
+//! - a [`BufferPool`] with pin/unpin and deterministic
 //!   clock-hand (second-chance) eviction,
-//! - a [`RecordHeap`](heap::RecordHeap) minting stable `u64` record ids,
+//! - a [`RecordHeap`] minting stable `u64` record ids,
 //!   with overflow chains for records larger than a page,
-//! - [`PagedStorage`](store::PagedStorage), which implements relstore's
+//! - [`PagedStorage`], which implements relstore's
 //!   [`StorageBackend`](relstore::StorageBackend) /
 //!   [`StorageFactory`](relstore::StorageFactory) traits so a `Database`
 //!   pages to disk transparently.

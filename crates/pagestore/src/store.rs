@@ -1,6 +1,5 @@
 //! [`PagedStorage`]: the bridge between the page store and relstore's
-//! [`StorageBackend`](relstore::StorageBackend) /
-//! [`StorageFactory`](relstore::StorageFactory) traits.
+//! [`StorageBackend`] / [`StorageFactory`] traits.
 //!
 //! One [`PagedStorage`] owns one [`RecordHeap`] (one page file) shared by
 //! every namespace the database opens — tables and the inverted index's

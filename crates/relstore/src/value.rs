@@ -73,22 +73,6 @@ impl Value {
         }
     }
 
-    /// Return the inner integer if this is an int value.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
-    /// Return the inner float if this is a float value.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
     /// Whether this value can be stored in a column of type `ty`
     /// (`Null` is storable everywhere).
     pub fn conforms_to(&self, ty: DataType) -> bool {

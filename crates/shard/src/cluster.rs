@@ -12,7 +12,7 @@
 //! database and annotation store, and **ownership** — which shard
 //! answers for which tuples, and which shard's digest slice covers which
 //! annotations — is partitioned by the deterministic
-//! [`ShardRouter`](nebula_ingest::ShardRouter).
+//! [`ShardRouter`].
 //!
 //! Search work is *not* divided: every shard evaluates the whole query
 //! set over its full replica and then keeps only the hits in the slots
@@ -35,7 +35,9 @@
 //! acks still missing first advances the governed clock by one tick. On
 //! a clean fabric every reply lands in the first pump, so the clock
 //! never moves; under held, dropped or partitioned frames it advances
-//! once per round that really waits.
+//! once per round that really waits. The exchange does not wait on a
+//! shard cut by [`ShardCluster::partition_shard`]: it records the shard
+//! lagging, and the heal catches it up.
 //!
 //! ## Degradation, not failure
 //!
@@ -769,9 +771,10 @@ impl ShardCluster {
     }
 
     /// Push every live shard to the replication head with bounded
-    /// nack-and-retry rounds. Shards still behind afterwards (partitioned
-    /// mid-exchange) are recorded as lagging; [`ShardCluster::heal_shard`]
-    /// re-runs this to catch them up.
+    /// nack-and-retry rounds. A shard cut by [`ShardCluster::partition_shard`]
+    /// is neither sent to nor waited on; it and any shard still behind
+    /// after the rounds are recorded as lagging, and
+    /// [`ShardCluster::heal_shard`] re-runs this to catch them up.
     fn replicate(&mut self) {
         let head = self.log.len() as u64;
         if head == 0 {
@@ -785,11 +788,10 @@ impl ShardCluster {
                 .collect()
         };
         let mut round = 0u32;
-        let still_behind;
         loop {
-            let pending = behind(&f);
+            let pending: Vec<usize> =
+                behind(&f).into_iter().filter(|&s| !f.partitioned[s]).collect();
             if pending.is_empty() || round >= REPLICATE_ROUNDS {
-                still_behind = pending;
                 break;
             }
             // A retry round waits one tick for the acks the previous round
@@ -816,6 +818,7 @@ impl ShardCluster {
             f.pump(usize::MAX);
             round += 1;
         }
+        let still_behind = behind(&f);
         drop(f);
         self.lagging = still_behind.into_iter().collect();
         nebula_obs::gauge_set(counters::LAGGING_GAUGE, self.lagging.len() as u64);
@@ -1201,8 +1204,8 @@ mod tests {
         assert_eq!(clock::virtual_ns(), 0, "a clean fabric never waits");
 
         // Cut shard 1: the next annotation homes on shard 0, waits out
-        // the scatter deadline and the exchange's retry rounds, and ticks
-        // once before every round but the first of each.
+        // the scatter deadline, ticking once before every round but the
+        // first, and records shard 1 lagging without an exchange round.
         cluster.partition_shard(1);
         let (annotation, focal) = &items[0];
         let outcome = cluster.ingest(annotation, focal).expect("ingest");
@@ -1212,7 +1215,7 @@ mod tests {
             missing: vec![1],
         }));
         assert_eq!(cluster.lagging(), vec![1]);
-        let ticks = u64::from(DEADLINE_ROUNDS - 1 + REPLICATE_ROUNDS - 1);
+        let ticks = u64::from(DEADLINE_ROUNDS - 1);
         assert_eq!(clock::virtual_ns(), ticks * TICK.as_nanos() as u64);
 
         cluster.heal_shard(1);

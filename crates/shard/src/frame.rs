@@ -79,7 +79,7 @@ pub enum ShardFrame {
         /// an erroring pipeline replays its ops but must not advance the
         /// ACG stability window.
         completed: bool,
-        /// Concatenated WAL records ([`nebula_durable::encode_record`]).
+        /// Concatenated WAL records ([`nebula_durable::wal::encode_record`]).
         ops: Vec<u8>,
     },
     /// Batch `seq` applied; `digest` is the replica's post-apply store

@@ -160,11 +160,6 @@ impl DatasetBundle {
         self.gene_tuples[0]
     }
 
-    /// Number of annotatable entity tuples (genes + proteins).
-    pub fn entity_count(&self) -> usize {
-        self.gene_tuples.len() + self.protein_tuples.len()
-    }
-
     /// The generation seed.
     pub fn seed(&self) -> u64 {
         self.seed

@@ -1,4 +1,4 @@
-//! Collection strategies: [`vec`].
+//! Collection strategies: [`vec()`].
 
 use crate::strategy::Strategy;
 use crate::test_runner::TestRunner;
@@ -38,7 +38,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     VecStrategy { element, size: size.into() }
 }
 
-/// The result of [`vec`].
+/// The result of [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -19,12 +19,13 @@
 //!
 //! Commands are case-insensitive; the trailing semicolon is optional.
 //! [`Shell::exec`] returns the rendered response, so the REPL example is a
-//! thin stdin loop and tests drive the shell directly. [`VERBS`] is the
-//! one command table; [`Mode`], [`Shell::enter`] and [`Shell::swap`] are
-//! the one state machine over the engine.
+//! thin stdin loop and tests drive the shell directly. `VERBS` is the
+//! one command table; `Mode`, `Shell::enter` and `Shell::swap` are the one
+//! state machine over the engine.
 
 use crate::prelude::*;
 use nebula_core::{CommitRule, MutationSink, StabilityConfig};
+use nebula_govern::scrub::{atomic_replace, WriteFaults};
 use nebula_replica::{Cluster, ClusterConfig, ClusterSink, SimTransport};
 use relstore::{ConjunctiveQuery, Predicate};
 use std::fmt;
@@ -1307,8 +1308,11 @@ impl Shell {
         let [path] = exactly(args)?;
         let db_bytes = relstore::snapshot::save(&self.db);
         let ann_bytes = annostore::snapshot::save(&self.store);
-        std::fs::write(format!("{path}.reldb"), &db_bytes).map_err(fail)?;
-        std::fs::write(format!("{path}.anndb"), &ann_bytes).map_err(fail)?;
+        for (ext, bytes) in [("reldb", &db_bytes), ("anndb", &ann_bytes)] {
+            let file = format!("{path}.{ext}");
+            atomic_replace(Path::new(&file), bytes, WriteFaults::default(), |_, _| None)
+                .map_err(fail)?;
+        }
         Ok(format!(
             "saved {} + {} bytes to {path}.reldb / {path}.anndb",
             db_bytes.len(),
@@ -1679,6 +1683,17 @@ mod tests {
             .expect("shell operation should succeed");
         let saved = sh.exec(&format!("SAVE '{path}'")).expect("shell operation should succeed");
         assert!(saved.contains("saved"));
+        // A second SAVE replaces the first snapshot whole, leaving no temp
+        // file beside it.
+        sh.exec("ANNOTATE gene 'JW0008' 'note about gene JW0007'")
+            .expect("shell operation should succeed");
+        sh.exec(&format!("SAVE '{path}'")).expect("shell operation should succeed");
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("shell operation should succeed")
+            .map(|e| e.expect("directory entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["snap.anndb", "snap.reldb"]);
 
         let mut fresh = shell();
         let loaded = fresh.exec(&format!("LOAD '{path}'")).expect("shell operation should succeed");
@@ -1686,6 +1701,9 @@ mod tests {
         let notes =
             fresh.exec("ANNOTATIONS gene 'JW0004'").expect("shell operation should succeed");
         assert!(notes.contains("JW0006"));
+        let notes =
+            fresh.exec("ANNOTATIONS gene 'JW0008'").expect("shell operation should succeed");
+        assert!(notes.contains("JW0007"), "LOAD reads the second SAVE: {notes}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -406,3 +406,115 @@ fn enospc_mid_batch_quarantines_and_a_checkpoint_restores_service() {
     assert_eq!(state_digest(&recovered.db, &recovered.store), state_digest(&bundle.db, &store));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// One durable-write protocol: every writer consumes the draws it always did.
+// ---------------------------------------------------------------------------
+
+/// Seed `0x5EED`, every durable-write site (and the two rot sites the
+/// closing rolls use) at rate 0.5, and a fixed 32-round script through
+/// each writer that commits a file: WAL appends and an archiving
+/// checkpoint, a direct archive segment and base, a bundle capture (page
+/// file included) and two page commits, one of them cut mid-shadow. Each
+/// step folds whether it succeeded into one FNV-1a digest; eight rolls of
+/// the thread plan and four of the page file's owned plan then fold where
+/// each stream stopped. The pinned digest and
+/// firing count are the ones the four per-writer protocols produced
+/// before they became one `atomic_replace`.
+#[test]
+fn every_durable_writer_replays_the_parent_stream() {
+    use nebula::nebula_durable::archive::{archive_base, archive_segment};
+    use nebula::nebula_pagestore::file::{CrashPoint, PageFile};
+    use nebula::nebula_pagestore::page::{
+        encode_header_page, seal, set_page_type, zeroed, TYPE_HEAP,
+    };
+
+    let _g = lock();
+    let root = tmp("replay-writers");
+    let bundle = generate_dataset(&DatasetSpec::tiny(), 7);
+    let (db, store) = (bundle.db, bundle.annotations);
+    let options = DurabilityOptions { sync: SyncPolicy::EveryRecord, checkpoint_every: None };
+
+    // An archive written with no plan installed, for the bundle captures
+    // to read: a torn file in it would change what a capture reads.
+    let clean = root.join("clean-archive");
+    let mut seeder = Durability::begin(&root.join("seed-wal"), &db, &store, options).unwrap();
+    seeder.set_archive(&clean, 1).unwrap();
+    for n in 0..4 {
+        seeder.append(&note(n)).unwrap();
+    }
+    seeder.checkpoint(&db, &store).unwrap();
+
+    let mut d = Durability::begin(&root.join("wal"), &db, &store, options).unwrap();
+    d.set_archive(&root.join("archive"), 1).unwrap();
+    let mut pf = {
+        std::fs::create_dir_all(root.join("pages")).unwrap();
+        PageFile::create(&root.join("pages")).unwrap()
+    };
+    let page = |fill: u8| {
+        let mut p = zeroed();
+        set_page_type(&mut p, TYPE_HEAP);
+        p[100] = fill;
+        seal(&mut p);
+        p
+    };
+    let (p1, p2) = (page(1), page(2));
+    pf.commit_batch(&[(0, &encode_header_page(3, 0)), (1, &p1), (2, &p2)]).unwrap();
+    let records: Vec<u8> = (0..3u64)
+        .flat_map(|n| nebula::nebula_durable::wal::encode_record(n + 1, &note(n)))
+        .collect();
+    let image = nebula::nebula_durable::checkpoint::encode(0, &db, &store);
+
+    let sites = [
+        FaultSite::BitFlip,
+        FaultSite::ArchiveWrite,
+        FaultSite::ArchiveFsync,
+        FaultSite::Enospc,
+        FaultSite::PageWrite,
+        FaultSite::PageFsync,
+        FaultSite::PageRot,
+        FaultSite::ArchiveRot,
+    ];
+    let plan = sites.into_iter().fold(FaultPlan::new(0x5EED), |p, site| p.with(site, 0.5));
+    govern::set_fault_plan(Some(plan.clone()));
+    pf.set_fault_plan(Some(plan));
+    let mut bytes = Vec::new();
+    for round in 0..32u64 {
+        let mut fold = |ok: bool| bytes.push(ok as u8);
+        for n in 0..3 {
+            fold(d.append(&note(round * 3 + n)).is_ok());
+        }
+        fold(d.checkpoint(&db, &store).is_ok());
+        let direct = root.join("direct");
+        fold(archive_segment(&direct, 1, round * 10 + 1, &records).is_ok());
+        fold(archive_base(&direct, 1, round, &image).is_ok());
+        let spec = BundleSpec {
+            archive_dir: clean.clone(),
+            bundle_dir: root.join("bundle"),
+            pages: Some(root.join("pages").join("pages.neb")),
+            created_seq: round,
+        };
+        fold(create_bundle(&spec).is_ok());
+        let header = encode_header_page(3, round);
+        fold(pf.commit_batch(&[(0, &header), (1, &p1), (2, &p2)]).is_ok());
+        let cut = CrashPoint::Shadow(round as usize * 1000);
+        fold(pf.commit_batch_crash(&[(0, &header), (2, &p1)], cut).is_ok());
+    }
+    for _ in 0..8 {
+        let roll = govern::inject_io(FaultSite::ArchiveRot, 1 << 20);
+        bytes.extend_from_slice(&(roll.map_or(u64::MAX, |b| b as u64)).to_le_bytes());
+    }
+    for _ in 0..4 {
+        let rot = pf.inject_rot(3).unwrap();
+        bytes.extend_from_slice(
+            &(rot.map_or(u64::MAX, |(p, b)| (p as u64) << 32 | b as u64)).to_le_bytes(),
+        );
+    }
+    let fired = govern::fault_stats().total_injected() + pf.fault_tally().injected;
+    govern::set_fault_plan(None);
+    let digest = nebula::nebula_codec::fnv1a(nebula::nebula_codec::fnv1a::OFFSET, &bytes);
+    assert_eq!(bytes.len(), 32 * 9 + 12 * 8);
+    assert_eq!(fired, 186);
+    assert_eq!(digest, 0x3f61_0931_70ea_f8ac);
+    let _ = std::fs::remove_dir_all(&root);
+}
