@@ -11,10 +11,25 @@ const HEADER_BYTES: usize = 12;
 /// Wrap `body` under `magic`.
 pub fn seal(magic: &[u8; 8], body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_BYTES + body.len());
-    out.extend_from_slice(magic);
-    out.extend_from_slice(&crc32c(body).to_le_bytes());
+    begin(&mut out, magic);
     out.extend_from_slice(body);
+    close(&mut out);
     out
+}
+
+/// Start an envelope in `out`, replacing what it held: `magic` and room
+/// for the checksum. Append the body to `out`, then [`close`] it. Built
+/// this way, the body is never copied.
+pub fn begin(out: &mut Vec<u8>, magic: &[u8; 8]) {
+    out.clear();
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&[0; 4]);
+}
+
+/// Checksum the body appended since [`begin`] into the header.
+pub fn close(out: &mut [u8]) {
+    let crc = crc32c(&out[HEADER_BYTES..]);
+    out[8..HEADER_BYTES].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Check `bytes` is a `magic` envelope with an intact body; return the

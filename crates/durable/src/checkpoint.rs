@@ -19,7 +19,7 @@
 
 use crate::DurableError;
 use annostore::AnnotationStore;
-use nebula_codec::{envelope, Reader, Writer};
+use nebula_codec::{envelope, Reader};
 use relstore::Database;
 use std::path::{Path, PathBuf};
 
@@ -28,15 +28,23 @@ pub const MAGIC: &[u8; 8] = b"NEBCKPT1";
 
 /// Encode a checkpoint image covering everything up to `watermark`.
 pub fn encode(watermark: u64, db: &Database, store: &AnnotationStore) -> Vec<u8> {
-    let rel = relstore::snapshot::save(db);
-    let ann = annostore::snapshot::save(store);
-    let mut body = Writer(Vec::with_capacity(16 + rel.len() + ann.len()));
-    body.u64(watermark);
-    body.u32(rel.len() as u32);
-    body.bytes(&rel);
-    body.u32(ann.len() as u32);
-    body.bytes(&ann);
-    envelope::seal(MAGIC, &body.0)
+    let mut image = Vec::new();
+    encode_into(&mut image, watermark, db, store);
+    image
+}
+
+/// [`encode`] over `image`, sealed in place: once `image` has held one
+/// image, encoding the next allocates nothing that large.
+pub fn encode_into(image: &mut Vec<u8>, watermark: u64, db: &Database, store: &AnnotationStore) {
+    let (rel, ann) = (relstore::snapshot::save(db), annostore::snapshot::save(store));
+    envelope::begin(image, MAGIC);
+    image.reserve(16 + rel.len() + ann.len());
+    image.extend_from_slice(&watermark.to_le_bytes());
+    for snapshot in [&rel, &ann] {
+        image.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
+        image.extend_from_slice(snapshot);
+    }
+    envelope::close(image);
 }
 
 /// Decode and fully validate a checkpoint image.
@@ -64,9 +72,7 @@ pub fn file_name(seq: u64) -> String {
 
 /// Parse a checkpoint sequence number back out of a file name.
 pub fn parse_seq(name: &str) -> Option<u64> {
-    let rest = name.strip_prefix("checkpoint-")?;
-    let digits = rest.strip_suffix(".ckpt")?;
-    digits.parse().ok()
+    name.strip_prefix("checkpoint-")?.strip_suffix(".ckpt")?.parse().ok()
 }
 
 /// List checkpoint files in `dir`, ascending by sequence number.
@@ -112,6 +118,24 @@ mod tests {
         assert_eq!(watermark, 42);
         assert_eq!(relstore::snapshot::save(&db2).to_vec(), relstore::snapshot::save(&db).to_vec());
         assert_eq!(store2.annotation_count(), 1);
+    }
+
+    #[test]
+    fn encoding_over_an_old_buffer_writes_the_frame_bytes() {
+        let (db, store) = tiny_state();
+        let (rel, ann) = (relstore::snapshot::save(&db), annostore::snapshot::save(&store));
+        let mut body = 9u64.to_le_bytes().to_vec();
+        for snapshot in [&rel, &ann] {
+            body.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
+            body.extend_from_slice(snapshot);
+        }
+        let framed = envelope::seal(MAGIC, &body);
+        assert_eq!(encode(9, &db, &store), framed);
+        // A buffer that held something longer, or shorter, is overwritten.
+        for mut old in [vec![0xAA; framed.len() * 2], vec![0xAA; 3]] {
+            encode_into(&mut old, 9, &db, &store);
+            assert_eq!(old, framed);
+        }
     }
 
     #[test]

@@ -93,6 +93,7 @@ pub struct Durability {
     options: DurabilityOptions,
     wedged: Option<String>,
     archive: Option<ArchiveConfig>,
+    image: Vec<u8>, // the last checkpoint image; the next is encoded over it
 }
 
 impl Durability {
@@ -141,6 +142,7 @@ impl Durability {
             options,
             wedged: None,
             archive: None,
+            image: Vec::new(),
         };
         durability.checkpoint(db, store)?;
         Ok(durability)
@@ -179,6 +181,7 @@ impl Durability {
             options,
             wedged: None,
             archive: None,
+            image: Vec::new(),
         };
         Ok((durability, recovered))
     }
@@ -285,18 +288,18 @@ impl Durability {
         let _span = nebula_obs::span(counters::SPAN_CHECKPOINT);
         let _tspan = nebula_obs::trace::span("durable.checkpoint");
         let watermark = self.next_lsn - 1;
-        let mut image = checkpoint::encode(watermark, db, store);
-        if let Some(bit) = inject_io(FaultSite::BitFlip, image.len()) {
-            image[bit / 8] ^= 1 << (bit % 8);
+        checkpoint::encode_into(&mut self.image, watermark, db, store);
+        if let Some(bit) = inject_io(FaultSite::BitFlip, self.image.len()) {
+            self.image[bit / 8] ^= 1 << (bit % 8);
         }
         let final_path = self.dir.join(checkpoint::file_name(self.ckpt_seq));
         // Decode before any byte lands: a corrupt image (an injected bit
         // flip) must never reach the archive, replace a good checkpoint or
         // cost WAL records.
-        let committed = checkpoint::decode(&image)
-            .and_then(|_| self.archive_sealed(watermark, &image))
+        let committed = checkpoint::decode(&self.image)
+            .and_then(|_| self.archive_sealed(watermark, &self.image))
             .and_then(|()| {
-                Ok(atomic_replace(&final_path, &image, WriteFaults::default(), inject_io)?)
+                Ok(atomic_replace(&final_path, &self.image, WriteFaults::default(), inject_io)?)
             });
         if let Err(e) = committed {
             nebula_obs::counter_add(counters::CHECKPOINT_FAILURES, 1);
