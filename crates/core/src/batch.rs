@@ -163,7 +163,7 @@ impl Nebula {
 
     /// One contained item: run the pipeline, turn an error or a panic into
     /// a quarantined entry instead of propagating it. The per-item step of
-    /// [`Nebula::process_batch`] and of the ingest pool's commit turn.
+    /// [`Nebula::process_batch`] and of the ingest front end's dispatch.
     pub fn process_contained(
         &mut self,
         db: &Database,

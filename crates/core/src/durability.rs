@@ -139,7 +139,7 @@ impl fmt::Display for CommitRule {
 
 /// The replication posture a sink reports after its most recent record.
 ///
-/// Non-replicated sinks report nothing; the ingest pool feeds this into
+/// Non-replicated sinks report nothing; the ingest front end feeds this into
 /// the health machine and the replication circuit breaker, and the shell
 /// renders it for `SHOW REPLICATION`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,8 +183,8 @@ impl std::error::Error for SinkError {}
 /// mutation, so the persisted log never runs ahead of the in-memory state
 /// on the error path and never lags it on the success path.
 ///
-/// Sinks are `Send` so a worker pool can drive the engine (and its
-/// installed sink) from whichever thread holds the commit turn.
+/// Sinks are `Send` so an engine, with its installed sink, can move to
+/// another thread.
 ///
 /// [`record`]: MutationSink::record
 pub trait MutationSink: fmt::Debug + Send {
@@ -212,8 +212,8 @@ pub trait MutationSink: fmt::Debug + Send {
     }
 
     /// Replication posture after the most recent record, if this sink
-    /// replicates. The ingest pool polls this each commit turn to feed the
-    /// health machine and the replication breaker.
+    /// replicates. The ingest front end polls this after each commit to
+    /// feed the health machine and the replication breaker.
     fn replication(&self) -> Option<ReplicationStatus> {
         None
     }

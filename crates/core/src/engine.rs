@@ -358,7 +358,7 @@ impl Nebula {
         focal: &[TupleId],
     ) -> Result<ProcessOutcome, NebulaError> {
         let pipeline_span = nebula_obs::span(names::PIPELINE);
-        // When the ingest pool dispatched us it already opened the trace
+        // When the ingest front end dispatched us it already opened the trace
         // root; otherwise (sequential callers, the bench harness) this
         // scope owns a fresh root. Either way the stage spans below
         // attach under it, and an error return abandons an owned trace.
@@ -751,7 +751,7 @@ fn stage_event(
 
 /// Trace scope for one `process_annotation` call.
 ///
-/// If the caller (the ingest pool) already opened a trace root, the
+/// If the caller (the ingest front end) already opened a trace root, the
 /// pipeline attaches as a child span and the caller keeps ownership of
 /// `finish`/`abandon`. Otherwise — sequential callers, the bench harness —
 /// this scope owns a fresh root: a clean exit commits it via

@@ -2,14 +2,15 @@
 //! accumulator where a test turns it on.
 //!
 //! The engine's retry backoff, the fault plan's latency injection, the
-//! ingest pool's admission gap, the shard fabric's ticks and
-//! `SimTransport::send`'s 50 µs-per-hold delay all park the calling thread
-//! through [`sleep`]. Real mode forwards to `std::thread::sleep`; virtual
-//! mode adds the duration to a nanosecond accumulator tests read back via
-//! [`virtual_ns`]. Only unit tests call [`set_virtual`] (this module's and
-//! the shard fabric's tick test); the engine, the ingest pool, every suite
-//! under `tests/` and spine run on the real clock, so every backoff and
-//! every held frame really sleeps.
+//! ingest front end's idle wait for its next paced arrival, the shard
+//! fabric's ticks and `SimTransport::send`'s 50 µs-per-hold delay all park
+//! the calling thread through [`sleep`]. Real mode forwards to
+//! `std::thread::sleep`; virtual mode adds the duration to a nanosecond
+//! accumulator tests read back via [`virtual_ns`]. Only unit tests call
+//! [`set_virtual`] (this module's, the ingest front end's paced-arrival
+//! test and the shard fabric's tick test); the engine, the ingest front
+//! end, every suite under `tests/` and spine run on the real clock, so
+//! every backoff and every held frame really sleeps.
 //!
 //! The mode is process-global, so threads spawned after it was set observe
 //! it too. Correctness never depends on actually sleeping, so a real-mode

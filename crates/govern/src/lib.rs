@@ -270,45 +270,6 @@ pub fn set_fault_plan(plan: Option<FaultPlan>) {
     });
 }
 
-/// A detached fault plan plus its accumulated statistics, for migrating the
-/// single deterministic fault stream between threads.
-///
-/// [`set_fault_plan`] resets the stats and the plan's RNG position, which is
-/// right for *starting* a run but wrong for *continuing* one on another
-/// thread. A worker pool that must replay the exact sequential fault
-/// sequence takes the context off the coordinating thread with
-/// [`take_fault_context`], hands it to whichever worker holds the commit
-/// turn, and restores it with [`restore_fault_context`] — RNG state and
-/// tallies intact.
-#[derive(Debug, Clone, Default)]
-pub struct FaultContext {
-    /// The plan, frozen mid-stream (RNG position preserved). `None` when no
-    /// plan was installed.
-    pub plan: Option<FaultPlan>,
-    /// Injection tallies accumulated so far.
-    pub stats: FaultStats,
-}
-
-/// Detach the current thread's fault plan and stats, leaving the thread
-/// without a plan. Pair with [`restore_fault_context`].
-pub fn take_fault_context() -> FaultContext {
-    GOVERNOR.with(|g| {
-        let mut g = g.borrow_mut();
-        FaultContext { plan: g.plan.take(), stats: std::mem::take(&mut g.fault_stats) }
-    })
-}
-
-/// Install a previously-detached fault context on the current thread,
-/// preserving its RNG position and tallies (unlike [`set_fault_plan`],
-/// which resets both).
-pub fn restore_fault_context(ctx: FaultContext) {
-    GOVERNOR.with(|g| {
-        let mut g = g.borrow_mut();
-        g.plan = ctx.plan;
-        g.fault_stats = ctx.stats;
-    });
-}
-
 /// Is a fault plan currently installed on this thread?
 pub fn fault_plan_active() -> bool {
     GOVERNOR.with(|g| g.borrow().plan.is_some())
@@ -765,32 +726,6 @@ mod tests {
         assert_eq!(rolls, 240);
         assert_eq!(bytes.chunks(10).filter(|roll| roll[1] == 1).count(), 125);
         assert_eq!(nebula_codec::fnv1a(nebula_codec::fnv1a::OFFSET, &bytes), 0xea28_8c6e_f14f_56fb);
-    }
-
-    #[test]
-    fn fault_context_migration_preserves_stream_and_stats() {
-        // Uninterrupted stream on one thread.
-        set_fault_plan(Some(FaultPlan::uniform(21, 0.5)));
-        let whole: Vec<bool> = (0..64).map(|_| inject(FaultSite::Query).is_some()).collect();
-        let whole_stats = fault_stats();
-        set_fault_plan(None);
-
-        // Same plan, but detached mid-stream and continued on another thread.
-        set_fault_plan(Some(FaultPlan::uniform(21, 0.5)));
-        let mut split: Vec<bool> = (0..20).map(|_| inject(FaultSite::Query).is_some()).collect();
-        let ctx = take_fault_context();
-        assert!(!fault_plan_active());
-        let (rest, ctx_back) = std::thread::spawn(move || {
-            restore_fault_context(ctx);
-            let rest: Vec<bool> = (0..44).map(|_| inject(FaultSite::Query).is_some()).collect();
-            (rest, take_fault_context())
-        })
-        .join()
-        .expect("migration thread");
-        split.extend(rest);
-        assert_eq!(split, whole);
-        assert_eq!(ctx_back.stats, whole_stats);
-        restore_fault_context(FaultContext::default());
     }
 
     #[test]

@@ -7,14 +7,8 @@
 //! Within a class, order is strictly FIFO, so a single-class batch drains
 //! in exactly its submission order (the property the determinism tests
 //! lean on).
-//!
-//! Dequeue assigns each item a dense **commit sequence number** under the
-//! queue lock. That number is the total order the worker pool's turn gate
-//! enforces, which is what makes N-worker execution replay the one-worker
-//! (and therefore the sequential) history.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// Admission priority class. Lower classes only dequeue when every higher
@@ -57,9 +51,9 @@ impl std::fmt::Display for Priority {
 pub enum ShedReason {
     /// The bounded admission queue was full at submission.
     QueueFull,
-    /// The item's deadline expired before a worker could dispatch it.
+    /// The item's deadline expired before it was dispatched.
     DeadlineExpired,
-    /// A circuit breaker was open when the item's turn came.
+    /// A circuit breaker was open when the item was dispatched.
     CircuitOpen,
     /// The engine health machine had declared the engine wedged.
     Wedged,
@@ -89,7 +83,7 @@ pub struct ShedRecord {
 }
 
 /// An item waiting in the queue: its input position plus the dispatch
-/// metadata the pool needs.
+/// metadata the front end needs.
 #[derive(Debug)]
 pub struct Queued {
     /// Position in the input batch.
@@ -98,23 +92,17 @@ pub struct Queued {
     pub priority: Priority,
     /// Absolute dispatch deadline, if any.
     pub deadline: Option<Instant>,
-    /// When the item entered the queue (for sojourn-time histograms).
+    /// When the item arrived: its due instant in the batch's arrival
+    /// process (for sojourn-time histograms).
     pub admitted_at: Instant,
-}
-
-struct Inner {
-    classes: [VecDeque<Queued>; 3],
-    len: usize,
-    peak: usize,
-    closed: bool,
-    next_seq: u64,
 }
 
 /// The bounded, priority-classed admission queue. See the module docs.
 pub struct AdmissionQueue {
     capacity: usize,
-    inner: Mutex<Inner>,
-    ready: Condvar,
+    classes: [VecDeque<Queued>; 3],
+    len: usize,
+    peak: usize,
 }
 
 impl AdmissionQueue {
@@ -123,83 +111,36 @@ impl AdmissionQueue {
     pub fn new(capacity: usize) -> AdmissionQueue {
         AdmissionQueue {
             capacity: capacity.max(1),
-            inner: Mutex::new(Inner {
-                classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
-                len: 0,
-                peak: 0,
-                closed: false,
-                next_seq: 0,
-            }),
-            ready: Condvar::new(),
+            classes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+            len: 0,
+            peak: 0,
         }
     }
 
-    fn locked(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Non-blocking admission: `Ok(())` if the item was queued,
-    /// `Err(ShedReason::QueueFull)` if the queue is at capacity (or
-    /// closed). Never blocks the submitter — backpressure is the typed
-    /// rejection, not a stall.
-    pub fn try_admit(&self, item: Queued) -> Result<(), ShedReason> {
-        let mut inner = self.locked();
-        if inner.closed || inner.len >= self.capacity {
+    /// Admission: `Ok(())` if the item was queued,
+    /// `Err(ShedReason::QueueFull)` if the queue is at capacity.
+    /// Backpressure is the typed rejection, not a stall.
+    pub fn try_admit(&mut self, item: Queued) -> Result<(), ShedReason> {
+        if self.len >= self.capacity {
             return Err(ShedReason::QueueFull);
         }
-        let class = item.priority.class();
-        inner.classes[class].push_back(item);
-        inner.len += 1;
-        inner.peak = inner.peak.max(inner.len);
-        drop(inner);
-        self.ready.notify_one();
+        self.classes[item.priority.class()].push_back(item);
+        self.len += 1;
+        self.peak = self.peak.max(self.len);
         Ok(())
     }
 
-    /// Blocking dequeue: the highest-priority non-empty class's front
-    /// item, tagged with its dense commit sequence number. Returns `None`
-    /// once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<(u64, Queued)> {
-        let mut inner = self.locked();
-        loop {
-            if let Some(class) = inner.classes.iter().position(|c| !c.is_empty()) {
-                let item = self.take_from(&mut inner, class);
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.ready.wait(inner).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn take_from(&self, inner: &mut Inner, class: usize) -> (u64, Queued) {
-        // The class was just observed non-empty under the same lock.
-        let item = match inner.classes[class].pop_front() {
-            Some(item) => item,
-            None => unreachable!("class observed non-empty under the queue lock"),
-        };
-        inner.len -= 1;
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        (seq, item)
-    }
-
-    /// Close the queue: further admissions fail and `pop` drains what
-    /// remains, then returns `None`.
-    pub fn close(&self) {
-        self.locked().closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Items currently queued.
-    pub fn depth(&self) -> usize {
-        self.locked().len
+    /// Dequeue the highest-priority non-empty class's front item, or
+    /// `None` when the queue is empty.
+    pub fn pop(&mut self) -> Option<Queued> {
+        let item = self.classes.iter_mut().find_map(VecDeque::pop_front)?;
+        self.len -= 1;
+        Some(item)
     }
 
     /// Highest depth observed since creation.
     pub fn peak_depth(&self) -> usize {
-        self.locked().peak
+        self.peak
     }
 }
 
@@ -212,62 +153,38 @@ mod tests {
     }
 
     #[test]
-    fn fifo_within_a_class_and_dense_seqs() {
-        let q = AdmissionQueue::new(8);
+    fn fifo_within_a_class() {
+        let mut q = AdmissionQueue::new(8);
         for i in 0..5 {
             q.try_admit(queued(i, Priority::Normal)).expect("room");
         }
-        for expect in 0..5u64 {
-            let (seq, item) = q.pop().expect("queued");
-            assert_eq!(seq, expect);
-            assert_eq!(item.index, expect as usize);
+        for expect in 0..5 {
+            assert_eq!(q.pop().expect("queued").index, expect);
         }
-        q.close();
         assert!(q.pop().is_none());
     }
 
     #[test]
     fn higher_priority_classes_dequeue_first() {
-        let q = AdmissionQueue::new(8);
+        let mut q = AdmissionQueue::new(8);
         q.try_admit(queued(0, Priority::Background)).expect("room");
         q.try_admit(queued(1, Priority::Normal)).expect("room");
         q.try_admit(queued(2, Priority::Interactive)).expect("room");
         q.try_admit(queued(3, Priority::Interactive)).expect("room");
-        let order: Vec<usize> = (0..4).map(|_| q.pop().expect("queued").1.index).collect();
+        let order: Vec<usize> = (0..4).map(|_| q.pop().expect("queued").index).collect();
         assert_eq!(order, vec![2, 3, 1, 0]);
     }
 
     #[test]
     fn full_queue_rejects_with_typed_shed() {
-        let q = AdmissionQueue::new(2);
+        let mut q = AdmissionQueue::new(2);
         q.try_admit(queued(0, Priority::Normal)).expect("room");
         q.try_admit(queued(1, Priority::Normal)).expect("room");
         let err = q.try_admit(queued(2, Priority::Normal)).expect_err("full");
         assert_eq!(err, ShedReason::QueueFull);
-        assert_eq!(q.depth(), 2);
         assert_eq!(q.peak_depth(), 2);
         // Draining one makes room again.
         q.pop().expect("queued");
         q.try_admit(queued(2, Priority::Normal)).expect("room after drain");
-    }
-
-    #[test]
-    fn closed_queue_rejects_and_drains() {
-        let q = AdmissionQueue::new(4);
-        q.try_admit(queued(0, Priority::Normal)).expect("room");
-        q.close();
-        assert!(q.try_admit(queued(1, Priority::Normal)).is_err());
-        assert_eq!(q.pop().expect("drains the remainder").1.index, 0);
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn pop_blocks_until_admission() {
-        let q = std::sync::Arc::new(AdmissionQueue::new(4));
-        let q2 = q.clone();
-        let handle = std::thread::spawn(move || q2.pop().map(|(_, item)| item.index));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        q.try_admit(queued(7, Priority::Normal)).expect("room");
-        assert_eq!(handle.join().expect("join"), Some(7));
     }
 }

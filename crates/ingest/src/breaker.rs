@@ -1,11 +1,12 @@
 //! Count-based circuit breakers.
 //!
-//! A breaker guards one failure class (the pool keeps one for search/
-//! pipeline faults and one for WAL/sink failures). It is deliberately
+//! A breaker guards one failure class (the ingest front end keeps one for
+//! search/pipeline faults, one for WAL/sink failures and one for
+//! replication lag). It is deliberately
 //! **count-based, not time-based**: opening after N consecutive failures
 //! and re-probing after shedding M items makes every transition a pure
 //! function of the commit-ordered outcome sequence, so a fixed fault seed
-//! produces the same breaker history at any worker count.
+//! produces the same breaker history on every run.
 //!
 //! Closed → (failure_threshold consecutive failures) → Open →
 //! (open_shed_count items shed) → HalfOpen → one probe: success closes,
@@ -60,7 +61,7 @@ impl BreakerConfig {
 /// One count-based breaker. Drive it with [`record_success`] /
 /// [`record_failure`] after each commit and consult [`allows`] before
 /// dispatching; every call must happen in commit order for determinism
-/// (the pool's turn gate guarantees that).
+/// (the ingest front end makes them one item at a time).
 ///
 /// [`record_success`]: CircuitBreaker::record_success
 /// [`record_failure`]: CircuitBreaker::record_failure

@@ -1,7 +1,7 @@
 //! The engine health state machine.
 //!
-//! Health is a *derived* signal: after every commit (or shed) the pool
-//! feeds the outcome into a sliding window, and the machine recomputes
+//! Health is a *derived* signal: after every commit (or shed) the ingest
+//! front end feeds the outcome into a sliding window, and the machine recomputes
 //! the state from what the window shows. The states are strictly
 //! ordered:
 //!
@@ -14,11 +14,10 @@
 //!   engine refuses all further work. Wedged is sticky against the
 //!   window: no amount of clean observations leaves it. The only exit is
 //!   the explicit, guarded [`HealthMachine::try_recover`] — taken when a
-//!   recovery probe has proven the WAL breaker's failure domain healed,
-//!   or by the operator's `RECOVER INGEST`.
+//!   recovery probe has proven the WAL breaker's failure domain healed.
 //!
 //! Because the window is fed in commit order, the health history is as
-//! deterministic as everything else in the pool.
+//! deterministic as everything else in the front end.
 
 use std::collections::VecDeque;
 

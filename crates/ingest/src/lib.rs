@@ -1,4 +1,4 @@
-//! nebula-ingest: overload-safe concurrent ingest for the Nebula engine.
+//! nebula-ingest: the overload-safe ingest front end for the Nebula engine.
 //!
 //! The paper evaluates the pipeline one annotation at a time; a
 //! production front door has to survive bursts of expensive annotations
@@ -10,16 +10,15 @@
 //!   priority classes and reject-on-full semantics. An item that cannot
 //!   be admitted is *shed* with a typed [`ShedReason`] — never silently
 //!   dropped — and deadline-expired items are shed at dispatch instead
-//!   of wasting a worker.
-//! - **A turn-gated single-writer worker pool** ([`pool`]): N workers
-//!   pull from the queue, but a commit gate serializes execution in
-//!   dequeue order against the shared `Database`/`AnnotationStore`, and
-//!   the governor's fault context migrates to whichever worker holds the
-//!   turn. All mutations funnel through the engine's single
+//!   of being executed.
+//! - **A sequential front end** ([`pool`]): [`ingest_batch`] plays the
+//!   batch's arrivals into the queue and commits the queued items one at
+//!   a time on the caller's thread, in priority order. All mutations
+//!   funnel through the engine's single
 //!   [`MutationSink`](nebula_core::MutationSink) WAL writer, so for a
 //!   fixed fault seed the resulting [`BatchReport`](nebula_core::BatchReport)
 //!   — and the recovered on-disk state — is byte-identical to the
-//!   sequential path at any worker count.
+//!   sequential path.
 //! - **Circuit breakers** ([`breaker`]): per-failure-class
 //!   closed → open → half-open breakers, counted deterministically in
 //!   commit order; while a breaker is open, items shed instead of piling
@@ -27,7 +26,7 @@
 //! - **A health state machine** ([`health`]): Healthy → Degraded →
 //!   Shedding → Wedged, recomputed after every commit from a sliding
 //!   window of outcomes and exported through `nebula-obs` as the
-//!   `ingest.health` gauge (and `SHOW HEALTH` in the shell).
+//!   `ingest.health` gauge.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
@@ -59,7 +58,7 @@ pub mod counters {
     pub const SHED_CIRCUIT_OPEN: &str = "ingest.shed_circuit_open";
     /// Sheds because the engine was wedged.
     pub const SHED_WEDGED: &str = "ingest.shed_wedged";
-    /// Guarded Wedged → Degraded recoveries (probe or operator).
+    /// Guarded Wedged → Degraded recoveries by the recovery probe.
     pub const RECOVERED: &str = "ingest.recovered";
     /// Breaker transitions into Open.
     pub const BREAKER_OPENED: &str = "ingest.breaker_opened";
@@ -67,8 +66,6 @@ pub mod counters {
     pub const BREAKER_HALF_OPEN: &str = "ingest.breaker_half_open";
     /// Current health state (0 healthy … 3 wedged), as a gauge.
     pub const HEALTH_GAUGE: &str = "ingest.health";
-    /// Configured worker count, as a gauge.
-    pub const WORKERS_GAUGE: &str = "ingest.workers";
     /// Peak queue depth observed during the batch, as a gauge.
     pub const QUEUE_DEPTH_PEAK_GAUGE: &str = "ingest.queue_depth_peak";
     /// Per-item sojourn time (admission to commit), as a span histogram.

@@ -1,25 +1,24 @@
-//! The turn-gated single-writer worker pool.
+//! The sequential ingest front end.
 //!
-//! N workers pull from the [`AdmissionQueue`], but execution against the
-//! shared `Database`/`AnnotationStore` is serialized by a **commit turn
-//! gate**: the queue assigns each dequeued item a dense sequence number,
-//! and a worker may only touch the engine once the gate reaches its
-//! number. The governor's fault context ([`nebula_govern::FaultContext`])
-//! migrates to whichever worker holds the turn and back again, so the
-//! seeded fault stream is consumed in exactly the sequential order.
+//! [`ingest_batch`] runs on the caller's thread. It plays the batch's
+//! arrival process into a bounded [`AdmissionQueue`], and between
+//! arrivals dispatches the highest-priority queued item through the
+//! engine: dispatch-time checks (wedged, deadline, breakers), governed
+//! `process_contained`, breaker and health bookkeeping, and the periodic
+//! checkpoint, one item at a time in commit order.
 //!
-//! Why single-writer? Every stage of `process_annotation` reads and
-//! writes shared engine state (the ACG, the hop profile, the verification
-//! queue, the annotation store) and every mutation must reach the one
-//! WAL writer in a deterministic order — PR 3's prefix-consistency
-//! guarantee is an ordering guarantee. Serializing commits preserves all
-//! of that *by construction*: for a fixed fault seed, the
-//! [`BatchReport`] and the recovered on-disk state are byte-identical to
-//! the sequential path at any worker count. What concurrency buys here is
-//! the overload machinery around the writer — bounded admission, typed
-//! shedding, circuit breakers, health tracking — plus dispatch-side work
-//! (deadline checks, breaker bookkeeping) happening off the submitter's
-//! thread. See DESIGN.md for the longer argument.
+//! Every stage of `process_annotation` reads and writes shared engine
+//! state (the ACG, the hop profile, the verification queue, the
+//! annotation store), and every mutation must reach the one WAL writer in
+//! a deterministic order: the WAL's prefix-consistency guarantee is an
+//! ordering guarantee. Committing one item at a time on the thread that
+//! owns the fault plan preserves all of that by construction: for a fixed
+//! fault seed, a single priority class, no deadlines and a non-shedding
+//! configuration, the [`BatchReport`] and the recovered on-disk state are
+//! byte-identical to the sequential path. What the front end adds is the
+//! overload machinery around the writer: bounded admission, typed
+//! shedding, circuit breakers and health tracking. See DESIGN.md for the
+//! longer argument.
 
 use crate::admission::{AdmissionQueue, Priority, Queued, ShedReason, ShedRecord};
 use crate::breaker::{BreakerConfig, BreakerState, CircuitBreaker};
@@ -27,9 +26,7 @@ use crate::counters;
 use crate::health::{HealthMachine, HealthSignal, HealthState};
 use annostore::{Annotation, AnnotationStore};
 use nebula_core::{BatchEntry, BatchReport, BatchStatus, Nebula, NebulaError, QuarantineReason};
-use nebula_govern::FaultContext;
 use relstore::{Database, TupleId};
-use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// One unit of ingest work: an annotation, its focal attachments, and the
@@ -69,28 +66,28 @@ impl IngestItem {
 /// Sliding-window size (recent item outcomes) the health machine judges.
 const HEALTH_WINDOW: usize = 64;
 
-/// Worker-pool tuning.
+/// Front-end tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// Worker threads (clamped to at least 1).
-    pub workers: usize,
     /// Admission queue capacity (clamped to at least 1). Arrivals beyond
     /// this are shed with [`ShedReason::QueueFull`].
     pub queue_capacity: usize,
-    /// Circuit-breaker tuning (shared by the search and WAL breakers).
+    /// Circuit-breaker tuning (shared by the search, WAL and replication
+    /// breakers).
     pub breaker: BreakerConfig,
     /// WAL breaker trips after which the engine declares itself Wedged.
     pub wedge_after_wal_trips: u32,
-    /// Pause between admissions — the arrival-rate knob of the overload
-    /// soak. `None` offers the whole batch as one burst. Uses the
-    /// governed clock, so a virtual clock makes paced runs instantaneous.
+    /// Arrival spacing, the arrival-rate knob of the overload soak: item
+    /// `i` is due `i × admit_gap` after the batch starts. `None` offers
+    /// the whole batch as one burst. Idle waits for the next arrival use
+    /// the governed clock, so a virtual clock makes paced runs
+    /// instantaneous.
     pub admit_gap: Option<Duration>,
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
-            workers: 4,
             queue_capacity: 64,
             breaker: BreakerConfig::default(),
             wedge_after_wal_trips: 3,
@@ -103,10 +100,10 @@ impl IngestConfig {
     /// A configuration whose results are byte-identical to the sequential
     /// path for `n`-item batches: capacity covers the whole burst, no
     /// breaker ever sheds, and (with a single priority class and no
-    /// deadlines) commit order equals input order.
-    pub fn deterministic(workers: usize, n: usize) -> IngestConfig {
+    /// deadlines) commit order equals input order. The first argument is
+    /// ignored; it is kept so existing callers still compile.
+    pub fn deterministic(_workers: usize, n: usize) -> IngestConfig {
         IngestConfig {
-            workers,
             queue_capacity: n.max(1),
             breaker: BreakerConfig::disabled(),
             ..IngestConfig::default()
@@ -114,7 +111,7 @@ impl IngestConfig {
     }
 }
 
-/// What came back from a concurrent ingest.
+/// What came back from an ingest batch.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     /// Per-item results for everything that executed, entries in input
@@ -128,8 +125,6 @@ pub struct IngestReport {
     pub health: HealthState,
     /// Peak admission-queue depth during the run.
     pub queue_depth_peak: usize,
-    /// Worker threads used.
-    pub workers: usize,
     /// Per-item sojourn times (admission → commit), in commit order.
     /// Wall-clock, hence *not* part of the deterministic surface.
     pub latencies_ns: Vec<u64>,
@@ -167,13 +162,13 @@ pub fn percentile_ns(samples: &[u64], p: u32) -> u64 {
     sorted[rank - 1]
 }
 
-/// Everything the turn-holder mutates, behind one mutex. Only the worker
-/// whose sequence number the gate has reached ever locks it (the
-/// coordinator takes it briefly to record admission-side sheds).
-struct EngineState<'a> {
+/// The front end's state while it drains one batch.
+struct Front<'a> {
+    /// When the batch started: arrivals and deadlines are relative to it.
+    start: Instant,
+    queue: AdmissionQueue,
     nebula: &'a mut Nebula,
     store: &'a mut AnnotationStore,
-    fault_ctx: Option<FaultContext>,
     search_breaker: CircuitBreaker,
     wal_breaker: CircuitBreaker,
     repl_breaker: CircuitBreaker,
@@ -183,40 +178,20 @@ struct EngineState<'a> {
     latencies_ns: Vec<u64>,
 }
 
-struct Shared<'a> {
-    engine: Mutex<EngineState<'a>>,
-    next_commit: Mutex<u64>,
-    commit_advanced: Condvar,
-}
-
-impl<'a> Shared<'a> {
-    fn engine_locked(&self) -> std::sync::MutexGuard<'_, EngineState<'a>> {
-        self.engine.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Block until the commit gate reaches `seq`.
-    fn wait_turn(&self, seq: u64) {
-        let mut next = self.next_commit.lock().unwrap_or_else(|e| e.into_inner());
-        while *next != seq {
-            next = self.commit_advanced.wait(next).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Release the gate to the next sequence number.
-    fn advance_turn(&self) {
-        let mut next = self.next_commit.lock().unwrap_or_else(|e| e.into_inner());
-        *next += 1;
-        drop(next);
-        self.commit_advanced.notify_all();
-    }
-}
-
-/// Run `items` through the engine with bounded admission, N workers, and
-/// single-writer turn-gated commits. See the module docs for the
-/// determinism argument; the short version is that for a single priority
-/// class, no deadlines, and a non-tripping breaker configuration, the
-/// returned [`IngestReport::batch`] is byte-identical to
-/// `Nebula::process_batch` on the same inputs and fault seed.
+/// Run `items` through the engine with bounded admission and typed
+/// shedding, committing one item at a time on the caller's thread. See
+/// the module docs for the determinism argument; the short version is
+/// that for a single priority class, no deadlines, and a non-tripping
+/// breaker configuration, the returned [`IngestReport::batch`] is
+/// byte-identical to `Nebula::process_batch` on the same inputs and
+/// fault seed.
+///
+/// Arrivals follow one rule: item `i` is due `i × admit_gap` after the
+/// batch starts (all at once without a gap). Before each dispatch every
+/// due item is admitted, or shed as [`ShedReason::QueueFull`] past
+/// capacity; when the queue runs dry, the front end sleeps until the next
+/// item is due and admits it. An item's `admitted_at` is its due instant,
+/// so its sojourn still measures arrival → commit.
 pub fn ingest_batch(
     nebula: &mut Nebula,
     db: &Database,
@@ -224,217 +199,207 @@ pub fn ingest_batch(
     items: &[IngestItem],
     config: &IngestConfig,
 ) -> IngestReport {
-    let workers = config.workers.max(1);
-    nebula_obs::gauge_set(counters::WORKERS_GAUGE, workers as u64);
-    let queue = AdmissionQueue::new(config.queue_capacity);
     let start = Instant::now();
-    let shared = Shared {
-        engine: Mutex::new(EngineState {
-            nebula,
-            store,
-            // The coordinator's fault stream migrates into the pool and
-            // back out below, so callers observe the same plan/stats
-            // evolution as a sequential run.
-            fault_ctx: Some(nebula_govern::take_fault_context()),
-            search_breaker: CircuitBreaker::new(config.breaker),
-            wal_breaker: CircuitBreaker::new(config.breaker),
-            repl_breaker: CircuitBreaker::new(config.breaker),
-            health: HealthMachine::new(HEALTH_WINDOW, config.wedge_after_wal_trips),
-            slots: vec![None; items.len()],
-            sheds: Vec::new(),
-            latencies_ns: Vec::new(),
-        }),
-        next_commit: Mutex::new(0),
-        commit_advanced: Condvar::new(),
+    let due = |index: usize| match config.admit_gap {
+        Some(gap) => start + gap.saturating_mul(u32::try_from(index).unwrap_or(u32::MAX)),
+        None => start,
     };
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| worker_loop(&shared, &queue, db, items));
+    let mut front = Front {
+        start,
+        queue: AdmissionQueue::new(config.queue_capacity),
+        nebula,
+        store,
+        search_breaker: CircuitBreaker::new(config.breaker),
+        wal_breaker: CircuitBreaker::new(config.breaker),
+        repl_breaker: CircuitBreaker::new(config.breaker),
+        health: HealthMachine::new(HEALTH_WINDOW, config.wedge_after_wal_trips),
+        slots: vec![None; items.len()],
+        sheds: Vec::new(),
+        latencies_ns: Vec::new(),
+    };
+    let mut arrived = 0;
+    loop {
+        let now = Instant::now();
+        while arrived < items.len() && due(arrived) <= now {
+            front.admit(items, arrived, due(arrived));
+            arrived += 1;
         }
-        // The coordinator is the arrival process: admit in input order,
-        // shedding (never blocking) when the bounded queue is full.
-        for (index, item) in items.iter().enumerate() {
-            if index > 0 {
-                if let Some(gap) = config.admit_gap {
-                    nebula_govern::clock::sleep(gap);
-                }
-            }
-            let queued = Queued {
-                index,
-                priority: item.priority,
-                deadline: item.deadline.map(|d| start + d),
-                admitted_at: Instant::now(),
-            };
-            match queue.try_admit(queued) {
-                Ok(()) => nebula_obs::counter_add(counters::ADMITTED, 1),
-                Err(reason) => {
-                    let mut state = shared.engine_locked();
-                    record_shed(&mut state, ShedRecord { index, priority: item.priority, reason });
-                }
-            }
+        if let Some(queued) = front.queue.pop() {
+            front.dispatch(db, &items[queued.index], &queued);
+        } else if arrived < items.len() {
+            // Idle until the next arrival. It is admitted on its due
+            // instant without re-reading the clock, so a virtual clock
+            // still makes progress.
+            let at = due(arrived);
+            nebula_govern::clock::sleep(at.saturating_duration_since(Instant::now()));
+            front.admit(items, arrived, at);
+            arrived += 1;
+        } else {
+            break;
         }
-        queue.close();
-    });
+    }
 
-    let state = shared.engine.into_inner().unwrap_or_else(|e| e.into_inner());
-    nebula_govern::restore_fault_context(state.fault_ctx.unwrap_or_default());
-    state.nebula.flush_batch();
+    front.nebula.flush_batch();
     let mut batch = BatchReport::default();
-    for entry in state.slots.into_iter().flatten() {
+    for entry in front.slots.into_iter().flatten() {
         batch.push(entry);
     }
-    let queue_depth_peak = queue.peak_depth();
+    let queue_depth_peak = front.queue.peak_depth();
     nebula_obs::gauge_set(counters::QUEUE_DEPTH_PEAK_GAUGE, queue_depth_peak as u64);
     IngestReport {
         batch,
-        sheds: state.sheds,
-        health: state.health.state(),
+        sheds: front.sheds,
+        health: front.health.state(),
         queue_depth_peak,
-        workers,
-        latencies_ns: state.latencies_ns,
+        latencies_ns: front.latencies_ns,
     }
 }
 
-fn worker_loop(shared: &Shared<'_>, queue: &AdmissionQueue, db: &Database, items: &[IngestItem]) {
-    while let Some((seq, queued)) = queue.pop() {
-        let turn_started = Instant::now();
-        shared.wait_turn(seq);
-        let turn_wait_ns = turn_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        {
-            let mut state = shared.engine_locked();
-            dispatch(&mut state, db, items, &queued, turn_wait_ns);
+impl Front<'_> {
+    /// Offer input `index`, arriving at `at`, to the queue; a full queue
+    /// sheds it.
+    fn admit(&mut self, items: &[IngestItem], index: usize, at: Instant) {
+        let item = &items[index];
+        let queued = Queued {
+            index,
+            priority: item.priority,
+            deadline: item.deadline.map(|d| self.start + d),
+            admitted_at: at,
+        };
+        match self.queue.try_admit(queued) {
+            Ok(()) => nebula_obs::counter_add(counters::ADMITTED, 1),
+            Err(reason) => self.record_shed(ShedRecord { index, priority: item.priority, reason }),
         }
-        shared.advance_turn();
     }
-}
 
-/// Everything that happens during one commit turn: dispatch-time checks
-/// (wedged / deadline / breakers), governed execution with the migrated
-/// fault context, breaker + health bookkeeping, and the periodic
-/// checkpoint — all under the engine lock, in commit order.
-fn dispatch(
-    state: &mut EngineState<'_>,
-    db: &Database,
-    items: &[IngestItem],
-    queued: &Queued,
-    turn_wait_ns: u64,
-) {
-    let item = &items[queued.index];
-    // Open the trace root for this commit attempt. Admission and
-    // turn-gate time happened before the builder existed (off-thread), so
-    // they attach as explicit-duration wait leaves; the root's duration
-    // is extended by the same amounts so it still covers
-    // admission → commit. A shed or quarantine abandons the trace (via
-    // `record_shed` / the routing at the bottom) — only committed
-    // annotations reach the ring.
-    if nebula_obs::trace::start("ingest.item") {
-        nebula_obs::trace::root_detail(format!("class={:?}", queued.priority));
-        let sojourn_so_far = queued.admitted_at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        nebula_obs::trace::wait(
-            "ingest.queue_wait",
-            String::new(),
-            sojourn_so_far.saturating_sub(turn_wait_ns),
+    /// One commit: dispatch-time checks (wedged / deadline / breakers),
+    /// governed execution, breaker + health bookkeeping, and the periodic
+    /// checkpoint, in commit order.
+    fn dispatch(&mut self, db: &Database, item: &IngestItem, queued: &Queued) {
+        // Open the trace root for this commit attempt. The queue wait
+        // happened before the builder existed, so it attaches as an
+        // explicit-duration wait leaf; the root's duration is extended by
+        // the same amount so it still covers admission → commit. A shed or
+        // quarantine abandons the trace (via `record_shed` / the routing
+        // at the bottom) — only committed annotations reach the ring.
+        if nebula_obs::trace::start("ingest.item") {
+            nebula_obs::trace::root_detail(format!("class={:?}", queued.priority));
+            let queue_wait = queued.admitted_at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            nebula_obs::trace::wait("ingest.queue_wait", String::new(), queue_wait);
+        }
+        let shed = if self.health.state() == HealthState::Wedged && !self.recovery_probe() {
+            Some(ShedReason::Wedged)
+        } else if queued.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(ShedReason::DeadlineExpired)
+        } else {
+            // All breakers must consent; each open breaker counts the shed
+            // toward its own half-open transition, so no short-circuiting.
+            let search_ok = self.search_breaker.allows();
+            let wal_ok = self.wal_breaker.allows();
+            let repl_ok = self.repl_breaker.allows();
+            (!(search_ok && wal_ok && repl_ok)).then_some(ShedReason::CircuitOpen)
+        };
+        if let Some(reason) = shed {
+            self.record_shed(ShedRecord { index: queued.index, priority: queued.priority, reason });
+            return;
+        }
+
+        let entry = self.nebula.process_contained(
+            db,
+            self.store,
+            queued.index,
+            &item.annotation,
+            &item.focal,
         );
-        nebula_obs::trace::wait("ingest.turn_wait", String::new(), turn_wait_ns);
-    }
-    let shed = if state.health.state() == HealthState::Wedged && !recovery_probe(state) {
-        Some(ShedReason::Wedged)
-    } else if queued.deadline.is_some_and(|d| Instant::now() >= d) {
-        Some(ShedReason::DeadlineExpired)
-    } else {
-        // All breakers must consent; each open breaker counts the shed
-        // toward its own half-open transition, so no short-circuiting.
-        let search_ok = state.search_breaker.allows();
-        let wal_ok = state.wal_breaker.allows();
-        let repl_ok = state.repl_breaker.allows();
-        (!(search_ok && wal_ok && repl_ok)).then_some(ShedReason::CircuitOpen)
-    };
-    if let Some(reason) = shed {
-        record_shed(state, ShedRecord { index: queued.index, priority: queued.priority, reason });
-        return;
-    }
 
-    nebula_govern::restore_fault_context(state.fault_ctx.take().unwrap_or_default());
-    let entry = state.nebula.process_contained(
-        db,
-        state.store,
-        queued.index,
-        &item.annotation,
-        &item.focal,
-    );
-    state.fault_ctx = Some(nebula_govern::take_fault_context());
-
-    // Breaker + health bookkeeping, still in commit order.
-    match &entry.quarantine {
-        None => {
-            state.search_breaker.record_success();
-            state.wal_breaker.record_success();
-        }
-        Some(QuarantineReason::Error(NebulaError::Durability(_))) => {
-            if record_failure(&mut state.wal_breaker, "wal") {
-                state.health.note_wal_trip();
+        // Breaker + health bookkeeping, still in commit order.
+        match &entry.quarantine {
+            None => {
+                self.search_breaker.record_success();
+                self.wal_breaker.record_success();
+            }
+            Some(QuarantineReason::Error(NebulaError::Durability(_))) => {
+                if record_failure(&mut self.wal_breaker, "wal") {
+                    self.health.note_wal_trip();
+                }
+            }
+            Some(_) => {
+                record_failure(&mut self.search_breaker, "search");
             }
         }
-        Some(_) => {
-            record_failure(&mut state.search_breaker, "search");
+        // A replicated sink reports its posture after every record; feed the
+        // lag signal into the replication breaker and the health machine.
+        let repl_status = self.nebula.mutation_sink_mut().and_then(|sink| sink.replication());
+        if let Some(repl) = repl_status {
+            if repl.lag_budget_exceeded {
+                record_failure(&mut self.repl_breaker, "replication");
+            } else {
+                self.repl_breaker.record_success();
+            }
+            self.health.set_replication_lagging(repl.lag_budget_exceeded);
         }
-    }
-    // A replicated sink reports its posture after every record; feed the
-    // lag signal into the replication breaker and the health machine.
-    let repl_status = state.nebula.mutation_sink_mut().and_then(|sink| sink.replication());
-    if let Some(repl) = repl_status {
-        if repl.lag_budget_exceeded {
-            record_failure(&mut state.repl_breaker, "replication");
+        self.health.set_breaker_not_closed(
+            self.search_breaker.state() != BreakerState::Closed
+                || self.wal_breaker.state() != BreakerState::Closed
+                || self.repl_breaker.state() != BreakerState::Closed,
+        );
+        let signal = match entry.status {
+            BatchStatus::Quarantined => HealthSignal::Failed,
+            BatchStatus::Degraded => HealthSignal::Degraded,
+            _ => HealthSignal::Clean,
+        };
+        self.health.observe(signal);
+
+        let sojourn = queued.admitted_at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        nebula_obs::observe_ns(counters::ITEM_SPAN, sojourn);
+        self.latencies_ns.push(sojourn);
+        nebula_obs::counter_add(counters::COMPLETED, 1);
+        let committed = entry.status != BatchStatus::Quarantined;
+        self.slots[queued.index] = Some(entry);
+
+        self.nebula.checkpoint_if_due(db, self.store);
+
+        // Route the trace: a committed annotation's tree (including any
+        // periodic checkpoint spans above) enters the ring; a quarantined
+        // item's mutations never applied, so its partial trace is dropped.
+        if committed {
+            nebula_obs::trace::finish();
         } else {
-            state.repl_breaker.record_success();
+            nebula_obs::trace::abandon();
         }
-        state.health.set_replication_lagging(repl.lag_budget_exceeded);
     }
-    state.health.set_breaker_not_closed(
-        state.search_breaker.state() != BreakerState::Closed
-            || state.wal_breaker.state() != BreakerState::Closed
-            || state.repl_breaker.state() != BreakerState::Closed,
-    );
-    let signal = match entry.status {
-        BatchStatus::Quarantined => HealthSignal::Failed,
-        BatchStatus::Degraded => HealthSignal::Degraded,
-        _ => HealthSignal::Clean,
-    };
-    state.health.observe(signal);
 
-    let sojourn = queued.admitted_at.elapsed();
-    nebula_obs::observe_ns(counters::ITEM_SPAN, sojourn.as_nanos().min(u64::MAX as u128) as u64);
-    state.latencies_ns.push(sojourn.as_nanos().min(u64::MAX as u128) as u64);
-    nebula_obs::counter_add(counters::COMPLETED, 1);
-    let committed = entry.status != BatchStatus::Quarantined;
-    state.slots[queued.index] = Some(entry);
+    /// Recovery probe of a Wedged front end: if the WAL breaker has left
+    /// Open (its cooldown elapsed) and the sink itself reports writable
+    /// again — e.g. an operator checkpoint or the cluster's scrub rebuilt
+    /// the log — the wedge is provably stale: lift it to Degraded and let
+    /// the item run.
+    fn recovery_probe(&mut self) -> bool {
+        let wal_calm = self.wal_breaker.state() != BreakerState::Open;
+        let sink_ok = self.nebula.mutation_sink_mut().is_none_or(|sink| sink.healthy());
+        wal_calm && sink_ok && self.health.try_recover()
+    }
 
-    // The periodic checkpoint rolls I/O fault sites, so it must run under
-    // the migrated fault context — otherwise its draws vanish from the
-    // stream and the sequential twin diverges.
-    nebula_govern::restore_fault_context(state.fault_ctx.take().unwrap_or_default());
-    state.nebula.checkpoint_if_due(db, state.store);
-    state.fault_ctx = Some(nebula_govern::take_fault_context());
-
-    // Route the trace: a committed annotation's tree (including any
-    // periodic checkpoint spans above) enters the ring; a quarantined
-    // item's mutations never applied, so its partial trace is dropped.
-    if committed {
-        nebula_obs::trace::finish();
-    } else {
+    fn record_shed(&mut self, shed: ShedRecord) {
+        // A shed item never commits: drop any trace opened for its
+        // dispatch (no-op at admission, where none is open) and leave a
+        // flight-recorder event in its place.
         nebula_obs::trace::abandon();
+        nebula_obs::trace::flight_event(
+            "shed",
+            format!("index={} reason={:?}", shed.index, shed.reason),
+        );
+        nebula_obs::counter_add(counters::SHED, 1);
+        let reason_counter = match shed.reason {
+            ShedReason::QueueFull => counters::SHED_QUEUE_FULL,
+            ShedReason::DeadlineExpired => counters::SHED_DEADLINE,
+            ShedReason::CircuitOpen => counters::SHED_CIRCUIT_OPEN,
+            ShedReason::Wedged => counters::SHED_WEDGED,
+        };
+        nebula_obs::counter_add(reason_counter, 1);
+        self.health.observe(HealthSignal::Shed);
+        self.sheds.push(shed);
     }
-}
-
-/// Recovery probe of a Wedged pool: if the WAL breaker has left Open (its
-/// cooldown elapsed) and the sink itself reports writable again — e.g. an
-/// operator checkpoint or the cluster's scrub rebuilt the log — the wedge is
-/// provably stale: lift it to Degraded and let the item run.
-fn recovery_probe(state: &mut EngineState<'_>) -> bool {
-    let wal_calm = state.wal_breaker.state() != BreakerState::Open;
-    let sink_ok = state.nebula.mutation_sink_mut().is_none_or(|sink| sink.healthy());
-    wal_calm && sink_ok && state.health.try_recover()
 }
 
 /// Count a failure on `breaker`; a failure that trips it leaves a
@@ -447,27 +412,6 @@ fn record_failure(breaker: &mut CircuitBreaker, name: &str) -> bool {
         nebula_obs::trace::flight_event("breaker.trip", format!("{name} trips={}", breaker.trips));
     }
     tripped
-}
-
-fn record_shed(state: &mut EngineState<'_>, shed: ShedRecord) {
-    // A shed item never commits: drop any trace opened for its dispatch
-    // (no-op on the coordinator thread, which never opens one) and leave
-    // a flight-recorder event in its place.
-    nebula_obs::trace::abandon();
-    nebula_obs::trace::flight_event(
-        "shed",
-        format!("index={} reason={:?}", shed.index, shed.reason),
-    );
-    nebula_obs::counter_add(counters::SHED, 1);
-    let reason_counter = match shed.reason {
-        ShedReason::QueueFull => counters::SHED_QUEUE_FULL,
-        ShedReason::DeadlineExpired => counters::SHED_DEADLINE,
-        ShedReason::CircuitOpen => counters::SHED_CIRCUIT_OPEN,
-        ShedReason::Wedged => counters::SHED_WEDGED,
-    };
-    nebula_obs::counter_add(reason_counter, 1);
-    state.health.observe(HealthSignal::Shed);
-    state.sheds.push(shed);
 }
 
 #[cfg(test)]
@@ -518,7 +462,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_sequential_batch_without_faults() {
+    fn front_end_matches_sequential_batch_without_faults() {
         let (db, meta, ids) = setup();
         let batch_items = items(&ids, 12);
         let plain: Vec<(Annotation, Vec<TupleId>)> =
@@ -527,53 +471,68 @@ mod tests {
         let mut store_seq = AnnotationStore::new();
         let seq = engine(meta.clone()).process_batch(&db, &mut store_seq, &plain);
 
-        for workers in [1, 3] {
-            let mut store_pool = AnnotationStore::new();
-            let mut nebula = engine(meta.clone());
-            let report = ingest_batch(
-                &mut nebula,
-                &db,
-                &mut store_pool,
-                &batch_items,
-                &IngestConfig::deterministic(workers, batch_items.len()),
-            );
-            assert!(report.sheds.is_empty());
-            assert_eq!(format!("{:?}", report.batch), format!("{seq:?}"), "workers={workers}");
-            assert_eq!(report.health, HealthState::Healthy);
-            assert_eq!(report.latencies_ns.len(), batch_items.len());
-        }
+        let mut store = AnnotationStore::new();
+        let mut nebula = engine(meta);
+        let report = ingest_batch(
+            &mut nebula,
+            &db,
+            &mut store,
+            &batch_items,
+            &IngestConfig::deterministic(1, batch_items.len()),
+        );
+        assert!(report.sheds.is_empty());
+        assert_eq!(format!("{:?}", report.batch), format!("{seq:?}"));
+        assert_eq!(report.health, HealthState::Healthy);
+        assert_eq!(report.latencies_ns.len(), batch_items.len());
     }
 
     #[test]
-    fn full_queue_sheds_with_typed_reason_and_full_accounting() {
+    fn unpaced_burst_sheds_exactly_the_overflow() {
         let (db, meta, ids) = setup();
-        let batch_items = items(&ids, 30);
+        let batch_items = items(&ids, 200);
         let mut store = AnnotationStore::new();
         let mut nebula = engine(meta);
         let config = IngestConfig {
-            workers: 2,
-            queue_capacity: 1,
+            queue_capacity: 8,
             breaker: BreakerConfig::disabled(),
             ..IngestConfig::default()
         };
         let report = ingest_batch(&mut nebula, &db, &mut store, &batch_items, &config);
-        assert_eq!(report.total(), batch_items.len(), "every item accounted");
-        assert!(report.queue_depth_peak <= 1);
+        // The whole burst is due before the first dispatch: the first eight
+        // fill the queue and every later arrival finds it full.
+        let shed: Vec<usize> = report.sheds.iter().map(|s| s.index).collect();
+        assert_eq!(shed, (8..200).collect::<Vec<_>>());
         assert!(report.sheds.iter().all(|s| s.reason == ShedReason::QueueFull));
-        // Exactly-one-state: no index appears in both batch and sheds.
-        let mut seen = vec![false; batch_items.len()];
-        for e in &report.batch.entries {
-            assert!(!seen[e.index]);
-            seen[e.index] = true;
-        }
-        for s in &report.sheds {
-            assert!(!seen[s.index]);
-            seen[s.index] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
-        if !report.sheds.is_empty() {
-            assert_eq!(report.health, HealthState::Shedding);
-        }
+        assert_eq!(report.queue_depth_peak, 8);
+        let executed: Vec<usize> = report.batch.entries.iter().map(|e| e.index).collect();
+        assert_eq!(executed, (0..8).collect::<Vec<_>>());
+        assert_eq!(report.total(), batch_items.len(), "every item accounted");
+        assert_eq!(report.health, HealthState::Shedding);
+    }
+
+    #[test]
+    fn paced_arrivals_are_admitted_on_their_due_instant() {
+        // An hour between arrivals, on the virtual clock: every idle wait
+        // is a virtual sleep, and each arrival is admitted on its due
+        // instant without the wall clock ever reaching it.
+        nebula_govern::clock::set_virtual(true);
+        nebula_govern::clock::reset_virtual();
+        let (db, meta, ids) = setup();
+        let batch_items = items(&ids, 5);
+        let mut store = AnnotationStore::new();
+        let mut nebula = engine(meta);
+        let config = IngestConfig {
+            queue_capacity: 1,
+            admit_gap: Some(Duration::from_secs(3600)),
+            ..IngestConfig::default()
+        };
+        let report = ingest_batch(&mut nebula, &db, &mut store, &batch_items, &config);
+        let slept = nebula_govern::clock::virtual_ns();
+        nebula_govern::clock::set_virtual(false);
+        assert!(report.sheds.is_empty(), "one arrival at a time fits a queue of one");
+        assert_eq!(report.batch.total(), 5);
+        assert_eq!(report.queue_depth_peak, 1);
+        assert!(slept > 4 * 3_599_000_000_000, "four idle waits of about an hour: {slept}");
     }
 
     #[test]
@@ -588,19 +547,16 @@ mod tests {
             &db,
             &mut store,
             &batch_items,
-            &IngestConfig::deterministic(2, batch_items.len()),
+            &IngestConfig::deterministic(1, batch_items.len()),
         );
         assert_eq!(report.total(), 6);
-        assert!(report
-            .sheds
-            .iter()
-            .all(|s| s.reason == ShedReason::DeadlineExpired || s.reason == ShedReason::QueueFull));
+        assert!(report.sheds.iter().all(|s| s.reason == ShedReason::DeadlineExpired));
         assert_eq!(report.sheds.len(), 6, "zero deadlines expire before any dispatch");
         assert_eq!(report.batch.total(), 0);
     }
 
     #[test]
-    fn priorities_dispatch_interactive_first_with_one_worker() {
+    fn mixed_priorities_report_in_input_order() {
         let (db, meta, ids) = setup();
         let mut batch_items = items(&ids, 4);
         batch_items[0].priority = Priority::Background;

@@ -189,7 +189,6 @@ pub mod registry {
     pub const KNOWN_GAUGES: &[&str] = &[
         "ingest.health",
         "ingest.queue_depth_peak",
-        "ingest.workers",
         "page.dirty_pages",
         "page.file_pages",
         "page.resident_pages",

@@ -2,8 +2,8 @@
 //! critical-path attribution, and a bounded post-mortem flight recorder.
 //!
 //! A **trace** is one rooted span tree per committed annotation, covering
-//! the whole commit path: the ingest pool opens the root at dispatch and
-//! attaches the admission waits (queue sojourn, turn-gate wait), the core
+//! the whole commit path: the ingest front end opens the root at dispatch
+//! and attaches the admission → dispatch queue wait, the core
 //! pipeline attaches the stage0–stage3 spans with their routing
 //! decisions, the durability layer attaches WAL append / fsync /
 //! checkpoint spans, and the replication layer attaches per-peer ship /
@@ -14,9 +14,9 @@
 //! Span IDs are a pure function of `(annotation id, epoch, first LSN,
 //! open sequence)` — no wall clock, no randomness — so for a fixed fault
 //! seed the serialized trace *structure* (IDs, parentage, labels,
-//! details) is byte-identical at any worker count: the ingest pool's
-//! turn gate serializes engine-side work in admission order, which makes
-//! the open sequence deterministic. Durations are measured through the
+//! details) is byte-identical on every run: the ingest front end commits
+//! one item at a time in admission order, which makes the open sequence
+//! deterministic. Durations are measured through the
 //! ambient time source ([`install_time_source`] lets `govern`'s virtual
 //! clock take over where one is active) and are **excluded** from the
 //! structure rendering; they only appear in the timing-bearing JSON and
@@ -208,8 +208,8 @@ impl Trace {
 
     /// Deterministic JSON: the *structure* rendering — IDs, parentage,
     /// labels, details, no durations — which is byte-identical across
-    /// worker counts for a fixed fault seed and backs the determinism
-    /// tests and the golden sample.
+    /// runs for a fixed fault seed and backs the determinism tests and the
+    /// golden sample.
     pub fn render_json(&self) -> String {
         let mut out = format!(
             "{{\"annotation\": {}, \"epoch\": {}, \"lsn\": {}, \"spans\": [",
@@ -480,7 +480,7 @@ pub fn note_lsn(lsn: u64) {
 }
 
 /// Attach a leaf span with an explicit, externally measured duration
-/// (queue sojourn, turn-gate wait). The root span's duration is extended
+/// (the ingest queue wait). The root span's duration is extended
 /// by the same amount so it keeps covering admission → commit.
 pub fn wait(label: &'static str, detail: String, duration_ns: u64) {
     if !enabled() {
@@ -781,7 +781,6 @@ mod tests {
     fn build_one(annotation: u64) -> Option<u64> {
         assert!(start("ingest.item"));
         wait("ingest.queue_wait", String::new(), 50);
-        wait("ingest.turn_wait", String::new(), 25);
         {
             let pipeline = span("core.process_annotation");
             bind(annotation);
@@ -837,7 +836,7 @@ mod tests {
         let trace = for_annotation(42).expect("stored");
         assert_eq!(trace.epoch, 3);
         assert_eq!(trace.lsn, 7);
-        assert_eq!(trace.spans.len(), 5);
+        assert_eq!(trace.spans.len(), 4);
         assert_eq!(trace.root().label, "ingest.item");
         assert_eq!(trace.root().parent, 0);
         let root_id = trace.root().id;
@@ -850,8 +849,8 @@ mod tests {
             trace.spans.iter().find(|s| s.label == "core.process_annotation").expect("pipeline");
         assert_eq!(pipeline.parent, root_id);
         assert_eq!(stage2.parent, pipeline.id);
-        // Wait spans extended the root's duration.
-        assert!(trace.root().duration_ns >= 75);
+        // The wait span extended the root's duration.
+        assert!(trace.root().duration_ns >= 50);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! satisfied. A rule that cannot be satisfied inside the pump budget is
 //! not an error — the record is locally durable — but a **typed
 //! degradation**: [`ReplicationStatus::lag_budget_exceeded`] is raised,
-//! which the ingest pool feeds into its replication breaker and health
-//! machine.
+//! which the ingest front end feeds into its replication breaker and
+//! health machine.
 //!
 //! [`Cluster::promote`] is deterministic failover: pick a live replica,
 //! bump the epoch, root a fresh WAL at its applied LSN
@@ -18,8 +18,8 @@
 //! the failover tests assert.
 //!
 //! [`ClusterSink`] adapts a shared cluster handle to
-//! [`nebula_core::MutationSink`], so the engine and ingest pool write
-//! through replication exactly as they write through a plain WAL.
+//! [`nebula_core::MutationSink`], so the engine and the ingest front end
+//! write through replication exactly as they write through a plain WAL.
 
 use annostore::AnnotationStore;
 use nebula_core::{CommitRule, Mutation, MutationSink, ReplicationStatus, SinkError};
@@ -767,7 +767,7 @@ impl Cluster {
 }
 
 /// A cloneable [`MutationSink`] over a shared [`Cluster`], so the engine
-/// (or the ingest pool) writes through replication while the shell keeps
+/// (or the ingest front end) writes through replication while the shell keeps
 /// a handle for `PROMOTE` / `SHOW REPLICATION`.
 #[derive(Debug, Clone)]
 pub struct ClusterSink {

@@ -23,7 +23,7 @@
 //!   through a transport, with the configurable commit rule (ack-none /
 //!   ack-quorum), epoch-fenced **failover** ([`Cluster::promote`]), and
 //!   [`ClusterSink`], the [`nebula_core::MutationSink`] adapter that lets
-//!   the engine and the ingest pool write through the cluster.
+//!   the engine and the ingest front end write through the cluster.
 //!
 //! ## Epoch fencing
 //!

@@ -16,8 +16,8 @@ use relstore::Database;
 
 /// A keyword-search technique usable as Nebula's Stage-2 black box.
 ///
-/// `Send` because the ingest pool drives engines — and the backend one
-/// may hold — from worker threads; `Debug` because the engine derives it.
+/// `Send` so an engine, with the backend it holds, can move to another
+/// thread; `Debug` because the engine derives it.
 pub trait SearchBackend: std::fmt::Debug + Send {
     /// Execute a group of keyword queries (typically all the queries
     /// generated from one annotation), returning one hit list per query

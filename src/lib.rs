@@ -22,9 +22,10 @@
 //! - [`nebula_durable`] — crash-safe durability: a checksummed write-ahead
 //!   log of pipeline mutations, framed checkpoints, and torn-tail-tolerant
 //!   recovery, and
-//! - [`nebula_ingest`] — overload-safe concurrent ingest: bounded admission
-//!   with priority classes, a turn-gated single-writer worker pool, circuit
-//!   breakers, and the engine health state machine, and
+//! - [`nebula_ingest`] — the overload-safe ingest front end: bounded
+//!   admission with priority classes and typed shedding, one commit at a
+//!   time on the caller's thread, circuit breakers, and the engine health
+//!   state machine, and
 //! - [`nebula_replica`] — WAL-shipping replication: a single primary
 //!   streaming log segments to replicas over a deterministic simulated
 //!   transport, ack-none/ack-quorum commit rules, epoch-fenced failover,

@@ -4,7 +4,8 @@
 //! self-closing schedule that interleaves every fault dimension the stack
 //! owns — ingest bursts (overload), network partitions, in-memory replica
 //! corruption, on-disk bit-rot, failovers, and rejoins — and this driver
-//! executes it against a live engine + ingest pool + replicated cluster.
+//! executes it against a live engine + ingest front end + replicated
+//! cluster.
 //! The acceptance bar from the self-healing tentpole:
 //!
 //! - **≥ 500 annotations per seed**, every one accounted for exactly once
@@ -19,7 +20,6 @@
 //!   the same checkpoint image, with each LSN applied exactly once.
 //!
 //! Same seed, same schedule, same verdict — a red run replays exactly.
-//! `NEBULA_WORKERS` pins the ingest pool size (CI sweeps 1 and 8).
 
 use nebula::nebula_backup::{
     create_bundle, inject_rot as inject_archive_rot, restore as restore_bundle,
@@ -50,15 +50,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("nebula-chaos-it-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// CI's thread-count matrix pins the pool size via `NEBULA_WORKERS`.
-fn workers() -> usize {
-    std::env::var("NEBULA_WORKERS")
-        .ok()
-        .and_then(|s| s.split(',').next().and_then(|t| t.trim().parse().ok()))
-        .filter(|n| *n > 0)
-        .unwrap_or(4)
 }
 
 /// Canonical state bytes: the checkpoint image at a fixed watermark, so
@@ -115,7 +106,7 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
 
         // A non-shedding pool: the nemesis supplies the chaos, so any shed
         // or wedge here is a real loss, not configured pressure.
-        let ingest = IngestConfig::deterministic(workers(), OPS as usize);
+        let ingest = IngestConfig::deterministic(1, OPS as usize);
 
         let mut next = 0usize; // cursor into `items`
         let mut executed = 0usize;
@@ -168,9 +159,8 @@ fn nemesis_soak_reconverges_byte_identically_for_each_seed() {
                 }
                 NemesisEvent::BitRot => {
                     let wal_dir = handle.lock().primary().wal().dir().to_path_buf();
-                    // The governor is thread-local: arming the plan here
-                    // affects only this thread's inject_rot, never the
-                    // pool's worker threads.
+                    // Arm the rot plan only around inject_rot, so no ingest
+                    // or cluster draw sees it.
                     set_fault_plan(Some(
                         FaultPlan::new(seed.wrapping_add(rot_injections as u64))
                             .with(FaultSite::WalRot, 1.0)
@@ -864,7 +854,7 @@ fn backup_nemesis_soak_restores_byte_identically_mid_chaos() {
         let handle = sink.handle();
         nebula.set_mutation_sink(Some(Box::new(sink)));
 
-        let ingest = IngestConfig::deterministic(workers(), OPS as usize);
+        let ingest = IngestConfig::deterministic(1, OPS as usize);
 
         let mut next = 0usize;
         let mut rot_injections = 0usize;

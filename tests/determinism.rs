@@ -296,28 +296,12 @@ fn durability_on_and_off_produce_identical_outcomes() {
     assert_eq!(none_records, quorum_records, "the commit rule never changes what is shipped");
 }
 
-/// Worker counts exercised by the concurrency-equivalence tests:
-/// `NEBULA_WORKERS` (comma-separated), default `1,2,8`. CI's thread-count
-/// matrix pins one value per job.
-fn worker_counts() -> Vec<usize> {
-    std::env::var("NEBULA_WORKERS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .filter(|n| *n > 0)
-                .collect::<Vec<_>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 8])
-}
-
-/// The worker pool is a concurrency construct, not a semantics one: for a
-/// fixed fault seed and a non-shedding configuration, the concurrent batch
-/// report renders byte-identically to `process_batch` at every worker
-/// count — faults, retries, quarantines and all.
+/// The ingest front end is an overload construct, not a semantics one:
+/// for a fixed fault seed and a non-shedding configuration, its batch
+/// report renders byte-identically to `process_batch` — faults, retries,
+/// quarantines and all.
 #[test]
-fn concurrent_ingest_matches_sequential_at_any_worker_count() {
+fn ingest_batch_matches_process_batch_under_faults() {
     let _serial = guard();
     let plan = || Some(FaultPlan::uniform(0xBEEF, 0.2));
 
@@ -344,32 +328,26 @@ fn concurrent_ingest_matches_sequential_at_any_worker_count() {
         format!("{report:?}")
     };
 
-    for workers in worker_counts() {
-        let (mut bundle, mut nebula, items) = prepared();
-        let ingest_items: Vec<_> =
-            items.iter().map(|(a, focal)| IngestItem::new(a.clone(), focal.clone())).collect();
-        nebula::nebula_govern::set_fault_plan(plan());
-        let report = ingest_batch(
-            &mut nebula,
-            &bundle.db,
-            &mut bundle.annotations,
-            &ingest_items,
-            &IngestConfig::deterministic(workers, ingest_items.len()),
-        );
-        nebula::nebula_govern::set_fault_plan(None);
-        assert!(report.sheds.is_empty(), "deterministic config never sheds");
-        assert_eq!(
-            sequential,
-            format!("{:?}", report.batch),
-            "workers={workers} diverged from the sequential batch"
-        );
-    }
+    let (mut bundle, mut nebula, items) = prepared();
+    let ingest_items: Vec<_> =
+        items.iter().map(|(a, focal)| IngestItem::new(a.clone(), focal.clone())).collect();
+    nebula::nebula_govern::set_fault_plan(plan());
+    let report = ingest_batch(
+        &mut nebula,
+        &bundle.db,
+        &mut bundle.annotations,
+        &ingest_items,
+        &IngestConfig::deterministic(1, ingest_items.len()),
+    );
+    nebula::nebula_govern::set_fault_plan(None);
+    assert!(report.sheds.is_empty(), "deterministic config never sheds");
+    assert_eq!(sequential, format!("{:?}", report.batch), "diverged from the sequential batch");
 }
 
-/// The single-writer pool preserves PR 3's ordering guarantee end to end:
+/// The ingest front end preserves the WAL's ordering guarantee end to end:
 /// with the WAL attached (including mid-batch checkpoints), the recovered
-/// on-disk state after a concurrent ingest is byte-identical to the
-/// sequential run's, at every worker count.
+/// on-disk state after `ingest_batch` is byte-identical to
+/// `process_batch`'s.
 #[test]
 fn concurrent_ingest_recovers_to_the_same_bytes_as_sequential() {
     let _serial = guard();
@@ -378,12 +356,9 @@ fn concurrent_ingest_recovers_to_the_same_bytes_as_sequential() {
     // Run 12 annotations through a WAL-backed engine (checkpoint every 5
     // records so the periodic checkpoint path runs mid-batch), then
     // recover from disk and digest the recovered annotation store.
-    let run = |workers: Option<usize>| -> (String, Vec<u8>) {
-        let dir = std::env::temp_dir().join(format!(
-            "nebula-determinism-pool-{}-{}",
-            std::process::id(),
-            workers.map_or("seq".to_string(), |w| w.to_string())
-        ));
+    let run = |front_end: bool| -> (String, Vec<u8>) {
+        let dir = std::env::temp_dir()
+            .join(format!("nebula-determinism-pool-{}-{front_end}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut bundle = generate_dataset(&DatasetSpec::tiny(), 41);
         let workload = build_workload(&bundle, &WorkloadSpec::default(), 41);
@@ -402,25 +377,20 @@ fn concurrent_ingest_recovers_to_the_same_bytes_as_sequential() {
         nebula.set_mutation_sink(Some(Box::new(durability)));
 
         nebula::nebula_govern::set_fault_plan(plan());
-        let rendered = match workers {
-            None => {
-                let report = nebula.process_batch(&bundle.db, &mut bundle.annotations, &items);
-                format!("{report:?}")
-            }
-            Some(w) => {
-                let ingest_items: Vec<_> = items
-                    .iter()
-                    .map(|(a, focal)| IngestItem::new(a.clone(), focal.clone()))
-                    .collect();
-                let report = ingest_batch(
-                    &mut nebula,
-                    &bundle.db,
-                    &mut bundle.annotations,
-                    &ingest_items,
-                    &IngestConfig::deterministic(w, ingest_items.len()),
-                );
-                format!("{:?}", report.batch)
-            }
+        let rendered = if front_end {
+            let ingest_items: Vec<_> =
+                items.iter().map(|(a, focal)| IngestItem::new(a.clone(), focal.clone())).collect();
+            let report = ingest_batch(
+                &mut nebula,
+                &bundle.db,
+                &mut bundle.annotations,
+                &ingest_items,
+                &IngestConfig::deterministic(1, ingest_items.len()),
+            );
+            format!("{:?}", report.batch)
+        } else {
+            let report = nebula.process_batch(&bundle.db, &mut bundle.annotations, &items);
+            format!("{report:?}")
         };
         nebula::nebula_govern::set_fault_plan(None);
         drop(nebula.take_mutation_sink());
@@ -437,12 +407,10 @@ fn concurrent_ingest_recovers_to_the_same_bytes_as_sequential() {
         (rendered, nebula::annostore::snapshot::save(&recovered.store).to_vec())
     };
 
-    let (seq_report, seq_bytes) = run(None);
-    for workers in worker_counts() {
-        let (report, bytes) = run(Some(workers));
-        assert_eq!(seq_report, report, "workers={workers}: batch report diverged");
-        assert_eq!(seq_bytes, bytes, "workers={workers}: recovered store bytes diverged");
-    }
+    let (seq_report, seq_bytes) = run(false);
+    let (report, bytes) = run(true);
+    assert_eq!(seq_report, report, "batch report diverged");
+    assert_eq!(seq_bytes, bytes, "recovered store bytes diverged");
 }
 
 /// The fault seed honored by the trace-determinism tests:
@@ -464,17 +432,17 @@ fn trace_fault_seed() -> u64 {
 
 /// The tentpole tracing claim: span-tree *structure* — IDs, parent links,
 /// labels, details, the whole causal shape — is a pure function of the
-/// committed work. For a fixed fault seed, a WAL-backed concurrent ingest
-/// renders byte-identical structure-only trace JSON at every worker
-/// count (durations are wall-clock and excluded from that rendering).
+/// committed work. For a fixed fault seed, two WAL-backed ingest runs
+/// render byte-identical structure-only trace JSON (durations are
+/// wall-clock and excluded from that rendering).
 #[test]
-fn trace_structure_is_byte_identical_at_any_worker_count() {
+fn trace_structure_is_byte_identical_across_runs() {
     let _serial = guard();
     let seed = trace_fault_seed();
 
-    let run = |workers: usize| -> String {
-        let dir = std::env::temp_dir()
-            .join(format!("nebula-determinism-trace-{}-{workers}", std::process::id()));
+    let run = || -> String {
+        let dir =
+            std::env::temp_dir().join(format!("nebula-determinism-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut bundle = generate_dataset(&DatasetSpec::tiny(), 43);
         let workload = build_workload(&bundle, &WorkloadSpec::default(), 43);
@@ -500,7 +468,7 @@ fn trace_structure_is_byte_identical_at_any_worker_count() {
             &bundle.db,
             &mut bundle.annotations,
             &items,
-            &IngestConfig::deterministic(workers, items.len()),
+            &IngestConfig::deterministic(1, items.len()),
         );
         nebula::nebula_govern::set_fault_plan(None);
         let traces = nebula::nebula_obs::trace::traces();
@@ -513,18 +481,16 @@ fn trace_structure_is_byte_identical_at_any_worker_count() {
         nebula::nebula_obs::trace::render_traces_json(&traces)
     };
 
-    let reference = run(1);
+    let reference = run();
     // Shape sanity: every layer of the commit path shows up in the trees.
     for label in ["ingest.item", "ingest.queue_wait", "core.process_annotation", "durable.append"] {
         assert!(reference.contains(label), "reference traces missing {label}");
     }
-    for workers in worker_counts().into_iter().filter(|w| *w != 1) {
-        assert_eq!(reference, run(workers), "workers={workers}: trace structure diverged");
-    }
+    assert_eq!(reference, run(), "trace structure diverged between two runs");
 }
 
 /// Tracing observes the commit path; it must never steer it. The same
-/// WAL-backed concurrent batch with tracing off and on produces a
+/// WAL-backed ingest batch with tracing off and on produces a
 /// byte-identical batch report and byte-identical recovered store bytes.
 #[test]
 fn tracing_on_and_off_produce_identical_outcomes() {
@@ -559,7 +525,7 @@ fn tracing_on_and_off_produce_identical_outcomes() {
             &bundle.db,
             &mut bundle.annotations,
             &items,
-            &IngestConfig::deterministic(2, items.len()),
+            &IngestConfig::deterministic(1, items.len()),
         );
         nebula::nebula_govern::set_fault_plan(None);
         nebula::nebula_obs::trace::set_enabled(false);

@@ -69,7 +69,6 @@ fn wedged_ingest_dumps_exactly_one_post_mortem() {
         FaultPlan::new(0xF00D).with(FaultSite::FsyncFail, 1.0),
     ));
     let config = IngestConfig {
-        workers: 2,
         breaker: BreakerConfig { failure_threshold: 2, open_shed_count: 8 },
         wedge_after_wal_trips: 1,
         ..IngestConfig::default()

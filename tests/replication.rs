@@ -3,7 +3,7 @@
 //! Two invariants from the replication tentpole are exercised end to end:
 //!
 //! - **Partition/heal soak** — 500 annotations pushed through the
-//!   concurrent ingest pool while the cluster's simulated network drops,
+//!   ingest front end while the cluster's simulated network drops,
 //!   delays, reorders, duplicates, and flaps links, with one replica
 //!   explicitly partitioned for the first half of the batch. Every offered
 //!   annotation is accounted for exactly once, and after the partition
@@ -74,8 +74,8 @@ fn state_bytes(db: &nebula::relstore::Database, store: &AnnotationStore) -> Vec<
     checkpoint::encode(0, db, store)
 }
 
-/// Seeded partition/heal soak: 500 annotations through the concurrent
-/// ingest pool writing into a 3-replica cluster over a flapping, faulty
+/// Seeded partition/heal soak: 500 annotations through the ingest front
+/// end writing into a 3-replica cluster over a flapping, faulty
 /// transport, with replica 3 hard-partitioned for the first half. After
 /// the heal the cluster must converge byte-for-byte, and the batch report
 /// must account for every offered item exactly once.
@@ -117,13 +117,7 @@ fn partition_heal_soak_converges_and_accounts_exactly_once() {
         let handle = sink.handle();
         nebula.set_mutation_sink(Some(Box::new(sink)));
 
-        // CI's thread-count matrix pins the pool size via NEBULA_WORKERS.
-        let workers = std::env::var("NEBULA_WORKERS")
-            .ok()
-            .and_then(|s| s.split(',').next().and_then(|t| t.trim().parse().ok()))
-            .filter(|n| *n > 0)
-            .unwrap_or(4);
-        let ingest = IngestConfig { workers, ..IngestConfig::default() };
+        let ingest = IngestConfig::default();
 
         // First half with replica 3 hard-partitioned, second half healed:
         // the flap schedule keeps the other links churning throughout.

@@ -1,9 +1,9 @@
 //! Crash-safe paged storage: the acceptance gates for the disk backend.
 //!
-//! - **Backend parity at any concurrency**: the full proactive pipeline,
+//! - **Backend parity at any pool size**: the full proactive pipeline,
 //!   run over a database whose rows and postings live in the page file,
-//!   produces checkpoint bytes identical to the RAM backend's at worker
-//!   counts 1, 2, and 8.
+//!   produces checkpoint bytes identical to the RAM backend's with 8
+//!   frames and with the 2-frame floor.
 //! - **Crash-point coverage**: a flush torn at every page boundary and
 //!   mid-page — during the shadow write *and* during the in-place apply —
 //!   recovers to exactly the old or exactly the new image. Never a blend,
@@ -38,9 +38,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Run the full proactive pipeline (generation, discovery, routing,
-/// ingest pool) against `db` with a freshly regenerated (deterministic)
+/// ingest front end) against `db` with a freshly regenerated (deterministic)
 /// annotation store, and return the canonical checkpoint image.
-fn run_pipeline(db: &nebula::relstore::Database, workers: usize) -> Vec<u8> {
+fn run_pipeline(db: &nebula::relstore::Database) -> Vec<u8> {
     // The same seed regenerates the identical annotation store and
     // workload every call; only `db`'s backend varies between runs.
     let mut bundle = generate_dataset(&DatasetSpec::tiny(), 0x5EED);
@@ -56,54 +56,49 @@ fn run_pipeline(db: &nebula::relstore::Database, workers: usize) -> Vec<u8> {
 
     let mut nebula = Nebula::new(NebulaConfig::default(), bundle.meta.clone());
     nebula.bootstrap_acg(&bundle.annotations);
-    let config = IngestConfig::deterministic(workers, items.len());
+    let config = IngestConfig::deterministic(1, items.len());
     let report = ingest_batch(&mut nebula, db, &mut bundle.annotations, &items, &config);
-    assert!(report.sheds.is_empty(), "nothing shed under a covering pool");
+    assert!(report.sheds.is_empty(), "nothing shed under a covering queue");
     assert_eq!(report.batch.total(), items.len(), "every item executed");
     checkpoint::encode(0, db, &bundle.annotations)
 }
 
 #[test]
-fn paged_pipeline_matches_mem_pipeline_at_every_worker_count() {
+fn paged_pipeline_matches_mem_pipeline_at_every_pool_size() {
     // The RAM baseline, computed once.
     let base = generate_dataset(&DatasetSpec::tiny(), 0x5EED);
     let db_image = snapshot::save(&base.db);
-    let mem_bytes = run_pipeline(&base.db, 1);
+    let mem_bytes = run_pipeline(&base.db);
 
-    // Every worker count at two pool sizes: 8 frames, and the 2-frame floor
-    // where every row or posting read past two pages evicts.
+    // Two pool sizes: 8 frames, and the 2-frame floor where every row or
+    // posting read past two pages evicts.
     for frames in [8usize, MIN_FRAMES] {
-        for workers in [1usize, 2, 8] {
-            let tag = format!("frames={frames} workers={workers}");
-            let dir = temp_dir(&format!("parity-f{frames}-w{workers}"));
-            let store = PagedStorage::open(&dir, frames).expect("paged store");
-            // The same database, rehydrated onto the page file: every row
-            // and every posting block now reads through the buffer pool.
-            let paged_db = snapshot::load_with(&db_image, Some(Arc::new(store.clone())))
-                .expect("rehydrate onto pages");
-            assert!(paged_db.storage_label().contains("disk"), "rows actually live on disk");
-            let paged_bytes = run_pipeline(&paged_db, workers);
-            assert_eq!(
-                paged_bytes, mem_bytes,
-                "{tag}: paged checkpoint bytes == mem checkpoint bytes"
-            );
-            assert_eq!(
-                snapshot::fingerprint(&paged_db),
-                snapshot::fingerprint(&base.db),
-                "{tag}: database fingerprints agree"
-            );
-            assert_eq!(paged_db.digest(), base.db.digest(), "{tag}: running digests agree");
-            // The paged run actually exercised the pool, and the file is
-            // durable and clean afterwards.
-            let m = store.metrics();
-            assert!(m.pool.hits + m.pool.misses > 0, "{tag}: reads hit the pool");
-            if frames == MIN_FRAMES {
-                assert!(m.pool.evictions > 0, "{tag}: a 2-frame pool must evict");
-            }
-            store.flush_pages().expect("final flush");
-            assert!(store.scrub().expect("scrub").is_clean(), "{tag}");
-            let _ = std::fs::remove_dir_all(&dir);
+        let tag = format!("frames={frames}");
+        let dir = temp_dir(&format!("parity-f{frames}"));
+        let store = PagedStorage::open(&dir, frames).expect("paged store");
+        // The same database, rehydrated onto the page file: every row
+        // and every posting block now reads through the buffer pool.
+        let paged_db = snapshot::load_with(&db_image, Some(Arc::new(store.clone())))
+            .expect("rehydrate onto pages");
+        assert!(paged_db.storage_label().contains("disk"), "rows actually live on disk");
+        let paged_bytes = run_pipeline(&paged_db);
+        assert_eq!(paged_bytes, mem_bytes, "{tag}: paged checkpoint bytes == mem checkpoint bytes");
+        assert_eq!(
+            snapshot::fingerprint(&paged_db),
+            snapshot::fingerprint(&base.db),
+            "{tag}: database fingerprints agree"
+        );
+        assert_eq!(paged_db.digest(), base.db.digest(), "{tag}: running digests agree");
+        // The paged run actually exercised the pool, and the file is
+        // durable and clean afterwards.
+        let m = store.metrics();
+        assert!(m.pool.hits + m.pool.misses > 0, "{tag}: reads hit the pool");
+        if frames == MIN_FRAMES {
+            assert!(m.pool.evictions > 0, "{tag}: a 2-frame pool must evict");
         }
+        store.flush_pages().expect("final flush");
+        assert!(store.scrub().expect("scrub").is_clean(), "{tag}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -158,7 +158,7 @@ fn snapshot_diff_isolates_one_annotation() {
 /// listed in `nebula_obs::registry`. A counter that exists in code but not
 /// in the registry is invisible to dashboards and to `SHOW METRICS`
 /// consumers, so this test drives the full surface (pipeline, durability,
-/// concurrent ingest with sheds, quarantines, breaker activity, deferred
+/// the ingest front end with sheds, quarantines, breaker activity, deferred
 /// checkpoints) and then refuses any unlisted name.
 #[test]
 fn every_written_metric_is_listed_in_the_registry() {
@@ -205,7 +205,7 @@ fn every_written_metric_is_listed_in_the_registry() {
         &st.bundle.db,
         &mut st.bundle.annotations,
         &items,
-        &IngestConfig { workers: 2, queue_capacity: 2, ..Default::default() },
+        &IngestConfig { queue_capacity: 2, ..Default::default() },
     );
     nebula::nebula_govern::set_fault_plan(None);
     drop(st.nebula.take_mutation_sink());

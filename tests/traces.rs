@@ -24,7 +24,7 @@ fn sample_path() -> PathBuf {
 }
 
 /// Script two commit traces with the exact label vocabulary the real
-/// commit path emits — admission root, queue/turn waits, pipeline and
+/// commit path emits — admission root, queue wait, pipeline and
 /// stage spans, WAL append/fsync, replication ship — using fixed
 /// annotation ids, epochs, and LSNs so every span ID is a deterministic
 /// function of its inputs.
@@ -35,7 +35,6 @@ fn build_sample_traces() -> Vec<trace::Trace> {
         assert!(trace::start("ingest.item"));
         trace::root_detail("class=Normal");
         trace::wait("ingest.queue_wait", String::new(), 1_500);
-        trace::wait("ingest.turn_wait", String::new(), 500);
         {
             let pipeline = trace::span(names::PIPELINE);
             trace::bind(annotation);
