@@ -357,11 +357,12 @@ impl Nebula {
         annotation: &Annotation,
         focal: &[TupleId],
     ) -> Result<ProcessOutcome, NebulaError> {
-        let pipeline_span = nebula_obs::span(names::PIPELINE);
         // When the ingest front end dispatched us it already opened the trace
-        // root; otherwise (sequential callers, the bench harness) this
-        // scope owns a fresh root. Either way the stage spans below
-        // attach under it, and an error return abandons an owned trace.
+        // root and this span is its child; otherwise (sequential callers,
+        // the bench harness) this scope owns a fresh root. Either way the
+        // stage spans below attach under it, and an error return abandons
+        // an owned trace.
+        let pipeline_span = nebula_obs::span(names::PIPELINE);
         let pipeline_trace = PipelineTrace::open();
         let _budget = nebula_govern::begin_budget(&self.config.budget);
         // Drop notes leaked by an earlier erroring pipeline run so they
@@ -372,23 +373,21 @@ impl Nebula {
         // Stage 0: register the annotation and its focal attachments.
         nebula_govern::stage_boundary(names::STAGE0_REGISTER);
         let stage0_span = nebula_obs::span(names::STAGE0_REGISTER);
-        let stage0_trace = nebula_obs::trace::span(names::STAGE0_REGISTER);
         let aid = AnnotationId(store.annotation_count() as u64);
         self.commit(store, &Mutation::AddAnnotation { expected: aid, annotation }, &[])?;
         nebula_obs::trace::bind(aid.0);
         for &f in focal {
             self.commit(store, &Mutation::AttachTuple { annotation: aid, tuple: f }, &[])?;
         }
-        stage_event(aid, names::STAGE0_REGISTER, stage0_span, stage0_trace, focal.len(), || {
+        stage_event(aid, names::STAGE0_REGISTER, stage0_span, focal.len(), || {
             format!("focal={}", focal.len())
         });
 
         // Stage 1: annotation text → keyword queries.
         nebula_govern::stage_boundary(names::STAGE1_QUERYGEN);
         let stage1_span = nebula_obs::span(names::STAGE1_QUERYGEN);
-        let stage1_trace = nebula_obs::trace::span(names::STAGE1_QUERYGEN);
         let queries = generate_queries(db, &self.meta, &annotation.text, &self.config.querygen);
-        stage_event(aid, names::STAGE1_QUERYGEN, stage1_span, stage1_trace, queries.len(), || {
+        stage_event(aid, names::STAGE1_QUERYGEN, stage1_span, queries.len(), || {
             format!("queries={}", queries.len())
         });
 
@@ -396,7 +395,6 @@ impl Nebula {
         // trips instead of failing.
         nebula_govern::stage_boundary(names::STAGE2_EXECUTE);
         let stage2_span = nebula_obs::span(names::STAGE2_EXECUTE);
-        let stage2_trace = nebula_obs::trace::span(names::STAGE2_EXECUTE);
         let (candidates, stats, used_focal_spread) =
             self.stage2_search(db, &queries, focal, &mut degradations)?;
         // Layers below the engine (e.g. a shard scatter-gather) note their
@@ -413,25 +411,17 @@ impl Nebula {
             degradations
                 .push(Degradation::TruncatedCandidates { dropped: report.truncated_candidates });
         }
-        stage_event(
-            aid,
-            names::STAGE2_EXECUTE,
-            stage2_span,
-            stage2_trace,
-            candidates.len(),
-            || {
-                format!(
-                    "mode={} hits={}",
-                    if used_focal_spread { "focal-spread" } else { "full" },
-                    candidates.len()
-                )
-            },
-        );
+        stage_event(aid, names::STAGE2_EXECUTE, stage2_span, candidates.len(), || {
+            format!(
+                "mode={} hits={}",
+                if used_focal_spread { "focal-spread" } else { "full" },
+                candidates.len()
+            )
+        });
 
         // Stage 3: route candidates through the bounds.
         nebula_govern::stage_boundary(names::STAGE3_ROUTE);
         let stage3_span = nebula_obs::span(names::STAGE3_ROUTE);
-        let stage3_trace = nebula_obs::trace::span(names::STAGE3_ROUTE);
         let mut accepted = Vec::new();
         let mut pending = Vec::new();
         let mut rejected = Vec::new();
@@ -460,7 +450,7 @@ impl Nebula {
             }
         }
 
-        stage_event(aid, names::STAGE3_ROUTE, stage3_span, stage3_trace, candidates.len(), || {
+        stage_event(aid, names::STAGE3_ROUTE, stage3_span, candidates.len(), || {
             format!(
                 "accepted={} pending={} rejected={}",
                 accepted.len(),
@@ -472,6 +462,15 @@ impl Nebula {
         // One more annotation processed — advance the stability batch.
         self.acg.record_annotation();
 
+        pipeline_span.detail(|| {
+            format!(
+                "accepted={} pending={} rejected={}",
+                accepted.len(),
+                pending.len(),
+                rejected.len()
+            )
+        });
+        let total_ns = pipeline_span.close();
         if nebula_obs::enabled() {
             nebula_obs::counter_add("core.annotations_processed", 1);
             nebula_obs::counter_add("core.queries_generated", queries.len() as u64);
@@ -496,7 +495,6 @@ impl Nebula {
                         .join(" "),
                 });
             }
-            let total_ns = pipeline_span.elapsed_ns();
             nebula_obs::record_event(PipelineEvent {
                 annotation_id: aid.0,
                 stage: names::PIPELINE,
@@ -515,13 +513,7 @@ impl Nebula {
                 ),
             });
         }
-        drop(pipeline_span);
-        pipeline_trace.commit(format!(
-            "accepted={} pending={} rejected={}",
-            accepted.len(),
-            pending.len(),
-            rejected.len()
-        ));
+        pipeline_trace.finish();
 
         Ok(ProcessOutcome {
             annotation: aid,
@@ -716,69 +708,50 @@ fn retry_transient<T>(
     }
 }
 
-/// Close a stage span (and its trace twin) and, when telemetry is on,
-/// record a structured pipeline event for it. The `decision` closure only
-/// runs when either consumer (event log or trace detail) is live, so the
-/// fully-disabled path never allocates.
+/// Close a stage's span and, when collection is on, record a structured
+/// pipeline event for it whose decision is also the span's trace detail.
+/// The `decision` closure only runs while collection is on, so the
+/// disabled path never allocates.
 fn stage_event(
     aid: AnnotationId,
     stage: &'static str,
-    span: nebula_obs::SpanGuard<'_>,
-    tspan: nebula_obs::trace::SpanHandle,
+    span: nebula_obs::Span,
     candidates: usize,
     decision: impl FnOnce() -> String,
 ) {
-    let duration_ns = span.elapsed_ns();
-    drop(span); // feeds the stage histogram
-    let obs_on = nebula_obs::enabled();
-    if obs_on || tspan.is_active() {
-        let decision = decision();
-        if tspan.is_active() {
-            tspan.detail(decision.clone());
-        }
-        drop(tspan); // closes the trace span at the same boundary
-        if obs_on {
-            nebula_obs::record_event(PipelineEvent {
-                annotation_id: aid.0,
-                stage,
-                duration_ns,
-                candidates: candidates as u64,
-                decision,
-            });
-        }
+    if !nebula_obs::enabled() {
+        return;
     }
+    let decision = decision();
+    span.detail(|| decision.clone());
+    let duration_ns = span.close();
+    nebula_obs::record_event(PipelineEvent {
+        annotation_id: aid.0,
+        stage,
+        duration_ns,
+        candidates: candidates as u64,
+        decision,
+    });
 }
 
-/// Trace scope for one `process_annotation` call.
+/// Trace-root ownership for one `process_annotation` call.
 ///
 /// If the caller (the ingest front end) already opened a trace root, the
-/// pipeline attaches as a child span and the caller keeps ownership of
+/// pipeline's span attaches as its child and the caller keeps ownership of
 /// `finish`/`abandon`. Otherwise — sequential callers, the bench harness —
 /// this scope owns a fresh root: a clean exit commits it via
-/// [`PipelineTrace::commit`], while an early `?` return drops the scope
+/// [`PipelineTrace::finish`], while an early `?` return drops the scope
 /// and abandons the partial trace (the mutation it described failed).
 struct PipelineTrace {
     owns_root: bool,
-    span: nebula_obs::trace::SpanHandle,
 }
 
 impl PipelineTrace {
     fn open() -> Self {
-        let owns_root = nebula_obs::trace::start_if_idle(names::PIPELINE);
-        let span = if owns_root {
-            nebula_obs::trace::SpanHandle::inert()
-        } else {
-            nebula_obs::trace::span(names::PIPELINE)
-        };
-        PipelineTrace { owns_root, span }
+        PipelineTrace { owns_root: nebula_obs::trace::start_if_idle(names::PIPELINE) }
     }
 
-    fn commit(mut self, detail: String) {
-        let span = std::mem::replace(&mut self.span, nebula_obs::trace::SpanHandle::inert());
-        if span.is_active() {
-            span.detail(detail);
-        }
-        drop(span);
+    fn finish(mut self) {
         if self.owns_root {
             self.owns_root = false;
             nebula_obs::trace::finish();

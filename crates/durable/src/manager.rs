@@ -188,28 +188,21 @@ impl Durability {
 
     /// Append one operation to the log. Returns the assigned LSN.
     pub fn append(&mut self, op: &WalOp) -> Result<u64, DurableError> {
-        let _span = nebula_obs::span(counters::SPAN_APPEND);
-        let tspan = nebula_obs::trace::span("durable.append");
+        let span = nebula_obs::span(counters::SPAN_APPEND);
         if let Some(why) = &self.wedged {
             nebula_obs::counter_add(counters::APPEND_FAILURES, 1);
             return Err(DurableError::Wedged(why.clone()));
         }
         let lsn = self.next_lsn;
-        if tspan.is_active() {
-            tspan.detail(format!("lsn={lsn}"));
-            nebula_obs::trace::note_lsn(lsn);
-        }
+        span.detail(|| format!("lsn={lsn}"));
+        nebula_obs::trace::note_lsn(lsn);
         let record = encode_record(lsn, op);
 
         if inject_io(FaultSite::Enospc, record.len()).is_some() {
             // The filesystem is full: nothing reached the file, but no
             // further append can be trusted until space is freed (a
             // checkpoint truncates the log and unwedges).
-            self.wedged = Some(format!("no space left on device before lsn {lsn}"));
-            nebula_obs::trace::flight_event(
-                "wedge",
-                format!("no space left on device before lsn {lsn}"),
-            );
+            self.wedge(format!("no space left on device before lsn {lsn}"));
             nebula_obs::counter_add(counters::APPEND_FAILURES, 1);
             return Err(DurableError::NoSpace(format!("appending lsn {lsn}")));
         }
@@ -218,11 +211,7 @@ impl Durability {
             // in an unknown state until a checkpoint or recovery.
             self.wal.write_all(&record[..keep])?;
             let _ = self.wal.sync_data();
-            self.wedged = Some(format!("torn write at lsn {lsn} ({keep} bytes persisted)"));
-            nebula_obs::trace::flight_event(
-                "wedge",
-                format!("torn write at lsn {lsn} ({keep} bytes persisted)"),
-            );
+            self.wedge(format!("torn write at lsn {lsn} ({keep} bytes persisted)"));
             nebula_obs::counter_add(counters::APPEND_FAILURES, 1);
             return Err(DurableError::TornWrite { written: keep, expected: record.len() });
         }
@@ -238,10 +227,9 @@ impl Durability {
 
         self.wal.write_all(&record)?;
         if self.options.sync == SyncPolicy::EveryRecord {
-            let fsync_span = nebula_obs::trace::span("durable.fsync");
+            let fsync_span = nebula_obs::span("durable.fsync");
             if inject_io(FaultSite::FsyncFail, record.len()).is_some() {
-                self.wedged = Some(format!("fsync failed after lsn {lsn}"));
-                nebula_obs::trace::flight_event("wedge", format!("fsync failed after lsn {lsn}"));
+                self.wedge(format!("fsync failed after lsn {lsn}"));
                 nebula_obs::counter_add(counters::APPEND_FAILURES, 1);
                 return Err(DurableError::SyncFailed(format!("after lsn {lsn}")));
             }
@@ -257,6 +245,13 @@ impl Durability {
         Ok(lsn)
     }
 
+    /// Refuse every append until a checkpoint, and tell the flight recorder
+    /// `why`.
+    fn wedge(&mut self, why: String) {
+        nebula_obs::trace::flight_event("wedge", why.clone());
+        self.wedged = Some(why);
+    }
+
     /// Fsync the log (used by the [`SyncPolicy::Batch`] policy at batch
     /// boundaries; a no-op under [`SyncPolicy::EveryRecord`]).
     pub fn sync(&mut self) -> Result<(), DurableError> {
@@ -264,8 +259,7 @@ impl Durability {
             return Ok(());
         }
         if inject_io(FaultSite::FsyncFail, self.wal_len as usize).is_some() {
-            self.wedged = Some("batch fsync failed".to_string());
-            nebula_obs::trace::flight_event("wedge", "batch fsync failed".to_string());
+            self.wedge("batch fsync failed".to_string());
             return Err(DurableError::SyncFailed("batch flush".to_string()));
         }
         self.wal.sync_data()?;
@@ -286,7 +280,6 @@ impl Durability {
         store: &AnnotationStore,
     ) -> Result<u64, DurableError> {
         let _span = nebula_obs::span(counters::SPAN_CHECKPOINT);
-        let _tspan = nebula_obs::trace::span("durable.checkpoint");
         let watermark = self.next_lsn - 1;
         checkpoint::encode_into(&mut self.image, watermark, db, store);
         if let Some(bit) = inject_io(FaultSite::BitFlip, self.image.len()) {

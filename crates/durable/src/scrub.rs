@@ -68,7 +68,7 @@ pub fn inject_rot(dir: &Path) -> std::io::Result<Vec<Artifact>> {
 /// re-parse the WAL and re-decode every retained checkpoint image,
 /// reporting (but never repairing) whatever fails validation.
 pub fn scrub(dir: &Path) -> Result<ScrubReport, DurableError> {
-    let span = nebula_obs::trace::span(counters::SPAN_SCRUB);
+    let span = nebula_obs::span(counters::SPAN_SCRUB);
     let mut report = ScrubReport::default();
 
     let bytes = match std::fs::read(dir.join(WAL_FILE)) {
@@ -100,9 +100,7 @@ pub fn scrub(dir: &Path) -> Result<ScrubReport, DurableError> {
         nebula_obs::counter_add(counters::BITROT_DETECTED, report.corrupt.len() as u64);
         nebula_obs::trace::flight_event("scrub", report.to_string());
     }
-    if span.is_active() {
-        span.detail(report.to_string());
-    }
+    span.detail(|| report.to_string());
     Ok(report)
 }
 

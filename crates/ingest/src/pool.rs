@@ -278,14 +278,12 @@ impl Front<'_> {
     fn dispatch(&mut self, db: &Database, item: &IngestItem, queued: &Queued) {
         // Open the trace root for this commit attempt. The queue wait
         // happened before the builder existed, so it attaches as an
-        // explicit-duration wait leaf; the root's duration is extended by
-        // the same amount so it still covers admission → commit. A shed or
+        // explicit-duration wait leaf that also extends the root. A shed or
         // quarantine abandons the trace (via `record_shed` / the routing
         // at the bottom) — only committed annotations reach the ring.
-        if nebula_obs::trace::start("ingest.item") {
-            nebula_obs::trace::root_detail(format!("class={:?}", queued.priority));
+        if nebula_obs::trace::start("ingest.item", || format!("class={:?}", queued.priority)) {
             let queue_wait = queued.admitted_at.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            nebula_obs::trace::wait("ingest.queue_wait", String::new(), queue_wait);
+            nebula_obs::trace::wait("ingest.queue_wait", queue_wait);
         }
         let shed = if self.health.state() == HealthState::Wedged && !self.recovery_probe() {
             Some(ShedReason::Wedged)

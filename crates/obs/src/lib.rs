@@ -5,9 +5,12 @@
 //! - **Counters** — monotonic work counters with dotted hierarchical
 //!   names (`relstore.tuples_scanned`, `core.accepted`, ...).
 //! - **Histograms / spans** — latency distributions (min/mean/max plus
-//!   fixed power-of-ten buckets). A [`SpanGuard`] times a scope and
-//!   feeds the histogram named after it; the engine's pipeline stages
-//!   use the `stage0.register` … `stage3.route` hierarchy.
+//!   fixed power-of-ten buckets). [`span`] is the one way to time a
+//!   scope: its [`Span`] guard reads the governed time source once at
+//!   open and once at close, feeds the histogram named after it and, when
+//!   a trace is active on the thread, closes a child span of that trace
+//!   with the same duration. The engine's pipeline stages use the
+//!   `stage0.register` … `stage3.route` hierarchy.
 //! - **Pipeline events** — a bounded ring buffer of per-annotation
 //!   records (stage, duration, candidate counts, routing decision)
 //!   backing `EXPLAIN ANNOTATION <id>` in the shell.
@@ -16,18 +19,19 @@
 //! `AtomicBool`: when telemetry is disabled (the default), every
 //! instrumentation call is a single relaxed atomic load — no locks, no
 //! clock reads, no allocation — so instrumented hot paths cost nothing
-//! measurable. Enable collection with [`set_enabled`]`(true)`, read it
-//! back with [`snapshot`].
+//! measurable. [`set_enabled`] is the only switch: counters, histograms,
+//! pipeline events, span trees and the flight recorder go on and off
+//! together. Read collection back with [`snapshot`].
 //!
 //! Snapshots ([`TelemetrySnapshot`]) render deterministically as text or
 //! JSON and support diffing against an earlier snapshot, which is how
 //! the bench harness emits per-experiment metrics sidecars.
 //!
-//! The [`trace`] module builds on the same cost model: causally-linked
-//! span trees with deterministic IDs covering the whole commit path
-//! (admission → stages → WAL → replication ack), a critical-path
-//! analyzer, and a bounded flight recorder that dumps deterministic
-//! JSON post-mortems on terminal conditions.
+//! The [`trace`] module builds on the same switch and cost model:
+//! causally-linked span trees with deterministic IDs covering the whole
+//! commit path (admission → stages → WAL → replication ack), a
+//! critical-path analyzer, and a bounded flight recorder that dumps
+//! deterministic JSON post-mortems on terminal conditions.
 
 mod event;
 mod snapshot;
@@ -39,7 +43,6 @@ pub use snapshot::{HistogramSnapshot, TelemetrySnapshot, BUCKET_BOUNDS_NS};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
 
 /// Canonical metric names, so the instrumented crates and the renderers
 /// agree on spelling. Counters and histograms share one namespace.
@@ -209,9 +212,13 @@ pub mod registry {
         "core.process_annotation",
         "durable.append",
         "durable.checkpoint",
+        "durable.fsync",
         "durable.recover",
         "ingest.item",
         "repair.scrub",
+        "repl.ack",
+        "repl.quorum",
+        "repl.ship",
         "stage0.register",
         "stage1.querygen",
         "stage2.execute",
@@ -278,7 +285,7 @@ struct Recording {
 ///
 /// Most code uses the process-global registry through the free functions
 /// ([`counter_add`], [`span`], ...), but `Telemetry` values can also be
-/// created standalone for embedding.
+/// created standalone for embedding (spans always feed the global one).
 #[derive(Debug)]
 pub struct Telemetry {
     enabled: AtomicBool,
@@ -333,20 +340,6 @@ impl Telemetry {
         }
     }
 
-    /// Record one latency observation from a [`Duration`].
-    #[inline]
-    pub fn observe(&self, name: &'static str, d: Duration) {
-        self.observe_ns(name, d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-
-    /// Start a timed span feeding the histogram `name` on drop. When
-    /// disabled, the guard is inert (no clock read).
-    #[inline]
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        let target = self.is_enabled().then(|| (self, Instant::now()));
-        SpanGuard { target, name }
-    }
-
     /// Record one pipeline event (ring-buffered).
     #[inline]
     pub fn record_event(&self, event: PipelineEvent) {
@@ -398,30 +391,48 @@ impl Telemetry {
     }
 }
 
-/// Times a scope; on drop, feeds the elapsed time into the histogram it
-/// was created for. Obtain via [`Telemetry::span`] or the free [`span`].
+/// Times one scope, once, on the governed time source
+/// (`trace::now_ns`). On close it feeds the `label` histogram and, when a
+/// trace was active on the thread at open, closes the child span it opened
+/// there with the same duration. Obtain via [`span`].
 #[must_use = "a span measures until dropped — binding to _ ends it immediately"]
-pub struct SpanGuard<'a> {
-    target: Option<(&'a Telemetry, Instant)>,
-    name: &'static str,
+pub struct Span {
+    label: &'static str,
+    /// Open time; `None` when collection was off at open (an inert guard).
+    start_ns: Option<u64>,
+    /// The child span this scope opened in the thread's active trace.
+    node: Option<usize>,
 }
 
-impl SpanGuard<'_> {
-    /// Nanoseconds elapsed so far; 0 when telemetry was disabled at
-    /// creation.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.target
-            .as_ref()
-            .map(|(_, start)| start.elapsed().as_nanos().min(u64::MAX as u128) as u64)
-            .unwrap_or(0)
+impl Span {
+    /// Set the trace span's deterministic detail string. `detail` runs only
+    /// when this scope is part of an active trace.
+    pub fn detail(&self, detail: impl FnOnce() -> String) {
+        if let Some(node) = self.node {
+            trace::set_detail(node, detail());
+        }
+    }
+
+    /// Close the span now and return its duration in nanoseconds (0 when
+    /// collection was off at open).
+    pub fn close(mut self) -> u64 {
+        self.end()
+    }
+
+    fn end(&mut self) -> u64 {
+        let Some(start_ns) = self.start_ns.take() else { return 0 };
+        let duration_ns = trace::now_ns().saturating_sub(start_ns);
+        observe_ns(self.label, duration_ns);
+        if let Some(node) = self.node.take() {
+            trace::close_child(node, duration_ns);
+        }
+        duration_ns
     }
 }
 
-impl Drop for SpanGuard<'_> {
+impl Drop for Span {
     fn drop(&mut self) {
-        if let Some((telemetry, start)) = self.target.take() {
-            telemetry.observe(self.name, start.elapsed());
-        }
+        self.end();
     }
 }
 
@@ -438,7 +449,8 @@ pub fn enabled() -> bool {
     GLOBAL.get().is_some_and(Telemetry::is_enabled)
 }
 
-/// Turn global collection on or off.
+/// Turn global collection on or off: counters, gauges, histograms,
+/// pipeline events, span trees and the flight recorder together.
 pub fn set_enabled(on: bool) {
     global().set_enabled(on);
 }
@@ -467,13 +479,15 @@ pub fn gauge_set(name: &'static str, value: u64) {
     }
 }
 
-/// Start a global timed span. Inert (no clock read) while disabled.
+/// Open a [`Span`] timing the current scope under `label`. Inert (no
+/// clock read) while collection is off.
 #[inline]
-pub fn span(name: &'static str) -> SpanGuard<'static> {
-    match GLOBAL.get() {
-        Some(t) => t.span(name),
-        None => SpanGuard { target: None, name },
+pub fn span(label: &'static str) -> Span {
+    if !enabled() {
+        return Span { label, start_ns: None, node: None };
     }
+    let start_ns = trace::now_ns();
+    Span { label, start_ns: Some(start_ns), node: trace::open_child(label, start_ns) }
 }
 
 /// Record one pipeline event globally.
@@ -503,10 +517,6 @@ mod tests {
         let t = Telemetry::recording();
         t.counter_add("a", 1);
         t.observe_ns("h", 100);
-        {
-            let g = t.span("h");
-            assert_eq!(g.elapsed_ns(), 0, "inert guard");
-        }
         t.record_event(PipelineEvent {
             annotation_id: 1,
             stage: "s",
@@ -534,19 +544,16 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_histograms() {
+    fn observations_feed_histograms() {
         let t = Telemetry::recording();
         t.set_enabled(true);
-        for _ in 0..3 {
-            let g = t.span("work");
-            std::hint::black_box((0..100).sum::<u64>());
-            drop(g);
+        for ns in [40, 700, 90_000] {
+            t.observe_ns("work", ns);
         }
         let snap = t.snapshot();
         let h = &snap.histograms["work"];
         assert_eq!(h.count, 3);
-        assert!(h.min_ns <= h.max_ns);
-        assert!(h.sum_ns >= h.max_ns);
+        assert_eq!((h.min_ns, h.max_ns, h.sum_ns), (40, 90_000, 90_740));
         assert!(h.mean_ns() >= h.min_ns as f64 && h.mean_ns() <= h.max_ns as f64);
         assert_eq!(h.buckets.iter().sum::<u64>(), 3);
     }

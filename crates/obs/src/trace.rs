@@ -24,11 +24,14 @@
 //!
 //! ## Cost model
 //!
-//! Like the parent telemetry registry, the whole module sits behind one
-//! `AtomicBool`: while tracing is disabled every instrumentation call is
-//! a single relaxed load. The active-trace state is thread-local, so
-//! enabled-path bookkeeping is lock-free until a finished trace is
-//! pushed into the bounded global ring.
+//! The module sits behind the registry's one switch
+//! ([`crate::set_enabled`]): while collection is off every call here is a
+//! single relaxed load. Scopes are timed by [`crate::span`], whose guard
+//! both feeds its histogram and, while a trace is active on the thread,
+//! opens and closes a child span here. The active-trace state is
+//! thread-local, so a span's only global-lock operation is its histogram:
+//! `trace.spans` is added once per finished or abandoned trace, and the
+//! ring's lock is taken once per finished trace.
 //!
 //! ## Flight recorder
 //!
@@ -39,12 +42,12 @@
 //! calls [`flight_dump`], which snapshots the ring into a deterministic
 //! JSON post-mortem retained in a small bounded list.
 
+use crate::enabled;
 use crate::snapshot::{json_string, push_entries};
 use nebula_codec::fnv1a;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -71,18 +74,11 @@ pub const FLIGHT_CAPACITY: usize = 128;
 /// How many post-mortem dumps are retained.
 pub const FLIGHT_DUMP_CAPACITY: usize = 8;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Turn tracing on or off. Off (the default) reduces every call in this
-/// module to one relaxed atomic load.
+/// Forwards to [`crate::set_enabled`], the one switch for telemetry and
+/// tracing alike. Kept only because the spine benchmark still calls it
+/// beside `set_enabled`; it goes when spine stops calling it.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Is tracing on?
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::set_enabled(on);
 }
 
 // ---------------------------------------------------------------------
@@ -104,7 +100,9 @@ pub fn install_time_source(source: TimeSource) {
     let _ = TIME_SOURCE.set(source);
 }
 
-fn now_ns() -> u64 {
+/// The governed time: the installed source where it claims the clock,
+/// else nanoseconds since the first call. Every span is timed by it.
+pub(crate) fn now_ns() -> u64 {
     if let Some(source) = TIME_SOURCE.get() {
         if let Some(ns) = source() {
             return ns;
@@ -379,6 +377,9 @@ struct Builder {
     extend_root_ns: u64,
     spans: Vec<RawSpan>,
     stack: Vec<usize>,
+    /// Child and wait spans closed so far, added to `trace.spans` when the
+    /// builder is taken.
+    closed: u64,
 }
 
 thread_local! {
@@ -389,17 +390,27 @@ fn with_builder<R>(f: impl FnOnce(&mut Builder) -> R) -> Option<R> {
     BUILDER.with(|slot| slot.borrow_mut().as_mut().map(f))
 }
 
+/// Take this thread's builder, counting the spans closed in it.
+fn take_builder() -> Option<Builder> {
+    let builder = BUILDER.with(|slot| slot.borrow_mut().take())?;
+    if builder.closed > 0 {
+        crate::counter_add(counters::SPANS, builder.closed);
+    }
+    Some(builder)
+}
+
 /// Begin a fresh trace on this thread, replacing any abandoned one, and
-/// open its root span. Returns whether a trace is now active (tracing
-/// must be enabled).
-pub fn start(label: &'static str) -> bool {
+/// open its root span with a deterministic `detail` (e.g. the admission
+/// queue class; it runs only when collection is on). Returns whether a
+/// trace is now active.
+pub fn start(label: &'static str, detail: impl FnOnce() -> String) -> bool {
+    abandon();
     if !enabled() {
-        BUILDER.with(|slot| slot.borrow_mut().take());
         return false;
     }
     let root = RawSpan {
         label,
-        detail: String::new(),
+        detail: detail(),
         parent: None,
         start_ns: now_ns(),
         duration_ns: 0,
@@ -413,6 +424,7 @@ pub fn start(label: &'static str) -> bool {
             extend_root_ns: 0,
             spans: vec![root],
             stack: vec![0],
+            closed: 0,
         });
     });
     true
@@ -425,16 +437,7 @@ pub fn start_if_idle(label: &'static str) -> bool {
         return false;
     }
     let idle = BUILDER.with(|slot| slot.borrow().is_none());
-    if idle {
-        start(label)
-    } else {
-        false
-    }
-}
-
-/// Is a trace active on this thread?
-pub fn active() -> bool {
-    enabled() && BUILDER.with(|slot| slot.borrow().is_some())
+    idle && start(label, String::new)
 }
 
 /// Bind the active trace to the annotation it is committing.
@@ -453,19 +456,6 @@ pub fn note_epoch(epoch: u64) {
     with_builder(|b| b.epoch = epoch);
 }
 
-/// Set the root span's deterministic detail string (e.g. the admission
-/// queue class).
-pub fn root_detail(detail: impl Into<String>) {
-    if !enabled() {
-        return;
-    }
-    with_builder(|b| {
-        if let Some(root) = b.spans.first_mut() {
-            root.detail = detail.into();
-        }
-    });
-}
-
 /// Record a WAL LSN the commit appended (the first one feeds span-ID
 /// derivation).
 pub fn note_lsn(lsn: u64) {
@@ -482,111 +472,82 @@ pub fn note_lsn(lsn: u64) {
 /// Attach a leaf span with an explicit, externally measured duration
 /// (the ingest queue wait). The root span's duration is extended
 /// by the same amount so it keeps covering admission → commit.
-pub fn wait(label: &'static str, detail: String, duration_ns: u64) {
+pub fn wait(label: &'static str, duration_ns: u64) {
     if !enabled() {
         return;
     }
     with_builder(|b| {
         let parent = b.stack.last().copied();
         let start_ns = b.spans.first().map(|r| r.start_ns).unwrap_or(0);
+        let detail = String::new();
         b.spans.push(RawSpan { label, detail, parent, start_ns, duration_ns, closed: true });
         b.extend_root_ns = b.extend_root_ns.saturating_add(duration_ns);
+        b.closed += 1;
     });
-    crate::counter_add(counters::SPANS, 1);
 }
 
-/// A guard for an open child span in the active trace; closes the span
-/// with its measured duration on drop. Inert when no trace is active.
-#[must_use = "a trace span measures until dropped — binding to _ ends it immediately"]
-pub struct SpanHandle {
-    idx: Option<usize>,
-}
-
-impl SpanHandle {
-    /// A handle that does nothing.
-    pub fn inert() -> SpanHandle {
-        SpanHandle { idx: None }
-    }
-
-    /// Is this handle attached to an open span?
-    pub fn is_active(&self) -> bool {
-        self.idx.is_some()
-    }
-
-    /// Set the span's deterministic detail string.
-    pub fn detail(&self, detail: impl Into<String>) {
-        if let Some(idx) = self.idx {
-            with_builder(|b| {
-                if let Some(span) = b.spans.get_mut(idx) {
-                    span.detail = detail.into();
-                }
-            });
-        }
-    }
-}
-
-impl Drop for SpanHandle {
-    fn drop(&mut self) {
-        let Some(idx) = self.idx.take() else { return };
-        let closed = with_builder(|b| {
-            if let Some(span) = b.spans.get_mut(idx) {
-                if !span.closed {
-                    span.duration_ns = now_ns().saturating_sub(span.start_ns);
-                    span.closed = true;
-                }
-            }
-            while let Some(&top) = b.stack.last() {
-                if top == idx {
-                    b.stack.pop();
-                    break;
-                }
-                // Defensive: a span under this one leaked open (panic
-                // unwound past its guard); close it at our boundary.
-                if b.stack.len() == 1 {
-                    break;
-                }
-                b.stack.pop();
-            }
-            true
-        });
-        if closed.unwrap_or(false) {
-            crate::counter_add(counters::SPANS, 1);
-        }
-    }
-}
-
-/// Open a child span under the current span of the active trace.
-pub fn span(label: &'static str) -> SpanHandle {
-    if !enabled() {
-        return SpanHandle::inert();
-    }
-    let idx = with_builder(|b| {
+/// Open a child span under the current span of the active trace, started
+/// at `start_ns`. Returns its index, or `None` when no trace is active.
+pub(crate) fn open_child(label: &'static str, start_ns: u64) -> Option<usize> {
+    with_builder(|b| {
         let parent = b.stack.last().copied();
         b.spans.push(RawSpan {
             label,
             detail: String::new(),
             parent,
-            start_ns: now_ns(),
+            start_ns,
             duration_ns: 0,
             closed: false,
         });
-        let idx = b.spans.len() - 1;
-        b.stack.push(idx);
-        idx
+        b.stack.push(b.spans.len() - 1);
+        b.spans.len() - 1
+    })
+}
+
+/// Set the detail string of the child span at `idx`.
+pub(crate) fn set_detail(idx: usize, detail: String) {
+    with_builder(|b| {
+        if let Some(span) = b.spans.get_mut(idx) {
+            span.detail = detail;
+        }
     });
-    SpanHandle { idx }
+}
+
+/// Close the child span at `idx` with its measured duration.
+pub(crate) fn close_child(idx: usize, duration_ns: u64) {
+    with_builder(|b| {
+        if let Some(span) = b.spans.get_mut(idx) {
+            if !span.closed {
+                span.duration_ns = duration_ns;
+                span.closed = true;
+            }
+        }
+        while let Some(&top) = b.stack.last() {
+            if top == idx {
+                b.stack.pop();
+                break;
+            }
+            // Defensive: a span under this one leaked open (panic
+            // unwound past its guard); close it at our boundary.
+            if b.stack.len() == 1 {
+                break;
+            }
+            b.stack.pop();
+        }
+        b.closed += 1;
+    });
 }
 
 /// Drop the active trace without committing it (shed, quarantine,
 /// panic).
 pub fn abandon() {
-    BUILDER.with(|slot| slot.borrow_mut().take());
+    take_builder();
 }
 
 /// Close the active trace and, when it was bound to an annotation, push
 /// it into the global ring. Returns the committed annotation id.
 pub fn finish() -> Option<u64> {
-    let builder = BUILDER.with(|slot| slot.borrow_mut().take())?;
+    let builder = take_builder()?;
     let annotation = builder.annotation?;
     let end_ns = now_ns();
     let mut raws = builder.spans;
@@ -653,7 +614,7 @@ pub fn for_annotation(annotation: u64) -> Option<Trace> {
         .cloned()
 }
 
-/// Clear the trace ring and the flight recorder (enabled flag and any
+/// Clear the trace ring and the flight recorder (the switch and any
 /// in-flight thread-local builders are untouched).
 pub fn reset() {
     STORE.lock().unwrap_or_else(|e| e.into_inner()).clear();
@@ -722,8 +683,8 @@ struct Flight {
 static FLIGHT: Mutex<Flight> =
     Mutex::new(Flight { seq: 0, ring: VecDeque::new(), dumps: Vec::new() });
 
-/// Record one flight-recorder event. One relaxed load while tracing is
-/// disabled.
+/// Record one flight-recorder event. One relaxed load while collection
+/// is off.
 pub fn flight_event(kind: &'static str, detail: String) {
     if !enabled() {
         return;
@@ -779,16 +740,16 @@ mod tests {
     }
 
     fn build_one(annotation: u64) -> Option<u64> {
-        assert!(start("ingest.item"));
-        wait("ingest.queue_wait", String::new(), 50);
+        assert!(start("ingest.item", String::new));
+        wait("ingest.queue_wait", 50);
         {
-            let pipeline = span("core.process_annotation");
+            let pipeline = crate::span("core.process_annotation");
             bind(annotation);
             note_lsn(7);
             note_epoch(3);
             {
-                let stage = span("stage2.execute");
-                stage.detail("strategy=primary");
+                let stage = crate::span("stage2.execute");
+                stage.detail(|| "strategy=primary".into());
             }
             drop(pipeline);
         }
@@ -800,16 +761,100 @@ mod tests {
         let _g = guard();
         set_enabled(false);
         reset();
-        assert!(!start("ingest.item"));
-        assert!(!active());
-        let h = span("stage0.register");
-        assert!(!h.is_active());
-        drop(h);
-        wait("ingest.queue_wait", String::new(), 10);
+        assert!(!start("ingest.item", String::new));
+        assert!(!start_if_idle("core.process_annotation"));
+        assert_eq!(crate::span("stage0.register").close(), 0, "inert guard");
+        wait("ingest.queue_wait", 10);
         assert!(finish().is_none());
         flight_event("shed", "reason=test".into());
         assert!(traces().is_empty());
         assert!(flight_events().is_empty());
+    }
+
+    /// A virtual clock for [`one_span_times_its_scope_once_behind_one_switch`]:
+    /// installed as the time source, it claims the clock only while on.
+    static VIRTUAL_ON: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+    static VIRTUAL_NS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    fn virtual_clock() -> Option<u64> {
+        use std::sync::atomic::Ordering::Relaxed;
+        VIRTUAL_ON.load(Relaxed).then(|| VIRTUAL_NS.load(Relaxed))
+    }
+
+    fn virtual_sleep(ns: u64) {
+        VIRTUAL_NS.fetch_add(ns, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn record_everything(annotation: u64) {
+        crate::counter_add("c", 1);
+        crate::observe_ns("h", 10);
+        crate::record_event(crate::PipelineEvent {
+            annotation_id: annotation,
+            stage: "s",
+            duration_ns: 1,
+            candidates: 0,
+            decision: String::new(),
+        });
+        if start("ingest.item", String::new) {
+            bind(annotation);
+            drop(crate::span("stage0.register"));
+            finish();
+        }
+        flight_event("health", "healthy->degraded".into());
+        flight_dump("ingest.wedged");
+    }
+
+    #[test]
+    fn one_span_times_its_scope_once_behind_one_switch() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let _g = guard();
+        install_time_source(virtual_clock);
+        VIRTUAL_NS.store(1_000, Relaxed);
+        VIRTUAL_ON.store(true, Relaxed);
+        crate::set_enabled(true);
+        crate::reset();
+        reset();
+
+        // A span held open across a known virtual sleep records exactly
+        // that duration in its histogram and in its trace node.
+        assert!(start("ingest.item", String::new));
+        bind(77);
+        {
+            let stage = crate::span("stage2.execute");
+            virtual_sleep(2_500);
+            stage.detail(|| "mode=full".into());
+        }
+        assert_eq!(finish(), Some(77));
+        let hist = &crate::snapshot().histograms["stage2.execute"];
+        assert_eq!((hist.count, hist.sum_ns), (1, 2_500));
+        let trace = for_annotation(77).expect("stored");
+        let node = trace.spans.iter().find(|s| s.label == "stage2.execute").expect("node");
+        assert_eq!((node.duration_ns, node.detail.as_str()), (2_500, "mode=full"));
+        assert_eq!(crate::snapshot().counters[counters::SPANS], 2, "the child and the root");
+        VIRTUAL_ON.store(false, Relaxed);
+
+        // One switch: on, every kind of collection records ...
+        crate::reset();
+        reset();
+        record_everything(1);
+        let on = crate::snapshot();
+        assert_eq!(on.counters["c"], 1);
+        assert_eq!(on.histograms["h"].count, 1);
+        assert_eq!(on.histograms["stage0.register"].count, 1);
+        assert_eq!(on.events.len(), 1);
+        assert_eq!(traces().len(), 1);
+        assert_eq!(flight_events().len(), 2, "the commit and the health event");
+        assert_eq!(flight_dumps().len(), 1);
+
+        // ... and off, none does.
+        crate::set_enabled(false);
+        crate::reset();
+        reset();
+        record_everything(2);
+        let off = crate::snapshot();
+        assert!(off.counters.is_empty() && off.histograms.is_empty() && off.events.is_empty());
+        assert!(traces().is_empty());
+        assert!(flight_events().is_empty() && flight_dumps().is_empty());
     }
 
     #[test]
@@ -929,10 +974,10 @@ mod tests {
         let _g = guard();
         set_enabled(true);
         reset();
-        assert!(start("ingest.item"));
-        let _ = span("stage0.register");
+        assert!(start("ingest.item", String::new));
+        let _ = crate::span("stage0.register");
         assert!(finish().is_none(), "no annotation bound");
-        assert!(start("ingest.item"));
+        assert!(start("ingest.item", String::new));
         bind(5);
         abandon();
         assert!(finish().is_none(), "abandoned builders never commit");
@@ -946,7 +991,6 @@ mod tests {
         set_enabled(true);
         reset();
         assert!(start_if_idle("core.process_annotation"), "idle thread starts");
-        assert!(active());
         assert!(!start_if_idle("core.process_annotation"), "active thread declines");
         abandon();
         set_enabled(false);
@@ -958,7 +1002,7 @@ mod tests {
         set_enabled(true);
         reset();
         for i in 0..(TRACE_CAPACITY as u64 + 3) {
-            assert!(start("ingest.item"));
+            assert!(start("ingest.item", String::new));
             bind(i);
             finish().expect("committed");
         }

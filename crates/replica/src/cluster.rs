@@ -297,7 +297,7 @@ impl Cluster {
             CommitRule::Local => 0,
             CommitRule::Quorum(q) => q,
         };
-        let quorum_span = nebula_obs::trace::span("repl.quorum");
+        let quorum_span = nebula_obs::span("repl.quorum");
         let mut satisfied = false;
         let mut rounds = 0usize;
         for _ in 0..PUMP_ROUNDS {
@@ -308,13 +308,13 @@ impl Cluster {
                 break;
             }
         }
-        if quorum_span.is_active() {
-            quorum_span.detail(format!(
+        quorum_span.detail(|| {
+            format!(
                 "need={needed} acks={} rounds={rounds}{}",
                 self.primary.acks_at(lsn),
                 if satisfied { "" } else { " unsatisfied" }
-            ));
-        }
+            )
+        });
         drop(quorum_span);
         self.lag_exceeded = !satisfied || self.primary.max_lag() > self.config.lag_budget;
         if self.lag_exceeded {

@@ -189,10 +189,8 @@ impl Primary {
                         self.fence(epoch);
                         continue;
                     }
-                    let tspan = nebula_obs::trace::span("repl.ack");
-                    if tspan.is_active() {
-                        tspan.detail(format!("peer={from} lsn={lsn}"));
-                    }
+                    let span = nebula_obs::span("repl.ack");
+                    span.detail(|| format!("peer={from} lsn={lsn}"));
                     self.on_ack(from, lsn, digest, t);
                 }
                 Frame::Nack { epoch, .. } => {
@@ -327,13 +325,11 @@ impl Primary {
         }
         let count = (end - start + 1) as u32;
         tr.shipped = end;
-        let tspan = nebula_obs::trace::span("repl.ship");
-        if tspan.is_active() {
-            tspan.detail(format!("peer={id} records={count}"));
-        }
+        let span = nebula_obs::span("repl.ship");
+        span.detail(|| format!("peer={id} records={count}"));
         let frame = Frame::Segment(encode_segment(self.epoch, start, count, &bytes));
         t.send(self.node, id, frame.encode());
-        drop(tspan);
+        drop(span);
         nebula_obs::counter_add(counters::SEGMENTS_SHIPPED, 1);
         nebula_obs::counter_add(counters::RECORDS_SHIPPED, u64::from(count));
     }

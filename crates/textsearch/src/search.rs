@@ -53,8 +53,6 @@ pub struct SearchOptions {
     pub generator: ConfigurationGenerator,
     /// Schema vocabulary (equivalent names / synonyms).
     pub vocab: SchemaVocabulary,
-    /// Cap on returned hits (highest confidence first); `None` = unlimited.
-    pub max_hits: Option<usize>,
     /// Compiled queries below this confidence are not executed at all —
     /// they encode unselective interpretations (e.g. a concept word
     /// matching thousands of free-text cells) whose answers would be
@@ -67,7 +65,6 @@ impl Default for SearchOptions {
         SearchOptions {
             generator: ConfigurationGenerator::default(),
             vocab: SchemaVocabulary::default(),
-            max_hits: None,
             min_confidence: 0.15,
         }
     }
@@ -217,9 +214,6 @@ impl KeywordSearch {
         let mut hits: Vec<SearchHit> =
             best.into_iter().map(|(tuple, confidence)| SearchHit { tuple, confidence }).collect();
         hits.sort_by(|a, b| b.confidence.total_cmp(&a.confidence).then(a.tuple.cmp(&b.tuple)));
-        if let Some(cap) = self.options.max_hits {
-            hits.truncate(cap);
-        }
         Ok(hits)
     }
 
@@ -327,14 +321,6 @@ mod tests {
         let engine = KeywordSearch::default();
         let hits = engine.search(&KeywordQuery::new(["gene", "F1", "yaaI"]), &db).unwrap();
         assert!(hits.windows(2).all(|w| w[0].confidence >= w[1].confidence));
-    }
-
-    #[test]
-    fn max_hits_caps_output() {
-        let db = db();
-        let engine = KeywordSearch::new(SearchOptions { max_hits: Some(1), ..Default::default() });
-        let hits = engine.search(&KeywordQuery::new(["F1"]), &db).unwrap();
-        assert_eq!(hits.len(), 1);
     }
 
     #[test]

@@ -197,11 +197,11 @@ fn help() -> String {
 }
 
 impl Shell {
-    /// Shell over an existing stack. Turns on global telemetry so
-    /// `SHOW METRICS` and `EXPLAIN ANNOTATION` have data to report.
+    /// Shell over an existing stack. Turns on global telemetry and tracing
+    /// (one switch) so `SHOW METRICS`, `EXPLAIN ANNOTATION`, `TRACE
+    /// ANNOTATION` and `SHOW FLIGHT` have data to report.
     pub fn new(db: Database, store: AnnotationStore, nebula: Nebula) -> Shell {
         nebula_obs::set_enabled(true);
-        nebula_obs::trace::set_enabled(true);
         Shell { db, store, nebula, mode: Mode::Plain, storage: None, backups: Vec::new() }
     }
 

@@ -61,7 +61,7 @@ fn wedged_ingest_dumps_exactly_one_post_mortem() {
             .expect("fresh durability directory");
     nebula.set_mutation_sink(Some(Box::new(durability)));
 
-    trace::set_enabled(true);
+    nebula::nebula_obs::set_enabled(true);
     trace::reset();
     // Every fsync fails: two WAL quarantines trip the breaker
     // (threshold 2), and one trip wedges the engine.
@@ -76,7 +76,7 @@ fn wedged_ingest_dumps_exactly_one_post_mortem() {
     let report = ingest_batch(&mut nebula, &bundle.db, &mut bundle.annotations, &items, &config);
     nebula::nebula_govern::set_fault_plan(None);
     let dumps = trace::flight_dumps();
-    trace::set_enabled(false);
+    nebula::nebula_obs::set_enabled(false);
     drop(nebula.take_mutation_sink());
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -132,7 +132,7 @@ fn fenced_primary_dumps_exactly_one_post_mortem() {
     let mut primary = Primary::new(0, 1, wal, &db, &store).expect("primary");
     primary.attach(1, &mut transport);
 
-    trace::set_enabled(true);
+    nebula::nebula_obs::set_enabled(true);
     trace::reset();
     primary.record(&op(0), &mut transport).expect("record at epoch 1");
 
@@ -156,7 +156,7 @@ fn fenced_primary_dumps_exactly_one_post_mortem() {
     assert!(matches!(err, ReplicaError::Fenced { .. }), "{err:?}");
     assert_eq!(trace::flight_dumps().len(), 1, "fencing dumps once");
 
-    trace::set_enabled(false);
+    nebula::nebula_obs::set_enabled(false);
     drop(primary);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -175,7 +175,7 @@ fn divergence_dumps_a_post_mortem_with_the_report() {
     let mut primary = Primary::new(0, 1, wal, &db, &store).expect("primary");
     primary.attach(1, &mut transport);
 
-    trace::set_enabled(true);
+    nebula::nebula_obs::set_enabled(true);
     trace::reset();
     primary.record(&op(0), &mut transport).expect("record at epoch 1");
 
@@ -185,7 +185,7 @@ fn divergence_dumps_a_post_mortem_with_the_report() {
     assert_eq!(primary.divergences().len(), 1);
 
     let dumps = trace::flight_dumps();
-    trace::set_enabled(false);
+    nebula::nebula_obs::set_enabled(false);
     assert_eq!(dumps.len(), 1, "{dumps:?}");
     assert_eq!(dumps[0].trigger, "repl.divergence");
     assert!(

@@ -117,7 +117,9 @@ fn partition_heal_soak_converges_and_accounts_exactly_once() {
         let handle = sink.handle();
         nebula.set_mutation_sink(Some(Box::new(sink)));
 
-        let ingest = IngestConfig::default();
+        // Room for a whole half: the soak is about the network, so no item
+        // is shed for want of a queue slot.
+        let ingest = IngestConfig { queue_capacity: 250, ..IngestConfig::default() };
 
         // First half with replica 3 hard-partitioned, second half healed:
         // the flap schedule keeps the other links churning throughout.
@@ -148,6 +150,13 @@ fn partition_heal_soak_converges_and_accounts_exactly_once() {
                 seen[s.index] += 1;
             }
             assert!(seen.iter().all(|&n| n == 1), "{rule}: each index exactly once");
+            // Only the partition may shed (its breaker opens); a full queue
+            // never does.
+            assert!(
+                report.sheds.iter().all(|s| s.reason != ShedReason::QueueFull),
+                "{rule}: {:?}",
+                report.sheds
+            );
         }
 
         // Heal and drain: the cluster converges within a bounded budget.

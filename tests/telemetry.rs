@@ -234,14 +234,13 @@ fn every_written_metric_is_listed_in_the_registry() {
     handle.lock().promote(1).expect("promotion");
     let _ = std::fs::remove_dir_all(&rdir);
 
-    // Tracing: commit one traced annotation and fire a flight event and
-    // post-mortem dump, so the trace.* counters and gauges are written.
-    nebula_obs::trace::set_enabled(true);
+    // Tracing (on with telemetry): commit one traced annotation and fire a
+    // flight event and post-mortem dump, so the trace.* counters and gauges
+    // are written.
     nebula_obs::trace::reset();
     st.process_one(2);
     nebula_obs::trace::flight_event("health", "healthy -> degraded".to_string());
     nebula_obs::trace::flight_dump("ingest.wedged");
-    nebula_obs::trace::set_enabled(false);
 
     // Sharding: a three-shard cluster with a partition, heal, failover,
     // and scrub, so the shard.* counters and gauges are all written.

@@ -7,8 +7,7 @@
 //! old rendering or regenerate the sample via the ignored test below and
 //! call the change out in the PR.
 
-use nebula::nebula_obs::names;
-use nebula::nebula_obs::trace;
+use nebula::nebula_obs::{self, names, trace};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -29,49 +28,34 @@ fn sample_path() -> PathBuf {
 /// annotation ids, epochs, and LSNs so every span ID is a deterministic
 /// function of its inputs.
 fn build_sample_traces() -> Vec<trace::Trace> {
-    trace::set_enabled(true);
+    nebula_obs::set_enabled(true);
     trace::reset();
     for (annotation, lsn) in [(7u64, 3u64), (8, 4)] {
-        assert!(trace::start("ingest.item"));
-        trace::root_detail("class=Normal");
-        trace::wait("ingest.queue_wait", String::new(), 1_500);
+        assert!(trace::start("ingest.item", || "class=Normal".into()));
+        trace::wait("ingest.queue_wait", 1_500);
         {
-            let pipeline = trace::span(names::PIPELINE);
+            let pipeline = nebula_obs::span(names::PIPELINE);
             trace::bind(annotation);
             trace::note_epoch(1);
+            nebula_obs::span(names::STAGE0_REGISTER).detail(|| "focal=1".into());
+            nebula_obs::span(names::STAGE1_QUERYGEN).detail(|| "queries=4".into());
             {
-                let s = trace::span(names::STAGE0_REGISTER);
-                s.detail("focal=1");
-            }
-            {
-                let s = trace::span(names::STAGE1_QUERYGEN);
-                s.detail("queries=4");
-            }
-            {
-                let s = trace::span(names::STAGE2_EXECUTE);
+                let s = nebula_obs::span(names::STAGE2_EXECUTE);
                 trace::note_lsn(lsn);
-                {
-                    let d = trace::span("durable.append");
-                    d.detail(format!("lsn={lsn}"));
-                }
-                drop(trace::span("durable.fsync"));
-                {
-                    let ship = trace::span("repl.ship");
-                    ship.detail("peer=1 records=1");
-                }
-                s.detail("candidates=5");
+                nebula_obs::span("durable.append").detail(|| format!("lsn={lsn}"));
+                drop(nebula_obs::span("durable.fsync"));
+                nebula_obs::span("repl.ship").detail(|| "peer=1 records=1".into());
+                s.detail(|| "candidates=5".into());
             }
-            {
-                let s = trace::span(names::STAGE3_ROUTE);
-                s.detail("accepted=1 pending=0 rejected=4");
-            }
-            pipeline.detail("accepted=1 pending=0 rejected=4");
+            nebula_obs::span(names::STAGE3_ROUTE)
+                .detail(|| "accepted=1 pending=0 rejected=4".into());
+            pipeline.detail(|| "accepted=1 pending=0 rejected=4".into());
         }
-        drop(trace::span("durable.checkpoint"));
+        drop(nebula_obs::span("durable.checkpoint"));
         trace::finish().expect("scripted trace commits");
     }
     let traces = trace::traces();
-    trace::set_enabled(false);
+    nebula_obs::set_enabled(false);
     traces
 }
 
