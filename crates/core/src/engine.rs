@@ -513,7 +513,7 @@ impl Nebula {
                 ),
             });
         }
-        pipeline_trace.finish();
+        pipeline_trace.finish(total_ns);
 
         Ok(ProcessOutcome {
             annotation: aid,
@@ -751,9 +751,11 @@ impl PipelineTrace {
         PipelineTrace { owns_root: nebula_obs::trace::start_if_idle(names::PIPELINE) }
     }
 
-    fn finish(mut self) {
+    /// Commit an owned root, timed with the pipeline span's `total_ns`.
+    fn finish(mut self, total_ns: u64) {
         if self.owns_root {
             self.owns_root = false;
+            nebula_obs::trace::close_root(total_ns);
             nebula_obs::trace::finish();
         }
     }

@@ -11,9 +11,9 @@
 
 use crate::acg::Acg;
 use crate::querygen::GeneratedQuery;
-use relstore::{Database, TupleId};
-use std::collections::HashMap;
-use textsearch::{ExecutionMode, KeywordQuery, SearchBackend, SearchError, SearchStats};
+use relstore::{Database, TableId, TupleId};
+use std::sync::Arc;
+use textsearch::{ExecutionMode, KeywordQuery, SearchBackend, SearchError, SearchHit, SearchStats};
 
 /// A candidate attachment: a tuple the annotation likely references.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,8 +24,9 @@ pub struct Candidate {
     /// Normalized confidence in `(0, 1]`.
     pub confidence: f64,
     /// The generated queries this tuple satisfied, rendered as evidence
-    /// strings for the verification task (§7: `v.evidence`).
-    pub evidence: Vec<String>,
+    /// strings for the verification task (§7: `v.evidence`). Each query's
+    /// string is rendered once and shared by every candidate it hit.
+    pub evidence: Vec<Arc<str>>,
 }
 
 /// How the ACG rewards candidates connected to the focal (§6.2).
@@ -87,52 +88,79 @@ pub fn identify_related_tuples(
         .map(|q| KeywordQuery::new(q.keywords.clone()).with_weight(q.weight))
         .collect();
     let (per_query_hits, stats) = engine.run_group(&kw_queries, db, config.mode)?;
+    let mut out = rank_candidates(queries, &per_query_hits, focal, acg, config);
+    // Budget governance: keep only as many ranked candidates as the
+    // installed budget admits (the list is already sorted by descending
+    // confidence, so the weakest are dropped). A no-op when ungoverned.
+    let allowed = nebula_govern::admit(nebula_govern::Resource::Candidates, out.len());
+    out.truncate(allowed);
+    Ok((out, stats))
+}
 
+/// Steps 2 and 3 over each query's hits (`per_query_hits[i]` answers
+/// `queries[i]`): the candidates, ranked by descending confidence.
+fn rank_candidates(
+    queries: &[GeneratedQuery],
+    per_query_hits: &[Vec<SearchHit>],
+    focal: &[TupleId],
+    acg: Option<&Acg>,
+    config: &ExecutionConfig,
+) -> Vec<Candidate> {
     // Candidate attachments are restricted to the *concept* tables the
     // queries anchor on (Definition 3.2's embedded references point at
     // ConceptRefs concepts); hits on other tables — e.g. free-text rows
     // that merely quote the same tokens — are not attachment candidates.
-    let anchor_tables: std::collections::HashSet<relstore::schema::TableId> =
-        queries.iter().map(|q| q.anchor_table).collect();
+    let mut anchor_tables: Vec<TableId> = queries.iter().map(|q| q.anchor_table).collect();
+    anchor_tables.sort_unstable();
+    anchor_tables.dedup();
+    // Each query's evidence string, rendered once and shared by every
+    // candidate the query hit.
+    let rendered: Vec<Arc<str>> = queries
+        .iter()
+        .map(|gq| format!("q{{{}}} (w={:.2})", gq.keywords.join(" "), gq.weight).into())
+        .collect();
 
     // Step 2: group tuples across queries and sum confidences (rewarding
-    // tuples that satisfy multiple queries), collecting evidence.
-    let mut conf: HashMap<TupleId, f64> = HashMap::new();
-    let mut evidence: HashMap<TupleId, Vec<String>> = HashMap::new();
-    for (gq, hits) in queries.iter().zip(&per_query_hits) {
-        let rendered = format!("q{{{}}} (w={:.2})", gq.keywords.join(" "), gq.weight);
+    // tuples that satisfy multiple queries), collecting evidence. Hits are
+    // gathered in query order and stably sorted by `(tuple, query)`, so
+    // each tuple's run holds its weighted confidences in query order and
+    // every sum adds the same operands in the same order.
+    let mut weighted: Vec<(TupleId, usize, f64)> = Vec::new();
+    for (at, (gq, hits)) in queries.iter().zip(per_query_hits).enumerate() {
         for hit in hits {
-            if !anchor_tables.contains(&hit.tuple.table) {
-                continue;
+            if anchor_tables.binary_search(&hit.tuple.table).is_ok() {
+                weighted.push((hit.tuple, at, hit.confidence * gq.weight));
             }
-            let weighted = hit.confidence * gq.weight;
-            *conf.entry(hit.tuple).or_insert(0.0) += weighted;
-            evidence.entry(hit.tuple).or_default().push(rendered.clone());
         }
     }
+    weighted.sort_by_key(|&(tuple, at, _)| (tuple, at));
 
-    // The focal tuples themselves are already attached — drop them.
-    for f in focal {
-        conf.remove(f);
-        evidence.remove(f);
-    }
-
-    // §6.2 focal-based adjustment: for each ACG connection between t and
-    // a focal tuple, t.conf += connection_weight × t.conf.
-    if config.acg_adjustment {
-        if let Some(acg) = acg {
-            for (t, c) in conf.iter_mut() {
-                for f in focal {
-                    let w = match config.reward {
-                        AcgRewardMode::Direct => acg.edge_weight(*t, *f),
-                        AcgRewardMode::Path { max_hops } => acg.path_weight(*t, *f, max_hops),
-                    };
-                    if let Some(w) = w {
-                        *c += w * *c;
-                    }
+    let mut out = Vec::new();
+    for run in weighted.chunk_by(|a, b| a.0 == b.0) {
+        let tuple = run[0].0;
+        // The focal tuples themselves are already attached — drop them.
+        if focal.contains(&tuple) {
+            continue;
+        }
+        let mut confidence = 0.0;
+        for &(_, _, w) in run {
+            confidence += w;
+        }
+        // §6.2 focal-based adjustment: for each ACG connection between t
+        // and a focal tuple, t.conf += connection_weight × t.conf.
+        if let (true, Some(acg)) = (config.acg_adjustment, acg) {
+            for f in focal {
+                let w = match config.reward {
+                    AcgRewardMode::Direct => acg.edge_weight(tuple, *f),
+                    AcgRewardMode::Path { max_hops } => acg.path_weight(tuple, *f, max_hops),
+                };
+                if let Some(w) = w {
+                    confidence += w * confidence;
                 }
             }
         }
+        let evidence = run.iter().map(|&(_, at, _)| Arc::clone(&rendered[at])).collect();
+        out.push(Candidate { tuple, confidence, evidence });
     }
 
     // Step 3: normalize into [0, 1]. The paper divides by the maximum
@@ -143,24 +171,13 @@ pub fn identify_related_tuples(
     // reward inflating one candidate suppresses every *unconnected* true
     // reference below β_lower. Capping keeps confidences absolute, which
     // is what the adaptive bounds need (see DESIGN.md).
-    let mut raw: Vec<(TupleId, f64)> = conf.into_iter().collect();
     // Rank by the *uncapped* confidence so the ordering distinguishes
     // candidates whose routing confidence saturates at 1.0.
-    raw.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut out: Vec<Candidate> = raw
-        .into_iter()
-        .map(|(tuple, c)| Candidate {
-            tuple,
-            confidence: c.min(1.0),
-            evidence: evidence.remove(&tuple).unwrap_or_default(),
-        })
-        .collect();
-    // Budget governance: keep only as many ranked candidates as the
-    // installed budget admits (the list is already sorted by descending
-    // confidence, so the weakest are dropped). A no-op when ungoverned.
-    let allowed = nebula_govern::admit(nebula_govern::Resource::Candidates, out.len());
-    out.truncate(allowed);
-    Ok((out, stats))
+    out.sort_by(|a, b| b.confidence.total_cmp(&a.confidence).then(a.tuple.cmp(&b.tuple)));
+    for cand in &mut out {
+        cand.confidence = cand.confidence.min(1.0);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -330,5 +347,141 @@ mod tests {
             },
         );
         assert_eq!(a, b);
+    }
+
+    /// Steps 2 and 3 as they were written with two maps and one evidence
+    /// `String` per hit: the reference [`rank_candidates`] must reproduce.
+    fn rank_with_maps(
+        queries: &[GeneratedQuery],
+        per_query_hits: &[Vec<SearchHit>],
+        focal: &[TupleId],
+        acg: Option<&Acg>,
+        config: &ExecutionConfig,
+    ) -> Vec<(TupleId, f64, Vec<String>)> {
+        use std::collections::{HashMap, HashSet};
+        let anchor_tables: HashSet<TableId> = queries.iter().map(|q| q.anchor_table).collect();
+        let mut conf: HashMap<TupleId, f64> = HashMap::new();
+        let mut evidence: HashMap<TupleId, Vec<String>> = HashMap::new();
+        for (gq, hits) in queries.iter().zip(per_query_hits) {
+            let rendered = format!("q{{{}}} (w={:.2})", gq.keywords.join(" "), gq.weight);
+            for hit in hits {
+                if !anchor_tables.contains(&hit.tuple.table) {
+                    continue;
+                }
+                *conf.entry(hit.tuple).or_insert(0.0) += hit.confidence * gq.weight;
+                evidence.entry(hit.tuple).or_default().push(rendered.clone());
+            }
+        }
+        for f in focal {
+            conf.remove(f);
+            evidence.remove(f);
+        }
+        if config.acg_adjustment {
+            if let Some(acg) = acg {
+                for (t, c) in conf.iter_mut() {
+                    for f in focal {
+                        let w = match config.reward {
+                            AcgRewardMode::Direct => acg.edge_weight(*t, *f),
+                            AcgRewardMode::Path { max_hops } => acg.path_weight(*t, *f, max_hops),
+                        };
+                        if let Some(w) = w {
+                            *c += w * *c;
+                        }
+                    }
+                }
+            }
+        }
+        let mut raw: Vec<(TupleId, f64)> = conf.into_iter().collect();
+        raw.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        raw.into_iter()
+            .map(|(tuple, c)| (tuple, c.min(1.0), evidence.remove(&tuple).unwrap_or_default()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The sort grouping equals the map grouping: same candidates in the
+        /// same order, confidences equal bit for bit, the same evidence per
+        /// candidate. Queries anchor on tables 0 and 1 (table 2's hits are
+        /// never candidates); weights and hit confidences come from a few
+        /// values, zero included, so ties are common; tuples repeat within
+        /// and across queries; some are focal, and some are joined to the
+        /// focal in the ACG.
+        #[test]
+        fn rank_candidates_equals_the_map_grouping(
+            queries in proptest::collection::vec(
+                (
+                    0u32..2,
+                    proptest::prop_oneof![
+                        proptest::prelude::Just(0.25f64),
+                        proptest::prelude::Just(0.5),
+                        proptest::prelude::Just(1.0)
+                    ],
+                    proptest::collection::vec(
+                        (
+                            0u32..3,
+                            0u64..8,
+                            proptest::prop_oneof![
+                                proptest::prelude::Just(0.0f64),
+                                proptest::prelude::Just(0.3),
+                                proptest::prelude::Just(0.3),
+                                proptest::prelude::Just(0.7),
+                                proptest::prelude::Just(1.0)
+                            ],
+                        ),
+                        0..12,
+                    ),
+                ),
+                0..7,
+            ),
+            focal_rows in proptest::collection::vec(0u64..8, 0..3),
+            linked_rows in proptest::collection::vec(0u64..8, 0..4),
+            acg_adjustment in proptest::prelude::any::<bool>(),
+            path in proptest::prelude::any::<bool>(),
+        ) {
+            let t = |table: u32, row: u64| TupleId::new(TableId(table), row);
+            let generated: Vec<GeneratedQuery> = queries
+                .iter()
+                .enumerate()
+                .map(|(i, (anchor, weight, _))| GeneratedQuery {
+                    keywords: vec!["gene".into(), format!("k{i}")],
+                    weight: *weight,
+                    anchor_table: TableId(*anchor),
+                    value_column: None,
+                    positions: vec![i],
+                    match_type: 1,
+                })
+                .collect();
+            let per_query_hits: Vec<Vec<SearchHit>> = queries
+                .iter()
+                .map(|(_, _, hits)| {
+                    hits.iter()
+                        .map(|&(table, row, confidence)| SearchHit { tuple: t(table, row), confidence })
+                        .collect()
+                })
+                .collect();
+            let focal: Vec<TupleId> = focal_rows.iter().map(|&r| t(0, r)).collect();
+            let mut store = AnnotationStore::new();
+            for (i, &row) in linked_rows.iter().enumerate() {
+                let Some(&f) = focal.get(i % focal.len().max(1)) else { break };
+                let a = store.add_annotation(Annotation::new("link"));
+                store.attach(a, AttachmentTarget::tuple(f)).unwrap();
+                store.attach(a, AttachmentTarget::tuple(t(i as u32 % 2, row))).unwrap();
+            }
+            let acg = Acg::build_from_store(&store);
+            let config = ExecutionConfig {
+                mode: ExecutionMode::Shared,
+                acg_adjustment,
+                reward: if path { AcgRewardMode::Path { max_hops: 2 } } else { AcgRewardMode::Direct },
+            };
+            let got = rank_candidates(&generated, &per_query_hits, &focal, Some(&acg), &config);
+            let want = rank_with_maps(&generated, &per_query_hits, &focal, Some(&acg), &config);
+            proptest::prop_assert_eq!(got.len(), want.len());
+            for (g, (tuple, confidence, evidence)) in got.iter().zip(&want) {
+                proptest::prop_assert_eq!(g.tuple, *tuple);
+                proptest::prop_assert_eq!(g.confidence.to_bits(), confidence.to_bits());
+                let shared: Vec<&str> = g.evidence.iter().map(|e| &**e).collect();
+                proptest::prop_assert_eq!(shared, evidence.iter().map(String::as_str).collect::<Vec<_>>());
+            }
+        }
     }
 }

@@ -11,6 +11,7 @@ use annostore::AnnotationId;
 use relstore::TupleId;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A verification task `v = (vid, a, t, confidence, evidence)`
 /// (Definition 7.1).
@@ -24,8 +25,9 @@ pub struct VerificationTask {
     pub tuple: TupleId,
     /// Estimated confidence of the attachment.
     pub confidence: f64,
-    /// The keyword queries (rendered) that produced this prediction.
-    pub evidence: Vec<String>,
+    /// The keyword queries (rendered) that produced this prediction,
+    /// shared with the candidate they came from.
+    pub evidence: Vec<Arc<str>>,
 }
 
 /// The β bounds routing verification decisions (Figure 8).

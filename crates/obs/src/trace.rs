@@ -538,6 +538,19 @@ pub(crate) fn close_child(idx: usize, duration_ns: u64) {
     });
 }
 
+/// Close the active trace's root span with the duration of the scope
+/// that opened it, already measured by that scope's [`crate::Span`], so the
+/// root node and the scope's histogram read one measurement.
+/// [`finish`] keeps it (plus any [`wait`] extension).
+pub fn close_root(duration_ns: u64) {
+    with_builder(|b| {
+        if let Some(root) = b.spans.first_mut() {
+            root.duration_ns = duration_ns;
+            root.closed = true;
+        }
+    });
+}
+
 /// Drop the active trace without committing it (shed, quarantine,
 /// panic).
 pub fn abandon() {

@@ -92,11 +92,25 @@ impl RecordHeap {
     /// Read a record's full bytes. `Ok(None)` when the id does not
     /// resolve (deleted, or damaged beyond the page CRC's reach).
     pub fn get(&mut self, id: u64) -> Result<Option<Vec<u8>>, PageStoreError> {
-        let mut out = Vec::new();
-        let mut cursor = Some(id);
+        let mut out = None;
+        self.read(id, &mut |bytes| out = Some(bytes.to_vec()))?;
+        Ok(out)
+    }
+
+    /// Hand a record's full bytes to `visit` without copying them out of
+    /// the pool when the record is a single segment; an overflow chain is
+    /// assembled first. Returns whether the id resolved (`visit` ran).
+    /// One chain walk: each segment's page is pinned, read once and
+    /// unpinned, in chain order.
+    pub fn read(&mut self, id: u64, visit: &mut dyn FnMut(&[u8])) -> Result<bool, PageStoreError> {
+        // Only a chain allocates: the assembled bytes and the set of
+        // segments seen, which turns a hostile cycle into an error.
+        let mut chain: Vec<u8> = Vec::new();
         let mut visited = std::collections::HashSet::new();
+        let mut cursor = Some(id);
         while let Some(seg_id) = cursor {
-            if !visited.insert(seg_id) {
+            let first = seg_id == id && visited.is_empty();
+            if !first && !visited.insert(seg_id) {
                 return Err(PageStoreError::Corrupt(format!(
                     "overflow chain cycle at record {seg_id:#x}"
                 )));
@@ -104,17 +118,26 @@ impl RecordHeap {
             let (page, slot) = split_id(seg_id);
             self.pool.pin(page)?;
             let parsed = self.pool.with_page(page, |p| {
-                slotted::read(p, slot)
-                    .and_then(parse_segment)
-                    .map(|(next, chunk)| (next, chunk.to_vec()))
+                let (next, chunk) = slotted::read(p, slot).and_then(parse_segment)?;
+                match next {
+                    None if first => visit(chunk),
+                    None => {
+                        chain.extend_from_slice(chunk);
+                        visit(&chain);
+                    }
+                    Some(_) => chain.extend_from_slice(chunk),
+                }
+                Some(next)
             });
             self.pool.unpin(page);
             match parsed? {
-                Some((next, chunk)) => {
-                    out.extend_from_slice(&chunk);
+                Some(next) => {
+                    if first && next.is_some() {
+                        visited.insert(id);
+                    }
                     cursor = next;
                 }
-                None if seg_id == id => return Ok(None),
+                None if first => return Ok(false),
                 None => {
                     return Err(PageStoreError::Corrupt(format!(
                         "overflow chain broken at segment {seg_id:#x}"
@@ -122,7 +145,7 @@ impl RecordHeap {
                 }
             }
         }
-        Ok(Some(out))
+        Ok(true)
     }
 
     /// Delete a record (and its whole chain). Idempotent: deleting an
@@ -368,5 +391,108 @@ mod tests {
         // An id on a page that does not exist.
         assert!(matches!(heap.get(record_id(999, 0)), Err(PageStoreError::UnknownRecord(_))));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `get` as it was written before `read`: each segment's chunk copied
+    /// out of the pool, concatenated, and a visited set per call. The
+    /// reference `read` must reproduce.
+    fn get_by_copying(heap: &mut RecordHeap, id: u64) -> Result<Option<Vec<u8>>, PageStoreError> {
+        let mut out = Vec::new();
+        let mut cursor = Some(id);
+        let mut visited = std::collections::HashSet::new();
+        while let Some(seg_id) = cursor {
+            if !visited.insert(seg_id) {
+                return Err(PageStoreError::Corrupt(format!(
+                    "overflow chain cycle at record {seg_id:#x}"
+                )));
+            }
+            let (page, slot) = split_id(seg_id);
+            heap.pool.pin(page)?;
+            let parsed = heap.pool.with_page(page, |p| {
+                slotted::read(p, slot)
+                    .and_then(parse_segment)
+                    .map(|(next, chunk)| (next, chunk.to_vec()))
+            });
+            heap.pool.unpin(page);
+            match parsed? {
+                Some((next, chunk)) => {
+                    out.extend_from_slice(&chunk);
+                    cursor = next;
+                }
+                None if seg_id == id => return Ok(None),
+                None => {
+                    return Err(PageStoreError::Corrupt(format!(
+                        "overflow chain broken at segment {seg_id:#x}"
+                    )))
+                }
+            }
+        }
+        Ok(Some(out))
+    }
+
+    #[test]
+    fn read_matches_the_copying_get_in_bytes_pool_counts_and_fault_draws() {
+        use nebula_govern::FaultSite;
+        let src = tmpdir("read-src");
+        let mut heap = RecordHeap::open(&src, 64).unwrap();
+        let mut ids: Vec<u64> = (0u32..60)
+            .map(|i| heap.insert(&vec![i as u8; 20 + (i as usize * 97) % 900]).unwrap())
+            .collect();
+        // Overflow chains of three and five segments.
+        for len in [9_000u32, 20_000] {
+            ids.push(heap.insert(&(0..len).map(|i| (i % 251) as u8).collect::<Vec<_>>()).unwrap());
+        }
+        assert!(heap.delete(ids[5]).unwrap(), "a dead id reads as absent");
+        heap.flush(1).unwrap();
+        drop(heap);
+        // Every record, chains in the middle and twice, on a pool of three
+        // frames: hits, misses and clock-hand evictions all occur.
+        let mut order: Vec<u64> = ids.iter().rev().copied().collect();
+        order.extend(ids.iter().step_by(3));
+        order.extend(ids.iter().rev().take(2));
+
+        let copy = |tag: &str| {
+            let dir = tmpdir(tag);
+            for entry in std::fs::read_dir(&src).unwrap() {
+                let entry = entry.unwrap();
+                std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+            }
+            dir
+        };
+        let plans = [None, Some(FaultPlan::new(0xF00D).with(FaultSite::PageRead, 0.4))];
+        for plan in plans {
+            let (old_dir, new_dir) = (copy("read-old"), copy("read-new"));
+            let mut old = RecordHeap::open(&old_dir, 3).unwrap();
+            let mut new = RecordHeap::open(&new_dir, 3).unwrap();
+            old.set_fault_plan(plan.clone());
+            new.set_fault_plan(plan.clone());
+            let mut failed = 0;
+            for &id in &order {
+                let want = get_by_copying(&mut old, id);
+                let mut got = None;
+                let found = new.read(id, &mut |bytes| got = Some(bytes.to_vec()));
+                match (&want, found) {
+                    (Ok(want), Ok(found)) => {
+                        assert_eq!(found, want.is_some(), "record {id:#x} resolves alike");
+                        assert_eq!(&got, want, "record {id:#x} reads the same bytes");
+                    }
+                    (Err(want), Err(got)) => {
+                        assert_eq!(&got, want, "record {id:#x} fails alike");
+                        failed += 1;
+                    }
+                    (want, found) => panic!("record {id:#x}: {want:?} against {found:?}"),
+                }
+                assert_eq!(new.stats(), old.stats(), "pool counters after record {id:#x}");
+                assert_eq!(new.fault_tally(), old.fault_tally(), "fault draws after {id:#x}");
+            }
+            let stats = new.stats();
+            assert!(stats.hits > 0 && stats.misses > 0 && stats.evictions > 0, "{stats:?}");
+            if plan.is_some() {
+                assert!(new.fault_tally().retries > 0 && failed > 0, "faults fired and surfaced");
+            }
+            std::fs::remove_dir_all(&old_dir).unwrap();
+            std::fs::remove_dir_all(&new_dir).unwrap();
+        }
+        std::fs::remove_dir_all(&src).unwrap();
     }
 }

@@ -162,8 +162,8 @@ impl StorageBackend for NamespaceBackend {
         inner.heap.insert(bytes).map_err(StorageError::from)
     }
 
-    fn get(&self, id: u64) -> Result<Option<Vec<u8>>, StorageError> {
-        self.store.lock().heap.get(id).map_err(StorageError::from)
+    fn read(&self, id: u64, visit: &mut dyn FnMut(&[u8])) -> Result<bool, StorageError> {
+        self.store.lock().heap.read(id, visit).map_err(StorageError::from)
     }
 
     fn update(&self, id: u64, bytes: &[u8]) -> Result<u64, StorageError> {

@@ -2,7 +2,7 @@
 //! index used by keyword search.
 
 use crate::schema::{ColumnId, TableId};
-use crate::storage::{decode_posting_block, encode_posting_block, StorageBackend};
+use crate::storage::{decode_posting_block_into, encode_posting_block, StorageBackend};
 use crate::tuple::TupleId;
 use crate::value::Value;
 use std::borrow::Cow;
@@ -235,13 +235,16 @@ impl InvertedIndex {
 
     /// The tuples of one `(table, column)` pair containing the token,
     /// strictly ascending. RAM groups are borrowed; paged groups decode
-    /// their own blocks and nothing else.
+    /// their own blocks, each where the pool holds it, straight into the
+    /// answer, and nothing else.
     pub fn pair_tuples(&self, token: &str, table: TableId, column: ColumnId) -> Cow<'_, [TupleId]> {
         match self.group(token, table, column).map(|g| &g.store) {
             None => Cow::Borrowed(&[]),
             Some(Store::Mem(ids)) => Cow::Borrowed(ids),
-            Some(Store::Paged { blocks, .. }) => {
-                Cow::Owned(self.decode(blocks).map(|p| p.tuple).collect())
+            Some(Store::Paged { blocks, count }) => {
+                let mut out = Vec::with_capacity(*count);
+                self.read_blocks(blocks, &mut out, |p| p.tuple);
+                Cow::Owned(out)
             }
         }
     }
@@ -258,17 +261,20 @@ impl InvertedIndex {
                     column: g.column,
                     tuple,
                 })),
-                Store::Paged { blocks, .. } => out.extend(self.decode(blocks)),
+                Store::Paged { blocks, .. } => self.read_blocks(blocks, &mut out, |p| p),
             }
         }
         out
     }
 
-    /// The postings of a paged group's blocks, in list order. Unreadable
-    /// blocks are skipped (and counted by [`read_block`]).
-    fn decode<'a>(&'a self, blocks: &'a [u64]) -> impl Iterator<Item = Posting> + 'a {
+    /// Append the postings of a paged group's blocks, in list order and
+    /// mapped through `map`, to `out`. Unreadable blocks are skipped (and
+    /// counted by [`read_block_into`]).
+    fn read_blocks<T>(&self, blocks: &[u64], out: &mut Vec<T>, map: impl Fn(Posting) -> T) {
         let backend = self.backend.as_deref().expect(NEEDS_BACKEND);
-        blocks.iter().filter_map(move |&id| read_block(backend, id)).flatten()
+        for &id in blocks {
+            read_block_into(backend, id, out, &map);
+        }
     }
 }
 
@@ -412,19 +418,30 @@ fn rewrite_block(
 /// Fetch and decode one posting block, degrading to `None` (plus the
 /// storage-error counter) on I/O or codec failure.
 fn read_block(backend: &dyn StorageBackend, id: u64) -> Option<Vec<Posting>> {
-    match backend.get(id) {
-        Ok(Some(bytes)) => match decode_posting_block(&bytes) {
-            Ok(postings) => Some(postings),
-            Err(_) => {
-                nebula_obs::counter_add("relstore.storage_errors", 1);
-                None
-            }
-        },
-        _ => {
-            nebula_obs::counter_add("relstore.storage_errors", 1);
-            None
-        }
+    let mut postings = Vec::new();
+    read_block_into(backend, id, &mut postings, |p| p).then_some(postings)
+}
+
+/// Decode one posting block where the backend holds it, appending its
+/// postings mapped through `map` to `out`. On an I/O or codec failure
+/// nothing is appended, the storage-error counter moves once, and the
+/// result is `false`.
+fn read_block_into<T>(
+    backend: &dyn StorageBackend,
+    id: u64,
+    out: &mut Vec<T>,
+    map: impl Fn(Posting) -> T,
+) -> bool {
+    let start = out.len();
+    let mut decoded = false;
+    let found = backend
+        .read(id, &mut |bytes| decoded = decode_posting_block_into(bytes, out, &map).is_ok());
+    let ok = matches!(found, Ok(true)) && decoded;
+    if !ok {
+        out.truncate(start);
+        nebula_obs::counter_add("relstore.storage_errors", 1);
     }
+    ok
 }
 
 #[cfg(test)]
@@ -518,5 +535,76 @@ mod tests {
             *idx.pair_tuples("alpha", TableId(0), ColumnId(0)),
             [tid(0), tid(1), tid(2), tid(3)]
         );
+    }
+
+    /// Posting blocks in RAM behind the backend trait, which a test can
+    /// overwrite with damaged bytes.
+    #[derive(Debug, Default, Clone)]
+    struct MapBackend(std::sync::Arc<std::sync::Mutex<std::collections::BTreeMap<u64, Vec<u8>>>>);
+
+    impl MapBackend {
+        fn records(&self) -> std::sync::MutexGuard<'_, std::collections::BTreeMap<u64, Vec<u8>>> {
+            self.0.lock().unwrap()
+        }
+    }
+
+    impl StorageBackend for MapBackend {
+        fn insert(&self, bytes: &[u8]) -> Result<u64, crate::StorageError> {
+            let mut records = self.records();
+            let id = records.keys().next_back().map_or(1, |last| last + 1);
+            records.insert(id, bytes.to_vec());
+            Ok(id)
+        }
+
+        fn read(&self, id: u64, visit: &mut dyn FnMut(&[u8])) -> Result<bool, crate::StorageError> {
+            Ok(self.records().get(&id).map(|bytes| visit(bytes)).is_some())
+        }
+
+        fn update(&self, id: u64, bytes: &[u8]) -> Result<u64, crate::StorageError> {
+            self.records().insert(id, bytes.to_vec());
+            Ok(id)
+        }
+
+        fn delete(&self, id: u64) -> Result<(), crate::StorageError> {
+            self.records().remove(&id);
+            Ok(())
+        }
+
+        fn label(&self) -> String {
+            "map".into()
+        }
+    }
+
+    #[test]
+    fn a_corrupt_paged_block_is_skipped_and_counted_once() {
+        let backend = MapBackend::default();
+        let mut idx = InvertedIndex::with_backend(Box::new(backend.clone()));
+        for row in 0..300 {
+            idx.add_cell(TableId(0), ColumnId(0), tid(row), "alpha");
+        }
+        let all: Vec<TupleId> = (0..300).map(tid).collect();
+        assert_eq!(*idx.pair_tuples("alpha", TableId(0), ColumnId(0)), all[..]);
+        // Ascending inserts fill blocks of 128: cut the middle block short,
+        // so its decode fails after 127 good postings.
+        let middle = {
+            let records = backend.records();
+            let (&id, bytes) = records
+                .iter()
+                .find(|(_, bytes)| {
+                    crate::storage::decode_posting_block(bytes).unwrap()[0].tuple == tid(128)
+                })
+                .expect("a block starting at row 128");
+            (id, bytes[..bytes.len() - 1].to_vec())
+        };
+        backend.records().insert(middle.0, middle.1);
+
+        nebula_obs::set_enabled(true);
+        let errors = || nebula_obs::snapshot().counters.get("relstore.storage_errors").copied();
+        let before = errors().unwrap_or(0);
+        let read = idx.pair_tuples("alpha", TableId(0), ColumnId(0));
+        assert_eq!(errors().unwrap_or(0) - before, 1, "one damaged block, one storage error");
+        let survivors: Vec<TupleId> =
+            all.iter().copied().filter(|t| !(128..256).contains(&t.row)).collect();
+        assert_eq!(*read, survivors[..], "the damaged block contributes nothing");
     }
 }

@@ -209,7 +209,7 @@ pub fn save(db: &Database) -> Vec<u8> {
     for tid in tables {
         let table = db.table(tid).expect("catalog and tables agree");
         put_header(&mut w, table.schema());
-        let slots: Vec<(bool, Vec<Value>)> = table.raw_slots().collect();
+        let slots = table.raw_slots();
         w.u64(slots.len() as u64);
         for (live, values) in slots {
             put_slot(&mut w, live, &values);

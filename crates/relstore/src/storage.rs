@@ -42,9 +42,10 @@ pub trait StorageBackend: fmt::Debug + Send + Sync {
     /// Store a new record, returning its id.
     fn insert(&self, bytes: &[u8]) -> Result<u64, StorageError>;
 
-    /// Fetch a record by id. `Ok(None)` means the id is unknown or the
-    /// record was deleted.
-    fn get(&self, id: u64) -> Result<Option<Vec<u8>>, StorageError>;
+    /// Hand record `id`'s bytes to `visit`, borrowed where the backend
+    /// holds them, so a caller decodes in place. `Ok(false)` (and no
+    /// visit) means the id is unknown or the record was deleted.
+    fn read(&self, id: u64, visit: &mut dyn FnMut(&[u8])) -> Result<bool, StorageError>;
 
     /// Replace record `id`, returning the (possibly new) id. The old id
     /// is invalid afterwards unless it is the one returned.
@@ -120,9 +121,24 @@ pub fn encode_posting_block(postings: &[crate::Posting]) -> Vec<u8> {
 }
 
 /// Decode a posting block written by [`encode_posting_block`]. Fails
-/// cleanly on hostile bytes: the count is validated against the smallest
-/// possible per-posting cost before any allocation.
+/// cleanly on hostile bytes (see [`decode_posting_block_into`]).
 pub fn decode_posting_block(bytes: &[u8]) -> Result<Vec<crate::Posting>, SnapshotError> {
+    let mut out = Vec::new();
+    decode_posting_block_into(bytes, &mut out, |p| p)?;
+    Ok(out)
+}
+
+/// The posting-block decoder: append every posting of a block written by
+/// [`encode_posting_block`], mapped through `map`, to `out`, in block
+/// order. Fails cleanly on hostile bytes: the count is validated against
+/// the smallest possible per-posting cost before `out` grows. On an error
+/// `out` may keep a prefix of the block; a caller that keeps `out` cuts it
+/// back.
+pub fn decode_posting_block_into<T>(
+    bytes: &[u8],
+    out: &mut Vec<T>,
+    map: impl Fn(crate::Posting) -> T,
+) -> Result<(), SnapshotError> {
     use crate::schema::{ColumnId, TableId};
     use crate::tuple::TupleId;
     let mut r = Reader::new(bytes);
@@ -131,7 +147,7 @@ pub fn decode_posting_block(bytes: &[u8]) -> Result<Vec<crate::Posting>, Snapsho
     if count > r.remaining() / 3 {
         return Err(SnapshotError::Corrupt(format!("implausible posting count {count}")));
     }
-    let mut out = Vec::with_capacity(count);
+    out.reserve(count);
     let mut prev_row: i64 = 0;
     for _ in 0..count {
         let table = get_varint(&mut r)?;
@@ -143,14 +159,13 @@ pub fn decode_posting_block(bytes: &[u8]) -> Result<Vec<crate::Posting>, Snapsho
             .map_err(|_| SnapshotError::Corrupt(format!("posting table id {table} overflows")))?;
         let column = u32::try_from(column)
             .map_err(|_| SnapshotError::Corrupt(format!("posting column id {column} overflows")))?;
-        out.push(crate::Posting {
+        out.push(map(crate::Posting {
             table: TableId(table),
             column: ColumnId(column),
             tuple: TupleId::new(TableId(table), row as u64),
-        });
+        }));
     }
-    r.finish()?;
-    Ok(out)
+    Ok(r.finish()?)
 }
 
 fn zigzag(v: i64) -> u64 {

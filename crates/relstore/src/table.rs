@@ -54,20 +54,11 @@ impl Rows {
             Rows::Mem(rows) => rows.get(i).map(|r| Cow::Borrowed(r.as_slice())),
             Rows::Paged { backend, ids, arity } => {
                 let id = *ids.get(i)?;
-                let bytes = match backend.get(id) {
-                    Ok(Some(bytes)) => bytes,
-                    Ok(None) => {
-                        nebula_obs::counter_add("relstore.storage_errors", 1);
-                        return None;
-                    }
-                    Err(_) => {
-                        nebula_obs::counter_add("relstore.storage_errors", 1);
-                        return None;
-                    }
-                };
-                match decode_row(&bytes, *arity) {
-                    Ok(values) => Some(Cow::Owned(values)),
-                    Err(_) => {
+                let mut values = None;
+                let found = backend.read(id, &mut |bytes| values = decode_row(bytes, *arity).ok());
+                match (found, values) {
+                    (Ok(true), Some(values)) => Some(Cow::Owned(values)),
+                    _ => {
                         nebula_obs::counter_add("relstore.storage_errors", 1);
                         None
                     }
@@ -351,12 +342,12 @@ impl Table {
     /// save/load cycle so `TupleId`s stay stable). A paged slot whose
     /// record cannot be read degrades to a row of `Null`s (arity
     /// preserved) so the snapshot structure stays decodable; the error
-    /// counter and the page scrubber report the damage.
-    pub(crate) fn raw_slots(&self) -> impl Iterator<Item = (bool, Vec<Value>)> + '_ {
+    /// counter and the page scrubber report the damage. Rows come one at
+    /// a time: RAM rows borrowed, a paged row decoded for its turn only.
+    pub(crate) fn raw_slots(&self) -> impl ExactSizeIterator<Item = (bool, Cow<'_, [Value]>)> + '_ {
         let arity = self.schema.arity();
         self.live.iter().enumerate().map(move |(i, live)| {
-            let values =
-                self.rows.row(i).map(Cow::into_owned).unwrap_or_else(|| vec![Value::Null; arity]);
+            let values = self.rows.row(i).unwrap_or_else(|| Cow::Owned(vec![Value::Null; arity]));
             (*live, values)
         })
     }

@@ -6,7 +6,6 @@ use crate::error::SearchError;
 use crate::mapping::SchemaVocabulary;
 use crate::shared::{ExecutionMode, SharedExecutor};
 use relstore::{Database, TupleId};
-use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 
 /// A keyword query: an ordered bag of keywords, optionally carrying the
@@ -193,7 +192,7 @@ impl KeywordSearch {
         exec: &mut SharedExecutor<'_>,
         stats: &mut SearchStats,
     ) -> Result<Vec<SearchHit>, SearchError> {
-        let mut best: HashMap<TupleId, f64> = HashMap::new();
+        let mut hits = Vec::new();
         for cq in compiled {
             if cq.confidence < self.options.min_confidence {
                 continue;
@@ -204,17 +203,10 @@ impl KeywordSearch {
                 compiled_queries: 0,
                 tuples_inspected: result.inspected,
             });
-            for tid in result.tuples {
-                let entry = best.entry(tid).or_insert(0.0);
-                if cq.confidence > *entry {
-                    *entry = cq.confidence;
-                }
-            }
+            let confidence = cq.confidence;
+            hits.extend(result.tuples.into_iter().map(|tuple| SearchHit { tuple, confidence }));
         }
-        let mut hits: Vec<SearchHit> =
-            best.into_iter().map(|(tuple, confidence)| SearchHit { tuple, confidence }).collect();
-        hits.sort_by(|a, b| b.confidence.total_cmp(&a.confidence).then(a.tuple.cmp(&b.tuple)));
-        Ok(hits)
+        Ok(rank_by_max(hits))
     }
 
     /// Execute a *group* of keyword queries under the given execution mode
@@ -262,10 +254,37 @@ impl KeywordSearch {
     }
 }
 
+/// Merge hits by tuple, keeping each tuple's highest confidence (a tuple
+/// whose every confidence is zero, negative or NaN keeps 0.0), then rank
+/// by descending confidence and ascending tuple id. Sorting by tuple
+/// brings each tuple's hits together, so no map is built.
+fn rank_by_max(mut hits: Vec<SearchHit>) -> Vec<SearchHit> {
+    for hit in &mut hits {
+        if hit.confidence.is_nan() || hit.confidence <= 0.0 {
+            hit.confidence = 0.0;
+        }
+    }
+    hits.sort_unstable_by_key(|hit| hit.tuple);
+    hits.dedup_by(|next, kept| {
+        if next.tuple != kept.tuple {
+            return false;
+        }
+        if next.confidence > kept.confidence {
+            kept.confidence = next.confidence;
+        }
+        true
+    });
+    hits.sort_by(|a, b| b.confidence.total_cmp(&a.confidence).then(a.tuple.cmp(&b.tuple)));
+    hits
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use relstore::schema::TableId;
     use relstore::{DataType, TableSchema, Value};
+    use std::collections::HashMap;
 
     fn db() -> Database {
         let mut db = Database::new();
@@ -380,5 +399,63 @@ mod tests {
         assert_eq!(a.configurations, usize::MAX);
         assert_eq!(a.compiled_queries, usize::MAX);
         assert_eq!(a.tuples_inspected, 7);
+    }
+
+    /// `run_compiled`'s merge as it was written with a map: the reference
+    /// [`rank_by_max`] must reproduce.
+    fn rank_by_max_with_a_map(results: &[(f64, Vec<TupleId>)]) -> Vec<SearchHit> {
+        let mut best: HashMap<TupleId, f64> = HashMap::new();
+        for (confidence, tuples) in results {
+            for tid in tuples {
+                let entry = best.entry(*tid).or_insert(0.0);
+                if *confidence > *entry {
+                    *entry = *confidence;
+                }
+            }
+        }
+        let mut hits: Vec<SearchHit> =
+            best.into_iter().map(|(tuple, confidence)| SearchHit { tuple, confidence }).collect();
+        hits.sort_by(|a, b| b.confidence.total_cmp(&a.confidence).then(a.tuple.cmp(&b.tuple)));
+        hits
+    }
+
+    proptest! {
+        /// The sort merge equals the map merge bit for bit: per compiled
+        /// query a confidence (drawn from a few values, so ties are common,
+        /// zero, negative and NaN included) and a list of tuples over two
+        /// tables, repeated within and across queries.
+        #[test]
+        fn rank_by_max_equals_the_map_merge(
+            results in proptest::collection::vec(
+                (
+                    prop_oneof![
+                        Just(0.0f64), Just(-0.0), Just(-0.25), Just(f64::NAN),
+                        Just(0.15), Just(0.5), Just(0.5), Just(0.9), Just(1.0)
+                    ],
+                    proptest::collection::vec((0u32..2, 0u64..12), 0..10),
+                ),
+                0..12,
+            ),
+        ) {
+            let results: Vec<(f64, Vec<TupleId>)> = results
+                .into_iter()
+                .map(|(c, ids)| {
+                    (c, ids.into_iter().map(|(t, r)| TupleId::new(TableId(t), r)).collect())
+                })
+                .collect();
+            let hits: Vec<SearchHit> = results
+                .iter()
+                .flat_map(|(confidence, tuples)| {
+                    tuples.iter().map(|&tuple| SearchHit { tuple, confidence: *confidence })
+                })
+                .collect();
+            let want = rank_by_max_with_a_map(&results);
+            let got = rank_by_max(hits);
+            prop_assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                prop_assert_eq!(g.tuple, w.tuple);
+                prop_assert_eq!(g.confidence.to_bits(), w.confidence.to_bits());
+            }
+        }
     }
 }

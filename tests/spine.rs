@@ -53,20 +53,21 @@ fn latest_trajectory(root: &Path) -> PathBuf {
     numbered.max().map(|(_, name)| root.join(name)).expect("a checked-in BENCH_pr*.json")
 }
 
-/// The work counts of `ram-seq` and `sharded` are machine-independent
-/// and repeat exactly: a change to the index, the executor or the shard
-/// fabric that alters how many configurations, queries, probes, tuples or
-/// edges an annotation costs is a change of behaviour, not of speed.
+/// The work counts of `ram-seq`, `paged-fit` and `sharded` are
+/// machine-independent and repeat exactly: a change to the index, the
+/// executor, the paged posting path or the shard fabric that alters how
+/// many configurations, queries, probes, tuples or edges an annotation
+/// costs is a change of behaviour, not of speed.
 /// Every `BENCH_pr*.json` records them for its parent commit and its
 /// change; these runs must reproduce the latest file's to the digit.
 #[test]
-#[ignore = "generates D_large and D_small and runs two traced rounds (~15 s); the CI `spine` job runs it"]
+#[ignore = "generates D_large and D_small and runs three traced rounds (~25 s); the CI `spine` job runs it"]
 fn work_counts_match_the_checked_in_trajectory() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let spine = root.join("spine");
     let bench = std::fs::read_to_string(latest_trajectory(root)).expect("checked-in file");
     let counts = bench.find("\"exact_counts\"").expect("exact_counts section");
-    for workload in ["ram-seq", "sharded"] {
+    for workload in ["ram-seq", "paged-fit", "sharded"] {
         let output = Command::new(env!("CARGO"))
             .args(["run", "--release", "--quiet", "--offline", "--manifest-path"])
             .arg(spine.join("Cargo.toml"))

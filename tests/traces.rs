@@ -8,7 +8,9 @@
 //! call the change out in the PR.
 
 use nebula::nebula_obs::{self, names, trace};
+use nebula::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 /// The trace ring is process-global; serialize the tests that script it.
@@ -97,6 +99,55 @@ fn golden_traces_are_rooted_and_analyzable() {
     let attr = trace::attribution(&traces);
     assert_eq!(attr.traces, 2);
     assert!(attr.dominant().is_some());
+}
+
+/// A virtual clock that runs faster with every reading (the n-th reads
+/// n² µs), in force only while `ACCELERATING` is on: two timings of one
+/// scope taken at different readings cannot agree by accident.
+static ACCELERATING: AtomicBool = AtomicBool::new(false);
+static READINGS: AtomicU64 = AtomicU64::new(0);
+
+fn accelerating_clock() -> Option<u64> {
+    ACCELERATING.load(Ordering::Relaxed).then(|| {
+        let n = READINGS.fetch_add(1, Ordering::Relaxed) + 1;
+        n * n * 1_000
+    })
+}
+
+/// When `process_annotation` owns the trace root (sequential callers, the
+/// shell), the root node carries the pipeline span's one measurement:
+/// `TRACE ANNOTATION` and `SHOW METRICS` read the same duration.
+#[test]
+fn an_owned_trace_root_reads_the_pipeline_histogram() {
+    let _serial = guard();
+    let mut bundle = generate_dataset(&DatasetSpec::tiny(), 42);
+    let mut nebula = Nebula::new(NebulaConfig::default(), bundle.meta.clone());
+    nebula.bootstrap_acg(&bundle.annotations);
+    let gene = bundle.db.catalog().resolve("gene").expect("gene table");
+    let focal = bundle.db.table(gene).expect("gene rows").scan().next().expect("a gene").id;
+    let annotation = Annotation::new("this gene correlates with JW0001 and JW0003");
+
+    trace::install_time_source(accelerating_clock);
+    nebula_obs::set_enabled(true);
+    nebula_obs::reset();
+    trace::reset();
+    ACCELERATING.store(true, Ordering::Relaxed);
+    let outcome = nebula
+        .process_annotation(&bundle.db, &mut bundle.annotations, &annotation, &[focal])
+        .expect("pipeline runs");
+    ACCELERATING.store(false, Ordering::Relaxed);
+    let histogram = nebula_obs::snapshot().histograms[names::PIPELINE].clone();
+    let trace = trace::for_annotation(outcome.annotation.0).expect("the owned root committed");
+    nebula_obs::set_enabled(false);
+
+    assert_eq!(trace.root().label, names::PIPELINE, "process_annotation owned the root");
+    assert!(trace.spans.len() > 1, "stage spans hang under the root");
+    assert_eq!(histogram.count, 1);
+    assert!(
+        histogram.sum_ns > 0 && histogram.sum_ns.is_multiple_of(1_000),
+        "timed on the virtual clock"
+    );
+    assert_eq!(trace.root().duration_ns, histogram.sum_ns, "one scope, one measurement");
 }
 
 /// Regenerates `samples/traces/pipeline.trace.json`. Ignored in normal
